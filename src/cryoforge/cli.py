@@ -26,7 +26,7 @@ from .scene import PlacementConfig, ParticleInstance, place_particles
 from .structure import DensifyConfig, densify, parse_pdb
 from .subtomo import ExtractionConfig, NoiseSpec, add_noise, extract
 from .tiltalign import AlignmentResult, align_series, refine_axis
-from .tiltsim import TiltGeometry, simulate_tilt_series
+from .tiltsim import TiltGeometry, TiltSeries, simulate_tilt_series
 from .volume import DensityVolume
 
 EXIT_OK = 0
@@ -124,12 +124,11 @@ def _read_series(tilts_path, angles_path):
     stack = cio.read_mrc(_require(tilts_path))
     rows = cio.read_ndjson(_require(angles_path))
     geom = TiltGeometry(angles=[r["angle_deg"] for r in rows])
-    from .tiltsim import TiltSeries
-
     return TiltSeries(
         geometry=geom,
         projections=[p for p in stack.data.astype(np.float64)],
         applied_shifts=[tuple(r["applied_shift"]) for r in rows],
+        voxel_size=stack.voxel_size,
     )
 
 

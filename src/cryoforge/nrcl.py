@@ -245,7 +245,8 @@ def nrcl_step(
     variants, encodes queries and momentum keys, and returns
     total = sym(q1,k2) + lw*wass(q1,k2) + sym(q2,k1) + lw*wass(q2,k1)
           + infonce(q1, k_clean, k_noisy)
-    together with the per-term breakdown. No parameters are updated.
+    together with the per-term breakdown; ``wass_converged`` is true only
+    if both Sinkhorn plans converged. No parameters are updated.
     """
     X1 = _transform_batch(X, T)
     X2 = _transform_batch(X, T_prime)
@@ -261,8 +262,8 @@ def nrcl_step(
 
     sym12 = sym_loss(q1, k2, cfg)
     sym21 = sym_loss(q2, k1, cfg)
-    wass12, _ = sinkhorn_wasserstein(q1, k2, cfg)
-    wass21, _ = sinkhorn_wasserstein(q2, k1, cfg)
+    wass12, plan12 = sinkhorn_wasserstein(q1, k2, cfg)
+    wass21, plan21 = sinkhorn_wasserstein(q2, k1, cfg)
     noise = infonce_loss(q1, k_clean, k_noisy, cfg)
 
     breakdown = {
@@ -272,6 +273,7 @@ def nrcl_step(
         "wass_q2_k1": cfg.lambda_w * wass21,
         "instance": sym12 + sym21 + cfg.lambda_w * (wass12 + wass21),
         "noise": noise,
+        "wass_converged": plan12.converged and plan21.converged,
     }
     total = breakdown["instance"] + breakdown["noise"]
     breakdown["total"] = total

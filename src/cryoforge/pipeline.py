@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import resource
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -136,6 +138,13 @@ class PipelineResult:
     metadata_path: Path
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (10^6 bytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
+
+
 class _Provenance:
     """Collects one NDJSON row per completed stage."""
 
@@ -152,6 +161,7 @@ class _Provenance:
                 "config_hash": self.cfg_hash,
                 "seed": self.seed,
                 "elapsed_s": round(time.perf_counter() - started, 4),
+                "peak_rss_mb": round(_peak_rss_mb(), 1),
                 **extra,
             }
         )
@@ -206,7 +216,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     # project: simulated tilt series with recorded drifts
     geom = dataclasses.replace(cfg.tilt, seed=cfg.seed)
     series = _stage(
-        "project", lambda: simulate_tilt_series(sample, geom, jobs=cfg.jobs)
+        "project",
+        lambda: simulate_tilt_series(sample, geom, jobs=cfg.jobs),
+        jobs=cfg.jobs,
     )
     (out / "tilt_series").mkdir(exist_ok=True)
     cio.write_ndjson(
@@ -242,7 +254,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     # reconstruct
     recon_cfg = dataclasses.replace(cfg.recon, output_dims=placement.volume_dims)
     tomo = _stage("reconstruct", lambda: wbp_reconstruct(series, align, recon_cfg))
-    tomo = DensityVolume(tomo.data, sample.voxel_size)
     cio.write_mrc(tomo, out / "tomogram.mrc")
 
     # extract

@@ -72,7 +72,7 @@ def wbp_reconstruct(
     Each output voxel samples every projection at its projected detector
     coordinate (beam geometry: x' = sin(theta) z + cos(theta) x about the
     volume center) with bilinear interpolation; the sum over tilts is
-    scaled by pi / (2 N_tilts).
+    scaled by pi / (2 N_tilts). The tomogram keeps the series' voxel size.
     """
     n_tilts = len(series.projections)
     if n_tilts < 3:
@@ -120,4 +120,4 @@ def wbp_reconstruct(
         contrib *= inside[None, :, :]
         out += weight * np.transpose(contrib, (1, 0, 2))
     out *= np.pi / (2.0 * n_tilts)
-    return DensityVolume(out.astype(np.float32))
+    return DensityVolume(out.astype(np.float32), series.voxel_size)

@@ -105,6 +105,23 @@ def test_stage_chain_project_align_reconstruct_extract(tmp_path, rng):
     assert len(records) + len(rejections) == 1
 
 
+def test_reconstruct_keeps_stack_voxel_size(tmp_path, rng):
+    angles = [-20.0, 0.0, 20.0]
+    stack = DensityVolume(rng.random((3, 12, 16)).astype(np.float32), voxel_size=7.5)
+    cio.write_mrc(stack, tmp_path / "tilts.mrc")
+    cio.write_ndjson(
+        [{"index": i, "angle_deg": a, "applied_shift": [0.0, 0.0]} for i, a in enumerate(angles)],
+        tmp_path / "angles.ndjson",
+    )
+    cio.write_ndjson([{"shifts": [[0.0, 0.0]] * 3}], tmp_path / "alignment.ndjson")
+    tomo_path = tmp_path / "tomo.mrc"
+    assert main(["reconstruct", "--tilts", str(tmp_path / "tilts.mrc"),
+                 "--angles", str(tmp_path / "angles.ndjson"),
+                 "--alignment", str(tmp_path / "alignment.ndjson"),
+                 "--dims", "8,12,16", "--out", str(tomo_path)]) == 0
+    assert cio.read_mrc(tomo_path).voxel_size == pytest.approx(7.5)
+
+
 def test_pipeline_requires_config(capsys):
     assert main(["pipeline"]) == 1
     assert "config" in capsys.readouterr().err

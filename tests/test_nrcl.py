@@ -217,11 +217,13 @@ def test_nrcl_step_breakdown_matches_standalone_ops(rng):
     # with fixed encoders every encode returns the same batch, so each term
     # must equal the standalone op on those embeddings
     sym = sym_loss(q_batch, k_batch, cfg)
-    wass = cfg.lambda_w * sinkhorn_wasserstein(q_batch, k_batch, cfg)[0]
+    cost, plan = sinkhorn_wasserstein(q_batch, k_batch, cfg)
+    wass = cfg.lambda_w * cost
     assert breakdown["sym_q1_k2"] == pytest.approx(sym, rel=1e-12)
     assert breakdown["sym_q2_k1"] == pytest.approx(sym, rel=1e-12)
     assert breakdown["wass_q1_k2"] == pytest.approx(wass, rel=1e-9)
     assert breakdown["noise"] == pytest.approx(np.log(2.0), abs=1e-12)
+    assert breakdown["wass_converged"] is plan.converged
     components = (
         breakdown["sym_q1_k2"] + breakdown["sym_q2_k1"]
         + breakdown["wass_q1_k2"] + breakdown["wass_q2_k1"]

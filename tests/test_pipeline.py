@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
+from conftest import make_blob_pdb
+from cryoforge import io as cio
 from cryoforge.pipeline import (
     PipelineConfig,
     PipelineConfigError,
@@ -73,3 +76,29 @@ def test_stage_error_names_failing_stage(tmp_path):
         run_pipeline(cfg)
     assert err.value.stage == "densify"
     assert isinstance(err.value.cause, OSError)
+
+
+def test_provenance_reports_peak_rss_and_jobs(tmp_path):
+    pdb = tmp_path / "blob.pdb"
+    pdb.write_text(make_blob_pdb(np.random.default_rng(0), radius=60.0, n=400))
+    raw = _raw_config(
+        tmp_path,
+        structures={"blob": str(pdb)},
+        jobs=2,
+        particles_per_class=2,
+        snr_targets=[0.1],
+        placement={"volume_dims": [40, 80, 40]},
+        tilt={"angles": [-20.0, 0.0, 20.0]},
+    )
+    result = run_pipeline(PipelineConfig.from_dict(raw))
+    rows = cio.read_ndjson(result.output_dir / "provenance.ndjson")
+    assert [r["stage"] for r in rows] == [
+        "densify", "place", "compose", "project", "align",
+        "refine_axis", "reconstruct", "extract", "noise",
+    ]
+    peaks = [r["peak_rss_mb"] for r in rows]
+    assert peaks[0] > 0 and peaks == sorted(peaks)
+    assert [(r["stage"], r["jobs"]) for r in rows if "jobs" in r] == [("project", 2)]
+    density = cio.read_mrc(result.output_dir / "densities" / "blob.mrc")
+    tomogram = cio.read_mrc(result.output_dir / "tomogram.mrc")
+    assert tomogram.voxel_size == pytest.approx(density.voxel_size)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from conftest import band_limited_image, gaussian_blob, multi_blob_volume
 from cryoforge.tiltalign import phase_correlate
@@ -34,6 +35,67 @@ def test_series_length_invariant():
     geom = TiltGeometry(angles=[-2.0, 0.0, 2.0])
     with pytest.raises(ValueError):
         TiltSeries(geom, projections=[np.zeros((4, 4))] * 2, applied_shifts=[(0, 0)] * 3)
+
+
+def reference_project_tilt(vol, angle_deg, geom):
+    """The projector as a dense 3D resampling: the spline-prefiltered,
+    zero-padded volume resampled by ``affine_transform`` onto the
+    beam-aligned fine grid, then summed along the beam."""
+    pad = 4
+    data = np.pad(vol.data.astype(np.float64), ((pad, pad), (0, 0), (pad, pad)))
+    D, H, W = data.shape
+    os_ = geom.oversample
+    theta = np.radians(angle_deg)
+    c, s = np.cos(theta), np.sin(theta)
+    cd, ch, cw = (D - 1) / 2.0, (H - 1) / 2.0, (W - 1) / 2.0
+    zhalf = abs(c) * (D - 1) / 2.0 + abs(s) * (W - 1) / 2.0
+    n_fine = int(np.floor(2.0 * zhalf * os_)) + 1
+    z0 = cd - zhalf
+    R_inv = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    matrix = R_inv @ np.diag([1.0 / os_, 1.0, 1.0])
+    center = np.array([cd, ch, cw])
+    offset = R_inv @ (np.array([z0, 0.0, pad]) - center) + center
+    fine = ndimage.affine_transform(
+        ndimage.spline_filter(data, order=3, mode="constant"),
+        matrix,
+        offset=offset,
+        output_shape=(n_fine, H, W - 2 * pad),
+        order=3,
+        mode="constant",
+        cval=0.0,
+        prefilter=False,
+    )
+    return fine.sum(axis=0) / os_
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 40), (17, 9, 31)])
+@pytest.mark.parametrize("oversample", [1, 2, 4])
+def test_projection_matches_dense_resampling_reference(shape, oversample):
+    rng = np.random.default_rng(sum(shape) + oversample)
+    vol = DensityVolume(rng.random(shape).astype(np.float32))
+    geom = TiltGeometry(oversample=oversample)
+    for angle in (-90.0, -60.0, 0.0, 1e-7, 34.0, 89.9, 90.0):
+        ref = reference_project_tilt(vol, angle, geom)
+        proj = project_tilt(vol, angle, geom)
+        assert proj.shape == ref.shape == (shape[1], shape[2])
+        assert np.abs(proj - ref).max() <= 1e-12 * np.abs(ref).max(), angle
+
+
+def test_fixture_projection_matches_dense_resampling_reference():
+    vol = multi_blob_volume(24, blobs=3)
+    geom = TiltGeometry()
+    for angle in (-60.0, 0.0, 34.0):
+        ref = reference_project_tilt(vol, angle, geom)
+        assert np.abs(project_tilt(vol, angle, geom) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unshifted_series_equals_project_tilt(jobs):
+    vol = multi_blob_volume(16, blobs=2)
+    geom = TiltGeometry(angles=[-90.0, -45.0, 0.0, 45.0, 90.0], shift_range=0.0)
+    series = simulate_tilt_series(vol, geom, jobs=jobs)
+    for angle, proj in zip(geom.angles, series.projections):
+        assert np.array_equal(proj, project_tilt(vol, angle, geom))
 
 
 def test_zero_angle_projection_equals_z_sum():
