@@ -7,12 +7,18 @@ float density and keeping a single mode makes round-trips bit-exact.
 
 Ground-truth metadata travels in newline-delimited JSON sidecars, one
 record per line, so it stays human-inspectable and streamable.
+
+Every writer fills a hidden temporary sibling of its target and renames
+it onto the target only once the write is complete, so a failed write
+leaves any previous file intact and no partial file behind.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -68,6 +74,21 @@ class SubtomogramRecord:
             raise ValueError(f"snr_tag must be one of {SNR_TAGS}, got {self.snr_tag!r}")
 
 
+@contextmanager
+def _replacing(path, mode: str):
+    """Open a temporary sibling of ``path`` for writing; on a clean exit
+    rename it onto ``path``, on an exception delete it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_mrc(vol: DensityVolume, path) -> None:
     """Write a volume as an MRC2014 mode-2 file.
 
@@ -97,8 +118,7 @@ def write_mrc(vol: DensityVolume, path) -> None:
     header[212:216] = _MACHINE_STAMP_LE
     struct.pack_into("<f", header, 216, float(data.std()))
     struct.pack_into("<i", header, 220, 0)  # nlabl
-    path = Path(path)
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(bytes(header))
         fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
@@ -145,8 +165,7 @@ def read_mrc(path) -> DensityVolume:
 
 def write_metadata(records, path) -> None:
     """Write SubtomogramRecords as NDJSON, one record per line."""
-    path = Path(path)
-    with open(path, "w") as fh:
+    with _replacing(path, "w") as fh:
         for rec in records:
             fh.write(json.dumps(asdict(rec), sort_keys=True))
             fh.write("\n")
@@ -182,7 +201,7 @@ def read_metadata(path) -> list[SubtomogramRecord]:
 
 def write_ndjson(rows: list[dict], path) -> None:
     """Write generic dict rows as NDJSON (angles, shifts, provenance...)."""
-    with open(path, "w") as fh:
+    with _replacing(path, "w") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True))
             fh.write("\n")

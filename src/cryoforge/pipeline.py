@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import resource
 import sys
 import time
@@ -253,7 +254,13 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     # reconstruct
     recon_cfg = dataclasses.replace(cfg.recon, output_dims=placement.volume_dims)
-    tomo = _stage("reconstruct", lambda: wbp_reconstruct(series, align, recon_cfg))
+    dims = recon_cfg.output_dims
+    tomo = _stage(
+        "reconstruct",
+        lambda: wbp_reconstruct(series, align, recon_cfg),
+        output_dims=list(dims),
+        tomogram_mb=4 * math.prod(dims) / 1e6,  # float32 voxels
+    )
     cio.write_mrc(tomo, out / "tomogram.mrc")
 
     # extract

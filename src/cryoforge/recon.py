@@ -4,6 +4,15 @@ Projections are shift-corrected, multiplied row-wise in Fourier space by a
 Hann-tapered ramp filter (perpendicular to the tilt axis), rescaled by
 |cos theta|, and smeared back along their beam directions with linear
 interpolation of the projection pixels.
+
+Back-projection is the adjoint of a sparse line-integral operator, as in
+the ASTRA toolbox (van Aarle et al., Ultramicroscopy, 2015). The tilt axis
+h is an identity axis, so the interpolation taps of a voxel column (d, w)
+are the same for every h: each slab of d rows is one sparse
+back-projection operator, two taps per tilt per voxel column, applied to
+all filtered detector rows with one sparse-dense product. Memory is
+bounded by the filtered stack and ``SLAB_BYTES`` per slab, not by the
+volume times the tilt count.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .tiltalign import AlignmentResult
 from .tiltsim import TiltSeries, fourier_shift_2d
@@ -18,6 +28,7 @@ from .volume import DensityVolume
 
 FILTERS = ("hann_ramp", "ramp", "none")
 WEIGHTINGS = ("abs_cos", "uniform")
+SLAB_BYTES = 4_000_000  # float64 output and operator taps of one d slab
 
 
 @dataclass
@@ -73,6 +84,17 @@ def wbp_reconstruct(
     coordinate (beam geometry: x' = sin(theta) z + cos(theta) x about the
     volume center) with bilinear interpolation; the sum over tilts is
     scaled by pi / (2 N_tilts). The tomogram keeps the series' voxel size.
+
+    The x interpolation weights depend on (tilt, d, w) only, never on h.
+    Every tilt's projection is shifted, filtered and resampled onto the
+    output y grid once, and its transposed rows are stacked into one
+    (n_tilts * Wdet, Hout) matrix R. The output is filled one slab of d
+    rows at a time: a CSR back-projection operator of shape
+    (slab * Wout, n_tilts * Wdet) holds the two taps of every tilt per
+    (d, w) voxel column, and one sparse-dense product with R gives the
+    slab laid out (d, w, h). Besides R and the float32 output, the only
+    temporaries are one slab's operator and float64 output, about
+    ``SLAB_BYTES`` together; no (H, D, W) array is ever formed.
     """
     n_tilts = len(series.projections)
     if n_tilts < 3:
@@ -80,6 +102,8 @@ def wbp_reconstruct(
     Hdet, Wdet = series.projections[0].shape
     if len(align.shifts) != n_tilts:
         raise ValueError("alignment shifts do not match the projection count")
+    if len(series.geometry.angles) != n_tilts:
+        raise ValueError("tilt angles do not match the projection count")
     D, Hout, Wout = cfg.output_dims
 
     cd, cw = (D - 1) / 2.0, (Wout - 1) / 2.0
@@ -93,31 +117,43 @@ def wbp_reconstruct(
     y1 = np.clip(y0 + 1, 0, Hdet - 1)
     ty = np.clip(y_coords - y0, 0.0, 1.0)
 
-    out = np.zeros((D, Hout, Wout), dtype=np.float64)
-    for i in range(n_tilts):
-        theta = np.radians(series.geometry.angles[i])
-        weight = abs(np.cos(theta)) if cfg.weighting == "abs_cos" else 1.0
-        if weight == 0.0:
-            continue
-        proj = series.projections[i].astype(np.float64)
+    # R[i * Wdet + x, h]: filtered row h of tilt i, resampled in y
+    R = np.empty((n_tilts, Wdet, Hout))
+    for i, proj in enumerate(series.projections):
+        proj = proj.astype(np.float64)
         dx, dy = align.shifts[i]
         if dx or dy:
             proj = fourier_shift_2d(proj, -dx, -dy)
         proj = filter_projection(proj, cfg)
-        # resample rows onto the output y grid
-        rows = proj[y0, :] * (1.0 - ty)[:, None] + proj[y1, :] * ty[:, None]
+        R[i] = (proj[y0, :] * (1.0 - ty)[:, None] + proj[y1, :] * ty[:, None]).T
+    R = R.reshape(n_tilts * Wdet, Hout)
 
-        xprime = np.sin(theta) * zc[:, None] + np.cos(theta) * xc[None, :] + cw_det
+    theta = np.radians(np.asarray(series.geometry.angles, dtype=np.float64))
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    w_t = np.abs(cos_t) if cfg.weighting == "abs_cos" else np.ones(n_tilts)
+    col0 = (np.arange(n_tilts) * Wdet).astype(np.int32)
+    scale = np.pi / (2.0 * n_tilts)
+    # a d row costs its float64 output (Wout * Hout) and its taps (Wout * 2 * n_tilts)
+    slab = max(1, SLAB_BYTES // (8 * Wout * (Hout + 2 * n_tilts)))
+    out = np.empty((D, Hout, Wout), dtype=np.float32)
+    for d0 in range(0, D, slab):
+        z = zc[d0 : d0 + slab]
+        n_d = len(z)
+        # (n_d, Wout, n_tilts) detector x of every voxel column per tilt
+        xprime = sin_t * z[:, None, None] + cos_t * xc[None, :, None] + cw_det
         inside = (xprime >= 0.0) & (xprime <= Wdet - 1)
         xcl = np.clip(xprime, 0.0, Wdet - 1)
-        i0 = np.floor(xcl).astype(int)
-        i1 = np.minimum(i0 + 1, Wdet - 1)
+        i0 = np.floor(xcl).astype(np.int32)
         tx = xcl - i0
-        # rows: (Hout, Wdet); gather per (d, w) then broadcast over h
-        contrib = (
-            rows[:, i0] * (1.0 - tx)[None, :, :] + rows[:, i1] * tx[None, :, :]
-        )  # (Hout, D, Wout)
-        contrib *= inside[None, :, :]
-        out += weight * np.transpose(contrib, (1, 0, 2))
-    out *= np.pi / (2.0 * n_tilts)
-    return DensityVolume(out.astype(np.float32), series.voxel_size)
+        # two taps per tilt, ordered by tilt then tap
+        data = np.stack([w_t * (1.0 - tx) * inside, w_t * tx * inside], axis=-1)
+        indices = np.stack([col0 + i0, col0 + np.minimum(i0 + 1, Wdet - 1)], axis=-1)
+        rows = n_d * Wout
+        indptr = np.arange(0, rows * 2 * n_tilts + 1, 2 * n_tilts, dtype=np.int32)
+        op = sparse.csr_array(
+            (data.ravel(), indices.ravel(), indptr), shape=(rows, n_tilts * Wdet)
+        )
+        part = op @ R
+        part *= scale
+        out[d0 : d0 + n_d] = part.reshape(n_d, Wout, Hout).transpose(0, 2, 1)
+    return DensityVolume(out, series.voxel_size)

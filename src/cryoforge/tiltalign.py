@@ -116,20 +116,6 @@ def align_series(
     return AlignmentResult(shifts=[(float(dx), float(dy)) for dx, dy in estimates])
 
 
-def _axis_model(angles_deg: np.ndarray, axis_angle_deg: float, offset: float) -> np.ndarray:
-    """Predicted (dx, dy) drift trajectory of a specimen center displaced
-    from the tilt axis.
-
-    A center offset by ``offset`` voxels perpendicular to an axis rotated
-    in-plane by ``axis_angle_deg`` from the detector y-axis projects to
-    offset*(cos theta - 1) along the rotated x direction.
-    """
-    theta = np.radians(angles_deg)
-    phi = np.radians(axis_angle_deg)
-    radial = offset * (np.cos(theta) - 1.0)
-    return np.stack([radial * np.cos(phi), -radial * np.sin(phi)], axis=1)
-
-
 def refine_axis(
     series: TiltSeries,
     shifts: list[tuple[float, float]],
@@ -153,13 +139,19 @@ def refine_axis(
     n_o = int(round(2 * offset_range / offset_step)) + 1
     cand_angles = (np.arange(n_a) - n_a // 2) * angle_step
     cand_offsets = (np.arange(n_o) - n_o // 2) * offset_step
-    best = None
-    for phi in cand_angles:
-        for off in cand_offsets:
-            mse = float(np.mean((measured - _axis_model(angles, phi, off)) ** 2))
-            key = (mse, abs(phi), abs(off))
-            if best is None or key < best[0]:
-                best = (key, phi, off)
-    assert best is not None
-    (mse, _, _), phi, off = best
-    return float(phi), float(off), mse
+    # rigid-axis drift model of the whole grid at once, (n_a, n_o, views, 2):
+    # a center offset by `off` voxels perpendicular to an axis rotated
+    # in-plane by phi from detector y drifts off*(cos theta - 1) along the
+    # rotated x direction
+    theta = np.radians(angles)
+    phi = np.radians(cand_angles)[:, None, None]
+    radial = cand_offsets[None, :, None] * (np.cos(theta) - 1.0)
+    model = np.stack([radial * np.cos(phi), -radial * np.sin(phi)], axis=-1)
+    mse = np.mean((measured - model) ** 2, axis=(2, 3))
+    # lexicographic (mse, |angle|, |offset|); a stable sort keeps the first
+    # grid point of a full tie
+    abs_phi = np.broadcast_to(np.abs(cand_angles)[:, None], mse.shape)
+    abs_off = np.broadcast_to(np.abs(cand_offsets)[None, :], mse.shape)
+    best = np.lexsort((abs_off.ravel(), abs_phi.ravel(), mse.ravel()))[0]
+    ia, io = np.unravel_index(best, mse.shape)
+    return float(cand_angles[ia]), float(cand_offsets[io]), float(mse[ia, io])

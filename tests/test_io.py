@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from cryoforge import io as cio
 from cryoforge.io import (
     HEADER_SIZE,
     MetadataParseError,
@@ -167,3 +168,34 @@ def test_ndjson_round_trip(tmp_path):
     path = tmp_path / "r.ndjson"
     write_ndjson(rows, path)
     assert read_ndjson(path) == rows
+
+
+def _failing_mrc_write(monkeypatch, path):
+    def boom(*args, **kwargs):
+        raise OSError("disk full")
+
+    # the header is already written when the payload conversion fails
+    monkeypatch.setattr(cio.np, "ascontiguousarray", boom)
+    write_mrc(DensityVolume(np.ones((2, 2, 2), dtype=np.float32)), path)
+
+
+def _failing_metadata_write(monkeypatch, path):
+    write_metadata([_record(), object()], path)  # the second record is no dataclass
+
+
+def _failing_ndjson_write(monkeypatch, path):
+    write_ndjson([{"a": 1}, {"b": object()}], path)  # the second row is not JSON
+
+
+@pytest.mark.parametrize(
+    "failing_write", [_failing_mrc_write, _failing_metadata_write, _failing_ndjson_write]
+)
+def test_failed_write_keeps_previous_file_and_leaves_no_temporary(
+    monkeypatch, tmp_path, failing_write
+):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"previous")
+    with pytest.raises((OSError, TypeError)):
+        failing_write(monkeypatch, path)
+    assert path.read_bytes() == b"previous"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]

@@ -102,3 +102,7 @@ def test_provenance_reports_peak_rss_and_jobs(tmp_path):
     density = cio.read_mrc(result.output_dir / "densities" / "blob.mrc")
     tomogram = cio.read_mrc(result.output_dir / "tomogram.mrc")
     assert tomogram.voxel_size == pytest.approx(density.voxel_size)
+    (recon_row,) = [r for r in rows if "output_dims" in r]
+    assert recon_row["stage"] == "reconstruct"
+    assert recon_row["output_dims"] == [40, 80, 40] == list(tomogram.shape)
+    assert recon_row["tomogram_mb"] == pytest.approx(tomogram.data.nbytes / 1e6)

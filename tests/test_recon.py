@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_blob
+from cryoforge import recon
 from cryoforge.recon import ReconConfig, filter_projection, filter_response, wbp_reconstruct
 from cryoforge.tiltalign import AlignmentResult, align_series
-from cryoforge.tiltsim import TiltGeometry, default_angles, simulate_tilt_series
+from cryoforge.tiltsim import (
+    TiltGeometry,
+    TiltSeries,
+    default_angles,
+    fourier_shift_2d,
+    simulate_tilt_series,
+)
 from cryoforge.volume import DensityVolume
 
 
@@ -111,3 +118,94 @@ def test_wbp_shift_count_mismatch():
         wbp_reconstruct(
             series, AlignmentResult(shifts=[(0.0, 0.0)] * 2), ReconConfig(output_dims=(16, 16, 16))
         )
+
+
+def test_wbp_angle_count_mismatch():
+    _, series = _blob_series([-10.0, 0.0, 10.0, 20.0], 16)
+    series.projections.pop()  # four angles, three projections
+    with pytest.raises(ValueError, match="angles"):
+        wbp_reconstruct(
+            series, AlignmentResult(shifts=[(0.0, 0.0)] * 3), ReconConfig(output_dims=(16, 16, 16))
+        )
+
+
+def _reference_wbp(series, align, cfg):
+    """The per-tilt gather back-projector the slab operator replaced: every
+    tilt gathers an (H, D, W) float64 contribution and adds it to a float64
+    volume."""
+    n_tilts = len(series.projections)
+    Hdet, Wdet = series.projections[0].shape
+    D, Hout, Wout = cfg.output_dims
+    cd, cw = (D - 1) / 2.0, (Wout - 1) / 2.0
+    ch_out, ch_det, cw_det = (Hout - 1) / 2.0, (Hdet - 1) / 2.0, (Wdet - 1) / 2.0
+    zc = np.arange(D) - cd
+    xc = np.arange(Wout) - cw
+    y_coords = (np.arange(Hout) - ch_out) + ch_det
+    y0 = np.clip(np.floor(y_coords).astype(int), 0, Hdet - 1)
+    y1 = np.clip(y0 + 1, 0, Hdet - 1)
+    ty = np.clip(y_coords - y0, 0.0, 1.0)
+    out = np.zeros((D, Hout, Wout), dtype=np.float64)
+    for i in range(n_tilts):
+        theta = np.radians(series.geometry.angles[i])
+        weight = abs(np.cos(theta)) if cfg.weighting == "abs_cos" else 1.0
+        if weight == 0.0:
+            continue
+        proj = series.projections[i].astype(np.float64)
+        dx, dy = align.shifts[i]
+        if dx or dy:
+            proj = fourier_shift_2d(proj, -dx, -dy)
+        proj = filter_projection(proj, cfg)
+        rows = proj[y0, :] * (1.0 - ty)[:, None] + proj[y1, :] * ty[:, None]
+        xprime = np.sin(theta) * zc[:, None] + np.cos(theta) * xc[None, :] + cw_det
+        inside = (xprime >= 0.0) & (xprime <= Wdet - 1)
+        xcl = np.clip(xprime, 0.0, Wdet - 1)
+        i0 = np.floor(xcl).astype(int)
+        i1 = np.minimum(i0 + 1, Wdet - 1)
+        tx = xcl - i0
+        contrib = rows[:, i0] * (1.0 - tx)[None, :, :] + rows[:, i1] * tx[None, :, :]
+        contrib *= inside[None, :, :]
+        out += weight * np.transpose(contrib, (1, 0, 2))
+    out *= np.pi / (2.0 * n_tilts)
+    return DensityVolume(out.astype(np.float32), series.voxel_size)
+
+
+def _random_series(rng, angles, det_shape):
+    geom = TiltGeometry(angles=[0.0])
+    geom.angles = list(angles)  # any order and spacing; WBP reads only the angles
+    projections = [rng.normal(size=det_shape).astype(np.float32) for _ in angles]
+    series = TiltSeries(geom, projections, [(0.0, 0.0)] * len(angles), voxel_size=4.0)
+    shifts = [tuple(rng.uniform(-1.5, 1.5, size=2)) for _ in angles]
+    return series, AlignmentResult(shifts=shifts)
+
+
+def _assert_within_one_ulp(got, ref):
+    got, ref = got.astype(np.float64), ref.astype(np.float64)
+    diff = np.abs(got - ref)
+    ulp = np.spacing(np.abs(ref).astype(np.float32)).astype(np.float64)
+    assert np.all((diff <= ulp) | (diff <= 1e-6 * np.abs(ref).max()))
+
+
+@pytest.mark.parametrize("filt", recon.FILTERS)
+@pytest.mark.parametrize("weighting", recon.WEIGHTINGS)
+@pytest.mark.parametrize("Hout,Wout", [(7, 9), (8, 17), (15, 9), (16, 17)])
+def test_wbp_matches_per_tilt_gather_reference(monkeypatch, rng, filt, weighting, Hout, Wout):
+    # detector 10 x 13: Hout is smaller and larger, odd and even, so the y
+    # resampling is not the identity, and Wout differs from Wdet
+    series, align = _random_series(rng, [-90.0, -60.0, 0.0, 1e-7, 34.0, 90.0], (10, 13))
+    # D = 11 is prime and 8000 bytes make slabs of 2 to 5 rows: the last slab is partial
+    monkeypatch.setattr(recon, "SLAB_BYTES", 8000)
+    cfg = ReconConfig(output_dims=(11, Hout, Wout), filter=filt, weighting=weighting)
+    got = wbp_reconstruct(series, align, cfg)
+    ref = _reference_wbp(series, align, cfg)
+    assert got.data.dtype == np.float32 and got.shape == (11, Hout, Wout)
+    assert got.voxel_size == 4.0
+    _assert_within_one_ulp(got.data, ref.data)
+
+
+def test_wbp_slab_height_does_not_change_output(monkeypatch, rng):
+    series, align = _random_series(rng, default_angles(-60, 60, 6), (24, 20))
+    cfg = ReconConfig(output_dims=(13, 22, 18))
+    whole = wbp_reconstruct(series, align, cfg)  # one slab at the default SLAB_BYTES
+    monkeypatch.setattr(recon, "SLAB_BYTES", 1)  # one d row per slab
+    by_row = wbp_reconstruct(series, align, cfg)
+    assert np.array_equal(by_row.data, whole.data)
