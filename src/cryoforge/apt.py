@@ -250,7 +250,13 @@ def selection_probs(
     mode: str = "inference",
 ) -> SelectionProbabilities:
     """Softmax over the per-component pooled logits."""
-    logits = component_logits(ps, net)
+    return _softmax(component_logits(ps, net), temperature, mode)
+
+
+def _softmax(
+    logits: np.ndarray, temperature: float = 1.0, mode: str = "inference"
+) -> SelectionProbabilities:
+    """Selection probabilities from logits already computed."""
     z = logits - logits.max()
     e = np.exp(z)
     return SelectionProbabilities(e / e.sum(), temperature, mode)
@@ -365,7 +371,7 @@ def verify_equivariance(
         vol = rng.normal(size=volume_shape)
         ps = polyphase_decompose(vol, patch)
         logits = component_logits(ps, net)
-        probs = selection_probs(ps, net)
+        probs = _softmax(logits)
         sel = gumbel_select(probs)
         selected = ps.components[sel]
 
@@ -394,7 +400,7 @@ def verify_equivariance(
                 rvol = rot(vol)
                 ps_r = polyphase_decompose(np.ascontiguousarray(rvol), patch)
                 logits_r = component_logits(ps_r, net)
-                probs_r = selection_probs(ps_r, net)
+                probs_r = _softmax(logits_r)
                 # the phase grid transforms by the same array operation
                 max_logit_dev_rot = max(
                     max_logit_dev_rot, float(np.abs(logits_r - rot(logits)).max())

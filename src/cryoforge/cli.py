@@ -9,6 +9,7 @@ error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -210,16 +211,10 @@ def cmd_pipeline(args) -> int:
         raise ValueError("pipeline requires --config FILE")
     cfg = PipelineConfig.from_json(_require(args.config))
     if args.seed is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "strict", False):
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, jobs=1)
     elif args.jobs is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(cfg, jobs=args.jobs)
     result = run_pipeline(cfg)
     print(

@@ -4,7 +4,9 @@ Drives the stages densify -> place -> project -> align -> reconstruct ->
 extract -> noise from a single JSON config, writing MRC volumes, NDJSON
 ground-truth metadata, and NDJSON provenance (config hash, seed, timings)
 into a per-run output directory. Metadata is deterministic for a fixed
-seed; provenance carries wall-clock timings and lives in its own file so
+seed; provenance carries wall-clock timings, peak memory and the
+ground-truth quality of alignment (x-drift RMS error) and reconstruction
+(correlation with the composed sample), and lives in its own file so
 reruns still produce byte-identical metadata.
 """
 
@@ -146,6 +148,40 @@ def _peak_rss_mb() -> float:
     return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
 
 
+def _drift_rms_x(applied, estimated) -> dict[str, float]:
+    """RMS x-drift error of the estimated shifts and of no correction,
+    against the applied (dx, dy) per view. The common translation of all
+    views is unobservable, so both are anchored to zero mean first."""
+    a = np.asarray(applied, dtype=np.float64)[:, 0]
+    e = np.asarray(estimated, dtype=np.float64)[:, 0]
+    a, e = a - a.mean(), e - e.mean()
+    return {
+        "align_rms_x_px": float(np.sqrt(np.mean((e - a) ** 2))),
+        "uncorrected_rms_x_px": float(np.sqrt(np.mean(a**2))),
+    }
+
+
+def _volume_correlation(a: DensityVolume, b: DensityVolume) -> float:
+    """Pearson correlation of two equal-shape volumes.
+
+    Two passes over d slabs, each cast to float64 on its own: the means,
+    then the centred sums. No volume-sized temporary is formed.
+    """
+    if a.shape != b.shape:
+        raise ValueError("volumes must have equal dimensions")
+    n = a.data.size
+    mean_a = sum(float(sa.sum(dtype=np.float64)) for sa in a.data) / n
+    mean_b = sum(float(sb.sum(dtype=np.float64)) for sb in b.data) / n
+    sab = saa = sbb = 0.0
+    for sa, sb in zip(a.data, b.data):
+        da = sa.astype(np.float64) - mean_a
+        db = sb.astype(np.float64) - mean_b
+        sab += float(np.vdot(da, db))
+        saa += float(np.vdot(da, da))
+        sbb += float(np.vdot(db, db))
+    return sab / np.sqrt(saa * sbb)
+
+
 class _Provenance:
     """Collects one NDJSON row per completed stage."""
 
@@ -183,13 +219,17 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     out.mkdir(parents=True, exist_ok=True)
     prov = _Provenance(cfg)
 
-    def _stage(name, fn, inputs=(), **extra):
+    def _stage(name, fn, inputs=(), quality=None, **extra):
+        """Run one stage; ``quality(result)`` adds ground-truth scores to
+        its provenance row, outside the stage's elapsed time."""
         started = time.perf_counter()
         try:
             result = fn()
         except Exception as exc:
             raise StageError(name, exc) from exc
         prov.record(name, list(inputs), started, **extra)
+        if quality is not None:
+            prov.rows[-1].update(quality(result))
         return result
 
     # densify: one ground-truth density per class
@@ -231,7 +271,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     )
 
     # align + axis refinement
-    align = _stage("align", lambda: align_series(series))
+    align = _stage(
+        "align",
+        lambda: align_series(series),
+        quality=lambda result: _drift_rms_x(series.applied_shifts, result.shifts),
+    )
     axis_angle, axis_offset, axis_mse = _stage(
         "refine_axis", lambda: refine_axis(series, align.shifts)
     )
@@ -258,6 +302,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     tomo = _stage(
         "reconstruct",
         lambda: wbp_reconstruct(series, align, recon_cfg),
+        quality=lambda result: {"tomo_corr": _volume_correlation(result, sample)},
         output_dims=list(dims),
         tomogram_mb=4 * math.prod(dims) / 1e6,  # float32 voxels
     )

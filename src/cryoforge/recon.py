@@ -1,9 +1,12 @@
 """Filtered weighted back-projection.
 
-Projections are shift-corrected, multiplied row-wise in Fourier space by a
-Hann-tapered ramp filter (perpendicular to the tilt axis), rescaled by
-|cos theta|, and smeared back along their beam directions with linear
-interpolation of the projection pixels.
+Projections are shift-corrected and multiplied row-wise in Fourier space
+by a Hann-tapered ramp filter (perpendicular to the tilt axis) in one
+real-to-complex FFT round trip per tilt: the shift's phase ramp and the
+row filter are both diagonal on the ``rfft2`` grid, so they commute and
+multiply into one spectrum. Each tilt is rescaled by |cos theta| and
+smeared back along its beam directions with linear interpolation of the
+projection pixels.
 
 Back-projection is the adjoint of a sparse line-integral operator, as in
 the ASTRA toolbox (van Aarle et al., Ultramicroscopy, 2015). The tilt axis
@@ -23,7 +26,7 @@ import numpy as np
 from scipy import sparse
 
 from .tiltalign import AlignmentResult
-from .tiltsim import TiltSeries, fourier_shift_2d
+from .tiltsim import TiltSeries, fourier_shift_2d, shift_ramp
 from .volume import DensityVolume
 
 FILTERS = ("hann_ramp", "ramp", "none")
@@ -62,17 +65,24 @@ def filter_response(n: int, kind: str) -> np.ndarray:
     raise ValueError(f"unknown filter {kind!r}")
 
 
-def filter_projection(img: np.ndarray, cfg: ReconConfig) -> np.ndarray:
-    """Apply the 1D reconstruction filter along the detector x-axis.
+def filter_projection(
+    img: np.ndarray, cfg: ReconConfig, dx: float = 0.0, dy: float = 0.0
+) -> np.ndarray:
+    """Apply the 1D reconstruction filter along the detector x-axis and
+    shift the content by (+dx, +dy), in one ``rfft2`` round trip.
 
     Rows run perpendicular to the tilt axis (the detector y-axis), which
-    stays unfiltered; "none" returns the input unchanged.
+    stays unfiltered. The filter response and ``shift_ramp`` multiply the
+    same half spectrum; with filter "none" this is ``fourier_shift_2d``,
+    and with no shift either, a copy of the input.
     """
     img = np.asarray(img, dtype=np.float64)
     if cfg.filter == "none":
-        return img.copy()
-    H = filter_response(img.shape[1], cfg.filter)
-    return np.fft.irfft(np.fft.rfft(img, axis=1) * H[None, :], n=img.shape[1], axis=1)
+        return fourier_shift_2d(img, dx, dy) if (dx or dy) else img.copy()
+    spectrum = np.fft.rfft2(img) * filter_response(img.shape[1], cfg.filter)[None, :]
+    if dx or dy:
+        spectrum *= shift_ramp(img.shape, dx, dy)
+    return np.fft.irfft2(spectrum, s=img.shape)
 
 
 def wbp_reconstruct(
@@ -86,7 +96,8 @@ def wbp_reconstruct(
     scaled by pi / (2 N_tilts). The tomogram keeps the series' voxel size.
 
     The x interpolation weights depend on (tilt, d, w) only, never on h.
-    Every tilt's projection is shifted, filtered and resampled onto the
+    Every tilt's projection is shifted and filtered in one FFT round trip
+    (``filter_projection``, called once per tilt) and resampled onto the
     output y grid once, and its transposed rows are stacked into one
     (n_tilts * Wdet, Hout) matrix R. The output is filled one slab of d
     rows at a time: a CSR back-projection operator of shape
@@ -120,11 +131,8 @@ def wbp_reconstruct(
     # R[i * Wdet + x, h]: filtered row h of tilt i, resampled in y
     R = np.empty((n_tilts, Wdet, Hout))
     for i, proj in enumerate(series.projections):
-        proj = proj.astype(np.float64)
         dx, dy = align.shifts[i]
-        if dx or dy:
-            proj = fourier_shift_2d(proj, -dx, -dy)
-        proj = filter_projection(proj, cfg)
+        proj = filter_projection(proj, cfg, -dx, -dy)
         R[i] = (proj[y0, :] * (1.0 - ty)[:, None] + proj[y1, :] * ty[:, None]).T
     R = R.reshape(n_tilts * Wdet, Hout)
 

@@ -3,6 +3,14 @@
 Iterative phase correlation against an evolving reference with quadratic
 sub-pixel peak refinement, followed by an exhaustive grid search for a
 single in-plane tilt-axis rotation and vertical offset.
+
+Every shift and every correlation works on half spectra (``rfft2``).
+``align_series`` transforms each view once per series; a view shifted by
+its current estimate is its spectrum times ``tiltsim.shift_ramp``, and
+the mean of the aligned views is, by linearity, the mean of those
+shifted spectra. Each correlation is then one normalised cross-power
+product and one ``irfft2``, as in registration against spectra computed
+once (Guizar-Sicairos, Thurman & Fienup, Opt. Lett., 2008).
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tiltsim import TiltSeries, fourier_shift_2d
+from .tiltsim import TiltSeries, shift_ramp
 
 
 class DegenerateImageError(ValueError):
@@ -42,27 +50,22 @@ def _parabolic_offset(ym: float, y0: float, yp: float) -> float:
     return float(np.clip(0.5 * (ym - yp) / denom, -0.5, 0.5))
 
 
-def phase_correlate(img_a: np.ndarray, img_b: np.ndarray) -> tuple[float, float]:
-    """Sub-pixel translation of img_b's content relative to img_a.
+def _spectral_shift(
+    Fa: np.ndarray, Fb: np.ndarray, shape: tuple[int, int]
+) -> tuple[float, float]:
+    """(dx, dy) that moves the image of half spectrum ``Fa`` onto that of
+    ``Fb``, both ``rfft2`` spectra of real images of the given shape.
 
-    Returns (dx, dy) such that img_b is (circularly) img_a shifted by
-    (+dx, +dy): the normalized cross-power spectrum is inverse-transformed,
-    the integer peak located, and each axis refined by a 3-point parabola
+    The normalised cross-power spectrum is inverse-transformed, the
+    integer peak located, and each axis refined by a 3-point parabola
     through the peak and its circular neighbors.
     """
-    a = np.asarray(img_a, dtype=np.float64)
-    b = np.asarray(img_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("images must have equal dimensions")
-    if np.ptp(a) == 0 or np.ptp(b) == 0:
-        raise DegenerateImageError("constant image has no correlation peak")
-    Fa = np.fft.fft2(a)
-    Fb = np.fft.fft2(b)
     cross = Fa * np.conj(Fb)
     mag = np.abs(cross)
-    spectrum = np.where(mag < 1e-12, 0.0, cross / np.where(mag < 1e-12, 1.0, mag))
-    corr = np.fft.ifft2(spectrum).real
-    H, W = corr.shape
+    # whitening; bins below the absolute floor 1e-12 stay 0
+    spectrum = np.divide(cross, mag, out=np.zeros_like(cross), where=mag >= 1e-12)
+    corr = np.fft.irfft2(spectrum, s=shape)
+    H, W = shape
     iy, ix = np.unravel_index(np.argmax(corr), corr.shape)
     dy = iy + _parabolic_offset(
         corr[(iy - 1) % H, ix], corr[iy, ix], corr[(iy + 1) % H, ix]
@@ -78,6 +81,22 @@ def phase_correlate(img_a: np.ndarray, img_b: np.ndarray) -> tuple[float, float]
     return (-dx, -dy)
 
 
+def phase_correlate(img_a: np.ndarray, img_b: np.ndarray) -> tuple[float, float]:
+    """Sub-pixel translation of img_b's content relative to img_a.
+
+    Returns (dx, dy) such that img_b is (circularly) img_a shifted by
+    (+dx, +dy), from the peak of the inverse-transformed normalized
+    cross-power spectrum (see ``_spectral_shift``).
+    """
+    a = np.asarray(img_a, dtype=np.float64)
+    b = np.asarray(img_b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError("images must have equal dimensions")
+    if np.ptp(a) == 0 or np.ptp(b) == 0:
+        raise DegenerateImageError("constant image has no correlation peak")
+    return _spectral_shift(np.fft.rfft2(a), np.fft.rfft2(b), a.shape)
+
+
 def align_series(
     series: TiltSeries, iterations: int = 3, tol: float = 0.01
 ) -> AlignmentResult:
@@ -87,27 +106,38 @@ def align_series(
     iterations align to the mean of the currently aligned views. Per-view
     estimates accumulate; stops at the iteration budget or when the
     largest shift update drops below ``tol`` pixels.
+
+    Each view is transformed once, into one (n, H, W // 2 + 1) stack of
+    half spectra. A view aligned by its current estimate is its spectrum
+    times ``shift_ramp`` of minus the estimate, formed when it is
+    correlated and again, after its update, when it is added to a running
+    sum; that sum over n is the next reference's spectrum. No aligned
+    image is ever formed.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     n = len(series.projections)
-    ref_idx = series.zero_angle_index()
+    shape = series.projections[0].shape
+    spectra = np.empty((n, shape[0], shape[1] // 2 + 1), dtype=np.complex128)
+    for i, proj in enumerate(series.projections):
+        proj = np.asarray(proj, dtype=np.float64)
+        if np.ptp(proj) == 0:
+            raise DegenerateImageError(
+                f"tilt index {i}: constant image has no correlation peak"
+            )
+        spectra[i] = np.fft.rfft2(proj)
     estimates = np.zeros((n, 2))  # (dx, dy) estimated applied drift
-    aligned = [p.astype(np.float64) for p in series.projections]
-    reference = aligned[ref_idx]
+    reference = spectra[series.zero_angle_index()]
     for _ in range(iterations):
         max_update = 0.0
+        total = np.zeros_like(reference)
         for i in range(n):
-            try:
-                dx, dy = phase_correlate(reference, aligned[i])
-            except DegenerateImageError as exc:
-                raise DegenerateImageError(f"tilt index {i}: {exc}") from exc
+            aligned = spectra[i] * shift_ramp(shape, -estimates[i, 0], -estimates[i, 1])
+            dx, dy = _spectral_shift(reference, aligned, shape)
             estimates[i] += (dx, dy)
-            aligned[i] = fourier_shift_2d(
-                series.projections[i], -estimates[i, 0], -estimates[i, 1]
-            )
+            total += spectra[i] * shift_ramp(shape, -estimates[i, 0], -estimates[i, 1])
             max_update = max(max_update, abs(dx), abs(dy))
-        reference = np.mean(aligned, axis=0)
+        reference = total / n
         if max_update < tol:
             break
     # the common translation of all views is unobservable: anchor the

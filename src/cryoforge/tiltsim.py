@@ -3,8 +3,9 @@
 The volume is projected with cubic B-spline interpolation along beams
 rotated about the detector y-axis (the h-axis), sampled at an oversampled
 step and summed; each projection is then perturbed by a random sub-pixel
-in-plane shift applied in Fourier space so the ground-truth drift is
-exactly recoverable.
+in-plane shift applied in Fourier space (one real-to-complex FFT round
+trip, see ``shift_ramp``) so the ground-truth drift is exactly
+recoverable.
 
 The spline coefficients are computed once per series, prefiltered in
 (d, w) only. The tilt axis is an identity axis and a cubic spline
@@ -180,16 +181,40 @@ def project_tilt(vol: DensityVolume, angle_deg: float, geom: TiltGeometry) -> np
     return _project(_spline_coefficients(vol), op)
 
 
+def shift_ramp(shape: tuple[int, int], dx: float, dy: float) -> np.ndarray:
+    """Phase ramp on the ``rfft2`` grid of a real (H, W) image that shifts
+    its content by (+dx, +dy).
+
+    The full-grid ramp exp(-2 pi i (fy dy + fx dx)) is not Hermitian at
+    the Nyquist frequency of an even axis, which is its own mirror image:
+    a real image's shifted spectrum keeps only the ramp's Hermitian part.
+    That part is the ramp itself everywhere else, cos(pi dy) times the x
+    ramp on the Nyquist row of an even H, cos(pi dx) times the y ramp on
+    the Nyquist column of an even W, and cos(pi (dx + dy)) at the corner
+    where both meet.
+    """
+    H, W = shape
+    ramp_y = np.exp(-2j * np.pi * np.fft.fftfreq(H) * dy)
+    ramp_x = np.exp(-2j * np.pi * np.fft.rfftfreq(W) * dx)
+    if H % 2 == 0:
+        ramp_y[H // 2] = np.cos(np.pi * dy)
+    if W % 2 == 0:
+        ramp_x[W // 2] = np.cos(np.pi * dx)
+    ramp = ramp_y[:, None] * ramp_x[None, :]
+    if H % 2 == 0 and W % 2 == 0:
+        ramp[H // 2, W // 2] = np.cos(np.pi * (dx + dy))
+    return ramp
+
+
 def fourier_shift_2d(img: np.ndarray, dx: float, dy: float) -> np.ndarray:
     """Circularly shift image content by (+dx, +dy) via a Fourier phase ramp.
 
-    dx moves content along the detector x (last axis), dy along y.
+    dx moves content along the detector x (last axis), dy along y. One
+    real-to-complex FFT round trip: the half spectrum is multiplied by
+    ``shift_ramp``, the exact Hermitian part of the full-grid ramp, so
+    the result equals the real part of the full complex shift.
     """
-    H, W = img.shape
-    fy = np.fft.fftfreq(H)[:, None]
-    fx = np.fft.fftfreq(W)[None, :]
-    phase = np.exp(-2j * np.pi * (fy * dy + fx * dx))
-    return np.fft.ifft2(np.fft.fft2(img) * phase).real
+    return np.fft.irfft2(np.fft.rfft2(img) * shift_ramp(img.shape, dx, dy), s=img.shape)
 
 
 def simulate_tilt_series(

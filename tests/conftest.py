@@ -64,6 +64,19 @@ def band_limited_image(shape, rng, cutoff=0.15) -> np.ndarray:
     return np.fft.ifft2(spec).real
 
 
+def reference_fourier_shift_2d(img, dx, dy) -> np.ndarray:
+    """The complex full-grid shift ``tiltsim.fourier_shift_2d`` replaced:
+    fft2, the ramp exp(-2 pi i (fy dy + fx dx)), ifft2, real part."""
+    H, W = img.shape
+    fy = np.fft.fftfreq(H)[:, None]
+    fx = np.fft.fftfreq(W)[None, :]
+    phase = np.exp(-2j * np.pi * (fy * dy + fx * dx))
+    return np.fft.ifft2(np.fft.fft2(img) * phase).real
+
+
+SHIFT_SHAPES = [(64, 64), (63, 65), (64, 65), (40, 31)]  # even/odd on each axis
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

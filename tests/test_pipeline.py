@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import make_blob_pdb
 from cryoforge import io as cio
+from cryoforge.scene import compose_sample, place_particles
 from cryoforge.pipeline import (
     PipelineConfig,
     PipelineConfigError,
@@ -106,3 +108,41 @@ def test_provenance_reports_peak_rss_and_jobs(tmp_path):
     assert recon_row["stage"] == "reconstruct"
     assert recon_row["output_dims"] == [40, 80, 40] == list(tomogram.shape)
     assert recon_row["tomogram_mb"] == pytest.approx(tomogram.data.nbytes / 1e6)
+
+
+def test_provenance_reports_alignment_and_tomogram_quality(tmp_path):
+    pdb = tmp_path / "blob.pdb"
+    pdb.write_text(make_blob_pdb(np.random.default_rng(0), radius=60.0, n=400))
+    raw = _raw_config(
+        tmp_path,
+        structures={"blob": str(pdb)},
+        particles_per_class=2,
+        snr_targets=[0.1],
+        placement={"volume_dims": [40, 80, 40]},
+        tilt={"angles": [-20.0, -10.0, 0.0, 10.0, 20.0]},
+    )
+    cfg = PipelineConfig.from_dict(raw)
+    result = run_pipeline(cfg)
+    out = result.output_dir
+    rows = {r["stage"]: r for r in cio.read_ndjson(out / "provenance.ndjson")}
+
+    # alignment error against the applied drift, both anchored to zero mean
+    angles = cio.read_ndjson(out / "tilt_series" / "angles.ndjson")
+    applied = np.array([r["applied_shift"] for r in angles])
+    estimated = np.array(cio.read_ndjson(out / "alignment.ndjson")[0]["shifts"])
+    a = applied[:, 0] - applied[:, 0].mean()
+    e = estimated[:, 0] - estimated[:, 0].mean()
+    align_row = rows["align"]
+    assert align_row["align_rms_x_px"] == pytest.approx(np.sqrt(np.mean((e - a) ** 2)), rel=1e-12)
+    assert align_row["uncorrected_rms_x_px"] == pytest.approx(np.sqrt(np.mean(a**2)), rel=1e-12)
+    assert align_row["uncorrected_rms_x_px"] > 0
+
+    # correlation of the written tomogram with the composed sample, rebuilt
+    # from the written densities and the placement the pipeline used
+    placement = dataclasses.replace(cfg.placement, seed=cfg.seed, target_count=2)
+    densities = {"blob": cio.read_mrc(out / "densities" / "blob.mrc")}
+    sample = compose_sample(densities, place_particles(["blob"], placement), placement)
+    tomogram = cio.read_mrc(out / "tomogram.mrc")
+    expected = np.corrcoef(tomogram.data.ravel(), sample.data.ravel())[0, 1]
+    assert rows["reconstruct"]["tomo_corr"] == pytest.approx(expected, abs=1e-9)
+    assert 0.0 < rows["reconstruct"]["tomo_corr"] <= 1.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_blob
+from conftest import SHIFT_SHAPES, gaussian_blob, reference_fourier_shift_2d
 from cryoforge import recon
 from cryoforge.recon import ReconConfig, filter_projection, filter_response, wbp_reconstruct
 from cryoforge.tiltalign import AlignmentResult, align_series
@@ -9,7 +9,6 @@ from cryoforge.tiltsim import (
     TiltGeometry,
     TiltSeries,
     default_angles,
-    fourier_shift_2d,
     simulate_tilt_series,
 )
 from cryoforge.volume import DensityVolume
@@ -129,10 +128,33 @@ def test_wbp_angle_count_mismatch():
         )
 
 
+def _reference_shift_filter(img, cfg, dx, dy):
+    """Two round trips per tilt, as before the fused one: a complex
+    full-grid shift, then the row filter as rfft/irfft along x."""
+    img = np.asarray(img, dtype=np.float64)
+    if dx or dy:
+        img = reference_fourier_shift_2d(img, dx, dy)
+    if cfg.filter == "none":
+        return img.copy()
+    H = filter_response(img.shape[1], cfg.filter)
+    return np.fft.irfft(np.fft.rfft(img, axis=1) * H[None, :], n=img.shape[1], axis=1)
+
+
+@pytest.mark.parametrize("filt", recon.FILTERS)
+@pytest.mark.parametrize("shape", SHIFT_SHAPES)
+def test_filter_projection_matches_two_round_trips(rng, filt, shape):
+    img = rng.normal(size=shape)
+    cfg = ReconConfig(output_dims=(4, *shape), filter=filt)
+    for dx, dy in [(0.0, 0.0), (0.5, 0.5), (-0.5, 1.5), tuple(rng.uniform(-2.0, 2.0, size=2))]:
+        got = filter_projection(img, cfg, dx, dy)
+        ref = _reference_shift_filter(img, cfg, dx, dy)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def _reference_wbp(series, align, cfg):
     """The per-tilt gather back-projector the slab operator replaced: every
     tilt gathers an (H, D, W) float64 contribution and adds it to a float64
-    volume."""
+    volume. Each tilt is shifted and filtered in two FFT round trips."""
     n_tilts = len(series.projections)
     Hdet, Wdet = series.projections[0].shape
     D, Hout, Wout = cfg.output_dims
@@ -150,11 +172,8 @@ def _reference_wbp(series, align, cfg):
         weight = abs(np.cos(theta)) if cfg.weighting == "abs_cos" else 1.0
         if weight == 0.0:
             continue
-        proj = series.projections[i].astype(np.float64)
         dx, dy = align.shifts[i]
-        if dx or dy:
-            proj = fourier_shift_2d(proj, -dx, -dy)
-        proj = filter_projection(proj, cfg)
+        proj = _reference_shift_filter(series.projections[i], cfg, -dx, -dy)
         rows = proj[y0, :] * (1.0 - ty)[:, None] + proj[y1, :] * ty[:, None]
         xprime = np.sin(theta) * zc[:, None] + np.cos(theta) * xc[None, :] + cw_det
         inside = (xprime >= 0.0) & (xprime <= Wdet - 1)

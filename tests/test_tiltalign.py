@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import band_limited_image, shell_phantom
+from conftest import SHIFT_SHAPES, band_limited_image, reference_fourier_shift_2d, shell_phantom
 from cryoforge.tiltalign import (
     AlignmentResult,
     DegenerateImageError,
     UnderdeterminedError,
+    _parabolic_offset,
     align_series,
     phase_correlate,
     refine_axis,
 )
-from cryoforge.tiltsim import TiltGeometry, fourier_shift_2d, simulate_tilt_series
+from cryoforge.tiltsim import TiltGeometry, TiltSeries, fourier_shift_2d, simulate_tilt_series
 
 
 def test_identical_images_give_zero_shift(rng):
@@ -122,3 +123,80 @@ def test_refine_axis_underdetermined():
     series = _series(0.0)
     with pytest.raises(UnderdeterminedError):
         refine_axis(series, [(0.0, 0.0), (0.0, 0.0)])
+
+
+def _reference_phase_correlate(img_a, img_b):
+    """The full-grid phase correlation the half-spectrum one replaced: two
+    fft2, the normalized cross-power spectrum, ifft2, real part."""
+    cross = np.fft.fft2(img_a) * np.conj(np.fft.fft2(img_b))
+    mag = np.abs(cross)
+    spectrum = np.where(mag < 1e-12, 0.0, cross / np.where(mag < 1e-12, 1.0, mag))
+    corr = np.fft.ifft2(spectrum).real
+    H, W = corr.shape
+    iy, ix = np.unravel_index(np.argmax(corr), corr.shape)
+    dy = iy + _parabolic_offset(corr[(iy - 1) % H, ix], corr[iy, ix], corr[(iy + 1) % H, ix])
+    dx = ix + _parabolic_offset(corr[iy, (ix - 1) % W], corr[iy, ix], corr[iy, (ix + 1) % W])
+    if dy > H / 2:
+        dy -= H
+    if dx > W / 2:
+        dx -= W
+    return (-dx, -dy)
+
+
+def _reference_align_series(series, iterations=3, tol=0.01):
+    """The image-domain alignment loop the cached-spectrum one replaced:
+    every view re-shifted in full each iteration, the reference the mean
+    of the aligned images."""
+    n = len(series.projections)
+    estimates = np.zeros((n, 2))
+    aligned = [p.astype(np.float64) for p in series.projections]
+    reference = aligned[series.zero_angle_index()]
+    for _ in range(iterations):
+        max_update = 0.0
+        for i in range(n):
+            dx, dy = _reference_phase_correlate(reference, aligned[i])
+            estimates[i] += (dx, dy)
+            aligned[i] = reference_fourier_shift_2d(
+                series.projections[i], -estimates[i, 0], -estimates[i, 1]
+            )
+            max_update = max(max_update, abs(dx), abs(dy))
+        reference = np.mean(aligned, axis=0)
+        if max_update < tol:
+            break
+    return estimates - estimates.mean(axis=0)
+
+
+def _noisy(img, rng, sigma=0.05):
+    return img + rng.normal(0.0, sigma * img.std(), size=img.shape)
+
+
+@pytest.mark.parametrize("shape", SHIFT_SHAPES)
+def test_phase_correlate_matches_full_grid_reference(rng, shape):
+    # band-limited content plus noise: every spectral bin is far above the
+    # whitening threshold, so both paths see the same cross-power spectrum
+    img = band_limited_image(shape, rng)
+    shifts = [(0.5, -0.5), (-1.5, 0.5)] + [tuple(rng.uniform(-3.0, 3.0, size=2)) for _ in range(4)]
+    for dx, dy in shifts:
+        a = _noisy(img, rng)
+        b = _noisy(fourier_shift_2d(img, dx, dy), rng)
+        got = phase_correlate(a, b)
+        assert np.abs(np.subtract(got, _reference_phase_correlate(a, b))).max() <= 1e-9
+
+
+@pytest.mark.parametrize("shape", SHIFT_SHAPES)
+def test_align_series_matches_image_domain_reference(rng, shape):
+    base = band_limited_image(shape, rng)
+    n = 7
+    applied = [tuple(rng.uniform(-2.0, 2.0, size=2)) for _ in range(n)]
+    projections = [_noisy(fourier_shift_2d(base, dx, dy), rng) for dx, dy in applied]
+    geom = TiltGeometry(angles=[-30.0 + 10.0 * i for i in range(n)])
+    series = TiltSeries(geom, projections, applied)
+    got = np.asarray(align_series(series).shifts)
+    assert np.abs(got - _reference_align_series(series)).max() <= 1e-9
+
+
+def test_align_series_names_constant_view():
+    series = _series(shift_range=1.0)
+    series.projections[3] = np.full_like(series.projections[3], 2.0)
+    with pytest.raises(DegenerateImageError, match="tilt index 3"):
+        align_series(series)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import band_limited_image, gaussian_blob, multi_blob_volume
+from conftest import (
+    SHIFT_SHAPES,
+    band_limited_image,
+    gaussian_blob,
+    multi_blob_volume,
+    reference_fourier_shift_2d,
+)
 from cryoforge.tiltalign import phase_correlate
 from cryoforge.tiltsim import (
     TiltGeometry,
@@ -183,3 +189,17 @@ def test_fourier_shift_round_trip(rng):
     img = band_limited_image((16, 16), rng)
     back = fourier_shift_2d(fourier_shift_2d(img, 1.3, -0.4), -1.3, 0.4)
     assert np.abs(back - img).max() < 1e-10
+
+
+@pytest.mark.parametrize("shape", SHIFT_SHAPES)
+def test_fourier_shift_matches_complex_reference(rng, shape):
+    # half-integer shifts put cos(pi d) = 0 or -1 on the Nyquist row,
+    # column and corner of even axes, where the full ramp is not Hermitian
+    img = rng.normal(size=shape)
+    shifts = [(0.5, 0.5), (-0.5, 1.5), (1.5, -0.5), (0.5, 0.0), (0.0, -2.5)]
+    shifts += [tuple(rng.uniform(-3.0, 3.0, size=2)) for _ in range(5)]
+    for dx, dy in shifts:
+        got = fourier_shift_2d(img, dx, dy)
+        ref = reference_fourier_shift_2d(img, dx, dy)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
