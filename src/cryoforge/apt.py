@@ -5,18 +5,33 @@ selection network built from spherical steerable filters, Gumbel-Softmax
 phase sampling, the full tokenization forward pass, and a property-test
 harness for its translation/rotation equivariance.
 
-The selection network convolves each phase component (circular padding)
-with a bank of kernels R_b(r) * Y_J^m(x/r) capped per radius at
-J_max(r) = floor(pi r / dx) and at a global degree cap. The degree-0
-channel enters the pooled logit linearly; higher degrees enter through
-their rotation-invariant per-degree energies (sum over m of squared
-responses), so pooled logits are invariant under grid-exact rotations
-while remaining sensitive to anisotropic structure.
+The selection network scores each phase component f (N voxels) with a
+bank of kernels k_Jmb = R_b(r) * Y_J^m(x/r), capped per radius at
+J_max(r) = floor(pi r / dx) and at a global degree cap, applied as
+circular convolutions. The degree-0 channel enters the pooled logit
+linearly; higher degrees enter through their rotation-invariant
+per-degree energies (sum over m of squared responses), so pooled logits
+are invariant under grid-exact rotations while remaining sensitive to
+anisotropic structure.
+
+The pooled logit is evaluated in closed form rather than by convolving.
+With F = FFT(f) and K the FFT of a kernel wrapped onto the component
+grid, the scalar channel's mean response is mean(f) * K_b(0) (the kernel
+mass), and by Parseval the energy of degree J is
+(1/N) sum_xi |F(xi)|^2 sum_m |K_Jmb(xi)|^2. So
+
+    logit = mean(f) * sum_b w_scalar[b] K_b(0) + <|F|^2, W> / N^2,
+    W = sum_J sum_b w_energy[J-1, b] sum_m |K_Jmb|^2,
+
+one forward FFT per component and no convolution fields. The
+weight-free spectra (masses and sum_m |K_Jmb|^2) are cached on the net
+per component shape; the weights are read on every call.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +152,7 @@ class SteerableSelectionNet:
         self.w_scalar = np.asarray(self.w_scalar, dtype=float).reshape(nb)
         self.w_energy = np.asarray(self.w_energy, dtype=float).reshape(self.j_max_cap, nb)
         self._kernels = self._build_kernels()
+        self._spectra: dict[tuple[int, int, int], tuple] = {}
 
     @classmethod
     def random(cls, rng: np.random.Generator, **kwargs) -> "SteerableSelectionNet":
@@ -180,50 +196,68 @@ class SteerableSelectionNet:
         return float(self._kernels[J][m_index, radial_index].sum())
 
 
-def _wrap_kernel_fft(kernel: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """FFT of a small kernel embedded circularly into an arbitrary shape."""
-    K = kernel.shape[-1]
-    half = K // 2
-    lead = kernel.shape[:-3]
-    wrapped = np.zeros(lead + shape, dtype=float)
-    idx_d = (np.arange(-half, half + 1)) % shape[0]
-    idx_h = (np.arange(-half, half + 1)) % shape[1]
-    idx_w = (np.arange(-half, half + 1)) % shape[2]
-    flat = wrapped.reshape(-1, *shape)
-    kflat = kernel.reshape(-1, K, K, K)
-    for i in range(flat.shape[0]):
-        np.add.at(flat[i], np.ix_(idx_d, idx_h, idx_w), kflat[i])
-    return np.fft.fftn(wrapped, axes=(-3, -2, -1))
+    def _kernel_spectra(self, shape: tuple[int, int, int]):
+        """Weight-free kernel spectra for components of one shape, cached.
+
+        Returns the scalar masses K_b(0) (n_b,), the degree powers
+        sum_m |K_Jmb|^2 (j_max_cap, n_b, *half) and the negative control's
+        |K_{1, m-index 2, b 0}|^2 (*half, None without degree 1), on the
+        rfftn half grid with the Hermitian multiplicities folded in.
+        """
+        spectra = self._spectra.get(shape)
+        if spectra is None:
+            half = shape[:2] + (shape[2] // 2 + 1,)
+            hermitian = np.full(half[2], 2.0)
+            hermitian[0] = 1.0
+            if shape[2] % 2 == 0:
+                hermitian[-1] = 1.0
+            mass = self._kernels[0][0].sum(axis=(-3, -2, -1))
+            power = np.empty((self.j_max_cap, len(self.radial_centers)) + half)
+            control = None
+            for J in range(1, self.j_max_cap + 1):
+                bank = np.abs(_wrap_kernel_rfft(self._kernels[J], shape)) ** 2
+                power[J - 1] = bank.sum(axis=0) * hermitian
+                if J == 1:
+                    control = bank[2, 0] * hermitian
+            spectra = self._spectra[shape] = (mass, power, control)
+        return spectra
+
+
+def _wrap_kernel_rfft(kernel: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """Half-grid FFT of small kernels embedded circularly into a shape."""
+    half = kernel.shape[-1] // 2
+    wrapped = np.zeros(kernel.shape[:-3] + shape)
+    taps = np.ix_(*(np.arange(-half, half + 1) % n for n in shape))
+    np.add.at(wrapped, (Ellipsis, *taps), kernel)
+    return np.fft.rfftn(wrapped, axes=(-3, -2, -1))
 
 
 def _logit_fields(comps: np.ndarray, net: SteerableSelectionNet) -> np.ndarray:
-    """Pooled logits for a stack of components (..., n_d, n_h, n_w)."""
+    """Pooled logits for a stack of components (..., n_d, n_h, n_w).
+
+    Closed form of the pooled convolution responses: one batched rfftn of
+    the components, then the scalar term mean(f) * sum_b w_scalar[b]
+    K_b(0) plus <|F|^2, W> / N^2 with the weight spectrum W formed from
+    the net's cached per-shape kernel powers and its current weights.
+    """
     lead = comps.shape[:-3]
     shape = comps.shape[-3:]
+    n = math.prod(shape)
     flat = comps.reshape(-1, *shape).astype(np.float64)
-    F = np.fft.fftn(flat, axes=(-3, -2, -1))
-    logits = np.zeros(flat.shape[0])
-
-    scalar_fft = _wrap_kernel_fft(net._kernels[0][0], shape)  # (n_b, *shape)
-    scalar_fields = np.fft.ifftn(F[:, None] * scalar_fft[None], axes=(-3, -2, -1)).real
-    logits += np.einsum("b,cbzyx->c", net.w_scalar, scalar_fields) / np.prod(shape)
-
-    for J in range(1, net.j_max_cap + 1):
-        bank_fft = _wrap_kernel_fft(net._kernels[J], shape)  # (2J+1, n_b, *shape)
-        fields = np.fft.ifftn(
-            F[:, None, None] * bank_fft[None], axes=(-3, -2, -1)
-        ).real  # (c, 2J+1, n_b, *shape)
-        energy = np.sum(fields**2, axis=1)  # (c, n_b, *shape)
-        logits += np.einsum("b,cbzyx->c", net.w_energy[J - 1], energy) / np.prod(shape)
-        if net.break_rotation and J == 1:
-            # single-m squared channel: still a convolution (shift-fine)
-            # but its energy is not rotation-invariant
-            logits += np.sum(fields[:, 2, 0] ** 2, axis=(-3, -2, -1)) / np.prod(shape)
+    F = np.fft.rfftn(flat, axes=(-3, -2, -1))
+    mass, power, control = net._kernel_spectra(shape)
+    W = np.tensordot(net.w_energy, power, axes=2)
+    if net.break_rotation and control is not None:
+        # single-m squared channel: shift-invariant, not rotation-invariant
+        W = W + control
+    spectrum = (F.real**2 + F.imag**2).reshape(F.shape[0], -1)
+    logits = F[:, 0, 0, 0].real / n * float(net.w_scalar @ mass) + spectrum @ W.ravel() / n**2
     return logits.reshape(lead) if lead else logits
 
 
 def steerable_features(component: np.ndarray, net: SteerableSelectionNet) -> float:
-    """Pooled scalar logit of one phase component."""
+    """Pooled scalar logit of one phase component, in the closed form of
+    :func:`_logit_fields` (cached kernel spectra for its shape)."""
     return float(_logit_fields(np.asarray(component)[None], net)[0])
 
 

@@ -54,8 +54,6 @@ def _seed(args) -> int:
 
 
 def _jobs(args) -> int:
-    if getattr(args, "strict", False):
-        return 1
     if args.jobs is not None:
         return args.jobs
     env = os.environ.get("CRYOFORGE_JOBS")
@@ -212,9 +210,7 @@ def cmd_pipeline(args) -> int:
     cfg = PipelineConfig.from_json(_require(args.config))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    if getattr(args, "strict", False):
-        cfg = dataclasses.replace(cfg, jobs=1)
-    elif args.jobs is not None:
+    if args.jobs is not None:
         cfg = dataclasses.replace(cfg, jobs=args.jobs)
     result = run_pipeline(cfg)
     print(
@@ -299,9 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (pipeline)")
     parser.add_argument("--seed", type=int, default=None, help="global seed")
     parser.add_argument("--jobs", type=int, default=None, help="parallel workers")
-    parser.add_argument(
-        "--strict", action="store_true", help="force serial, bit-exact execution"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("densify", help="PDB to density map")

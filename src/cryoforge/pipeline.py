@@ -5,8 +5,9 @@ extract -> noise from a single JSON config, writing MRC volumes, NDJSON
 ground-truth metadata, and NDJSON provenance (config hash, seed, timings)
 into a per-run output directory. Metadata is deterministic for a fixed
 seed; provenance carries wall-clock timings, peak memory and the
-ground-truth quality of alignment (x-drift RMS error) and reconstruction
-(correlation with the composed sample), and lives in its own file so
+ground-truth quality of alignment (x-drift RMS error), reconstruction
+(correlation with the composed sample) and noise (worst realized-SNR
+error against the target), and lives in its own file so
 reruns still produce byte-identical metadata.
 """
 
@@ -182,6 +183,19 @@ def _volume_correlation(a: DensityVolume, b: DensityVolume) -> float:
     return sab / np.sqrt(saa * sbb)
 
 
+def _snr_error(replicas) -> dict[str, float]:
+    """max |realized SNR / target - 1| over (clean, [(noisy, target), ...])
+    groups, with realized SNR = var(clean) / var(noisy - clean) in float64."""
+    worst = 0.0
+    for clean, noisy in replicas:
+        c = clean.astype(np.float64)
+        signal = np.var(c)
+        for data, target in noisy:
+            realized = signal / np.var(data - c)  # float32 - float64 is float64
+            worst = max(worst, abs(realized / target - 1.0))
+    return {"snr_err": float(worst)}
+
+
 class _Provenance:
     """Collects one NDJSON row per completed stage."""
 
@@ -329,6 +343,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     records: list[cio.SubtomogramRecord] = []
 
     def _noise():
+        replicas = []  # (clean, [(noisy, target), ...]) for the realized-SNR check
         (out / "masks").mkdir(exist_ok=True)
         for i, sub in enumerate(accepted):
             clean = DensityVolume(sub.data, tomo.voxel_size)
@@ -341,6 +356,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             for j, target in enumerate(cfg.snr_targets):
                 spec = NoiseSpec(snr_target=target, seed=(cfg.seed, i, j))
                 variants.append((snr_tag(target), add_noise(clean, spec)))
+            noisy = [(v.data, t) for (_, v), t in zip(variants[1:], cfg.snr_targets)]
+            replicas.append((clean.data, noisy))
             for tag, vol in variants:
                 vdir = out / "subtomograms" / sub.class_label / tag
                 vdir.mkdir(parents=True, exist_ok=True)
@@ -356,8 +373,14 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
                         mask_path=str(mask_path.relative_to(out)),
                     )
                 )
+        return replicas
 
-    _stage("noise", _noise, extra_targets=[snr_tag(t) for t in cfg.snr_targets])
+    _stage(
+        "noise",
+        _noise,
+        quality=_snr_error,
+        extra_targets=[snr_tag(t) for t in cfg.snr_targets],
+    )
 
     metadata_path = out / "metadata.ndjson"
     cio.write_metadata(records, metadata_path)

@@ -180,3 +180,78 @@ def test_component_logits_shape(rng):
     ps = polyphase_decompose(rng.normal(size=(8, 8, 8)), PatchSize(2, 2, 2))
     logits = component_logits(ps, SteerableSelectionNet.random(rng))
     assert logits.shape == (2, 2, 2)
+
+
+# -- test-only reference: the pooled logits by explicit circular convolution --
+
+
+def _reference_wrap_kernel_fft(kernel, shape):
+    """FFT of a small kernel embedded circularly into an arbitrary shape."""
+    K = kernel.shape[-1]
+    half = K // 2
+    lead = kernel.shape[:-3]
+    wrapped = np.zeros(lead + shape, dtype=float)
+    idx_d = (np.arange(-half, half + 1)) % shape[0]
+    idx_h = (np.arange(-half, half + 1)) % shape[1]
+    idx_w = (np.arange(-half, half + 1)) % shape[2]
+    flat = wrapped.reshape(-1, *shape)
+    kflat = kernel.reshape(-1, K, K, K)
+    for i in range(flat.shape[0]):
+        np.add.at(flat[i], np.ix_(idx_d, idx_h, idx_w), kflat[i])
+    return np.fft.fftn(wrapped, axes=(-3, -2, -1))
+
+
+def _reference_logits(comps, net):
+    """Convolve every component with every kernel, pool the scalar field
+    and the per-degree energies (and the control's single-m channel)."""
+    lead = comps.shape[:-3]
+    shape = comps.shape[-3:]
+    flat = comps.reshape(-1, *shape).astype(np.float64)
+    F = np.fft.fftn(flat, axes=(-3, -2, -1))
+    logits = np.zeros(flat.shape[0])
+
+    scalar_fft = _reference_wrap_kernel_fft(net._kernels[0][0], shape)
+    scalar_fields = np.fft.ifftn(F[:, None] * scalar_fft[None], axes=(-3, -2, -1)).real
+    logits += np.einsum("b,cbzyx->c", net.w_scalar, scalar_fields) / np.prod(shape)
+
+    for J in range(1, net.j_max_cap + 1):
+        bank_fft = _reference_wrap_kernel_fft(net._kernels[J], shape)
+        fields = np.fft.ifftn(F[:, None, None] * bank_fft[None], axes=(-3, -2, -1)).real
+        energy = np.sum(fields**2, axis=1)
+        logits += np.einsum("b,cbzyx->c", net.w_energy[J - 1], energy) / np.prod(shape)
+        if net.break_rotation and J == 1:
+            logits += np.sum(fields[:, 2, 0] ** 2, axis=(-3, -2, -1)) / np.prod(shape)
+    return logits.reshape(lead) if lead else logits
+
+
+def _assert_logits_match(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("break_rotation", [False, True])
+@pytest.mark.parametrize(
+    "volume_shape, patch",
+    [
+        ((32, 32, 32), (4, 4, 4)),
+        ((16, 16, 16), (4, 4, 4)),  # 4^3 components: the 7^3 kernel wraps
+        ((12, 20, 8), (2, 4, 2)),
+    ],
+)
+def test_component_logits_match_convolution_reference(volume_shape, patch, break_rotation):
+    rng = np.random.default_rng(sum(volume_shape) + break_rotation)
+    net = SteerableSelectionNet.random(rng, break_rotation=break_rotation)
+    ps = polyphase_decompose(rng.normal(size=volume_shape), PatchSize(*patch))
+    _assert_logits_match(component_logits(ps, net), _reference_logits(ps.components, net))
+
+
+def test_component_logits_follow_reassigned_weights(rng):
+    net = SteerableSelectionNet.random(rng)
+    ps = polyphase_decompose(rng.normal(size=(16, 16, 16)), PatchSize())
+    first = component_logits(ps, net)
+    _assert_logits_match(first, _reference_logits(ps.components, net))
+    net.w_energy = rng.normal(size=net.w_energy.shape)
+    net.w_scalar = rng.normal(size=net.w_scalar.shape)
+    second = component_logits(ps, net)
+    _assert_logits_match(second, _reference_logits(ps.components, net))
+    assert np.abs(second - first).max() > 1e-3 * np.abs(first).max()

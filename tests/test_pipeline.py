@@ -146,3 +146,19 @@ def test_provenance_reports_alignment_and_tomogram_quality(tmp_path):
     expected = np.corrcoef(tomogram.data.ravel(), sample.data.ravel())[0, 1]
     assert rows["reconstruct"]["tomo_corr"] == pytest.approx(expected, abs=1e-9)
     assert 0.0 < rows["reconstruct"]["tomo_corr"] <= 1.0
+
+    # worst realized SNR against its target, from the written subtomograms
+    records = cio.read_metadata(out / "metadata.ndjson")
+    clean = {
+        (r.class_label, r.mask_path): cio.read_mrc(out / r.volume_path).data.astype(np.float64)
+        for r in records
+        if r.snr_tag == "clean"
+    }
+    errors = []
+    for r in records:
+        if r.snr_tag != "clean":
+            c = clean[(r.class_label, r.mask_path)]
+            noisy = cio.read_mrc(out / r.volume_path).data.astype(np.float64)
+            errors.append(abs(np.var(c) / np.var(noisy - c) / float(r.snr_tag) - 1.0))
+    assert len(errors) == len(clean) == result.accepted > 0
+    assert rows["noise"]["snr_err"] == pytest.approx(max(errors), rel=1e-12)
