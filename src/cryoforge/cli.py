@@ -53,11 +53,28 @@ def _seed(args) -> int:
     return args.seed if args.seed is not None else 0
 
 
+DEFAULT_JOBS_CAP = 2  # run time and peak RSS are measured at 1 and 2 workers only
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _jobs(args) -> int:
+    """Worker threads: ``--jobs``, else ``CRYOFORGE_JOBS``, else the number
+    of CPUs this process may run on, at most ``DEFAULT_JOBS_CAP``."""
     if args.jobs is not None:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         return args.jobs
     env = os.environ.get("CRYOFORGE_JOBS")
-    return int(env) if env else 1
+    if not env:
+        return min(DEFAULT_JOBS_CAP, _usable_cpus())
+    if not (env.strip().isdigit() and int(env) >= 1):
+        raise ValueError(f"CRYOFORGE_JOBS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def cmd_densify(args) -> int:
@@ -157,7 +174,7 @@ def cmd_reconstruct(args) -> int:
     dims = tuple(int(v) for v in args.dims.split(","))
     if len(dims) != 3:
         raise ValueError("--dims must be D,H,W")
-    tomo = wbp_reconstruct(series, align, ReconConfig(output_dims=dims))
+    tomo = wbp_reconstruct(series, align, ReconConfig(output_dims=dims), jobs=_jobs(args))
     cio.write_mrc(tomo, args.out)
     print(f"reconstruct: {dims} tomogram -> {args.out}")
     return EXIT_OK
@@ -294,7 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file (pipeline)")
     parser.add_argument("--seed", type=int, default=None, help="global seed")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel workers")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker threads for project and reconstruct (default: CRYOFORGE_JOBS, "
+        f"else the usable CPU count, at most {DEFAULT_JOBS_CAP}; 1 runs serially); "
+        "overrides the pipeline config's jobs",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("densify", help="PDB to density map")

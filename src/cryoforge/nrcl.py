@@ -1,7 +1,8 @@
 """Noise-resilient contrastive losses and the evaluation step workflow.
 
 A symmetric exponential (RINCE-family) instance loss, an entropic
-Sinkhorn-Wasserstein alignment term computed in the log domain, a
+Sinkhorn-Wasserstein alignment term (epsilon-scaling, with the scalings
+absorbed into log-domain potentials), a
 noise-aware InfoNCE with one clean positive and one noisy negative per
 anchor, and a pure evaluation step that wires them together over a
 pluggable pair encoder. A deterministic linear-projection encoder is
@@ -15,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RigidTransform, apply_rigid
+
+EPS_SCALING = 0.5  # ratio of consecutive epsilons in sinkhorn_wasserstein
+STAGE_TOL = 1e-3  # marginal tolerance of its intermediate epsilon stages
 
 
 class EncoderContractError(ValueError):
@@ -72,6 +76,9 @@ class TransportPlan:
     P: np.ndarray  # (B, B), nonnegative
     converged: bool
     iterations_used: int
+    # The epsilon P and the cost were computed at: sinkhorn_epsilon once
+    # converged, a larger stage's epsilon if the budget ran out before it.
+    epsilon: float
 
     def marginal_violation(self) -> float:
         B = self.P.shape[0]
@@ -116,41 +123,62 @@ def sinkhorn_wasserstein(
 ) -> tuple[float, TransportPlan]:
     """Entropic optimal-transport cost between two embedding batches.
 
-    Squared-Euclidean cost, uniform 1/B marginals, log-domain Sinkhorn
-    updates; stops when both marginals are within sinkhorn_tol of 1/B or
-    the iteration budget runs out (the best-effort plan is still returned
-    with converged=False).
+    Squared-Euclidean cost, uniform 1/B marginals, Sinkhorn iterations
+    with epsilon-scaling and log-domain absorption (Schmitzer, SIAM J. Sci.
+    Comput., 2019; Peyre & Cuturi, Computational Optimal Transport, 2019,
+    section 4). The potentials (f, g) are warm-started along the epsilons
+    sinkhorn_epsilon / EPS_SCALING**k, k = n, ..., 1, 0, the first of them
+    the smallest at least max C. Each stage starts from the kernel
+    exp((f + g - C) / eps), the previous stage's plan re-weighted to the
+    new epsilon, so its scalings (u, v) stay near 1 and are absorbed into
+    (f, g) when it ends. After each column update the columns match 1/B
+    to round-off, so the rows decide convergence: within
+    max(sinkhorn_tol, STAGE_TOL) of 1/B for an intermediate stage, within
+    sinkhorn_tol for the last. sinkhorn_max_iter bounds the iterations of
+    all stages together, and iterations_used is their total. If the
+    budget runs out first, the best-effort plan of the last iterate is
+    still returned with converged=False, at the epsilon of the stage the
+    budget ran out in, which may be far larger than sinkhorn_epsilon (up
+    to twice max C); TransportPlan.epsilon records it, and the cost
+    belongs to that blurrier problem.
     """
     _check_pair(z, z_pos)
     a, b = z.vectors, z_pos.vectors
     B = a.shape[0]
     C = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-    eps = cfg.sinkhorn_epsilon
-    log_mu = np.full(B, -np.log(B))
+    if not np.isfinite(C).all():
+        raise ValueError("embeddings must be finite")  # else no epsilon reaches max C
+    target = cfg.sinkhorn_epsilon
+    schedule = [target]
+    while schedule[0] < C.max():
+        schedule.insert(0, schedule[0] / EPS_SCALING)
+    mu = 1.0 / B
     f = np.zeros(B)
     g = np.zeros(B)
-    K = -C / eps  # log kernel
     iterations = 0
-    converged = False
-    for iterations in range(1, cfg.sinkhorn_max_iter + 1):
-        f = eps * (log_mu - _logsumexp(K + g[None, :] / eps, axis=1))
-        g = eps * (log_mu - _logsumexp(K + f[:, None] / eps, axis=0))
-        P = np.exp(K + f[:, None] / eps + g[None, :] / eps)
-        violation = max(
-            np.abs(P.sum(axis=1) - 1.0 / B).max(),
-            np.abs(P.sum(axis=0) - 1.0 / B).max(),
-        )
-        if violation < cfg.sinkhorn_tol:
-            converged = True
+    for eps in schedule:
+        tol = cfg.sinkhorn_tol if eps == target else max(cfg.sinkhorn_tol, STAGE_TOL)
+        K = np.exp((f[:, None] + g[None, :] - C) / eps)
+        u = v = np.ones(B)
+        Kv = K.sum(axis=1)
+        converged = False
+        while iterations < cfg.sinkhorn_max_iter:
+            iterations += 1
+            u = mu / Kv
+            v = mu / (u @ K)
+            Kv = K @ v
+            if np.abs(u * Kv - mu).max() < tol:
+                converged = True
+                break
+        f += eps * np.log(u)
+        g += eps * np.log(v)
+        if not converged:
             break
-    P = np.exp(K + f[:, None] / eps + g[None, :] / eps)
+    P = np.exp((f[:, None] + g[None, :] - C) / eps)
     cost = float(np.sum(C * P))
-    return cost, TransportPlan(P=P, converged=converged, iterations_used=iterations)
-
-
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+    return cost, TransportPlan(
+        P=P, converged=converged, iterations_used=iterations, epsilon=eps
+    )
 
 
 def infonce_loss(

@@ -4,7 +4,8 @@ Drives the stages densify -> place -> project -> align -> reconstruct ->
 extract -> noise from a single JSON config, writing MRC volumes, NDJSON
 ground-truth metadata, and NDJSON provenance (config hash, seed, timings)
 into a per-run output directory. Metadata is deterministic for a fixed
-seed; provenance carries wall-clock timings, peak memory and the
+seed; provenance carries wall-clock timings, peak memory, the worker
+count of the threaded stages (project, reconstruct) and the
 ground-truth quality of alignment (x-drift RMS error), reconstruction
 (correlation with the composed sample) and noise (worst realized-SNR
 error against the target), and lives in its own file so
@@ -315,8 +316,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     dims = recon_cfg.output_dims
     tomo = _stage(
         "reconstruct",
-        lambda: wbp_reconstruct(series, align, recon_cfg),
+        lambda: wbp_reconstruct(series, align, recon_cfg, jobs=cfg.jobs),
         quality=lambda result: {"tomo_corr": _volume_correlation(result, sample)},
+        jobs=cfg.jobs,
         output_dims=list(dims),
         tomogram_mb=4 * math.prod(dims) / 1e6,  # float32 voxels
     )

@@ -13,13 +13,25 @@ the ASTRA toolbox (van Aarle et al., Ultramicroscopy, 2015). The tilt axis
 h is an identity axis, so the interpolation taps of a voxel column (d, w)
 are the same for every h: each slab of d rows is one sparse
 back-projection operator, two taps per tilt per voxel column, applied to
-all filtered detector rows with one sparse-dense product. Memory is
-bounded by the filtered stack and ``SLAB_BYTES`` per slab, not by the
-volume times the tilt count.
+all filtered detector rows with one sparse-dense product.
+
+With ``jobs > 1`` the sparse-dense products run on a pool of ``jobs``
+threads (scipy's sparse kernels release the GIL), each writing its own
+disjoint d rows of the output, so the tomogram is bit-identical for every
+``jobs``. The calling thread builds every slab's operator and keeps at
+most ``jobs`` slabs in flight, each a ``jobs``-th of the serial slab, so
+memory is bounded by the filtered stack, the output and ``SLAB_BYTES``
+whatever ``jobs`` is. Operators are built by the caller, not the workers,
+because each worker thread allocates from its own malloc arena and keeps
+what it freed resident: operator temporaries built there left tens of MB
+per worker, while a worker that only forms slab products keeps about one
+product.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +98,7 @@ def filter_projection(
 
 
 def wbp_reconstruct(
-    series: TiltSeries, align: AlignmentResult, cfg: ReconConfig
+    series: TiltSeries, align: AlignmentResult, cfg: ReconConfig, jobs: int = 1
 ) -> DensityVolume:
     """Back-project a shift-corrected, filtered, angle-weighted tilt series.
 
@@ -103,10 +115,21 @@ def wbp_reconstruct(
     rows at a time: a CSR back-projection operator of shape
     (slab * Wout, n_tilts * Wdet) holds the two taps of every tilt per
     (d, w) voxel column, and one sparse-dense product with R gives the
-    slab laid out (d, w, h). Besides R and the float32 output, the only
-    temporaries are one slab's operator and float64 output, about
-    ``SLAB_BYTES`` together; no (H, D, W) array is ever formed.
+    slab laid out (d, w, h). No (H, D, W) array is ever formed.
+
+    With ``jobs == 1`` the slabs are filled in order on the calling
+    thread. With ``jobs > 1`` the calling thread builds each slab's
+    operator and submits its product to a pool of ``jobs`` threads, waiting
+    on the oldest slab before building another once ``jobs`` are in
+    flight (see the module docstring for why the caller builds them).
+    Slabs are ``jobs`` times thinner than in the serial loop, so besides R
+    and the float32 output the temporaries stay about ``SLAB_BYTES``.
+    Every slab's arithmetic is the same whichever thread runs it, so the
+    output is bit-identical for every ``jobs``. A worker's exception is
+    raised here.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     n_tilts = len(series.projections)
     if n_tilts < 3:
         raise ValueError("reconstruction needs at least 3 tilts")
@@ -141,12 +164,14 @@ def wbp_reconstruct(
     w_t = np.abs(cos_t) if cfg.weighting == "abs_cos" else np.ones(n_tilts)
     col0 = (np.arange(n_tilts) * Wdet).astype(np.int32)
     scale = np.pi / (2.0 * n_tilts)
-    # a d row costs its float64 output (Wout * Hout) and its taps (Wout * 2 * n_tilts)
-    slab = max(1, SLAB_BYTES // (8 * Wout * (Hout + 2 * n_tilts)))
+    # a d row costs its float64 output (Wout * Hout) and its taps (Wout * 2 * n_tilts);
+    # jobs slabs are in flight at once, so each gets a jobs-th of SLAB_BYTES
+    slab = max(1, SLAB_BYTES // jobs // (8 * Wout * (Hout + 2 * n_tilts)))
     out = np.empty((D, Hout, Wout), dtype=np.float32)
-    for d0 in range(0, D, slab):
+
+    def operator(d0: int) -> sparse.csr_array:
+        """Back-projection operator of the d rows [d0, d0 + slab)."""
         z = zc[d0 : d0 + slab]
-        n_d = len(z)
         # (n_d, Wout, n_tilts) detector x of every voxel column per tilt
         xprime = sin_t * z[:, None, None] + cos_t * xc[None, :, None] + cw_det
         inside = (xprime >= 0.0) & (xprime <= Wdet - 1)
@@ -156,12 +181,29 @@ def wbp_reconstruct(
         # two taps per tilt, ordered by tilt then tap
         data = np.stack([w_t * (1.0 - tx) * inside, w_t * tx * inside], axis=-1)
         indices = np.stack([col0 + i0, col0 + np.minimum(i0 + 1, Wdet - 1)], axis=-1)
-        rows = n_d * Wout
+        rows = len(z) * Wout
         indptr = np.arange(0, rows * 2 * n_tilts + 1, 2 * n_tilts, dtype=np.int32)
-        op = sparse.csr_array(
+        return sparse.csr_array(
             (data.ravel(), indices.ravel(), indptr), shape=(rows, n_tilts * Wdet)
         )
+
+    def fill(d0: int, op: sparse.csr_array) -> None:
+        n_d = op.shape[0] // Wout
         part = op @ R
         part *= scale
         out[d0 : d0 + n_d] = part.reshape(n_d, Wout, Hout).transpose(0, 2, 1)
+
+    starts = range(0, D, slab)
+    if jobs == 1:
+        for d0 in starts:
+            fill(d0, operator(d0))
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            in_flight: deque = deque()
+            for d0 in starts:
+                if len(in_flight) == jobs:
+                    in_flight.popleft().result()
+                in_flight.append(pool.submit(fill, d0, operator(d0)))
+            for future in in_flight:
+                future.result()
     return DensityVolume(out, series.voxel_size)

@@ -64,7 +64,6 @@ class TiltSeries:
     geometry: TiltGeometry
     projections: list[np.ndarray]
     applied_shifts: list[tuple[float, float]]
-    recovered_shifts: list[tuple[float, float]] | None = None
     voxel_size: float = 1.0  # Angstrom per detector pixel, as in the volume
 
     def __post_init__(self):
@@ -224,8 +223,11 @@ def simulate_tilt_series(
 
     Per-angle RNG substreams are keyed by (seed, angle index) so results
     do not depend on the degree of parallelism. The spline coefficients
-    are computed once and shared by every angle.
+    are computed once and shared by every angle. With ``jobs > 1`` the
+    angles are projected on a pool of ``jobs`` threads.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     coeffs = _spline_coefficients(vol)
 
     def one(idx_angle):

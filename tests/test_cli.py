@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blob_pdb
-from cryoforge import io as cio
+from cryoforge import cli, io as cio
 from cryoforge.cli import main
 from cryoforge.volume import DensityVolume
 
@@ -105,7 +105,8 @@ def test_stage_chain_project_align_reconstruct_extract(tmp_path, rng):
     assert len(records) + len(rejections) == 1
 
 
-def test_reconstruct_keeps_stack_voxel_size(tmp_path, rng):
+def _reconstruct_args(tmp_path, rng):
+    """Arguments of ``reconstruct`` on a 3-tilt 12 x 16 stack at 7.5 A."""
     angles = [-20.0, 0.0, 20.0]
     stack = DensityVolume(rng.random((3, 12, 16)).astype(np.float32), voxel_size=7.5)
     cio.write_mrc(stack, tmp_path / "tilts.mrc")
@@ -114,12 +115,45 @@ def test_reconstruct_keeps_stack_voxel_size(tmp_path, rng):
         tmp_path / "angles.ndjson",
     )
     cio.write_ndjson([{"shifts": [[0.0, 0.0]] * 3}], tmp_path / "alignment.ndjson")
-    tomo_path = tmp_path / "tomo.mrc"
-    assert main(["reconstruct", "--tilts", str(tmp_path / "tilts.mrc"),
-                 "--angles", str(tmp_path / "angles.ndjson"),
-                 "--alignment", str(tmp_path / "alignment.ndjson"),
-                 "--dims", "8,12,16", "--out", str(tomo_path)]) == 0
-    assert cio.read_mrc(tomo_path).voxel_size == pytest.approx(7.5)
+    return ["reconstruct", "--tilts", str(tmp_path / "tilts.mrc"),
+            "--angles", str(tmp_path / "angles.ndjson"),
+            "--alignment", str(tmp_path / "alignment.ndjson"),
+            "--dims", "8,12,16", "--out", str(tmp_path / "tomo.mrc")]
+
+
+def test_reconstruct_keeps_stack_voxel_size(tmp_path, rng):
+    assert main(_reconstruct_args(tmp_path, rng)) == 0
+    assert cio.read_mrc(tmp_path / "tomo.mrc").voxel_size == pytest.approx(7.5)
+
+
+def test_jobs_resolution_order(monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.delenv("CRYOFORGE_JOBS", raising=False)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._jobs(parser.parse_args(["verify"])) == 1  # usable CPUs
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert cli._jobs(parser.parse_args(["verify"])) == cli.DEFAULT_JOBS_CAP == 2  # capped
+    monkeypatch.setenv("CRYOFORGE_JOBS", "2")
+    assert cli._jobs(parser.parse_args(["verify"])) == 2  # the variable beats affinity
+    assert cli._jobs(parser.parse_args(["--jobs", "5", "verify"])) == 5  # the flag beats both
+    assert cli._jobs(parser.parse_args(["--jobs", "1", "verify"])) == 1
+
+
+@pytest.mark.parametrize(
+    "flag,env,named",
+    [("0", None, "--jobs"), ("-3", None, "--jobs"), (None, "0", "CRYOFORGE_JOBS"),
+     (None, "-2", "CRYOFORGE_JOBS"), (None, "two", "CRYOFORGE_JOBS")],
+)
+def test_jobs_below_one_exits_1(tmp_path, rng, capsys, monkeypatch, flag, env, named):
+    monkeypatch.delenv("CRYOFORGE_JOBS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("CRYOFORGE_JOBS", env)
+    argv = _reconstruct_args(tmp_path, rng)
+    if flag is not None:
+        argv = ["--jobs", flag, *argv]
+    assert main(argv) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "tomo.mrc").exists()
 
 
 def test_pipeline_requires_config(capsys):

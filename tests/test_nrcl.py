@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from cryoforge.geometry import RigidTransform
 from cryoforge.nrcl import (
@@ -125,7 +126,7 @@ def test_sinkhorn_matches_lp_oracle(rng):
     B = 4
     z = _random_batch(rng, B)
     z_pos = _random_batch(rng, B)
-    # small eps needs far more than the default 200 iterations to converge
+    # a cold start at small eps needs far more than the default 200 iterations
     cfg = LossConfig(sinkhorn_epsilon=0.001, sinkhorn_max_iter=400_000)
     cost, plan = sinkhorn_wasserstein(z, z_pos, cfg)
     C = np.sum((z.vectors[:, None] - z_pos.vectors[None]) ** 2, axis=2)
@@ -160,14 +161,59 @@ def test_sinkhorn_permutation_invariance(rng):
     assert a == pytest.approx(b, abs=1e-9)
 
 
+def _reference_sinkhorn(z, z_pos, cfg):
+    """The cold-started log-domain loop that epsilon-scaling replaced: every
+    iteration at the target epsilon, both marginals checked on the full plan."""
+    C = np.sum((z.vectors[:, None, :] - z_pos.vectors[None, :, :]) ** 2, axis=2)
+    B, eps = C.shape[0], cfg.sinkhorn_epsilon
+    log_mu = np.full(B, -np.log(B))
+    f, g = np.zeros(B), np.zeros(B)
+    for _ in range(cfg.sinkhorn_max_iter):
+        f = eps * (log_mu - logsumexp((g[None, :] - C) / eps, axis=1))
+        g = eps * (log_mu - logsumexp((f[:, None] - C) / eps, axis=0))
+        P = np.exp((f[:, None] + g[None, :] - C) / eps)
+        if max(np.abs(P.sum(axis=1) - 1 / B).max(), np.abs(P.sum(axis=0) - 1 / B).max()) < cfg.sinkhorn_tol:
+            return float(np.sum(C * P)), P
+    raise AssertionError("reference Sinkhorn did not converge")
+
+
+@pytest.mark.parametrize("B", [4, 16])
+def test_sinkhorn_scaling_matches_cold_start_reference(rng, B):
+    # both stop within sinkhorn_tol of the marginals, so plans and costs
+    # agree to that order; the last stage must not stop at STAGE_TOL
+    cfg = LossConfig(sinkhorn_max_iter=2_000)
+    for _ in range(3):
+        z, z_pos = _random_batch(rng, B, d=16), _random_batch(rng, B, d=16)
+        cost, plan = sinkhorn_wasserstein(z, z_pos, cfg)
+        ref_cost, ref_P = _reference_sinkhorn(z, z_pos, cfg)
+        assert plan.converged and plan.marginal_violation() < cfg.sinkhorn_tol
+        assert np.abs(plan.P - ref_P).max() < 1e-5
+        assert cost == pytest.approx(ref_cost, abs=1e-5)
+
+
+def test_sinkhorn_rejects_non_finite_embeddings():
+    z = EmbeddingBatch(np.array([[0.0, 1.0], [np.inf, 0.0]]), normalized=False)
+    z_pos = EmbeddingBatch(np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        sinkhorn_wasserstein(z, z_pos, LossConfig())
+
+
 def test_sinkhorn_reports_non_convergence(rng):
     z = _random_batch(rng, 4)
     z_pos = _random_batch(rng, 4)
     cfg = LossConfig(sinkhorn_epsilon=0.001, sinkhorn_max_iter=1)
-    _, plan = sinkhorn_wasserstein(z, z_pos, cfg)
+    cost, plan = sinkhorn_wasserstein(z, z_pos, cfg)
     assert not plan.converged
     assert plan.iterations_used == 1
     assert plan.P.shape == (4, 4)
+    # the budget ran out in the first stage: plan and cost are at its epsilon,
+    # the first of sinkhorn_epsilon * 2**k that is at least max C
+    C = np.sum((z.vectors[:, None, :] - z_pos.vectors[None, :, :]) ** 2, axis=2)
+    k = np.log2(plan.epsilon / cfg.sinkhorn_epsilon)
+    assert k == round(k) and C.max() <= plan.epsilon < 2 * C.max()
+    assert cost == pytest.approx(float(np.sum(C * plan.P)), rel=1e-12)
+    full = LossConfig(sinkhorn_epsilon=0.001, sinkhorn_max_iter=400_000)
+    assert sinkhorn_wasserstein(z, z_pos, full)[1].epsilon == full.sinkhorn_epsilon
 
 
 def test_infonce_hand_case():

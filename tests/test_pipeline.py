@@ -100,7 +100,9 @@ def test_provenance_reports_peak_rss_and_jobs(tmp_path):
     ]
     peaks = [r["peak_rss_mb"] for r in rows]
     assert peaks[0] > 0 and peaks == sorted(peaks)
-    assert [(r["stage"], r["jobs"]) for r in rows if "jobs" in r] == [("project", 2)]
+    assert [(r["stage"], r["jobs"]) for r in rows if "jobs" in r] == [
+        ("project", 2), ("reconstruct", 2)
+    ]
     density = cio.read_mrc(result.output_dir / "densities" / "blob.mrc")
     tomogram = cio.read_mrc(result.output_dir / "tomogram.mrc")
     assert tomogram.voxel_size == pytest.approx(density.voxel_size)

@@ -1,3 +1,7 @@
+import sys
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -228,3 +232,49 @@ def test_wbp_slab_height_does_not_change_output(monkeypatch, rng):
     monkeypatch.setattr(recon, "SLAB_BYTES", 1)  # one d row per slab
     by_row = wbp_reconstruct(series, align, cfg)
     assert np.array_equal(by_row.data, whole.data)
+
+
+@pytest.mark.parametrize("Hout,Wout", [(7, 9), (8, 17), (15, 9), (16, 17)])
+def test_wbp_threads_match_serial(monkeypatch, rng, Hout, Wout):
+    series, align = _random_series(rng, [-90.0, -60.0, 0.0, 1e-7, 34.0, 90.0], (10, 13))
+    cfg = ReconConfig(output_dims=(11, Hout, Wout))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so slabs interleave
+    try:
+        # 8000 bytes make serial slabs of 2 to 5 rows and threaded ones a
+        # jobs-th of that, so D = 11 ends on a partial slab; 1 byte makes one
+        # d row per slab, many more slabs than workers
+        for slab_bytes in (8000, 1):
+            monkeypatch.setattr(recon, "SLAB_BYTES", slab_bytes)
+            serial = wbp_reconstruct(series, align, cfg, jobs=1)
+            for jobs in (2, 3):
+                threaded = wbp_reconstruct(series, align, cfg, jobs=jobs)
+                assert np.array_equal(threaded.data, serial.data)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_wbp_worker_exception_propagates(monkeypatch, rng):
+    series, align = _random_series(rng, default_angles(-60, 60, 6), (12, 12))
+    monkeypatch.setattr(recon, "SLAB_BYTES", 1)  # one slab per d row
+    failed_in = []
+
+    class FailingOperator:
+        def __init__(self, arrays, shape):
+            self.shape = shape
+
+        def __matmul__(self, other):
+            failed_in.append(threading.current_thread())
+            raise RuntimeError("slab product failed")
+
+    monkeypatch.setattr(recon, "sparse", SimpleNamespace(csr_array=FailingOperator))
+    with pytest.raises(RuntimeError, match="slab product failed"):
+        wbp_reconstruct(series, align, ReconConfig(output_dims=(9, 12, 12)), jobs=2)
+    assert failed_in and threading.main_thread() not in failed_in
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_wbp_rejects_jobs_below_one(rng, jobs):
+    series, align = _random_series(rng, [-10.0, 0.0, 10.0], (8, 8))
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        wbp_reconstruct(series, align, ReconConfig(output_dims=(8, 8, 8)), jobs=jobs)

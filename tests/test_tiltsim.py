@@ -170,6 +170,13 @@ def test_series_deterministic_and_parallel_invariant():
         assert np.array_equal(pa, pc)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_series_rejects_jobs_below_one(jobs):
+    geom = TiltGeometry(angles=[-10.0, 0.0, 10.0])
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        simulate_tilt_series(multi_blob_volume(8, blobs=1), geom, jobs=jobs)
+
+
 def test_applied_shift_recoverable_by_phase_correlation():
     vol = multi_blob_volume(32, blobs=4)
     geom = TiltGeometry(angles=[-2.0, 0.0, 2.0], seed=21)
