@@ -23,11 +23,11 @@ from .geometry import gso_to_matrix, rotation_error, svd_to_matrix
 from .nrcl import EmbeddingBatch, LossConfig, infonce_loss, sinkhorn_wasserstein, sym_loss
 from .pipeline import PipelineConfig, StageError, run_pipeline, snr_tag
 from .recon import ReconConfig, wbp_reconstruct
-from .scene import PlacementConfig, ParticleInstance, place_particles
+from .scene import PlacementConfig, place_particles
 from .structure import DensifyConfig, densify, parse_pdb
 from .subtomo import ExtractionConfig, NoiseSpec, add_noise, extract
-from .tiltalign import AlignmentResult, align_series, refine_axis
-from .tiltsim import TiltGeometry, TiltSeries, simulate_tilt_series
+from .tiltalign import align_series, refine_axis
+from .tiltsim import TiltGeometry, simulate_tilt_series
 from .volume import DensityVolume
 
 EXIT_OK = 0
@@ -35,22 +35,19 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 
 
-def _read_text(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"input file not found: {p}")
-    return p.read_text()
-
-
-def _require(path: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"input file not found: {p}")
-    return p
-
-
 def _seed(args) -> int:
     return args.seed if args.seed is not None else 0
+
+
+def _dims(text: str) -> tuple[int, int, int]:
+    """A ``--dims D,H,W`` value as three integers."""
+    try:
+        dims = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        dims = ()
+    if len(dims) != 3:
+        raise ValueError(f"--dims must be three integers D,H,W, got {text!r}")
+    return dims
 
 
 DEFAULT_JOBS_CAP = 2  # run time and peak RSS are measured at 1 and 2 workers only
@@ -78,7 +75,7 @@ def _jobs(args) -> int:
 
 
 def cmd_densify(args) -> int:
-    model = parse_pdb(_read_text(args.pdb), source_id=Path(args.pdb).stem)
+    model = parse_pdb(Path(args.pdb).read_text(), source_id=Path(args.pdb).stem)
     cfg = DensifyConfig(voxel_size=args.voxel_size, target_resolution=args.resolution)
     vol = densify(model, cfg)
     cio.write_mrc(vol, args.out)
@@ -90,90 +87,37 @@ def cmd_place(args) -> int:
     labels = [s for s in args.labels.split(",") if s]
     if not labels:
         raise ValueError("--labels must name at least one class")
-    dims = tuple(int(v) for v in args.dims.split(","))
-    if len(dims) != 3:
-        raise ValueError("--dims must be D,H,W")
-    cfg = PlacementConfig(volume_dims=dims, target_count=args.count, seed=_seed(args))
+    cfg = PlacementConfig(volume_dims=_dims(args.dims), target_count=args.count, seed=_seed(args))
     instances = place_particles(labels, cfg)
-    cio.write_ndjson(
-        [
-            {
-                "class_label": inst.class_label,
-                "center": [float(v) for v in inst.center],
-                "orientation": [float(v) for v in inst.orientation],
-            }
-            for inst in instances
-        ],
-        args.out,
-    )
+    cio.write_instances(instances, args.out)
     print(f"place: {len(instances)} instances -> {args.out}")
     return EXIT_OK
 
 
-def _read_instances(path) -> list[ParticleInstance]:
-    return [
-        ParticleInstance(r["class_label"], r["center"], r["orientation"])
-        for r in cio.read_ndjson(_require(path))
-    ]
-
-
 def cmd_project(args) -> int:
-    vol = cio.read_mrc(_require(args.volume))
-    geom = TiltGeometry(seed=_seed(args))
-    series = simulate_tilt_series(vol, geom, jobs=_jobs(args))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stack = np.stack(series.projections).astype(np.float32)
-    cio.write_mrc(DensityVolume(stack, vol.voxel_size), out / "tilts.mrc")
-    cio.write_ndjson(
-        [
-            {"index": i, "angle_deg": a, "applied_shift": list(s)}
-            for i, (a, s) in enumerate(zip(geom.angles, series.applied_shifts))
-        ],
-        out / "angles.ndjson",
-    )
-    print(f"project: {len(series.projections)} tilts -> {out}")
+    vol = cio.read_mrc(args.volume)
+    series = simulate_tilt_series(vol, TiltGeometry(seed=_seed(args)), jobs=_jobs(args))
+    cio.write_tilt_series(series, args.out)
+    print(f"project: {len(series.projections)} tilts -> {args.out}")
     return EXIT_OK
 
 
-def _read_series(tilts_path, angles_path):
-    stack = cio.read_mrc(_require(tilts_path))
-    rows = cio.read_ndjson(_require(angles_path))
-    geom = TiltGeometry(angles=[r["angle_deg"] for r in rows])
-    return TiltSeries(
-        geometry=geom,
-        projections=[p for p in stack.data.astype(np.float64)],
-        applied_shifts=[tuple(r["applied_shift"]) for r in rows],
-        voxel_size=stack.voxel_size,
-    )
-
-
 def cmd_align(args) -> int:
-    series = _read_series(args.tilts, args.angles)
+    series = cio.read_tilt_series(args.tilts, args.angles)
     align = align_series(series)
-    phi, off, mse = refine_axis(series, align.shifts)
-    cio.write_ndjson(
-        [
-            {
-                "shifts": [list(s) for s in align.shifts],
-                "axis_angle_deg": phi,
-                "axis_offset": off,
-                "residual_mse": mse,
-            }
-        ],
-        args.out,
+    align.axis_angle, align.axis_offset, align.residual_mse = refine_axis(series, align.shifts)
+    cio.write_alignment(align, args.out)
+    print(
+        f"align: axis {align.axis_angle:+.2f} deg "
+        f"offset {align.axis_offset:+.2f} px -> {args.out}"
     )
-    print(f"align: axis {phi:+.2f} deg offset {off:+.2f} px -> {args.out}")
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
-    series = _read_series(args.tilts, args.angles)
-    rows = cio.read_ndjson(_require(args.alignment))
-    align = AlignmentResult(shifts=[tuple(s) for s in rows[0]["shifts"]])
-    dims = tuple(int(v) for v in args.dims.split(","))
-    if len(dims) != 3:
-        raise ValueError("--dims must be D,H,W")
+    dims = _dims(args.dims)
+    series = cio.read_tilt_series(args.tilts, args.angles)
+    align = cio.read_alignment(args.alignment)
     tomo = wbp_reconstruct(series, align, ReconConfig(output_dims=dims), jobs=_jobs(args))
     cio.write_mrc(tomo, args.out)
     print(f"reconstruct: {dims} tomogram -> {args.out}")
@@ -181,8 +125,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    tomo = cio.read_mrc(_require(args.tomogram))
-    instances = _read_instances(args.instances)
+    tomo = cio.read_mrc(args.tomogram)
+    instances = cio.read_instances(args.instances)
     cfg = ExtractionConfig(seed=_seed(args))
     accepted, rejections = extract(tomo, instances, cfg)
     out = Path(args.out)
@@ -201,19 +145,13 @@ def cmd_extract(args) -> int:
             )
         )
     cio.write_metadata(records, out / "metadata.ndjson")
-    cio.write_ndjson(
-        [
-            {"instance_index": r.instance_index, "class_label": r.class_label, "reason": r.reason}
-            for r in rejections
-        ],
-        out / "rejections.ndjson",
-    )
+    cio.write_rejections(rejections, out / "rejections.ndjson")
     print(f"extract: {len(accepted)} accepted, {len(rejections)} rejected -> {out}")
     return EXIT_OK
 
 
 def cmd_noise(args) -> int:
-    vol = cio.read_mrc(_require(args.volume))
+    vol = cio.read_mrc(args.volume)
     spec = NoiseSpec(snr_target=args.snr, seed=_seed(args))
     noisy = add_noise(vol, spec)
     cio.write_mrc(noisy, args.out)
@@ -224,7 +162,7 @@ def cmd_noise(args) -> int:
 def cmd_pipeline(args) -> int:
     if not args.config:
         raise ValueError("pipeline requires --config FILE")
-    cfg = PipelineConfig.from_json(_require(args.config))
+    cfg = PipelineConfig.from_json(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.jobs is not None:
@@ -283,7 +221,7 @@ def cmd_verify(args) -> int:
 
 
 def _read_embeddings(path) -> EmbeddingBatch:
-    rows = cio.read_ndjson(_require(path))
+    rows = cio.read_ndjson(path)
     return EmbeddingBatch(np.array([r["vector"] for r in rows], dtype=float))
 
 

@@ -1,4 +1,5 @@
-"""MRC2014 volume I/O (mode 2 only) and NDJSON ground-truth sidecars.
+"""MRC2014 volume I/O (mode 2 only), NDJSON ground-truth sidecars, and the
+stage artifacts the CLI and the pipeline share.
 
 The writer emits a standard 1024-byte MRC2014 header followed by the raw
 float32 payload, little-endian, machine stamp 0x44 0x44 0x00 0x00. Only
@@ -7,6 +8,11 @@ float density and keeping a single mode makes round-trips bit-exact.
 
 Ground-truth metadata travels in newline-delimited JSON sidecars, one
 record per line, so it stays human-inspectable and streamable.
+
+Each stage artifact has one writer and one reader here: the tilt series
+(``tilts.mrc`` + ``angles.ndjson``), the alignment, the particle
+instances, and the rejections. The CLI subcommands and ``run_pipeline``
+both go through them, so a pipeline run's files feed the CLI stages.
 
 Every writer fills a hidden temporary sibling of its target and renames
 it onto the target only once the write is complete, so a failed write
@@ -24,6 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .scene import ParticleInstance
+from .subtomo import Rejection
+from .tiltalign import AlignmentResult
+from .tiltsim import TiltGeometry, TiltSeries
 from .volume import DensityVolume
 
 HEADER_SIZE = 1024
@@ -163,17 +173,10 @@ def read_mrc(path) -> DensityVolume:
     return DensityVolume(data.copy(), float(voxel_sizes.mean()), origin)
 
 
-def write_metadata(records, path) -> None:
-    """Write SubtomogramRecords as NDJSON, one record per line."""
-    with _replacing(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(asdict(rec), sort_keys=True))
-            fh.write("\n")
-
-
-def read_metadata(path) -> list[SubtomogramRecord]:
-    """Read an NDJSON sidecar back into SubtomogramRecords."""
-    records = []
+def _read_rows(path, parse) -> list:
+    """NDJSON rows of ``path``, each passed through ``parse``. A line that is
+    not JSON, or that ``parse`` rejects, raises MetadataParseError."""
+    rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -184,23 +187,16 @@ def read_metadata(path) -> list[SubtomogramRecord]:
             except json.JSONDecodeError as exc:
                 raise MetadataParseError(lineno, f"invalid JSON: {exc}") from exc
             try:
-                records.append(
-                    SubtomogramRecord(
-                        volume_path=payload["volume_path"],
-                        class_label=payload["class_label"],
-                        center_offset=tuple(payload["center_offset"]),
-                        orientation=tuple(payload["orientation"]),
-                        snr_tag=payload["snr_tag"],
-                        mask_path=payload.get("mask_path"),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                rows.append(parse(payload))
+            except KeyError as exc:
+                raise MetadataParseError(lineno, f"missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
                 raise MetadataParseError(lineno, str(exc)) from exc
-    return records
+    return rows
 
 
 def write_ndjson(rows: list[dict], path) -> None:
-    """Write generic dict rows as NDJSON (angles, shifts, provenance...)."""
+    """Write generic dict rows as NDJSON (provenance, embeddings...)."""
     with _replacing(path, "w") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True))
@@ -208,14 +204,116 @@ def write_ndjson(rows: list[dict], path) -> None:
 
 
 def read_ndjson(path) -> list[dict]:
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise MetadataParseError(lineno, f"invalid JSON: {exc}") from exc
-    return rows
+    return _read_rows(path, lambda row: row)
+
+
+def write_metadata(records, path) -> None:
+    """Write SubtomogramRecords as NDJSON, one record per line."""
+    write_ndjson([asdict(rec) for rec in records], path)
+
+
+def read_metadata(path) -> list[SubtomogramRecord]:
+    """Read an NDJSON sidecar back into SubtomogramRecords."""
+    return _read_rows(
+        path,
+        lambda row: SubtomogramRecord(
+            volume_path=row["volume_path"],
+            class_label=row["class_label"],
+            center_offset=tuple(row["center_offset"]),
+            orientation=tuple(row["orientation"]),
+            snr_tag=row["snr_tag"],
+            mask_path=row.get("mask_path"),
+        ),
+    )
+
+
+def write_tilt_series(series: TiltSeries, directory) -> None:
+    """Write ``directory/tilts.mrc``, the projections as one float32 stack
+    at the series' voxel size, and ``directory/angles.ndjson``, one row per
+    tilt with its angle and applied drift."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    stack = np.stack(series.projections, dtype=np.float32)
+    write_mrc(DensityVolume(stack, series.voxel_size), directory / "tilts.mrc")
+    write_ndjson(
+        [
+            {"index": i, "angle_deg": a, "applied_shift": list(s)}
+            for i, (a, s) in enumerate(zip(series.geometry.angles, series.applied_shifts))
+        ],
+        directory / "angles.ndjson",
+    )
+
+
+def read_tilt_series(tilts_path, angles_path) -> TiltSeries:
+    """Read a stack and its angle rows back as a float64 TiltSeries."""
+    stack = read_mrc(tilts_path)
+    rows = _read_rows(angles_path, lambda row: (row["angle_deg"], tuple(row["applied_shift"])))
+    return TiltSeries(
+        geometry=TiltGeometry(angles=[angle for angle, _ in rows]),
+        projections=list(stack.data.astype(np.float64)),
+        applied_shifts=[shift for _, shift in rows],
+        voxel_size=stack.voxel_size,
+    )
+
+
+def write_alignment(align: AlignmentResult, path) -> None:
+    """Write an alignment as one NDJSON row: the per-tilt shifts and the
+    refined axis angle, offset and residual."""
+    write_ndjson(
+        [
+            {
+                "shifts": [list(s) for s in align.shifts],
+                "axis_angle_deg": align.axis_angle,
+                "axis_offset": align.axis_offset,
+                "residual_mse": align.residual_mse,
+            }
+        ],
+        path,
+    )
+
+
+def read_alignment(path) -> AlignmentResult:
+    """Read the one alignment row. Only ``shifts`` is required (it is all
+    that reconstruction uses); absent axis fields read as 0."""
+    rows = _read_rows(
+        path,
+        lambda row: AlignmentResult(
+            shifts=[tuple(s) for s in row["shifts"]],
+            axis_angle=row.get("axis_angle_deg", 0.0),
+            axis_offset=row.get("axis_offset", 0.0),
+            residual_mse=row.get("residual_mse", 0.0),
+        ),
+    )
+    if len(rows) != 1:
+        raise ValueError(f"{path}: expected one alignment row, found {len(rows)}")
+    return rows[0]
+
+
+def write_instances(instances: list[ParticleInstance], path) -> None:
+    """Write particle instances as NDJSON: label, (d, h, w) centre and
+    (w, x, y, z) orientation per line."""
+    write_ndjson(
+        [
+            {
+                "class_label": inst.class_label,
+                "center": [float(v) for v in inst.center],
+                "orientation": [float(v) for v in inst.orientation],
+            }
+            for inst in instances
+        ],
+        path,
+    )
+
+
+def read_instances(path) -> list[ParticleInstance]:
+    return _read_rows(
+        path, lambda row: ParticleInstance(row["class_label"], row["center"], row["orientation"])
+    )
+
+
+def write_rejections(rejections: list[Rejection], path) -> None:
+    write_ndjson([asdict(r) for r in rejections], path)
+
+
+def read_rejections(path) -> list[Rejection]:
+    return _read_rows(path, lambda row: Rejection(**row))

@@ -32,7 +32,7 @@ from .scene import PlacementConfig, compose_sample, place_particles
 from .structure import DensifyConfig, densify, parse_pdb
 from .subtomo import ExtractionConfig, NoiseSpec, add_noise, extract, make_mask
 from .tiltalign import align_series, refine_axis
-from .tiltsim import TiltGeometry, default_angles, simulate_tilt_series
+from .tiltsim import TiltGeometry, simulate_tilt_series
 from .volume import DensityVolume
 
 DEFAULT_SNR_TARGETS = (100.0, 0.1, 0.05, 0.03, 0.01)
@@ -96,16 +96,16 @@ class PipelineConfig:
             "extraction": ExtractionConfig,
         }
         kwargs = {}
-        for key, ctor in nested.items():
-            if key in raw:
-                sub = raw.pop(key)
-                for tup in ("volume_dims", "output_dims"):
-                    if tup in sub:
-                        sub[tup] = tuple(sub[tup])
-                kwargs[key] = ctor(**sub)
         if "snr_targets" in raw:
             raw["snr_targets"] = tuple(raw["snr_targets"])
         try:
+            for key, ctor in nested.items():
+                if key in raw:
+                    sub = raw.pop(key)
+                    for tup in ("volume_dims", "output_dims"):
+                        if tup in sub:
+                            sub[tup] = tuple(sub[tup])
+                    kwargs[key] = ctor(**sub)
             return cls(**raw, **kwargs)
         except TypeError as exc:
             raise PipelineConfigError(str(exc)) from exc
@@ -118,19 +118,10 @@ class PipelineConfig:
             raise PipelineConfigError(f"{path}: {exc}") from exc
         return cls.from_dict(raw)
 
-    def canonical(self) -> dict:
-        out = dataclasses.asdict(self)
-        for cfg_key in ("densify", "placement", "tilt", "recon", "extraction"):
-            sub = out[cfg_key]
-            for k, v in list(sub.items()):
-                if isinstance(v, tuple):
-                    sub[k] = list(v)
-        out["snr_targets"] = list(self.snr_targets)
-        return out
-
     def config_hash(self) -> str:
+        """sha256 of the config as sorted-key JSON (tuples written as lists)."""
         return hashlib.sha256(
-            json.dumps(self.canonical(), sort_keys=True).encode()
+            json.dumps(dataclasses.asdict(self), sort_keys=True).encode()
         ).hexdigest()
 
 
@@ -225,9 +216,11 @@ class _Provenance:
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Run every stage and write all artifacts under cfg.output_dir.
 
-    Layout: densities/<label>.mrc, tilt_series/, tomogram.mrc,
-    subtomograms/<label>/<tag>/NNNN.mrc (tag in clean + configured SNRs),
-    masks/, metadata.ndjson, rejections.ndjson, provenance.ndjson.
+    Layout: densities/<label>.mrc, tilt_series/{tilts.mrc, angles.ndjson}
+    (the files ``cryoforge align`` and ``reconstruct`` read),
+    alignment.ndjson, tomogram.mrc, subtomograms/<label>/<tag>/NNNN.mrc
+    (tag in clean + configured SNRs), masks/, metadata.ndjson,
+    rejections.ndjson, provenance.ndjson.
     Fails fast with the stage name at the first error.
     """
     out = Path(cfg.output_dir)
@@ -276,40 +269,18 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         lambda: simulate_tilt_series(sample, geom, jobs=cfg.jobs),
         jobs=cfg.jobs,
     )
-    (out / "tilt_series").mkdir(exist_ok=True)
-    cio.write_ndjson(
-        [
-            {"index": i, "angle_deg": a, "applied_shift": list(s)}
-            for i, (a, s) in enumerate(zip(geom.angles, series.applied_shifts))
-        ],
-        out / "tilt_series" / "angles.ndjson",
-    )
+    cio.write_tilt_series(series, out / "tilt_series")
 
-    # align + axis refinement
+    # align + axis refinement on the float64 projections, not tilts.mrc's float32 copy
     align = _stage(
         "align",
         lambda: align_series(series),
         quality=lambda result: _drift_rms_x(series.applied_shifts, result.shifts),
     )
-    axis_angle, axis_offset, axis_mse = _stage(
+    align.axis_angle, align.axis_offset, align.residual_mse = _stage(
         "refine_axis", lambda: refine_axis(series, align.shifts)
     )
-    align.axis_angle, align.axis_offset, align.residual_mse = (
-        axis_angle,
-        axis_offset,
-        axis_mse,
-    )
-    cio.write_ndjson(
-        [
-            {
-                "shifts": [list(s) for s in align.shifts],
-                "axis_angle_deg": axis_angle,
-                "axis_offset": axis_offset,
-                "residual_mse": axis_mse,
-            }
-        ],
-        out / "alignment.ndjson",
-    )
+    cio.write_alignment(align, out / "alignment.ndjson")
 
     # reconstruct
     recon_cfg = dataclasses.replace(cfg.recon, output_dims=placement.volume_dims)
@@ -329,17 +300,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     accepted, rejections = _stage(
         "extract", lambda: extract(tomo, instances, extraction)
     )
-    cio.write_ndjson(
-        [
-            {
-                "instance_index": r.instance_index,
-                "class_label": r.class_label,
-                "reason": r.reason,
-            }
-            for r in rejections
-        ],
-        out / "rejections.ndjson",
-    )
+    cio.write_rejections(rejections, out / "rejections.ndjson")
 
     # noise: clean references, masks, and per-SNR noisy replicas
     records: list[cio.SubtomogramRecord] = []

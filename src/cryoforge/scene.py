@@ -5,7 +5,7 @@ composition of rotated particle densities into a simulation volume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage

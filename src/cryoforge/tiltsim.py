@@ -45,7 +45,6 @@ class TiltGeometry:
     oversample: int = 2
     shift_range: float = 1.0
     seed: int = 0
-    noise_sigma: float = 0.0  # optional tilt-level noise hook, off by default
 
     def __post_init__(self):
         self.angles = [float(a) for a in self.angles]
@@ -238,8 +237,6 @@ def simulate_tilt_series(
         if geom.shift_range == 0:
             dx = dy = 0.0
         shifted = fourier_shift_2d(proj, dx, dy) if (dx or dy) else proj
-        if geom.noise_sigma > 0:
-            shifted = shifted + rng.normal(0.0, geom.noise_sigma, size=shifted.shape)
         return shifted, (float(dx), float(dy))
 
     tasks = list(enumerate(geom.angles))

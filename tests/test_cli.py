@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def test_place_rejects_bad_dims(tmp_path, capsys):
     assert "dims" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["place", "reconstruct"])
+def test_non_integer_dims_exits_1(tmp_path, rng, capsys, command):
+    if command == "place":
+        argv = ["place", "--labels", "a", "--count", "1", "--dims", "90,x,130",
+                "--out", str(tmp_path / "i.ndjson")]
+        out = tmp_path / "i.ndjson"
+    else:
+        argv = _reconstruct_args(tmp_path, rng)
+        argv[argv.index("--dims") + 1] = "8,x,16"
+        out = tmp_path / "tomo.mrc"
+    assert main(argv) == 1
+    assert "--dims" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_noise_command(tmp_path):
     rng = np.random.default_rng(0)
     clean_path = tmp_path / "clean.mrc"
@@ -63,11 +79,13 @@ def test_noise_command(tmp_path):
 
 
 def test_stage_chain_project_align_reconstruct_extract(tmp_path, rng):
-    # densify a blob structure, then drive the remaining stage commands on it
+    # densify a blob structure at 7.5 A, then drive the remaining stage
+    # commands on it; every volume the chain writes keeps that voxel size
     pdb = tmp_path / "blob.pdb"
     pdb.write_text(make_blob_pdb(rng, radius=60.0, n=400))
     vol_path = tmp_path / "density.mrc"
-    assert main(["densify", "--pdb", str(pdb), "--out", str(vol_path)]) == 0
+    assert main(["densify", "--pdb", str(pdb), "--out", str(vol_path),
+                 "--voxel-size", "7.5"]) == 0
 
     proj_dir = tmp_path / "proj"
     assert main(["--seed", "2", "project", "--volume", str(vol_path),
@@ -101,8 +119,17 @@ def test_stage_chain_project_align_reconstruct_extract(tmp_path, rng):
     assert main(["--seed", "0", "extract", "--tomogram", str(tomo_path),
                  "--instances", str(instances), "--out", str(out_dir)]) == 0
     records = cio.read_metadata(out_dir / "metadata.ndjson")
-    rejections = cio.read_ndjson(out_dir / "rejections.ndjson")
-    assert len(records) + len(rejections) == 1
+    rejections = cio.read_rejections(out_dir / "rejections.ndjson")
+    assert not records and [r.reason for r in rejections] == ["boundary"]
+
+    # the 16-voxel density is smaller than the 32-voxel box, so the tomogram
+    # itself is the volume the noise stage gets
+    noisy_path = tmp_path / "noisy.mrc"
+    assert main(["--seed", "1", "noise", "--volume", str(tomo_path),
+                 "--snr", "0.1", "--out", str(noisy_path)]) == 0
+
+    for path in (vol_path, proj_dir / "tilts.mrc", tomo_path, noisy_path):
+        assert cio.read_mrc(path).voxel_size == pytest.approx(7.5), path
 
 
 def _reconstruct_args(tmp_path, rng):
@@ -119,6 +146,34 @@ def _reconstruct_args(tmp_path, rng):
             "--angles", str(tmp_path / "angles.ndjson"),
             "--alignment", str(tmp_path / "alignment.ndjson"),
             "--dims", "8,12,16", "--out", str(tmp_path / "tomo.mrc")]
+
+
+def _missing_input_args(tmp_path, rng, command):
+    """``command``'s arguments with every input present but one, the
+    missing path and the output path."""
+    argv = _reconstruct_args(tmp_path, rng)
+    files = {flag: argv[argv.index(flag) + 1] for flag in ("--tilts", "--angles", "--alignment")}
+    volume = tmp_path / "volume.mrc"
+    cio.write_mrc(DensityVolume(rng.random((8, 12, 16)).astype(np.float32)), volume)
+    missing = str(tmp_path / "missing.file")
+    out = str(tmp_path / "out")
+    argv = {
+        "project": ["project", "--volume", missing, "--out", out],
+        "align": ["align", "--tilts", files["--tilts"], "--angles", missing, "--out", out],
+        "reconstruct": ["reconstruct", "--tilts", files["--tilts"], "--angles", files["--angles"],
+                        "--alignment", missing, "--dims", "8,12,16", "--out", out],
+        "extract": ["extract", "--tomogram", str(volume), "--instances", missing, "--out", out],
+        "noise": ["noise", "--volume", missing, "--snr", "0.1", "--out", out],
+    }[command]
+    return argv, missing, out
+
+
+@pytest.mark.parametrize("command", ["project", "align", "reconstruct", "extract", "noise"])
+def test_stage_missing_input_exits_2(tmp_path, rng, capsys, command):
+    argv, missing, out = _missing_input_args(tmp_path, rng, command)
+    assert main(argv) == 2
+    assert missing in capsys.readouterr().err
+    assert not Path(out).exists()
 
 
 def test_reconstruct_keeps_stack_voxel_size(tmp_path, rng):

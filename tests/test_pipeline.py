@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_blob_pdb
 from cryoforge import io as cio
+from cryoforge.cli import main
 from cryoforge.scene import compose_sample, place_particles
 from cryoforge.pipeline import (
     PipelineConfig,
@@ -50,6 +51,25 @@ def test_config_hash_tracks_content(tmp_path):
     b = PipelineConfig.from_dict(_raw_config(tmp_path, seed=4))
     assert a.config_hash() != b.config_hash()
     assert a.config_hash() == PipelineConfig.from_dict(_raw_config(tmp_path)).config_hash()
+
+
+def test_config_hash_is_pinned(tmp_path):
+    # sha256 of the sorted-key JSON of every field; also the hash of the
+    # config before TiltGeometry.noise_sigma was removed, minus that field
+    raw = _raw_config(tmp_path, structures={"a": "a.pdb"}, output_dir="out")
+    cfg = PipelineConfig.from_dict(raw)
+    assert cfg.config_hash() == "62c7a190ca4195547fdcb64c23497973a8185630855443e79b611d1d842a8050"
+
+
+def test_config_naming_removed_tilt_noise_exits_1(tmp_path, capsys):
+    raw = _raw_config(tmp_path, tilt={"noise_sigma": 0.0})
+    with pytest.raises(PipelineConfigError, match="noise_sigma"):
+        PipelineConfig.from_dict(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "pipeline"]) == 1
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_validation(tmp_path):
@@ -164,3 +184,30 @@ def test_provenance_reports_alignment_and_tomogram_quality(tmp_path):
             errors.append(abs(np.var(c) / np.var(noisy - c) / float(r.snr_tag) - 1.0))
     assert len(errors) == len(clean) == result.accepted > 0
     assert rows["noise"]["snr_err"] == pytest.approx(max(errors), rel=1e-12)
+
+
+def test_pipeline_output_feeds_cli_stages(tmp_path):
+    pdb = tmp_path / "blob.pdb"
+    pdb.write_text(make_blob_pdb(np.random.default_rng(0), radius=60.0, n=400))
+    raw = _raw_config(
+        tmp_path,
+        structures={"blob": str(pdb)},
+        particles_per_class=2,
+        snr_targets=[0.1],
+        placement={"volume_dims": [40, 80, 40]},
+        tilt={"angles": [-20.0, -10.0, 0.0, 10.0, 20.0]},
+    )
+    out = run_pipeline(PipelineConfig.from_dict(raw)).output_dir
+    series = out / "tilt_series"
+    inputs = ["--tilts", str(series / "tilts.mrc"), "--angles", str(series / "angles.ndjson")]
+    assert main(["reconstruct", *inputs, "--alignment", str(out / "alignment.ndjson"),
+                 "--dims", "40,80,40", "--out", str(tmp_path / "tomo.mrc")]) == 0
+    assert main(["align", *inputs, "--out", str(tmp_path / "alignment.ndjson")]) == 0
+
+    # the pipeline reconstructs from its float64 projections, the CLI from
+    # their float32 copies in tilts.mrc
+    expected = cio.read_mrc(out / "tomogram.mrc")
+    tomo = cio.read_mrc(tmp_path / "tomo.mrc")
+    assert tomo.voxel_size == expected.voxel_size
+    scale = np.abs(expected.data).max()
+    assert np.abs(tomo.data - expected.data).max() <= 1e-6 * scale
