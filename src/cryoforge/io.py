@@ -52,10 +52,12 @@ class UnsupportedModeError(MrcFormatError):
 
 
 class MetadataParseError(ValueError):
-    """Malformed NDJSON metadata line; carries the 1-based line number."""
+    """Malformed NDJSON line; carries the file's path and the 1-based line
+    number, and its message reads ``<path>: line N: ...``."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, path, line_number: int, message: str):
+        super().__init__(f"{path}: line {line_number}: {message}")
+        self.path = path
         self.line_number = line_number
 
 
@@ -185,13 +187,13 @@ def _read_rows(path, parse) -> list:
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MetadataParseError(lineno, f"invalid JSON: {exc}") from exc
+                raise MetadataParseError(path, lineno, f"invalid JSON: {exc}") from exc
             try:
                 rows.append(parse(payload))
             except KeyError as exc:
-                raise MetadataParseError(lineno, f"missing field {exc}") from exc
+                raise MetadataParseError(path, lineno, f"missing field {exc}") from exc
             except (TypeError, ValueError) as exc:
-                raise MetadataParseError(lineno, str(exc)) from exc
+                raise MetadataParseError(path, lineno, str(exc)) from exc
     return rows
 
 

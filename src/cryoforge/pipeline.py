@@ -5,7 +5,9 @@ extract -> noise from a single JSON config, writing MRC volumes, NDJSON
 ground-truth metadata, and NDJSON provenance (config hash, seed, timings)
 into a per-run output directory. Metadata is deterministic for a fixed
 seed; provenance carries wall-clock timings, peak memory, the worker
-count of the threaded stages (project, reconstruct) and the
+count of the threaded stages (project, reconstruct), the sizes of the
+composed sample, the projection stack, the alignment spectra and the
+tomogram (arithmetic on their shapes), and the
 ground-truth quality of alignment (x-drift RMS error), reconstruction
 (correlation with the composed sample) and noise (worst realized-SNR
 error against the target), and lives in its own file so
@@ -221,7 +223,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     alignment.ndjson, tomogram.mrc, subtomograms/<label>/<tag>/NNNN.mrc
     (tag in clean + configured SNRs), masks/, metadata.ndjson,
     rejections.ndjson, provenance.ndjson.
-    Fails fast with the stage name at the first error.
+    Each artifact is written inside the stage that produces it, so the
+    run fails fast with that stage's name at the first error, a failed
+    write included.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -260,47 +264,74 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     )
     labels = sorted(cfg.structures)
     instances = _stage("place", lambda: place_particles(labels, placement))
-    sample = _stage("compose", lambda: compose_sample(densities, instances, placement))
+    dims = tuple(placement.volume_dims)
+    sample = _stage(
+        "compose",
+        lambda: compose_sample(densities, instances, placement),
+        sample_dims=list(dims),
+        sample_mb=4 * math.prod(dims) / 1e6,  # float32 voxels
+    )
 
     # project: simulated tilt series with recorded drifts
     geom = dataclasses.replace(cfg.tilt, seed=cfg.seed)
+    stack_shape = (len(geom.angles), dims[1], dims[2])
+
+    def _project():
+        series = simulate_tilt_series(sample, geom, jobs=cfg.jobs)
+        cio.write_tilt_series(series, out / "tilt_series")
+        return series
+
     series = _stage(
         "project",
-        lambda: simulate_tilt_series(sample, geom, jobs=cfg.jobs),
+        _project,
         jobs=cfg.jobs,
+        stack_shape=list(stack_shape),
+        stack_mb=8 * math.prod(stack_shape) / 1e6,  # float64 projections
     )
-    cio.write_tilt_series(series, out / "tilt_series")
 
     # align + axis refinement on the float64 projections, not tilts.mrc's float32 copy
+    n_tilts, H, W = stack_shape
     align = _stage(
         "align",
         lambda: align_series(series),
         quality=lambda result: _drift_rms_x(series.applied_shifts, result.shifts),
+        spectra_mb=16 * n_tilts * H * (W // 2 + 1) / 1e6,  # complex128 rfft2 stack
     )
-    align.axis_angle, align.axis_offset, align.residual_mse = _stage(
-        "refine_axis", lambda: refine_axis(series, align.shifts)
-    )
-    cio.write_alignment(align, out / "alignment.ndjson")
+
+    def _refine_axis():
+        align.axis_angle, align.axis_offset, align.residual_mse = refine_axis(
+            series, align.shifts
+        )
+        cio.write_alignment(align, out / "alignment.ndjson")
+
+    _stage("refine_axis", _refine_axis)
 
     # reconstruct
     recon_cfg = dataclasses.replace(cfg.recon, output_dims=placement.volume_dims)
-    dims = recon_cfg.output_dims
+
+    def _reconstruct():
+        tomo = wbp_reconstruct(series, align, recon_cfg, jobs=cfg.jobs)
+        cio.write_mrc(tomo, out / "tomogram.mrc")
+        return tomo
+
     tomo = _stage(
         "reconstruct",
-        lambda: wbp_reconstruct(series, align, recon_cfg, jobs=cfg.jobs),
+        _reconstruct,
         quality=lambda result: {"tomo_corr": _volume_correlation(result, sample)},
         jobs=cfg.jobs,
-        output_dims=list(dims),
-        tomogram_mb=4 * math.prod(dims) / 1e6,  # float32 voxels
+        output_dims=list(recon_cfg.output_dims),
+        tomogram_mb=4 * math.prod(recon_cfg.output_dims) / 1e6,  # float32 voxels
     )
-    cio.write_mrc(tomo, out / "tomogram.mrc")
 
     # extract
     extraction = dataclasses.replace(cfg.extraction, seed=cfg.seed)
-    accepted, rejections = _stage(
-        "extract", lambda: extract(tomo, instances, extraction)
-    )
-    cio.write_rejections(rejections, out / "rejections.ndjson")
+
+    def _extract():
+        accepted, rejections = extract(tomo, instances, extraction)
+        cio.write_rejections(rejections, out / "rejections.ndjson")
+        return accepted, rejections
+
+    accepted, rejections = _stage("extract", _extract)
 
     # noise: clean references, masks, and per-SNR noisy replicas
     records: list[cio.SubtomogramRecord] = []

@@ -176,6 +176,16 @@ def test_stage_missing_input_exits_2(tmp_path, rng, capsys, command):
     assert not Path(out).exists()
 
 
+def test_reconstruct_names_malformed_alignment_file(tmp_path, rng, capsys):
+    argv = _reconstruct_args(tmp_path, rng)
+    alignment = tmp_path / "alignment.ndjson"
+    cio.write_ndjson([{"shift": [[0.0, 0.0]] * 3}], alignment)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{alignment}: line 1: missing field 'shifts'" in err
+    assert not (tmp_path / "tomo.mrc").exists()
+
+
 def test_reconstruct_keeps_stack_voxel_size(tmp_path, rng):
     assert main(_reconstruct_args(tmp_path, rng)) == 0
     assert cio.read_mrc(tmp_path / "tomo.mrc").voxel_size == pytest.approx(7.5)

@@ -147,6 +147,8 @@ def test_metadata_bad_line_reports_line_number(tmp_path):
     with pytest.raises(MetadataParseError) as err:
         read_metadata(path)
     assert err.value.line_number == 2
+    assert err.value.path == path
+    assert str(err.value).startswith(f"{path}: line 2: invalid JSON")
 
 
 def test_metadata_invalid_record_rejected(tmp_path):

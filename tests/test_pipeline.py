@@ -132,6 +132,57 @@ def test_provenance_reports_peak_rss_and_jobs(tmp_path):
     assert recon_row["tomogram_mb"] == pytest.approx(tomogram.data.nbytes / 1e6)
 
 
+def test_provenance_reports_array_sizes(tmp_path):
+    pdb = tmp_path / "blob.pdb"
+    pdb.write_text(make_blob_pdb(np.random.default_rng(0), radius=60.0, n=400))
+    raw = _raw_config(
+        tmp_path,
+        structures={"blob": str(pdb)},
+        particles_per_class=2,
+        snr_targets=[0.1],
+        placement={"volume_dims": [40, 80, 42]},
+        tilt={"angles": [-20.0, 0.0, 20.0]},
+    )
+    out = run_pipeline(PipelineConfig.from_dict(raw)).output_dir
+    rows = {r["stage"]: r for r in cio.read_ndjson(out / "provenance.ndjson")}
+    assert rows["compose"]["sample_dims"] == [40, 80, 42]
+    assert rows["compose"]["sample_mb"] == pytest.approx(4 * 40 * 80 * 42 / 1e6)
+    assert rows["project"]["stack_shape"] == [3, 80, 42]
+    assert rows["project"]["stack_mb"] == pytest.approx(8 * 3 * 80 * 42 / 1e6)
+    assert rows["align"]["spectra_mb"] == pytest.approx(16 * 3 * 80 * 22 / 1e6)
+    # the sizes are those of the arrays the stages made
+    stack = cio.read_mrc(out / "tilt_series" / "tilts.mrc")
+    assert list(stack.shape) == rows["project"]["stack_shape"]
+    assert stack.data.nbytes * 2 / 1e6 == pytest.approx(rows["project"]["stack_mb"])
+    spectra = np.fft.rfft2(stack.data.astype(np.float64))
+    assert spectra.nbytes / 1e6 == pytest.approx(rows["align"]["spectra_mb"])
+
+
+def test_failed_artifact_write_names_its_stage(tmp_path, capsys):
+    pdb = tmp_path / "blob.pdb"
+    pdb.write_text(make_blob_pdb(np.random.default_rng(0), radius=60.0, n=400))
+    raw = _raw_config(
+        tmp_path,
+        structures={"blob": str(pdb)},
+        particles_per_class=2,
+        placement={"volume_dims": [40, 80, 40]},
+        tilt={"angles": [-20.0, 0.0, 20.0]},
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "tilt_series").write_text("not a directory")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "pipeline"]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'project' failed" in err and "tilt_series" in err
+    assert not (out / "alignment.ndjson").exists()
+    with pytest.raises(StageError) as exc:
+        run_pipeline(PipelineConfig.from_dict(raw))
+    assert exc.value.stage == "project"
+    assert isinstance(exc.value.cause, OSError)
+
+
 def test_provenance_reports_alignment_and_tomogram_quality(tmp_path):
     pdb = tmp_path / "blob.pdb"
     pdb.write_text(make_blob_pdb(np.random.default_rng(0), radius=60.0, n=400))

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 from conftest import (
     SHIFT_SHAPES,
     band_limited_image,
     gaussian_blob,
+    make_blob_pdb,
     multi_blob_volume,
     reference_fourier_shift_2d,
 )
+from cryoforge import tiltsim
+from cryoforge.pipeline import PipelineConfig, run_pipeline
 from cryoforge.tiltalign import phase_correlate
 from cryoforge.tiltsim import (
+    PAD,
     TiltGeometry,
     TiltSeries,
+    _beam_operator,
     default_angles,
     fourier_shift_2d,
     pretraining_angles,
@@ -85,6 +90,109 @@ def test_projection_matches_dense_resampling_reference(shape, oversample):
         proj = project_tilt(vol, angle, geom)
         assert proj.shape == ref.shape == (shape[1], shape[2])
         assert np.abs(proj - ref).max() <= 1e-12 * np.abs(ref).max(), angle
+
+
+def _reference_cubic_taps(x, n):
+    """Cubic B-spline tap nodes and weights as first written: taps of every
+    coordinate mirrored through ``np.where``, weights stacked column-wise."""
+    base = np.floor(x)
+    t = (x - base)[:, None]
+    idx = base.astype(np.int64)[:, None] + np.arange(-1, 3)
+    idx = np.abs(idx)
+    idx = np.where(idx > n - 1, 2 * (n - 1) - idx, idx)
+    u = 1.0 - t
+    weights = np.hstack(
+        [u**3, 4.0 - 3.0 * t * t * (1.0 + u), 4.0 - 3.0 * u * u * (1.0 + t), t**3]
+    ) / 6.0
+    return idx, weights
+
+
+def _reference_beam_operator(shape, angle_deg, oversample):
+    """The beam operator assembled as 16 (d, w) tap products per beam
+    sample, merged by ``sum_duplicates`` (a global sort of the indices)."""
+    D, _, W = shape
+    Dp, Wp = D + 2 * PAD, W + 2 * PAD
+    os_ = oversample
+    theta = np.radians(angle_deg)
+    c, s = np.cos(theta), np.sin(theta)
+    cd, cw = (Dp - 1) / 2.0, (Wp - 1) / 2.0
+    zhalf = abs(c) * (Dp - 1) / 2.0 + abs(s) * (Wp - 1) / 2.0
+    n_fine = int(np.floor(2.0 * zhalf * os_)) + 1
+    z0 = cd - zhalf
+    cols = np.arange(W, dtype=np.float64)[:, None]
+    a = np.arange(n_fine, dtype=np.float64)[None, :]
+    d = (a * (c / os_) + cols * s) + (c * (z0 - cd) + s * (PAD - cw) + cd)
+    w = (a * (-s / os_) + cols * c) + (-s * (z0 - cd) + c * (PAD - cw) + cw)
+    inside = (d >= 0.0) & (d <= Dp - 1) & (w >= 0.0) & (w <= Wp - 1)
+    d_idx, d_wts = _reference_cubic_taps(d[inside], Dp)
+    w_idx, w_wts = _reference_cubic_taps(w[inside], Wp)
+    d_wts /= os_
+    indices = (d_idx[:, :, None] * Wp + w_idx[:, None, :]).ravel()
+    data = (d_wts[:, :, None] * w_wts[:, None, :]).ravel()
+    indptr = np.concatenate([[0], np.cumsum(16 * inside.sum(axis=1))])
+    op = sparse.csr_array((data, indices, indptr), shape=(W, Dp * Wp))
+    op.sum_duplicates()
+    return op
+
+
+def _assert_operator_matches_reference(shape, angle, oversample):
+    op = _beam_operator(shape, angle, oversample)
+    ref = _reference_beam_operator(shape, angle, oversample)
+    assert op.shape == ref.shape
+    # sorted, duplicate-free indices, checked on a fresh copy of the arrays
+    fresh = sparse.csr_array((op.data, op.indices, op.indptr), shape=op.shape)
+    assert fresh.has_canonical_format
+    # no entry stored where the reference stores none
+    ref_stored = np.zeros(ref.shape, dtype=bool)
+    ref_coo = ref.tocoo()
+    ref_stored[ref_coo.row, ref_coo.col] = True
+    op_coo = op.tocoo()
+    assert ref_stored[op_coo.row, op_coo.col].all(), (shape, angle, oversample)
+    scale = np.abs(ref.data).max()
+    err = np.abs(op.toarray() - ref.toarray()).max()
+    assert err <= 1e-12 * scale, (shape, angle, oversample, err / scale)
+
+
+def test_beam_operator_matches_16_tap_reference_at_acceptance_angles():
+    for angle in default_angles():
+        _assert_operator_matches_reference((46, 360, 46), angle, 2)
+
+
+@pytest.mark.parametrize("shape", [(46, 1, 46), (7, 1, 10), (10, 1, 7), (9, 1, 13)])
+@pytest.mark.parametrize("oversample", [1, 2, 3, 4])
+def test_beam_operator_matches_16_tap_reference(shape, oversample):
+    for angle in (-90.0, 90.0, 1e-7, -1e-7, 45.0, -45.0, 34.0):
+        _assert_operator_matches_reference(shape, angle, oversample)
+
+
+def test_series_matches_16_tap_reference(monkeypatch):
+    vol = multi_blob_volume(46, blobs=4)
+    vol = DensityVolume(np.repeat(vol.data, 8, axis=1)[:, :360])  # 46 x 360 x 46
+    geom = TiltGeometry(seed=4)
+    series = simulate_tilt_series(vol, geom)
+    monkeypatch.setattr(tiltsim, "_beam_operator", _reference_beam_operator)
+    ref = simulate_tilt_series(vol, geom)
+    assert series.applied_shifts == ref.applied_shifts
+    for proj, expected in zip(series.projections, ref.projections):
+        assert np.abs(proj - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_pipeline_metadata_identical_with_16_tap_reference(tmp_path, monkeypatch):
+    pdb = tmp_path / "blob.pdb"
+    pdb.write_text(make_blob_pdb(np.random.default_rng(0), radius=60.0, n=400))
+    raw = {
+        "structures": {"blob": str(pdb)},
+        "seed": 3,
+        "particles_per_class": 2,
+        "snr_targets": [0.1],
+        "placement": {"volume_dims": [40, 80, 40]},
+        "tilt": {"angles": [-20.0, -10.0, 0.0, 10.0, 20.0]},
+    }
+    out = run_pipeline(PipelineConfig.from_dict({**raw, "output_dir": str(tmp_path / "a")}))
+    monkeypatch.setattr(tiltsim, "_beam_operator", _reference_beam_operator)
+    ref = run_pipeline(PipelineConfig.from_dict({**raw, "output_dir": str(tmp_path / "b")}))
+    assert out.metadata_path.read_bytes() == ref.metadata_path.read_bytes()
+    assert out.accepted == ref.accepted > 0
 
 
 def test_fixture_projection_matches_dense_resampling_reference():
