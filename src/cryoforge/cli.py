@@ -131,19 +131,12 @@ def cmd_extract(args) -> int:
     accepted, rejections = extract(tomo, instances, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records = []
-    for i, sub in enumerate(accepted):
-        path = out / f"{i:04d}.mrc"
-        cio.write_mrc(DensityVolume(sub.data, tomo.voxel_size), path)
-        records.append(
-            cio.SubtomogramRecord(
-                volume_path=path.name,
-                class_label=sub.class_label,
-                center_offset=tuple(float(v) for v in sub.center_offset),
-                orientation=sub.orientation,
-                snr_tag="clean",
-            )
+    records = [
+        cio.write_subtomogram(
+            DensityVolume(sub.data, tomo.voxel_size), sub, out / f"{i:04d}.mrc", out, "clean"
         )
+        for i, sub in enumerate(accepted)
+    ]
     cio.write_metadata(records, out / "metadata.ndjson")
     cio.write_rejections(rejections, out / "rejections.ndjson")
     print(f"extract: {len(accepted)} accepted, {len(rejections)} rejected -> {out}")
@@ -229,9 +222,13 @@ def cmd_nrcl_eval(args) -> int:
     cfg = LossConfig(temperature=args.temperature)
     z = _read_embeddings(args.z)
     z_pos = _read_embeddings(args.z_pos)
+    cost, plan = sinkhorn_wasserstein(z, z_pos, cfg)
     out = {
         "sym_loss": sym_loss(z, z_pos, cfg),
-        "wasserstein": sinkhorn_wasserstein(z, z_pos, cfg)[0],
+        "wasserstein": cost,
+        "wasserstein_converged": plan.converged,
+        "wasserstein_iterations": plan.iterations_used,
+        "wasserstein_epsilon": plan.epsilon,
     }
     if args.z_clean and args.z_noisy:
         out["infonce"] = infonce_loss(

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-ORTHO_TOL = 1e-9
-
 
 class DegenerateRepresentationError(ValueError):
     """Raised when a rotation representation cannot be decoded uniquely."""
@@ -72,29 +70,19 @@ def matrix_to_euler(R: np.ndarray) -> tuple[float, float, float]:
 
 
 def gso_to_matrix(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Decode the 6D (two free vectors) representation by Gram-Schmidt.
-
-    The first vector is normalized, the second has its projection on the
-    first removed and is normalized, and the third column is their cross
-    product, yielding a proper rotation.
-    """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    n1 = np.linalg.norm(v1)
-    if n1 <= 1e-9:
-        raise DegenerateRepresentationError("first vector is (near-)zero")
-    e1 = v1 / n1
-    u2 = v2 - (v2 @ e1) * e1
-    n2 = np.linalg.norm(u2)
-    if n2 <= 1e-9 * max(1.0, np.linalg.norm(v2)):
-        raise DegenerateRepresentationError("second vector is (near-)parallel to the first")
-    e2 = u2 / n2
-    e3 = np.cross(e1, e2)
-    return np.stack([e1, e2, e3], axis=1)
+    """Decode one 6D representation: one row of :func:`gso_to_matrix_batch`."""
+    return gso_to_matrix_batch([v1], [v2])[0]
 
 
 def gso_to_matrix_batch(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`gso_to_matrix` over leading batch axes (N, 3)."""
+    """Decode the 6D (two free vectors) representation by Gram-Schmidt,
+    over leading batch axes (N, 3).
+
+    The first vector is normalized, the second has its projection on the
+    first removed and is normalized, and the third column is their cross
+    product, yielding a proper rotation. A row is degenerate when |v1| or
+    |u2| / max(1, |v2|) is at most 1e-9, u2 being v2 minus its projection.
+    """
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
     n1 = np.linalg.norm(v1, axis=-1, keepdims=True)
@@ -103,7 +91,7 @@ def gso_to_matrix_batch(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     e1 = v1 / n1
     u2 = v2 - np.sum(v2 * e1, axis=-1, keepdims=True) * e1
     n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
-    if np.any(n2 <= 1e-9):
+    if np.any(n2 <= 1e-9 * np.maximum(1.0, np.linalg.norm(v2, axis=-1, keepdims=True))):
         raise DegenerateRepresentationError("second vector is (near-)parallel to the first")
     e2 = u2 / n2
     e3 = np.cross(e1, e2)
@@ -111,21 +99,17 @@ def gso_to_matrix_batch(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
 
 
 def svd_to_matrix(M: np.ndarray) -> np.ndarray:
-    """Project an unconstrained 3x3 matrix onto SO(3).
+    """Project one 3x3 matrix onto SO(3): one matrix of :func:`svd_to_matrix_batch`."""
+    return svd_to_matrix_batch([M])[0]
+
+
+def svd_to_matrix_batch(M: np.ndarray) -> np.ndarray:
+    """Project unconstrained 3x3 matrices onto SO(3), over a leading batch
+    axis (N, 3, 3).
 
     Uses U @ diag(1, 1, det(U V^T)) @ V^T, the Frobenius-closest rotation.
     Idempotent on rotation inputs and invariant to uniform positive scaling.
     """
-    M = np.asarray(M, dtype=float)
-    U, S, Vt = np.linalg.svd(M)
-    if S[-1] <= 1e-9:
-        raise DegenerateRepresentationError("rank-deficient matrix: projection not unique")
-    d = np.sign(np.linalg.det(U @ Vt))
-    return (U * np.array([1.0, 1.0, d])) @ Vt
-
-
-def svd_to_matrix_batch(M: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`svd_to_matrix` over a leading batch axis (N, 3, 3)."""
     M = np.asarray(M, dtype=float)
     U, S, Vt = np.linalg.svd(M)
     if np.any(S[..., -1] <= 1e-9):

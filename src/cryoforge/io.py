@@ -11,8 +11,9 @@ record per line, so it stays human-inspectable and streamable.
 
 Each stage artifact has one writer and one reader here: the tilt series
 (``tilts.mrc`` + ``angles.ndjson``), the alignment, the particle
-instances, and the rejections. The CLI subcommands and ``run_pipeline``
-both go through them, so a pipeline run's files feed the CLI stages.
+instances, the rejections, and the subtomograms with their metadata
+records. The CLI subcommands and ``run_pipeline`` both go through them,
+so a pipeline run's files feed the CLI stages.
 
 Every writer fills a hidden temporary sibling of its target and renames
 it onto the target only once the write is complete, so a failed write
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .scene import ParticleInstance
-from .subtomo import Rejection
+from .subtomo import SNR_TARGETS, ExtractedSubtomogram, Rejection, snr_tag
 from .tiltalign import AlignmentResult
 from .tiltsim import TiltGeometry, TiltSeries
 from .volume import DensityVolume
@@ -40,7 +41,7 @@ HEADER_SIZE = 1024
 MODE_FLOAT32 = 2
 _MACHINE_STAMP_LE = b"\x44\x44\x00\x00"
 
-SNR_TAGS = ("clean", "100", "0.1", "0.05", "0.03", "0.01")
+SNR_TAGS = ("clean",) + tuple(snr_tag(t) for t in SNR_TARGETS)
 
 
 class MrcFormatError(ValueError):
@@ -212,6 +213,26 @@ def read_ndjson(path) -> list[dict]:
 def write_metadata(records, path) -> None:
     """Write SubtomogramRecords as NDJSON, one record per line."""
     write_ndjson([asdict(rec) for rec in records], path)
+
+
+def write_subtomogram(
+    vol: DensityVolume, sub: ExtractedSubtomogram, path, root, snr_tag: str, mask_path=None
+) -> SubtomogramRecord:
+    """Write one copy of an extracted subtomogram to ``path`` (creating its
+    directory) and return its record: the label, jitter and pose of
+    ``sub``, the copy's ``snr_tag``, and ``path`` and ``mask_path``
+    relative to ``root``."""
+    path, root = Path(path), Path(root)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_mrc(vol, path)
+    return SubtomogramRecord(
+        volume_path=str(path.relative_to(root)),
+        class_label=sub.class_label,
+        center_offset=sub.center_offset,
+        orientation=sub.orientation,
+        snr_tag=snr_tag,
+        mask_path=None if mask_path is None else str(Path(mask_path).relative_to(root)),
+    )
 
 
 def read_metadata(path) -> list[SubtomogramRecord]:

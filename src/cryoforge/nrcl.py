@@ -56,7 +56,6 @@ class LossConfig:
     sinkhorn_epsilon: float = 0.1
     sinkhorn_max_iter: int = 200
     sinkhorn_tol: float = 1e-6
-    cost_exponent: int = 2  # squared Euclidean; fixed
 
     def __post_init__(self):
         if not self.temperature > 0:
@@ -67,8 +66,6 @@ class LossConfig:
             raise ValueError("lambda_w must be >= 0")
         if not self.sinkhorn_epsilon > 0:
             raise ValueError("sinkhorn_epsilon must be positive")
-        if self.cost_exponent != 2:
-            raise ValueError("cost_exponent is fixed at 2")
 
 
 @dataclass

@@ -32,12 +32,12 @@ from . import io as cio
 from .recon import ReconConfig, wbp_reconstruct
 from .scene import PlacementConfig, compose_sample, place_particles
 from .structure import DensifyConfig, densify, parse_pdb
-from .subtomo import ExtractionConfig, NoiseSpec, add_noise, extract, make_mask
+from .subtomo import (
+    SNR_TARGETS, ExtractionConfig, NoiseSpec, add_noise, extract, make_mask, snr_tag,
+)
 from .tiltalign import align_series, refine_axis
 from .tiltsim import TiltGeometry, simulate_tilt_series
 from .volume import DensityVolume
-
-DEFAULT_SNR_TARGETS = (100.0, 0.1, 0.05, 0.03, 0.01)
 
 
 class PipelineConfigError(ValueError):
@@ -53,11 +53,6 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-def snr_tag(target: float) -> str:
-    """Directory/metadata tag for an SNR target (e.g. 0.05 -> '0.05')."""
-    return f"{target:g}"
-
-
 @dataclass
 class PipelineConfig:
     structures: dict[str, str]  # class label -> PDB path
@@ -65,7 +60,7 @@ class PipelineConfig:
     seed: int = 0
     jobs: int = 1
     particles_per_class: int = 5
-    snr_targets: tuple[float, ...] = DEFAULT_SNR_TARGETS
+    snr_targets: tuple[float, ...] = SNR_TARGETS
     densify: DensifyConfig = field(default_factory=DensifyConfig)
     placement: PlacementConfig = field(default_factory=PlacementConfig)
     tilt: TiltGeometry = field(default_factory=lambda: TiltGeometry())
@@ -97,20 +92,29 @@ class PipelineConfig:
             "recon": ReconConfig,
             "extraction": ExtractionConfig,
         }
-        kwargs = {}
+        kwargs, given = {}, {}
         if "snr_targets" in raw:
             raw["snr_targets"] = tuple(raw["snr_targets"])
         try:
             for key, ctor in nested.items():
                 if key in raw:
-                    sub = raw.pop(key)
+                    sub = given[key] = raw.pop(key)
                     for tup in ("volume_dims", "output_dims"):
                         if tup in sub:
                             sub[tup] = tuple(sub[tup])
                     kwargs[key] = ctor(**sub)
-            return cls(**raw, **kwargs)
+            cfg = cls(**raw, **kwargs)
         except TypeError as exc:
             raise PipelineConfigError(str(exc)) from exc
+        # run_pipeline overwrites these, so another value would be ignored
+        for section, fields in cfg.derived().items():
+            for name, value in fields.items():
+                if given.get(section, {}).get(name, value) != value:
+                    raise PipelineConfigError(
+                        f"{section}.{name} is {given[section][name]!r}, but the pipeline "
+                        f"derives it as {value!r}; leave it out"
+                    )
+        return cfg
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -119,6 +123,19 @@ class PipelineConfig:
         except json.JSONDecodeError as exc:
             raise PipelineConfigError(f"{path}: {exc}") from exc
         return cls.from_dict(raw)
+
+    def derived(self) -> dict[str, dict]:
+        """The nested fields run_pipeline sets from the top-level ones, by
+        section: ``{section: {field: value}}``."""
+        return {
+            "placement": {
+                "seed": self.seed,
+                "target_count": self.particles_per_class * len(self.structures),
+            },
+            "tilt": {"seed": self.seed},
+            "recon": {"output_dims": self.placement.volume_dims},
+            "extraction": {"seed": self.seed},
+        }
 
     def config_hash(self) -> str:
         """sha256 of the config as sorted-key JSON (tuples written as lists)."""
@@ -257,11 +274,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     _stage("densify", _densify, inputs=sorted(cfg.structures.values()))
 
     # place: centers, labels, orientations, composed sample volume
-    placement = dataclasses.replace(
-        cfg.placement,
-        seed=cfg.seed,
-        target_count=cfg.particles_per_class * len(cfg.structures),
-    )
+    derived = cfg.derived()
+    placement = dataclasses.replace(cfg.placement, **derived["placement"])
     labels = sorted(cfg.structures)
     instances = _stage("place", lambda: place_particles(labels, placement))
     dims = tuple(placement.volume_dims)
@@ -273,7 +287,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     )
 
     # project: simulated tilt series with recorded drifts
-    geom = dataclasses.replace(cfg.tilt, seed=cfg.seed)
+    geom = dataclasses.replace(cfg.tilt, **derived["tilt"])
     stack_shape = (len(geom.angles), dims[1], dims[2])
 
     def _project():
@@ -307,7 +321,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     _stage("refine_axis", _refine_axis)
 
     # reconstruct
-    recon_cfg = dataclasses.replace(cfg.recon, output_dims=placement.volume_dims)
+    recon_cfg = dataclasses.replace(cfg.recon, **derived["recon"])
 
     def _reconstruct():
         tomo = wbp_reconstruct(series, align, recon_cfg, jobs=cfg.jobs)
@@ -324,7 +338,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     )
 
     # extract
-    extraction = dataclasses.replace(cfg.extraction, seed=cfg.seed)
+    extraction = dataclasses.replace(cfg.extraction, **derived["extraction"])
 
     def _extract():
         accepted, rejections = extract(tomo, instances, extraction)
@@ -353,20 +367,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             noisy = [(v.data, t) for (_, v), t in zip(variants[1:], cfg.snr_targets)]
             replicas.append((clean.data, noisy))
             for tag, vol in variants:
-                vdir = out / "subtomograms" / sub.class_label / tag
-                vdir.mkdir(parents=True, exist_ok=True)
-                vpath = vdir / f"{i:04d}.mrc"
-                cio.write_mrc(vol, vpath)
-                records.append(
-                    cio.SubtomogramRecord(
-                        volume_path=str(vpath.relative_to(out)),
-                        class_label=sub.class_label,
-                        center_offset=tuple(float(v) for v in sub.center_offset),
-                        orientation=sub.orientation,
-                        snr_tag=tag,
-                        mask_path=str(mask_path.relative_to(out)),
-                    )
-                )
+                path = out / "subtomograms" / sub.class_label / tag / f"{i:04d}.mrc"
+                records.append(cio.write_subtomogram(vol, sub, path, out, tag, mask_path))
         return replicas
 
     _stage(

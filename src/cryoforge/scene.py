@@ -79,10 +79,9 @@ def poisson_disk_sample(cfg: PlacementConfig) -> list[np.ndarray]:
 
     Every accepted pair of centers is at least the exclusion radius apart
     and every center keeps the exclusion radius from each boundary face.
-    A uniform spatial hash grid (cell size = exclusion radius) makes the
-    neighbor check O(1); output is identical to the plain rejection scan
-    for the same candidate stream. Sampling stops at target_count or after
-    max_attempts consecutive rejections.
+    Each candidate is checked against all accepted centers at once; a
+    spatial grid pays off only at thousands of centers. Sampling stops at
+    target_count or after max_attempts consecutive rejections.
     """
     r_ex = cfg.exclusion_radius
     dims = np.asarray(cfg.volume_dims, dtype=float)
@@ -93,32 +92,16 @@ def poisson_disk_sample(cfg: PlacementConfig) -> list[np.ndarray]:
             f"volume {cfg.volume_dims} too small for exclusion radius {r_ex}"
         )
     rng = np.random.default_rng(cfg.seed)
-    accepted: list[np.ndarray] = []
-    grid: dict[tuple[int, int, int], list[int]] = {}
-
-    def cell_of(p: np.ndarray) -> tuple[int, int, int]:
-        return tuple((p // r_ex).astype(int))
-
-    def conflicts(p: np.ndarray) -> bool:
-        cz, cy, cx = cell_of(p)
-        for dz in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    for idx in grid.get((cz + dz, cy + dy, cx + dx), ()):
-                        if np.linalg.norm(accepted[idx] - p) < r_ex:
-                            return True
-        return False
-
+    accepted = np.empty((0, 3))
     rejections = 0
     while len(accepted) < cfg.target_count and rejections < cfg.max_attempts:
         candidate = lo + rng.random(3) * (hi - lo)
-        if conflicts(candidate):
+        if np.any(np.linalg.norm(accepted - candidate, axis=1) < r_ex):
             rejections += 1
             continue
         rejections = 0
-        grid.setdefault(cell_of(candidate), []).append(len(accepted))
-        accepted.append(candidate)
-    return accepted
+        accepted = np.vstack([accepted, candidate])
+    return list(accepted)
 
 
 def place_particles(class_labels: list[str], cfg: PlacementConfig) -> list[ParticleInstance]:

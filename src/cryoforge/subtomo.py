@@ -14,6 +14,13 @@ import numpy as np
 from .scene import ParticleInstance
 from .volume import DensityVolume
 
+SNR_TARGETS = (100.0, 0.1, 0.05, 0.03, 0.01)  # the supported SNR grades
+
+
+def snr_tag(target: float) -> str:
+    """Directory/metadata tag for an SNR target (e.g. 0.05 -> '0.05')."""
+    return f"{target:g}"
+
 
 class DegenerateSignalError(ValueError):
     """Zero-variance input cannot be SNR-calibrated."""
@@ -148,9 +155,7 @@ def add_noise(
     Deterministic per spec.seed; the noise field is regenerable via
     :func:`noise_field`.
     """
-    v_sig = signal_variance(clean, mask)
-    sigma = np.sqrt(v_sig / spec.snr_target)
-    noise = noise_field(clean.data.shape, sigma, spec.seed)
+    noise = noise_field(clean.data.shape, noise_sigma(clean, spec, mask), spec.seed)
     noisy = clean.data.astype(np.float64) + noise
     return clean.with_data(noisy.astype(np.float32))
 

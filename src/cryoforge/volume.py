@@ -34,9 +34,6 @@ class DensityVolume:
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape  # type: ignore[return-value]
 
-    def copy(self) -> "DensityVolume":
-        return DensityVolume(self.data.copy(), self.voxel_size, self.origin.copy())
-
     def with_data(self, data: np.ndarray) -> "DensityVolume":
         """Same spacing/origin, new payload."""
         return DensityVolume(data, self.voxel_size, self.origin.copy())

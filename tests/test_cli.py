@@ -7,6 +7,7 @@ import pytest
 from conftest import make_blob_pdb
 from cryoforge import cli, io as cio
 from cryoforge.cli import main
+from cryoforge.nrcl import LossConfig
 from cryoforge.volume import DensityVolume
 
 SINGLE_CARBON = "ATOM      1  CA  ALA A   1       0.000   0.000   0.000  1.00  0.00           C\n"
@@ -262,5 +263,27 @@ def test_nrcl_eval_command(tmp_path, capsys):
                  "--temperature", "1.0"])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
-    assert set(out) == {"sym_loss", "wasserstein", "infonce"}
+    assert set(out) == {
+        "sym_loss", "wasserstein", "wasserstein_converged", "wasserstein_iterations",
+        "wasserstein_epsilon", "infonce",
+    }
     assert out["infonce"] == pytest.approx(np.log(2.0))
+    assert out["wasserstein_converged"] is True
+
+
+def test_nrcl_eval_reports_unconverged_sinkhorn(tmp_path, capsys):
+    # B = 8 random unit vectors in 8-D need about 2300 iterations at the
+    # shipped epsilon, far beyond the shipped 200-iteration budget
+    rng = np.random.default_rng(1)
+    for name in ("z", "zp"):
+        v = rng.normal(size=(8, 8))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        _write_embeddings(tmp_path / f"{name}.ndjson", v)
+    code = main(["nrcl-eval", "--z", str(tmp_path / "z.ndjson"),
+                 "--z-pos", str(tmp_path / "zp.ndjson")])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert '"wasserstein_converged": false' in text
+    out = json.loads(text)
+    assert out["wasserstein_iterations"] == LossConfig().sinkhorn_max_iter
+    assert out["wasserstein_epsilon"] == LossConfig().sinkhorn_epsilon

@@ -68,12 +68,51 @@ def test_gso_random_lands_in_rotation_group(rng):
         _assert_rotation(gso_to_matrix(rng.normal(size=3), rng.normal(size=3)))
 
 
+def _gso_reference(v1, v2):
+    """Per-row Gram-Schmidt decoder, the scalar implementation the batch
+    decoder replaced; test-only reference."""
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    n1 = np.linalg.norm(v1)
+    if n1 <= 1e-9:
+        raise DegenerateRepresentationError("first vector is (near-)zero")
+    e1 = v1 / n1
+    u2 = v2 - (v2 @ e1) * e1
+    n2 = np.linalg.norm(u2)
+    if n2 <= 1e-9 * max(1.0, np.linalg.norm(v2)):
+        raise DegenerateRepresentationError("second vector is (near-)parallel to the first")
+    e2 = u2 / n2
+    return np.stack([e1, e2, np.cross(e1, e2)], axis=1)
+
+
+def _svd_reference(M):
+    """Per-matrix SO(3) projection, the scalar implementation the batch
+    decoder replaced; test-only reference."""
+    U, S, Vt = np.linalg.svd(np.asarray(M, dtype=float))
+    if S[-1] <= 1e-9:
+        raise DegenerateRepresentationError("rank-deficient matrix: projection not unique")
+    d = np.sign(np.linalg.det(U @ Vt))
+    return (U * np.array([1.0, 1.0, d])) @ Vt
+
+
 def test_gso_batch_matches_scalar(rng):
-    v1 = rng.normal(size=(50, 3))
-    v2 = rng.normal(size=(50, 3))
+    # the scalar decoder is one batch row; both match the per-row reference
+    v1 = rng.normal(size=(500, 3))
+    v2 = rng.normal(size=(500, 3))
     batch = gso_to_matrix_batch(v1, v2)
-    for i in range(50):
-        assert np.abs(batch[i] - gso_to_matrix(v1[i], v2[i])).max() < 1e-12
+    for i in range(len(v1)):
+        assert np.array_equal(gso_to_matrix(v1[i], v2[i]), batch[i])
+        assert np.abs(batch[i] - _gso_reference(v1[i], v2[i])).max() <= 1e-14
+
+
+def test_gso_parallel_rule_is_scale_aware():
+    # |u2| = 5e-6 exceeds an absolute 1e-9 floor but not 1e-9 * |v2|
+    v1, v2 = [1.0, 0.0, 0.0], [1e4, 5e-6, 0.0]
+    for decode in (_gso_reference, gso_to_matrix):
+        with pytest.raises(DegenerateRepresentationError):
+            decode(v1, v2)
+    with pytest.raises(DegenerateRepresentationError):
+        gso_to_matrix_batch([[0.0, 0.0, 1.0], v1], [[1.0, 0.0, 0.0], v2])
 
 
 def test_svd_identity_and_scale_invariance(rng):
@@ -103,10 +142,12 @@ def test_svd_rank_deficient_rejected():
 
 
 def test_svd_batch_matches_scalar(rng):
-    M = rng.normal(size=(50, 3, 3))
+    # the scalar decoder is one batch matrix; both match the per-matrix reference
+    M = rng.normal(size=(500, 3, 3))
     batch = svd_to_matrix_batch(M)
-    for i in range(50):
-        assert np.abs(batch[i] - svd_to_matrix(M[i])).max() < 1e-9
+    for i in range(len(M)):
+        assert np.array_equal(svd_to_matrix(M[i]), batch[i])
+        assert np.abs(batch[i] - _svd_reference(M[i])).max() <= 1e-14
 
 
 def test_rotation_error_cases(rng):

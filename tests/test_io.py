@@ -17,6 +17,7 @@ from cryoforge.io import (
     write_mrc,
     write_ndjson,
 )
+from cryoforge.subtomo import ExtractedSubtomogram
 from cryoforge.volume import DensityVolume
 
 
@@ -113,6 +114,25 @@ def _record(i=0, q=(1.0, 0.0, 0.0, 0.0)):
         snr_tag="clean",
         mask_path=f"masks/{i}.mrc",
     )
+
+
+def test_write_subtomogram_writes_volume_and_relative_record(tmp_path):
+    sub = ExtractedSubtomogram(
+        data=np.ones((8, 8, 8), dtype=np.float32),
+        class_label="6drv",
+        center_offset=(1, -2, 0),
+        orientation=(1.0, 0.0, 0.0, 0.0),
+        crop_corner=(0, 0, 0),
+    )
+    vol = DensityVolume(sub.data, voxel_size=2.0)
+    path = tmp_path / "sub" / "0.1" / "0000.mrc"
+    rec = cio.write_subtomogram(vol, sub, path, tmp_path, "0.1", tmp_path / "masks" / "0000.mrc")
+    assert rec == SubtomogramRecord(
+        "sub/0.1/0000.mrc", "6drv", (1.0, -2.0, 0.0), (1.0, 0.0, 0.0, 0.0), "0.1",
+        "masks/0000.mrc",
+    )
+    assert np.array_equal(read_mrc(path).data, sub.data)
+    assert cio.write_subtomogram(vol, sub, path, path.parent, "clean").mask_path is None
 
 
 def test_metadata_empty_round_trip(tmp_path):

@@ -45,8 +45,6 @@ def test_loss_config_validation():
         LossConfig(rince_c=0.0)
     with pytest.raises(ValueError):
         LossConfig(rince_c=1.5)
-    with pytest.raises(ValueError):
-        LossConfig(cost_exponent=1)
 
 
 def test_sym_loss_hand_case_orthogonal():

@@ -72,6 +72,44 @@ def test_config_naming_removed_tilt_noise_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, name, value",
+    [
+        ("placement", "seed", 4),
+        ("placement", "target_count", 2),
+        ("tilt", "seed", 4),
+        ("extraction", "seed", 4),
+        ("recon", "output_dims", [10, 10, 10]),
+    ],
+)
+def test_config_rejects_fields_the_pipeline_overwrites(tmp_path, section, name, value):
+    raw = _raw_config(tmp_path)
+    raw.setdefault(section, {})[name] = value
+    with pytest.raises(PipelineConfigError, match=rf"{section}\.{name}"):
+        PipelineConfig.from_dict(raw)
+
+
+def test_config_accepts_overwritten_fields_at_their_derived_values(tmp_path):
+    # seed 3, five particles of one structure, a 40^3 sample
+    raw = _raw_config(
+        tmp_path,
+        placement={"volume_dims": [40, 40, 40], "seed": 3, "target_count": 5},
+        tilt={"seed": 3},
+        extraction={"seed": 3},
+        recon={"output_dims": [40, 40, 40]},
+    )
+    cfg = PipelineConfig.from_dict(raw)
+    assert cfg.placement.target_count == 5 and cfg.recon.output_dims == (40, 40, 40)
+
+
+def test_config_with_ignored_output_dims_exits_1(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_raw_config(tmp_path, recon={"output_dims": [10, 10, 10]})))
+    assert main(["--config", str(path), "pipeline"]) == 1
+    assert "recon.output_dims" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_validation(tmp_path):
     with pytest.raises(PipelineConfigError):
         PipelineConfig.from_dict(_raw_config(tmp_path, structures={}))

@@ -56,6 +56,79 @@ def test_sampling_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def _hash_grid_sample(cfg):
+    """Poisson-disk sampler with a spatial hash grid (cell = exclusion
+    radius, 27-cell neighbour scan), the implementation the vectorised
+    check replaced; test-only reference for the same candidate stream."""
+    r_ex = cfg.exclusion_radius
+    lo = np.full(3, r_ex)
+    hi = np.asarray(cfg.volume_dims, dtype=float) - r_ex
+    rng = np.random.default_rng(cfg.seed)
+    accepted, grid = [], {}
+
+    def cell_of(p):
+        return tuple((p // r_ex).astype(int))
+
+    def conflicts(p):
+        cz, cy, cx = cell_of(p)
+        for dz in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    for idx in grid.get((cz + dz, cy + dy, cx + dx), ()):
+                        if np.linalg.norm(accepted[idx] - p) < r_ex:
+                            return True
+        return False
+
+    rejections = 0
+    while len(accepted) < cfg.target_count and rejections < cfg.max_attempts:
+        candidate = lo + rng.random(3) * (hi - lo)
+        if conflicts(candidate):
+            rejections += 1
+            continue
+        rejections = 0
+        grid.setdefault(cell_of(candidate), []).append(len(accepted))
+        accepted.append(candidate)
+    return accepted
+
+
+def _assert_same_centers(cfg):
+    got, want = poisson_disk_sample(cfg), _hash_grid_sample(cfg)
+    assert len(got) == len(want)
+    assert all(g.shape == (3,) and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_sampler_matches_hash_grid_reference_on_criterion_9_configs():
+    rng = np.random.default_rng(31)  # acceptance criterion 9's generator
+    for _ in range(200):
+        dims = tuple(int(d) for d in rng.integers(44, 90, size=3))
+        _assert_same_centers(
+            PlacementConfig(
+                volume_dims=dims,
+                target_count=int(rng.integers(1, 8)),
+                max_attempts=200,
+                seed=int(rng.integers(0, 2**31)),
+            )
+        )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 11])
+@pytest.mark.parametrize(
+    "dims, count", [((46, 360, 46), 10), ((64, 192, 128), 16), ((96, 256, 256), 16)]
+)
+def test_sampler_matches_hash_grid_reference_on_workload_scenes(dims, count, seed):
+    # the scenes of the benchmark's tomo_accept, slab_j2 and reprocess workloads
+    _assert_same_centers(PlacementConfig(volume_dims=dims, target_count=count, seed=seed))
+
+
+def test_sampler_matches_hash_grid_reference_in_a_crowded_volume():
+    # more centers are asked for than fit, so sampling ends on max_attempts
+    for seed in (0, 1):
+        cfg = PlacementConfig(
+            volume_dims=(100, 200, 200), target_count=200, max_attempts=300, seed=seed
+        )
+        _assert_same_centers(cfg)
+
+
 def test_shoemake_zero_deviates():
     q = shoemake_quaternion(_ZeroRng())
     assert np.allclose(q, [0.0, 0.0, 1.0, 0.0])  # (w, x, y, z)
