@@ -9,7 +9,6 @@ error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -155,11 +154,10 @@ def cmd_noise(args) -> int:
 def cmd_pipeline(args) -> int:
     if not args.config:
         raise ValueError("pipeline requires --config FILE")
-    cfg = PipelineConfig.from_json(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.jobs is not None:
-        cfg = dataclasses.replace(cfg, jobs=args.jobs)
+    overrides = {"seed": args.seed, "jobs": args.jobs}
+    cfg = PipelineConfig.from_json(
+        args.config, **{k: v for k, v in overrides.items() if v is not None}
+    )
     result = run_pipeline(cfg)
     print(
         f"pipeline: placed={result.placed} accepted={result.accepted} "

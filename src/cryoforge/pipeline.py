@@ -5,13 +5,14 @@ extract -> noise from a single JSON config, writing MRC volumes, NDJSON
 ground-truth metadata, and NDJSON provenance (config hash, seed, timings)
 into a per-run output directory. Metadata is deterministic for a fixed
 seed; provenance carries wall-clock timings, peak memory, the worker
-count of the threaded stages (project, reconstruct), the sizes of the
-composed sample, the projection stack, the alignment spectra and the
-tomogram (arithmetic on their shapes), and the
-ground-truth quality of alignment (x-drift RMS error), reconstruction
-(correlation with the composed sample) and noise (worst realized-SNR
-error against the target), and lives in its own file so
-reruns still produce byte-identical metadata.
+count of the threaded stages (project, reconstruct), the atom count and
+density-map size of densify, the sizes of the composed sample, the
+projection stack, the alignment spectra and the tomogram (arithmetic on
+their shapes), the number of rows along the tilt axis the projector
+projected, and the ground-truth quality of alignment (x-drift RMS
+error), reconstruction (correlation with the composed sample) and noise
+(worst realized-SNR error against the target), and lives in its own file
+so reruns still produce byte-identical metadata.
 """
 
 from __future__ import annotations
@@ -117,12 +118,14 @@ class PipelineConfig:
         return cfg
 
     @classmethod
-    def from_json(cls, path) -> "PipelineConfig":
+    def from_json(cls, path, **overrides) -> "PipelineConfig":
+        """Read a config file; ``overrides`` replace its top-level fields
+        before ``from_dict`` checks them."""
         try:
             raw = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise PipelineConfigError(f"{path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict({**raw, **overrides})
 
     def derived(self) -> dict[str, dict]:
         """The nested fields run_pipeline sets from the top-level ones, by
@@ -248,17 +251,18 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     out.mkdir(parents=True, exist_ok=True)
     prov = _Provenance(cfg)
 
-    def _stage(name, fn, inputs=(), quality=None, **extra):
-        """Run one stage; ``quality(result)`` adds ground-truth scores to
-        its provenance row, outside the stage's elapsed time."""
+    def _stage(name, fn, inputs=(), report=None, **extra):
+        """Run one stage; ``report(result)`` adds fields measured on its
+        result (array sizes, ground-truth scores) to its provenance row,
+        outside the stage's elapsed time."""
         started = time.perf_counter()
         try:
             result = fn()
         except Exception as exc:
             raise StageError(name, exc) from exc
         prov.record(name, list(inputs), started, **extra)
-        if quality is not None:
-            prov.rows[-1].update(quality(result))
+        if report is not None:
+            prov.rows[-1].update(report(result))
         return result
 
     # densify: one ground-truth density per class
@@ -266,12 +270,23 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     densities: dict[str, DensityVolume] = {}
 
     def _densify():
+        atoms = 0
         for label, pdb_path in sorted(cfg.structures.items()):
             model = parse_pdb(Path(pdb_path).read_text(), source_id=label)
+            atoms += len(model.atoms)
             densities[label] = densify(model, cfg.densify)
             cio.write_mrc(densities[label], out / "densities" / f"{label}.mrc")
+        return atoms
 
-    _stage("densify", _densify, inputs=sorted(cfg.structures.values()))
+    _stage(
+        "densify",
+        _densify,
+        inputs=sorted(cfg.structures.values()),
+        report=lambda atoms: {
+            "atoms": atoms,
+            "density_mb": sum(4 * v.data.size for v in densities.values()) / 1e6,  # float32
+        },
+    )
 
     # place: centers, labels, orientations, composed sample volume
     derived = cfg.derived()
@@ -298,6 +313,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     series = _stage(
         "project",
         _project,
+        report=lambda result: {"rows_projected": result.rows_projected},
         jobs=cfg.jobs,
         stack_shape=list(stack_shape),
         stack_mb=8 * math.prod(stack_shape) / 1e6,  # float64 projections
@@ -308,7 +324,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     align = _stage(
         "align",
         lambda: align_series(series),
-        quality=lambda result: _drift_rms_x(series.applied_shifts, result.shifts),
+        report=lambda result: _drift_rms_x(series.applied_shifts, result.shifts),
         spectra_mb=16 * n_tilts * H * (W // 2 + 1) / 1e6,  # complex128 rfft2 stack
     )
 
@@ -331,7 +347,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     tomo = _stage(
         "reconstruct",
         _reconstruct,
-        quality=lambda result: {"tomo_corr": _volume_correlation(result, sample)},
+        report=lambda result: {"tomo_corr": _volume_correlation(result, sample)},
         jobs=cfg.jobs,
         output_dims=list(recon_cfg.output_dims),
         tomogram_mb=4 * math.prod(recon_cfg.output_dims) / 1e6,  # float32 voxels
@@ -374,7 +390,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     _stage(
         "noise",
         _noise,
-        quality=_snr_error,
+        report=_snr_error,
         extra_targets=[snr_tag(t) for t in cfg.snr_targets],
     )
 

@@ -32,6 +32,7 @@ VDW_RADIUS = {"H": 1.2, "C": 1.7, "N": 1.55, "O": 1.52, "P": 1.8, "S": 1.8}
 DEFAULT_VDW = 1.7
 
 SPLAT_CUTOFF_SIGMAS = 4.0
+SPLAT_BYTES = 4_000_000  # temporaries of one block of atoms in splat_atoms
 
 
 class PdbParseError(ValueError):
@@ -89,6 +90,11 @@ class DensifyConfig:
         for elem, amp in self.element_amplitude.items():
             if amp == 0:
                 raise ConfigError(f"zero amplitude configured for element {elem!r}")
+        for elem, sigma in self.element_sigma.items():
+            if not 0 < sigma < np.inf:
+                raise ConfigError(
+                    f"sigma for element {elem!r} must be positive and finite, got {sigma!r}"
+                )
 
     def sigma_for(self, element: str) -> float:
         return self.element_sigma.get(element, DEFAULT_SIGMA)
@@ -172,37 +178,64 @@ def splat_atoms(model: AtomicModel, cfg: DensifyConfig) -> DensityVolume:
     4-sigma cutoff; the grid extent is the atom bounding box expanded per
     axis by the solvent margin (margin factor times the largest van der
     Waals radius present).
+
+    One array pass over blocks of consecutive atoms: every atom's voxel
+    window is padded to the largest window, the padding and the voxels
+    past the cutoff are masked out, and the rest are accumulated with
+    ``np.add.at`` in atom order, so each voxel's float64 sum is formed in
+    the order of the atom list. A block's temporaries stay within
+    ``SPLAT_BYTES`` (a block holds at least one atom).
     """
     positions = model.positions()
-    max_vdw = max(VDW_RADIUS.get(a.element, DEFAULT_VDW) for a in model.atoms)
+    elements = [a.element for a in model.atoms]
+    max_vdw = max(VDW_RADIUS.get(e, DEFAULT_VDW) for e in set(elements))
     margin = cfg.solvent_margin_factor * max_vdw
     lo = positions.min(axis=0) - margin
     hi = positions.max(axis=0) + margin
     dims = np.maximum(np.ceil((hi - lo) / cfg.voxel_size).astype(int), 1)
     grid = np.zeros(tuple(dims[::-1]), dtype=np.float64)  # (d, h, w) = (z, y, x)
+    _, H, W = grid.shape
 
-    for atom in model.atoms:
-        sigma = cfg.sigma_for(atom.element)
-        amp = cfg.amplitude_for(atom.element) * atom.occupancy
-        cutoff = SPLAT_CUTOFF_SIGMAS * sigma
-        # voxel-index window covering the cutoff sphere
-        pos_vox = (atom.position - lo) / cfg.voxel_size  # (x, y, z) in voxels
-        r_vox = cutoff / cfg.voxel_size
-        lo_idx = np.maximum(np.floor(pos_vox - r_vox).astype(int), 0)
-        hi_idx = np.minimum(np.ceil(pos_vox + r_vox).astype(int) + 1, dims)
-        if np.any(lo_idx >= hi_idx):
-            continue
-        xs = (np.arange(lo_idx[0], hi_idx[0]) * cfg.voxel_size + lo[0]) - atom.position[0]
-        ys = (np.arange(lo_idx[1], hi_idx[1]) * cfg.voxel_size + lo[1]) - atom.position[1]
-        zs = (np.arange(lo_idx[2], hi_idx[2]) * cfg.voxel_size + lo[2]) - atom.position[2]
-        r2 = (
-            zs[:, None, None] ** 2 + ys[None, :, None] ** 2 + xs[None, None, :] ** 2
-        )
-        blob = amp * np.exp(-r2 / (2.0 * sigma * sigma))
-        blob[r2 > cutoff * cutoff] = 0.0
-        grid[
-            lo_idx[2] : hi_idx[2], lo_idx[1] : hi_idx[1], lo_idx[0] : hi_idx[0]
-        ] += blob
+    kinds, kind = np.unique(elements, return_inverse=True)
+    sigma = np.array([cfg.sigma_for(e) for e in kinds])[kind]
+    amp = np.array([cfg.amplitude_for(e) for e in kinds])[kind] * np.array(
+        [a.occupancy for a in model.atoms], dtype=np.float64
+    )
+    cutoff = SPLAT_CUTOFF_SIGMAS * sigma
+    # voxel-index window covering each atom's cutoff sphere, (x, y, z)
+    pos_vox = (positions - lo) / cfg.voxel_size
+    r_vox = (cutoff / cfg.voxel_size)[:, None]
+    lo_idx = np.maximum(np.floor(pos_vox - r_vox).astype(int), 0)
+    hi_idx = np.minimum(np.ceil(pos_vox + r_vox).astype(int) + 1, dims)
+    kept = np.all(lo_idx < hi_idx, axis=1)
+    positions, lo_idx, hi_idx = positions[kept], lo_idx[kept], hi_idx[kept]
+    cut2, den, amp = cutoff[kept] ** 2, 2.0 * sigma[kept] * sigma[kept], amp[kept]
+    window = (hi_idx - lo_idx).max(axis=0, initial=1)
+    # a padded window voxel costs at most 48 bytes of temporaries
+    block = max(1, SPLAT_BYTES // (48 * int(np.prod(window))))
+    flat = grid.reshape(-1)
+    for a in range(0, len(positions), block):
+        b = slice(a, a + block)
+        # per axis: node indices, their validity and squared distances, (atoms, window)
+        idx, valid, dist2 = [], [], []
+        for axis in range(3):
+            nodes = lo_idx[b, axis, None] + np.arange(window[axis])
+            idx.append(nodes)
+            valid.append(nodes < hi_idx[b, axis, None])
+            dist2.append(((nodes * cfg.voxel_size + lo[axis]) - positions[b, axis, None]) ** 2)
+        x2, y2, z2 = dist2
+        r2 = (z2[:, :, None, None] + y2[:, None, :, None]) + x2[:, None, None, :]
+        inside = r2 <= cut2[b, None, None, None]
+        inside &= valid[2][:, :, None, None] & valid[1][:, None, :, None]
+        inside &= valid[0][:, None, None, :]
+        voxel = (idx[2][:, :, None, None] * H + idx[1][:, None, :, None]) * W
+        voxel = (voxel + idx[0][:, None, None, :])[inside]
+        counts = np.count_nonzero(inside.reshape(len(inside), -1), axis=1)
+        r2 = r2[inside]
+        del inside
+        blob = np.exp(-r2 / np.repeat(den[b], counts))
+        blob *= np.repeat(amp[b], counts)
+        np.add.at(flat, voxel, blob)
     # origin records the (x, y, z) Angstrom position of voxel (0, 0, 0)
     return DensityVolume(grid.astype(np.float32), cfg.voxel_size, lo.astype(np.float32))
 

@@ -14,7 +14,10 @@ reproduces its data at integer nodes (Unser, IEEE Signal Process. Mag.,
 (d, w) coefficient slice. Each angle therefore builds one sparse beam
 operator, the spline tap weights of its beam samples summed per detector
 column, and projects all rows with one sparse-dense product: no 3D
-resampled grid is ever formed.
+resampled grid is ever formed. For the same reason a row along h whose
+(d, w) slice holds no nonzero voxel projects to exact zeros, so only the
+rows that hold density (a NaN counts) are prefiltered and projected; the
+others stay zero in the (H, W) image the drift shift is applied to.
 
 A beam sample's 16 (d, w) tap products are the outer product of its 4
 d-taps and its 4 w-taps, so the operator is built as a sparse product
@@ -71,6 +74,7 @@ class TiltSeries:
     projections: list[np.ndarray]
     applied_shifts: list[tuple[float, float]]
     voxel_size: float = 1.0  # Angstrom per detector pixel, as in the volume
+    rows_projected: int | None = None  # rows along h projected; None when read from files
 
     def __post_init__(self):
         n = len(self.geometry.angles)
@@ -81,22 +85,30 @@ class TiltSeries:
         return int(np.argmin(np.abs(self.geometry.angles)))
 
 
-def _spline_coefficients(vol: DensityVolume) -> np.ndarray:
-    """Cubic B-spline coefficients of the volume for `_beam_operator`.
+def _spline_coefficients(vol: DensityVolume) -> tuple[np.ndarray, np.ndarray]:
+    """Cubic B-spline coefficients of the volume's rows along h that hold
+    density, for `_beam_operator`, and the indices of those rows.
 
-    The volume is zero-padded by ``PAD`` in d and w, so the interpolant's
-    compact support lies inside the sampled domain, and prefiltered along
-    (d, w) only: the tilt axis h is sampled at its integer nodes, where a
-    cubic spline reproduces its data, so h needs no filtering. The result
-    is float64 laid out (d, w, h), so ``coeffs.reshape(-1, H)`` is a view
-    whose rows are (d, w) nodes.
+    A row holds density when its (d, w) slice has a voxel that is nonzero
+    or NaN; the rows are found one d slice at a time, so no volume-sized
+    temporary is made. The kept rows are zero-padded by ``PAD`` in d and
+    w, so the interpolant's compact support lies inside the sampled
+    domain, and prefiltered along (d, w) only: the tilt axis h is sampled
+    at its integer nodes, where a cubic spline reproduces its data, so h
+    needs no filtering. The result is float64 laid out (d, w, row), so
+    ``coeffs.reshape(-1, len(rows))`` is a view whose rows are (d, w) nodes.
     """
     D, H, W = vol.shape
-    coeffs = np.zeros((D + 2 * PAD, W + 2 * PAD, H))
-    coeffs[PAD:-PAD, PAD:-PAD, :] = vol.data.transpose(0, 2, 1)
+    held = np.zeros(H, dtype=bool)
+    for plane in vol.data:
+        held |= (plane != 0).any(axis=1)
+    rows = np.flatnonzero(held)
+    coeffs = np.zeros((D + 2 * PAD, W + 2 * PAD, len(rows)))
+    for d, plane in enumerate(vol.data):
+        coeffs[PAD + d, PAD:-PAD] = plane[rows].T
     for axis in (0, 1):
         ndimage.spline_filter1d(coeffs, order=3, axis=axis, output=coeffs, mode="constant")
-    return coeffs
+    return coeffs, rows
 
 
 def _cubic_taps(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,10 +198,12 @@ def _beam_operator(shape: tuple[int, int, int], angle_deg: float, oversample: in
     return op
 
 
-def _project(coeffs: np.ndarray, op) -> np.ndarray:
-    """Apply a beam operator to (d, w, h) spline coefficients: an (H, W) image."""
-    H = coeffs.shape[2]
-    return np.ascontiguousarray((op @ coeffs.reshape(-1, H)).T)
+def _project(coeffs: np.ndarray, rows: np.ndarray, height: int, op) -> np.ndarray:
+    """Apply a beam operator to the spline coefficients of ``rows`` (see
+    `_spline_coefficients`): an (height, W) image, zero in the other rows."""
+    image = np.zeros((height, op.shape[0]))
+    image[rows] = (op @ coeffs.reshape(op.shape[1], len(rows))).T
+    return image
 
 
 def project_tilt(vol: DensityVolume, angle_deg: float, geom: TiltGeometry) -> np.ndarray:
@@ -209,7 +223,7 @@ def project_tilt(vol: DensityVolume, angle_deg: float, geom: TiltGeometry) -> np
     all angles.
     """
     op = _beam_operator(vol.shape, angle_deg, geom.oversample)
-    return _project(_spline_coefficients(vol), op)
+    return _project(*_spline_coefficients(vol), vol.shape[1], op)
 
 
 def shift_ramp(shape: tuple[int, int], dx: float, dy: float) -> np.ndarray:
@@ -255,17 +269,19 @@ def simulate_tilt_series(
 
     Per-angle RNG substreams are keyed by (seed, angle index) so results
     do not depend on the degree of parallelism. The spline coefficients
-    are computed once and shared by every angle. With ``jobs > 1`` the
-    angles are projected on a pool of ``jobs`` threads.
+    are computed once, for the rows along h that hold density, and shared
+    by every angle. With ``jobs > 1`` the angles are projected on a pool
+    of ``jobs`` threads.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    coeffs = _spline_coefficients(vol)
+    coeffs, rows = _spline_coefficients(vol)
 
     def one(idx_angle):
         idx, angle = idx_angle
         rng = np.random.default_rng((geom.seed, idx))
-        proj = _project(coeffs, _beam_operator(vol.shape, angle, geom.oversample))
+        op = _beam_operator(vol.shape, angle, geom.oversample)
+        proj = _project(coeffs, rows, vol.shape[1], op)
         dx, dy = rng.uniform(-geom.shift_range, geom.shift_range, size=2)
         if geom.shift_range == 0:
             dx = dy = 0.0
@@ -285,4 +301,5 @@ def simulate_tilt_series(
         projections=projections,
         applied_shifts=shifts,
         voxel_size=vol.voxel_size,
+        rows_projected=len(rows),
     )

@@ -110,6 +110,44 @@ def test_config_with_ignored_output_dims_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, pinned, named",
+    [
+        (["--seed", "5"], {"seed": 11, "tilt": {"seed": 11}}, "tilt.seed"),
+        (["--jobs", "0"], {}, "jobs"),
+    ],
+)
+def test_cli_overrides_pass_the_config_checks(tmp_path, capsys, flags, pinned, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_raw_config(tmp_path, **pinned)))
+    assert main(["--config", str(path), *flags, "pipeline"]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_seed_overrides_an_unpinned_config(tmp_path):
+    pdb = tmp_path / "blob.pdb"
+    pdb.write_text(make_blob_pdb(np.random.default_rng(0), radius=60.0, n=400))
+    angles = {}
+    for name, seed, flags in (("cli", 11, ["--seed", "5"]), ("file", 5, [])):
+        raw = _raw_config(
+            tmp_path,
+            structures={"blob": str(pdb)},
+            seed=seed,
+            output_dir=str(tmp_path / name),
+            particles_per_class=2,
+            snr_targets=[0.1],
+            placement={"volume_dims": [40, 80, 40]},
+            tilt={"angles": [-20.0, 0.0, 20.0]},
+        )
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        assert main(["--config", str(path), *flags, "pipeline"]) == 0
+        angles[name] = (tmp_path / name / "tilt_series" / "angles.ndjson").read_bytes()
+        assert cio.read_ndjson(tmp_path / name / "provenance.ndjson")[0]["seed"] == 5
+    assert angles["cli"] == angles["file"]
+
+
 def test_config_validation(tmp_path):
     with pytest.raises(PipelineConfigError):
         PipelineConfig.from_dict(_raw_config(tmp_path, structures={}))
@@ -181,8 +219,12 @@ def test_provenance_reports_array_sizes(tmp_path):
         placement={"volume_dims": [40, 80, 42]},
         tilt={"angles": [-20.0, 0.0, 20.0]},
     )
-    out = run_pipeline(PipelineConfig.from_dict(raw)).output_dir
+    cfg = PipelineConfig.from_dict(raw)
+    out = run_pipeline(cfg).output_dir
     rows = {r["stage"]: r for r in cio.read_ndjson(out / "provenance.ndjson")}
+    density = cio.read_mrc(out / "densities" / "blob.mrc")
+    assert rows["densify"]["atoms"] == 400
+    assert rows["densify"]["density_mb"] == pytest.approx(density.data.nbytes / 1e6)
     assert rows["compose"]["sample_dims"] == [40, 80, 42]
     assert rows["compose"]["sample_mb"] == pytest.approx(4 * 40 * 80 * 42 / 1e6)
     assert rows["project"]["stack_shape"] == [3, 80, 42]
@@ -194,6 +236,15 @@ def test_provenance_reports_array_sizes(tmp_path):
     assert stack.data.nbytes * 2 / 1e6 == pytest.approx(rows["project"]["stack_mb"])
     spectra = np.fft.rfft2(stack.data.astype(np.float64))
     assert spectra.nbytes / 1e6 == pytest.approx(rows["align"]["spectra_mb"])
+    # the projector skips the rows along h of the composed sample that hold
+    # no density; the sample is rebuilt from the placement the pipeline used
+    placement = dataclasses.replace(cfg.placement, seed=cfg.seed, target_count=2)
+    sample = compose_sample({"blob": density}, place_particles(["blob"], placement), placement)
+    held = np.count_nonzero((sample.data != 0).any(axis=(0, 2)))
+    assert rows["project"]["rows_projected"] == held < 80
+    # sizes stay out of the deterministic metadata
+    for record in cio.read_ndjson(out / "metadata.ndjson"):
+        assert not {"atoms", "density_mb", "rows_projected"} & set(record)
 
 
 def test_failed_artifact_write_names_its_stage(tmp_path, capsys):

@@ -1,8 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from cryoforge import structure
 from cryoforge.structure import (
+    DEFAULT_VDW,
+    SPLAT_CUTOFF_SIGMAS,
+    VDW_RADIUS,
+    Atom,
+    AtomicModel,
     ConfigError,
     DensifyConfig,
     EmptyModelError,
@@ -155,3 +163,100 @@ def test_config_rejects_bad_values():
         DensifyConfig(voxel_size=0.0)
     with pytest.raises(ConfigError):
         DensifyConfig(peak_threshold_fraction=1.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.33, float("nan"), float("inf")])
+def test_config_rejects_bad_element_sigma(sigma):
+    with pytest.raises(ConfigError, match="'N'"):
+        DensifyConfig(element_sigma={"C": 0.35, "N": sigma})
+
+
+def reference_splat_atoms(model, cfg):
+    """The per-atom loop ``splat_atoms`` replaced: each atom's Gaussian,
+    zeroed past the cutoff, added to its voxel window in atom order."""
+    positions = model.positions()
+    max_vdw = max(VDW_RADIUS.get(a.element, DEFAULT_VDW) for a in model.atoms)
+    margin = cfg.solvent_margin_factor * max_vdw
+    lo = positions.min(axis=0) - margin
+    hi = positions.max(axis=0) + margin
+    dims = np.maximum(np.ceil((hi - lo) / cfg.voxel_size).astype(int), 1)
+    grid = np.zeros(tuple(dims[::-1]), dtype=np.float64)
+    for atom in model.atoms:
+        sigma = cfg.sigma_for(atom.element)
+        amp = cfg.amplitude_for(atom.element) * atom.occupancy
+        cutoff = SPLAT_CUTOFF_SIGMAS * sigma
+        pos_vox = (atom.position - lo) / cfg.voxel_size
+        r_vox = cutoff / cfg.voxel_size
+        lo_idx = np.maximum(np.floor(pos_vox - r_vox).astype(int), 0)
+        hi_idx = np.minimum(np.ceil(pos_vox + r_vox).astype(int) + 1, dims)
+        if np.any(lo_idx >= hi_idx):
+            continue
+        xs = (np.arange(lo_idx[0], hi_idx[0]) * cfg.voxel_size + lo[0]) - atom.position[0]
+        ys = (np.arange(lo_idx[1], hi_idx[1]) * cfg.voxel_size + lo[1]) - atom.position[1]
+        zs = (np.arange(lo_idx[2], hi_idx[2]) * cfg.voxel_size + lo[2]) - atom.position[2]
+        r2 = zs[:, None, None] ** 2 + ys[None, :, None] ** 2 + xs[None, None, :] ** 2
+        blob = amp * np.exp(-r2 / (2.0 * sigma * sigma))
+        blob[r2 > cutoff * cutoff] = 0.0
+        grid[lo_idx[2] : hi_idx[2], lo_idx[1] : hi_idx[1], lo_idx[0] : hi_idx[0]] += blob
+    return grid.astype(np.float32), lo.astype(np.float32)
+
+
+def _mixed_model(rng, n, voxel_size):
+    """Mixed elements (one unknown to the tables) and occupancies; a third
+    of the atoms sit on grid nodes of the model's corner atom, and two
+    pairs coincide."""
+    elements = rng.choice(["C", "N", "O", "H", "S", "P", "Se"], size=n)
+    pos = rng.uniform(-12.0, 12.0, size=(n, 3))
+    pos[: n // 3] = pos.min(axis=0) + voxel_size * rng.integers(0, 4, size=(n // 3, 3))
+    pos[n - 1], pos[n - 2] = pos[0], pos[n // 2]
+    occupancy = rng.choice([1.0, 0.5, 0.37, 2.0], size=n)
+    return AtomicModel([Atom(str(e), p, float(o)) for e, p, o in zip(elements, pos, occupancy)])
+
+
+@pytest.mark.parametrize("voxel_size", [0.5, 0.8, 1.0, 2.0, 3.3, 10.0])
+@pytest.mark.parametrize("margin", [2.0, 0.0])  # 0: atoms on the grid's faces
+def test_splat_identical_to_loop_reference(voxel_size, margin, monkeypatch):
+    rng = np.random.default_rng(int(voxel_size * 10) + int(margin))
+    cfg = DensifyConfig(voxel_size=voxel_size, solvent_margin_factor=margin)
+    for n in (1, 2, 7, 40):
+        model = _mixed_model(rng, n, voxel_size)
+        grid, origin = reference_splat_atoms(model, cfg)
+        vol = splat_atoms(model, cfg)
+        assert np.array_equal(vol.origin, origin)
+        assert vol.data.tobytes() == grid.tobytes(), (voxel_size, margin, n)
+        # one atom per block: the same sums in the same order
+        with monkeypatch.context() as m:
+            m.setattr(structure, "SPLAT_BYTES", 1)
+            assert splat_atoms(model, cfg).data.tobytes() == grid.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 4_000_000])
+def test_splat_sums_each_voxel_in_atom_order(budget, monkeypatch):
+    # +A and -A cancel exactly only when added before the carbon: in any
+    # other order the carbon's density is lost in A's rounding
+    monkeypatch.setattr(structure, "SPLAT_BYTES", budget)
+    cfg = DensifyConfig(voxel_size=0.5, element_amplitude={"C": 6, "Xp": 1e17, "Xm": -1e17})
+    at = np.array([0.1, 0.2, 0.3])
+    atoms = [Atom("Xp", at), Atom("Xm", at), Atom("C", at), Atom("C", at + 8.0)]
+    got = splat_atoms(AtomicModel(atoms), cfg).data
+    assert got.tobytes() == reference_splat_atoms(AtomicModel(atoms), cfg)[0].tobytes()
+    carbons = splat_atoms(AtomicModel(atoms[2:]), DensifyConfig(voxel_size=0.5)).data
+    assert got.shape == carbons.shape and np.array_equal(got, carbons)
+
+
+def test_splat_temporaries_stay_within_block_budget(monkeypatch):
+    rng = np.random.default_rng(3)
+    model = _mixed_model(rng, 2000, 1.0)
+    cfg = DensifyConfig(voxel_size=1.0)
+    budget = 200_000
+    monkeypatch.setattr(structure, "SPLAT_BYTES", budget)
+    grid = splat_atoms(model, cfg).data
+    tracemalloc.start()
+    try:
+        splat_atoms(model, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float64 grid and its float32 copy, per-atom arrays, and one block;
+    # (all 2000 windows at once peak at about 9 MB)
+    assert peak <= 3 * grid.nbytes + 400 * 2000 + budget

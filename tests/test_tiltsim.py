@@ -203,6 +203,48 @@ def test_fixture_projection_matches_dense_resampling_reference():
         assert np.abs(project_tilt(vol, angle, geom) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def reference_all_rows_coefficients(vol):
+    """``tiltsim._spline_coefficients`` before it skipped empty rows: every
+    row along h padded, prefiltered in (d, w) and projected."""
+    D, H, W = vol.shape
+    coeffs = np.zeros((D + 2 * PAD, W + 2 * PAD, H))
+    coeffs[PAD:-PAD, PAD:-PAD, :] = vol.data.transpose(0, 2, 1)
+    for axis in (0, 1):
+        ndimage.spline_filter1d(coeffs, order=3, axis=axis, output=coeffs, mode="constant")
+    return coeffs, np.arange(H)
+
+
+def _rows_sample(kind):
+    """A 20 x 24 x 22 sample whose rows along h hold density as ``kind`` says."""
+    data = multi_blob_volume(24, blobs=4).data[2:22, :, 1:23]
+    if kind == "gaps":  # empty rows at both ends and in the middle
+        data[:, :4] = data[:, 11:14] = data[:, 21:] = 0.0
+    elif kind == "full":
+        data += 0.01
+    elif kind in ("zero", "nan"):
+        data[:] = 0.0
+    vol = DensityVolume(data)
+    if kind == "nan":  # DensityVolume rejects NaN, so it is set afterwards
+        vol.data[7, 9, 5] = np.nan
+    return vol
+
+
+@pytest.mark.parametrize("kind, rows", [("gaps", 14), ("full", 24), ("zero", 0), ("nan", 1)])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_projection_identical_to_all_rows_reference(kind, rows, jobs, monkeypatch):
+    vol = _rows_sample(kind)
+    geom = TiltGeometry(angles=[-90.0, -56.0, -22.0, 12.0, 46.0, 80.0], seed=3)
+    series = simulate_tilt_series(vol, geom, jobs=jobs)
+    single = [project_tilt(vol, angle, geom) for angle in geom.angles]
+    monkeypatch.setattr(tiltsim, "_spline_coefficients", reference_all_rows_coefficients)
+    ref = simulate_tilt_series(vol, geom, jobs=jobs)
+    assert series.rows_projected == rows
+    assert series.applied_shifts == ref.applied_shifts
+    for angle, proj, expected, one in zip(geom.angles, series.projections, ref.projections, single):
+        assert proj.tobytes() == expected.tobytes(), (kind, angle)
+        assert one.tobytes() == project_tilt(vol, angle, geom).tobytes(), (kind, angle)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_unshifted_series_equals_project_tilt(jobs):
     vol = multi_blob_volume(16, blobs=2)
