@@ -105,26 +105,18 @@ def polyphase_decompose(data: np.ndarray, patch: PatchSize) -> PolyphaseSet:
     if any(dim % si != 0 for dim, si in zip(data.shape, s)):
         raise ValueError(f"volume shape {data.shape} not divisible by patch {s}")
     sd, sh, sw = s
-    comps = np.empty(
-        (sd, sh, sw, data.shape[0] // sd, data.shape[1] // sh, data.shape[2] // sw),
-        dtype=data.dtype,
-    )
-    for p in range(sd):
-        for q in range(sh):
-            for r in range(sw):
-                comps[p, q, r] = data[p::sd, q::sh, r::sw]
-    return PolyphaseSet(comps, patch)
+    D, H, W = data.shape
+    # axis (i, p) of the reshape is index i * s + p, so moving the phase
+    # axes first puts sample (i s_d + p, j s_h + q, k s_w + r) at [p, q, r, i, j, k]
+    comps = data.reshape(D // sd, sd, H // sh, sh, W // sw, sw).transpose(1, 3, 5, 0, 2, 4)
+    return PolyphaseSet(comps.copy(), patch)
 
 
 def interleave(ps: PolyphaseSet) -> np.ndarray:
     """Exact inverse of :func:`polyphase_decompose`."""
     sd, sh, sw, nd, nh, nw = ps.components.shape
-    out = np.empty((sd * nd, sh * nh, sw * nw), dtype=ps.components.dtype)
-    for p in range(sd):
-        for q in range(sh):
-            for r in range(sw):
-                out[p::sd, q::sh, r::sw] = ps.components[p, q, r]
-    return out
+    out = ps.components.transpose(3, 0, 4, 1, 5, 2).copy()
+    return out.reshape(nd * sd, nh * sh, nw * sw)
 
 
 @dataclass

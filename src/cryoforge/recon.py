@@ -15,30 +15,21 @@ are the same for every h: each slab of d rows is one sparse
 back-projection operator, two taps per tilt per voxel column, applied to
 all filtered detector rows with one sparse-dense product.
 
-With ``jobs > 1`` the sparse-dense products run on a pool of ``jobs``
-threads (scipy's sparse kernels release the GIL), each writing its own
-disjoint d rows of the output, so the tomogram is bit-identical for every
-``jobs``. The calling thread builds every slab's operator and keeps at
-most ``jobs`` slabs in flight, each a ``jobs``-th of the serial slab, so
-memory is bounded by the filtered stack, the output and ``SLAB_BYTES``
-whatever ``jobs`` is. Operators are built by the caller, not the workers,
-because each worker thread allocates from its own malloc arena and keeps
-what it freed resident: operator temporaries built there left tens of MB
-per worker, while a worker that only forms slab products keeps about one
-product.
+With ``jobs > 1`` the slab products run on a thread pool, each writing
+its own disjoint d rows of the output, so the tomogram is bit-identical
+for every ``jobs``; the operators are built on the calling thread (see
+``tiltsim.build_then_run``).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .tiltalign import AlignmentResult
-from .tiltsim import TiltSeries, fourier_shift_2d, shift_ramp
+from .tiltsim import TiltSeries, build_then_run, fourier_shift_2d, shift_ramp
 from .volume import DensityVolume
 
 FILTERS = ("hann_ramp", "ramp", "none")
@@ -117,19 +108,14 @@ def wbp_reconstruct(
     (d, w) voxel column, and one sparse-dense product with R gives the
     slab laid out (d, w, h). No (H, D, W) array is ever formed.
 
-    With ``jobs == 1`` the slabs are filled in order on the calling
-    thread. With ``jobs > 1`` the calling thread builds each slab's
-    operator and submits its product to a pool of ``jobs`` threads, waiting
-    on the oldest slab before building another once ``jobs`` are in
-    flight (see the module docstring for why the caller builds them).
-    Slabs are ``jobs`` times thinner than in the serial loop, so besides R
-    and the float32 output the temporaries stay about ``SLAB_BYTES``.
-    Every slab's arithmetic is the same whichever thread runs it, so the
-    output is bit-identical for every ``jobs``. A worker's exception is
-    raised here.
+    The calling thread builds each slab's operator, and ``build_then_run``
+    forms its product, with at most ``jobs`` slabs in flight on a thread
+    pool when ``jobs > 1``. Slabs are a ``jobs``-th of the serial slab, so
+    besides R and the float32 output the temporaries stay about
+    ``SLAB_BYTES``. Every slab's arithmetic is the same whichever thread
+    runs it, so the output is bit-identical for every ``jobs``. A worker's
+    exception is raised here.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     n_tilts = len(series.projections)
     if n_tilts < 3:
         raise ValueError("reconstruction needs at least 3 tilts")
@@ -166,7 +152,8 @@ def wbp_reconstruct(
     scale = np.pi / (2.0 * n_tilts)
     # a d row costs its float64 output (Wout * Hout) and its taps (Wout * 2 * n_tilts);
     # jobs slabs are in flight at once, so each gets a jobs-th of SLAB_BYTES
-    slab = max(1, SLAB_BYTES // jobs // (8 * Wout * (Hout + 2 * n_tilts)))
+    # (max keeps jobs < 1 from dividing by zero before build_then_run rejects it)
+    slab = max(1, SLAB_BYTES // max(jobs, 1) // (8 * Wout * (Hout + 2 * n_tilts)))
     out = np.empty((D, Hout, Wout), dtype=np.float32)
 
     def operator(d0: int) -> sparse.csr_array:
@@ -193,17 +180,5 @@ def wbp_reconstruct(
         part *= scale
         out[d0 : d0 + n_d] = part.reshape(n_d, Wout, Hout).transpose(0, 2, 1)
 
-    starts = range(0, D, slab)
-    if jobs == 1:
-        for d0 in starts:
-            fill(d0, operator(d0))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            in_flight: deque = deque()
-            for d0 in starts:
-                if len(in_flight) == jobs:
-                    in_flight.popleft().result()
-                in_flight.append(pool.submit(fill, d0, operator(d0)))
-            for future in in_flight:
-                future.result()
+    build_then_run(range(0, D, slab), operator, fill, jobs)
     return DensityVolume(out, series.voxel_size)

@@ -19,6 +19,9 @@ resampled grid is ever formed. For the same reason a row along h whose
 rows that hold density (a NaN counts) are prefiltered and projected; the
 others stay zero in the (H, W) image the drift shift is applied to.
 
+With ``jobs > 1`` the operators are applied on a thread pool: see
+``build_then_run``, which the back-projector in ``recon`` shares.
+
 A beam sample's 16 (d, w) tap products are the outer product of its 4
 d-taps and its 4 w-taps, so the operator is built as a sparse product
 of two 1-D tap matrices, U (detector column and d node by sample) and V
@@ -29,6 +32,7 @@ single pass; no 16-tap expansion and no global sort are made.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -262,6 +266,37 @@ def fourier_shift_2d(img: np.ndarray, dx: float, dy: float) -> np.ndarray:
     return np.fft.irfft2(np.fft.rfft2(img) * shift_ramp(img.shape, dx, dy), s=img.shape)
 
 
+def build_then_run(items, build, run, jobs: int) -> list:
+    """``[run(item, build(item)) for item in items]``, with every ``build``
+    on the calling thread and, with ``jobs > 1``, the runs on a pool of
+    ``jobs`` threads (scipy's sparse kernels release the GIL).
+
+    The projector and the back-projector apply one sparse operator per
+    tilt or per slab this way. The caller builds the operators, not the
+    workers, because each worker thread allocates from its own malloc
+    arena and keeps what it freed resident: operator temporaries built
+    there left tens of MB per worker, while a worker that only applies
+    operators keeps about one result. Once ``jobs`` runs are in flight the
+    oldest is waited on before the next build, so at most ``jobs``
+    operators are alive at a time. Results come in item order; a worker's
+    exception is raised here. ``jobs == 1`` runs inline: a one-thread pool
+    would add a worker arena.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if jobs == 1:
+        return [run(item, build(item)) for item in items]
+    results = []
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        in_flight: deque = deque()
+        for item in items:
+            if len(in_flight) == jobs:
+                results.append(in_flight.popleft().result())
+            in_flight.append(pool.submit(run, item, build(item)))
+        results.extend(future.result() for future in in_flight)
+    return results
+
+
 def simulate_tilt_series(
     vol: DensityVolume, geom: TiltGeometry, jobs: int = 1
 ) -> TiltSeries:
@@ -270,36 +305,30 @@ def simulate_tilt_series(
     Per-angle RNG substreams are keyed by (seed, angle index) so results
     do not depend on the degree of parallelism. The spline coefficients
     are computed once, for the rows along h that hold density, and shared
-    by every angle. With ``jobs > 1`` the angles are projected on a pool
-    of ``jobs`` threads.
+    by every angle. Each angle's beam operator is built on the calling
+    thread; the run that applies it also draws and applies the angle's
+    drift. With ``jobs > 1`` at most ``jobs`` runs are in flight on a
+    thread pool (see ``build_then_run``).
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     coeffs, rows = _spline_coefficients(vol)
 
-    def one(idx_angle):
-        idx, angle = idx_angle
+    def project(idx: int, op) -> tuple[np.ndarray, tuple[float, float]]:
         rng = np.random.default_rng((geom.seed, idx))
-        op = _beam_operator(vol.shape, angle, geom.oversample)
         proj = _project(coeffs, rows, vol.shape[1], op)
         dx, dy = rng.uniform(-geom.shift_range, geom.shift_range, size=2)
-        if geom.shift_range == 0:
-            dx = dy = 0.0
         shifted = fourier_shift_2d(proj, dx, dy) if (dx or dy) else proj
         return shifted, (float(dx), float(dy))
 
-    tasks = list(enumerate(geom.angles))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, tasks))
-    else:
-        results = [one(t) for t in tasks]
-    projections = [r[0] for r in results]
-    shifts = [r[1] for r in results]
+    results = build_then_run(
+        range(len(geom.angles)),
+        lambda idx: _beam_operator(vol.shape, geom.angles[idx], geom.oversample),
+        project,
+        jobs,
+    )
     return TiltSeries(
         geometry=geom,
-        projections=projections,
-        applied_shifts=shifts,
+        projections=[r[0] for r in results],
+        applied_shifts=[r[1] for r in results],
         voxel_size=vol.voxel_size,
         rows_projected=len(rows),
     )

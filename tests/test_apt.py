@@ -37,6 +37,25 @@ def test_decompose_indexing_follows_strides(rng):
     assert np.array_equal(ps.components[1, 2, 3], data[1::4, 2::4, 3::4])
 
 
+@pytest.mark.parametrize(
+    "shape, patch", [((16, 16, 16), (4, 4, 4)), ((12, 20, 8), (2, 4, 2)), ((9, 15, 7), (3, 5, 7))]
+)
+def test_decompose_and_interleave_match_stride_loops(rng, shape, patch):
+    data = rng.normal(size=shape)
+    ps = polyphase_decompose(data, PatchSize(*patch))
+    sd, sh, sw = patch
+    expected = np.empty(ps.components.shape)
+    rebuilt = np.empty(shape)
+    for p in range(sd):
+        for q in range(sh):
+            for r in range(sw):
+                expected[p, q, r] = data[p::sd, q::sh, r::sw]
+                rebuilt[p::sd, q::sh, r::sw] = ps.components[p, q, r]
+    assert ps.components.shape == (sd, sh, sw, shape[0] // sd, shape[1] // sh, shape[2] // sw)
+    assert np.array_equal(ps.components, expected)
+    assert np.array_equal(interleave(ps), rebuilt)
+
+
 def test_decompose_constant_volume():
     ps = polyphase_decompose(np.full((8, 8, 8), 2.5), PatchSize(4, 4, 4))
     assert np.ptp(ps.components) == 0.0

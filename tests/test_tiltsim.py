@@ -1,3 +1,6 @@
+import math
+import threading
+
 import numpy as np
 import pytest
 from scipy import ndimage, sparse
@@ -303,9 +306,14 @@ def test_oversample_convergence():
 
 
 def test_zero_shift_range():
-    geom = TiltGeometry(angles=[-4.0, 0.0, 4.0], shift_range=0.0)
-    series = simulate_tilt_series(multi_blob_volume(16, blobs=1), geom)
-    assert series.applied_shifts == [(0.0, 0.0)] * 3
+    vol = multi_blob_volume(16, blobs=1)
+    for shift_range in (0, 0.0):
+        geom = TiltGeometry(angles=[-4.0, 0.0, 4.0], shift_range=shift_range)
+        series = simulate_tilt_series(vol, geom)
+        assert series.applied_shifts == [(0.0, 0.0)] * 3
+        # +0.0, not -0.0: angles.ndjson records the sign
+        signs = {math.copysign(1.0, v) for shift in series.applied_shifts for v in shift}
+        assert signs == {1.0}, shift_range
 
 
 def test_series_deterministic_and_parallel_invariant():
@@ -318,6 +326,33 @@ def test_series_deterministic_and_parallel_invariant():
     for pa, pb, pc in zip(a.projections, b.projections, c.projections):
         assert np.array_equal(pa, pb)
         assert np.array_equal(pa, pc)
+
+
+def test_series_builds_operators_on_calling_thread(monkeypatch):
+    built_in = []
+
+    def recording_operator(*args):
+        built_in.append(threading.current_thread())
+        return _beam_operator(*args)
+
+    monkeypatch.setattr(tiltsim, "_beam_operator", recording_operator)
+    geom = TiltGeometry(angles=[-20.0, -10.0, 0.0, 10.0, 20.0])
+    simulate_tilt_series(multi_blob_volume(12, blobs=1), geom, jobs=2)
+    assert built_in == [threading.main_thread()] * 5
+
+
+def test_series_worker_exception_propagates(monkeypatch):
+    failed_in = []
+
+    def failing_project(*args):
+        failed_in.append(threading.current_thread())
+        raise RuntimeError("projection failed")
+
+    monkeypatch.setattr(tiltsim, "_project", failing_project)
+    geom = TiltGeometry(angles=[-10.0, 0.0, 10.0])
+    with pytest.raises(RuntimeError, match="projection failed"):
+        simulate_tilt_series(multi_blob_volume(8, blobs=1), geom, jobs=2)
+    assert failed_in and threading.main_thread() not in failed_in
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
