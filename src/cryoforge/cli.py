@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .scene import PlacementConfig, place_particles
 from .structure import DensifyConfig, densify, parse_pdb
 from .subtomo import ExtractionConfig, NoiseSpec, add_noise, extract
 from .tiltalign import align_series, refine_axis
-from .tiltsim import TiltGeometry, simulate_tilt_series
+from .tiltsim import DEFAULT_JOBS_CAP, TiltGeometry, default_jobs, simulate_tilt_series
 from .volume import DensityVolume
 
 EXIT_OK = 0
@@ -49,28 +48,13 @@ def _dims(text: str) -> tuple[int, int, int]:
     return dims
 
 
-DEFAULT_JOBS_CAP = 2  # run time and peak RSS are measured at 1 and 2 workers only
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _jobs(args) -> int:
-    """Worker threads: ``--jobs``, else ``CRYOFORGE_JOBS``, else the number
-    of CPUs this process may run on, at most ``DEFAULT_JOBS_CAP``."""
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-        return args.jobs
-    env = os.environ.get("CRYOFORGE_JOBS")
-    if not env:
-        return min(DEFAULT_JOBS_CAP, _usable_cpus())
-    if not (env.strip().isdigit() and int(env) >= 1):
-        raise ValueError(f"CRYOFORGE_JOBS must be an integer >= 1, got {env!r}")
-    return int(env)
+    """Worker threads: ``--jobs``, else ``tiltsim.default_jobs()``."""
+    if args.jobs is None:
+        return default_jobs()
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    return args.jobs
 
 
 def cmd_densify(args) -> int:
@@ -248,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker threads for project and reconstruct (default: CRYOFORGE_JOBS, "
-        f"else the usable CPU count, at most {DEFAULT_JOBS_CAP}; 1 runs serially); "
-        "overrides the pipeline config's jobs",
+        help="worker threads for project, reconstruct and pipeline (default: the "
+        "pipeline config's jobs, else CRYOFORGE_JOBS, else the usable CPU count, at "
+        f"most {DEFAULT_JOBS_CAP}; 1 runs serially)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

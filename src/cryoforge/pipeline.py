@@ -12,7 +12,8 @@ their shapes), the number of rows along the tilt axis the projector
 projected, and the ground-truth quality of alignment (x-drift RMS
 error), reconstruction (correlation with the composed sample) and noise
 (worst realized-SNR error against the target), and lives in its own file
-so reruns still produce byte-identical metadata.
+so reruns still produce byte-identical metadata. ``jobs`` defaults to
+``tiltsim.default_jobs()``, the CLI's rule; no output depends on it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .subtomo import (
     SNR_TARGETS, ExtractionConfig, NoiseSpec, add_noise, extract, make_mask, snr_tag,
 )
 from .tiltalign import align_series, refine_axis
-from .tiltsim import TiltGeometry, simulate_tilt_series
+from .tiltsim import TiltGeometry, default_jobs, simulate_tilt_series
 from .volume import DensityVolume
 
 
@@ -59,7 +60,7 @@ class PipelineConfig:
     structures: dict[str, str]  # class label -> PDB path
     output_dir: str
     seed: int = 0
-    jobs: int = 1
+    jobs: int = field(default_factory=default_jobs)  # outputs do not depend on it
     particles_per_class: int = 5
     snr_targets: tuple[float, ...] = SNR_TARGETS
     densify: DensifyConfig = field(default_factory=DensifyConfig)
@@ -69,6 +70,7 @@ class PipelineConfig:
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
 
     def __post_init__(self):
+        self.snr_targets = tuple(self.snr_targets)
         if not self.structures:
             raise PipelineConfigError("at least one structure is required")
         if self.particles_per_class < 1:
@@ -85,7 +87,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        raw = dict(raw)
+        """Build a config from parsed JSON; ``raw`` is left unchanged."""
         nested = {
             "densify": DensifyConfig,
             "placement": PlacementConfig,
@@ -93,26 +95,27 @@ class PipelineConfig:
             "recon": ReconConfig,
             "extraction": ExtractionConfig,
         }
-        kwargs, given = {}, {}
-        if "snr_targets" in raw:
-            raw["snr_targets"] = tuple(raw["snr_targets"])
+        top, kwargs = dict(raw), {}
+        for key, ctor in nested.items():
+            if key in top:
+                section = top.pop(key)
+                if not isinstance(section, dict):
+                    raise PipelineConfigError(f"{key} must be a JSON object, got {section!r}")
+                try:
+                    kwargs[key] = ctor(**section)
+                except (TypeError, ValueError) as exc:
+                    raise PipelineConfigError(f"{key}: {exc}") from exc
         try:
-            for key, ctor in nested.items():
-                if key in raw:
-                    sub = given[key] = raw.pop(key)
-                    for tup in ("volume_dims", "output_dims"):
-                        if tup in sub:
-                            sub[tup] = tuple(sub[tup])
-                    kwargs[key] = ctor(**sub)
-            cfg = cls(**raw, **kwargs)
+            cfg = cls(**top, **kwargs)
         except TypeError as exc:
             raise PipelineConfigError(str(exc)) from exc
         # run_pipeline overwrites these, so another value would be ignored
         for section, fields in cfg.derived().items():
             for name, value in fields.items():
-                if given.get(section, {}).get(name, value) != value:
+                given = getattr(kwargs[section], name) if name in raw.get(section, {}) else value
+                if given != value:
                     raise PipelineConfigError(
-                        f"{section}.{name} is {given[section][name]!r}, but the pipeline "
+                        f"{section}.{name} is {given!r}, but the pipeline "
                         f"derives it as {value!r}; leave it out"
                     )
         return cfg
@@ -125,6 +128,8 @@ class PipelineConfig:
             raw = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise PipelineConfigError(f"{path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise PipelineConfigError(f"{path}: the top level must be a JSON object")
         return cls.from_dict({**raw, **overrides})
 
     def derived(self) -> dict[str, dict]:
@@ -141,10 +146,10 @@ class PipelineConfig:
         }
 
     def config_hash(self) -> str:
-        """sha256 of the config as sorted-key JSON (tuples written as lists)."""
-        return hashlib.sha256(
-            json.dumps(dataclasses.asdict(self), sort_keys=True).encode()
-        ).hexdigest()
+        """sha256 of the config as sorted-key JSON (tuples written as lists),
+        without ``jobs``, which outputs do not depend on."""
+        fields = {k: v for k, v in dataclasses.asdict(self).items() if k != "jobs"}
+        return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass
@@ -293,7 +298,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     placement = dataclasses.replace(cfg.placement, **derived["placement"])
     labels = sorted(cfg.structures)
     instances = _stage("place", lambda: place_particles(labels, placement))
-    dims = tuple(placement.volume_dims)
+    dims = placement.volume_dims
     sample = _stage(
         "compose",
         lambda: compose_sample(densities, instances, placement),

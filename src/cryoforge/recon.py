@@ -30,7 +30,7 @@ from scipy import sparse
 
 from .tiltalign import AlignmentResult
 from .tiltsim import TiltSeries, build_then_run, fourier_shift_2d, shift_ramp
-from .volume import DensityVolume
+from .volume import DensityVolume, three_ints
 
 FILTERS = ("hann_ramp", "ramp", "none")
 WEIGHTINGS = ("abs_cos", "uniform")
@@ -44,6 +44,7 @@ class ReconConfig:
     weighting: str = "abs_cos"
 
     def __post_init__(self):
+        self.output_dims = three_ints(self.output_dims, "output_dims")
         if min(self.output_dims) < 1:
             raise ValueError("output_dims must be positive")
         if self.filter not in FILTERS:

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import ndimage
 
 from .geometry import quat_to_matrix
-from .volume import DensityVolume
+from .volume import DensityVolume, three_ints
 
 
 class PlacementInfeasibleError(RuntimeError):
@@ -32,6 +32,7 @@ class PlacementConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.volume_dims = three_ints(self.volume_dims, "volume_dims")
         if self.target_count < 1:
             raise ValueError("target_count must be >= 1")
         if self.max_attempts < 1:
@@ -131,7 +132,7 @@ def compose_sample(
     instance center; resampling is trilinear and voxels outside every
     particle stay 0.
     """
-    dims = tuple(int(d) for d in cfg.volume_dims)
+    dims = cfg.volume_dims
     out = np.zeros(dims, dtype=np.float64)
     voxel_size = None
     for idx, inst in enumerate(instances):

@@ -32,6 +32,7 @@ single pass; no 16-tap expansion and no global sort are made.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -264,6 +265,20 @@ def fourier_shift_2d(img: np.ndarray, dx: float, dy: float) -> np.ndarray:
     the result equals the real part of the full complex shift.
     """
     return np.fft.irfft2(np.fft.rfft2(img) * shift_ramp(img.shape, dx, dy), s=img.shape)
+
+
+DEFAULT_JOBS_CAP = 2  # run time and peak RSS are measured at 1 and 2 workers only
+
+
+def default_jobs() -> int:
+    """``CRYOFORGE_JOBS``, else the usable CPU count, at most ``DEFAULT_JOBS_CAP``."""
+    env = os.environ.get("CRYOFORGE_JOBS")
+    if not env:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(DEFAULT_JOBS_CAP, cpus or 1)
+    if not (env.strip().isdigit() and int(env) >= 1):
+        raise ValueError(f"CRYOFORGE_JOBS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def build_then_run(items, build, run, jobs: int) -> list:

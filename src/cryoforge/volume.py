@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def three_ints(value, name: str) -> tuple[int, int, int]:
+    """``value`` as a (D, H, W) tuple of three ints; a ValueError naming
+    ``name`` if it is not a sequence of three integers."""
+    try:
+        dims = tuple(operator.index(v) for v in value)
+    except TypeError:
+        dims = ()
+    if len(dims) != 3:
+        raise ValueError(f"{name} must be three integers D,H,W, got {value!r}")
+    return dims
 
 
 @dataclass

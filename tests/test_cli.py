@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blob_pdb
-from cryoforge import cli, io as cio
+from cryoforge import cli, io as cio, tiltsim
 from cryoforge.cli import main
 from cryoforge.nrcl import LossConfig
 from cryoforge.volume import DensityVolume
@@ -195,10 +195,10 @@ def test_reconstruct_keeps_stack_voxel_size(tmp_path, rng):
 def test_jobs_resolution_order(monkeypatch):
     parser = cli.build_parser()
     monkeypatch.delenv("CRYOFORGE_JOBS", raising=False)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(tiltsim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert cli._jobs(parser.parse_args(["verify"])) == 1  # usable CPUs
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert cli._jobs(parser.parse_args(["verify"])) == cli.DEFAULT_JOBS_CAP == 2  # capped
+    monkeypatch.setattr(tiltsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert cli._jobs(parser.parse_args(["verify"])) == tiltsim.DEFAULT_JOBS_CAP == 2  # capped
     monkeypatch.setenv("CRYOFORGE_JOBS", "2")
     assert cli._jobs(parser.parse_args(["verify"])) == 2  # the variable beats affinity
     assert cli._jobs(parser.parse_args(["--jobs", "5", "verify"])) == 5  # the flag beats both

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blob_pdb
-from cryoforge import io as cio
+from cryoforge import io as cio, tiltsim
 from cryoforge.cli import main
 from cryoforge.scene import compose_sample, place_particles
 from cryoforge.pipeline import (
@@ -51,14 +52,58 @@ def test_config_hash_tracks_content(tmp_path):
     b = PipelineConfig.from_dict(_raw_config(tmp_path, seed=4))
     assert a.config_hash() != b.config_hash()
     assert a.config_hash() == PipelineConfig.from_dict(_raw_config(tmp_path)).config_hash()
+    by_jobs = {PipelineConfig.from_dict(_raw_config(tmp_path, jobs=j)).config_hash() for j in (1, 2)}
+    assert by_jobs == {a.config_hash()}  # jobs is left out
 
 
 def test_config_hash_is_pinned(tmp_path):
-    # sha256 of the sorted-key JSON of every field; also the hash of the
-    # config before TiltGeometry.noise_sigma was removed, minus that field
+    # sha256 of the sorted-key JSON of every field but jobs, which outputs do
+    # not depend on and whose default depends on the machine; the value
+    # changed when jobs left the hash
     raw = _raw_config(tmp_path, structures={"a": "a.pdb"}, output_dir="out")
     cfg = PipelineConfig.from_dict(raw)
-    assert cfg.config_hash() == "62c7a190ca4195547fdcb64c23497973a8185630855443e79b611d1d842a8050"
+    assert cfg.config_hash() == "9218c6d0a3ed454287731f1e435aac4ee279b4b04c882b2bd0e656e8870a06b6"
+
+
+def test_config_from_dict_leaves_its_argument_unchanged(tmp_path):
+    raw = _raw_config(
+        tmp_path, snr_targets=[0.1], recon={"output_dims": [40, 40, 40]}, tilt={"seed": 3}
+    )
+    before = copy.deepcopy(raw)
+    PipelineConfig.from_dict(raw)
+    assert raw == before
+
+
+def test_config_jobs_defaults_to_the_cli_rule(tmp_path, monkeypatch):
+    raw = _raw_config(tmp_path)
+    monkeypatch.setattr(tiltsim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert PipelineConfig.from_dict(raw).jobs == 1  # usable CPUs
+    monkeypatch.setattr(tiltsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert PipelineConfig.from_dict(raw).jobs == 2  # capped
+    monkeypatch.setenv("CRYOFORGE_JOBS", "3")
+    assert PipelineConfig.from_dict(raw).jobs == 3  # the variable beats affinity
+    assert PipelineConfig.from_dict({**raw, "jobs": 1}).jobs == 1  # the file beats both
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[1, 2]", "cfg.json: the top level must be a JSON object"),
+        ('{"structures": {"a": "a.pdb"}, "output_dir": "out", "placement": [1]}',
+         "placement must be a JSON object"),
+        ('{"structures": {"a": "a.pdb"}, "output_dir": "out", "placement": {"volume_dims": 5}}',
+         "placement: volume_dims must be three integers D,H,W, got 5"),
+    ],
+    ids=["top_level_list", "section_list", "dims_int"],
+)
+def test_malformed_config_shape_exits_1(tmp_path, capsys, monkeypatch, text, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(text)
+    with pytest.raises(PipelineConfigError, match=named):
+        PipelineConfig.from_json(tmp_path / "cfg.json")
+    assert main(["--config", "cfg.json", "pipeline"]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_naming_removed_tilt_noise_exits_1(tmp_path, capsys):
@@ -206,6 +251,28 @@ def test_provenance_reports_peak_rss_and_jobs(tmp_path):
     assert recon_row["stage"] == "reconstruct"
     assert recon_row["output_dims"] == [40, 80, 40] == list(tomogram.shape)
     assert recon_row["tomogram_mb"] == pytest.approx(tomogram.data.nbytes / 1e6)
+
+
+def test_cli_pipeline_takes_jobs_from_the_variable(tmp_path, monkeypatch):
+    pdb = tmp_path / "blob.pdb"
+    pdb.write_text(make_blob_pdb(np.random.default_rng(0), radius=60.0, n=400))
+    raw = _raw_config(
+        tmp_path,
+        structures={"blob": str(pdb)},
+        particles_per_class=2,
+        snr_targets=[0.1],
+        placement={"volume_dims": [40, 80, 40]},
+        tilt={"angles": [-20.0, 0.0, 20.0]},
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    monkeypatch.setattr(tiltsim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setenv("CRYOFORGE_JOBS", "2")
+    assert main(["--config", str(path), "pipeline"]) == 0
+    rows = cio.read_ndjson(tmp_path / "out" / "provenance.ndjson")
+    assert [(r["stage"], r["jobs"]) for r in rows if "jobs" in r] == [
+        ("project", 2), ("reconstruct", 2)
+    ]
 
 
 def test_provenance_reports_array_sizes(tmp_path):
