@@ -9,6 +9,7 @@ error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -175,9 +176,6 @@ def _loss_suite() -> bool:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        print("verify: --trials must be >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
     rng = np.random.default_rng(_seed(args))
     net = SteerableSelectionNet.random(rng, break_rotation=args.break_rotation)
     report = verify_equivariance(net, trials=args.trials, seed=_seed(args))
@@ -220,7 +218,10 @@ def cmd_nrcl_eval(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each ``parse_args`` fills a fresh
+    namespace, so no option carries over from one ``main`` call to the next."""
     parser = argparse.ArgumentParser(
         prog="cryoforge",
         description="Simulated cryo-ET data factory: densities, tilt series, "
@@ -243,25 +244,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--voxel-size", type=float, default=10.0)
     p.add_argument("--resolution", type=float, default=30.0)
-    p.set_defaults(fn=cmd_densify)
 
     p = sub.add_parser("place", help="sample particle placements")
     p.add_argument("--labels", required=True, help="comma-separated class labels")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--dims", default="200,500,500", help="volume D,H,W")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_place)
 
     p = sub.add_parser("project", help="simulate a tilt series")
     p.add_argument("--volume", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_project)
 
     p = sub.add_parser("align", help="recover tilt-series drifts")
     p.add_argument("--tilts", required=True)
     p.add_argument("--angles", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_align)
 
     p = sub.add_parser("reconstruct", help="weighted back-projection")
     p.add_argument("--tilts", required=True)
@@ -269,22 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alignment", required=True)
     p.add_argument("--dims", required=True, help="output D,H,W")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("extract", help="crop subtomograms")
     p.add_argument("--tomogram", required=True)
     p.add_argument("--instances", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("noise", help="add SNR-calibrated noise")
     p.add_argument("--volume", required=True)
     p.add_argument("--snr", type=float, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_noise)
 
-    p = sub.add_parser("pipeline", help="run all stages from a config")
-    p.set_defaults(fn=cmd_pipeline)
+    sub.add_parser("pipeline", help="run all stages from a config")
 
     p = sub.add_parser("verify", help="equivariance and property suites")
     p.add_argument("--trials", type=int, default=5)
@@ -293,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="inject a non-steerable kernel (negative control)",
     )
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("nrcl-eval", help="losses over embedding NDJSON files")
     p.add_argument("--z", required=True)
@@ -301,25 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z-clean")
     p.add_argument("--z-noisy")
     p.add_argument("--temperature", type=float, default=0.1)
-    p.set_defaults(fn=cmd_nrcl_eval)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except StageError as exc:
-        stream = sys.stderr
-        print(f"error: {exc}", file=stream)
-        return EXIT_IO if isinstance(exc.cause, OSError) else EXIT_VALIDATION
-    except OSError as exc:
+        # looked up at call time, so a replaced cmd_* function is the one run
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
+    except (StageError, OSError, ValueError, KeyError) as exc:
+        cause = exc.cause if isinstance(exc, StageError) else exc
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_IO if isinstance(cause, OSError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

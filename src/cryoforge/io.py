@@ -133,16 +133,18 @@ def write_mrc(vol: DensityVolume, path) -> None:
     struct.pack_into("<i", header, 220, 0)  # nlabl
     with _replacing(path, "wb") as fh:
         fh.write(bytes(header))
-        fh.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(data, dtype="<f4").data)
 
 
 def read_mrc(path) -> DensityVolume:
-    """Read an MRC2014 mode-2 file written by :func:`write_mrc` or peers."""
+    """Read an MRC2014 mode-2 file written by :func:`write_mrc` or peers,
+    its payload once, straight into the returned array."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < HEADER_SIZE:
+    with open(path, "rb") as fh:
+        header = fh.read(HEADER_SIZE)
+        size = os.fstat(fh.fileno()).st_size
+    if len(header) < HEADER_SIZE:
         raise MrcFormatError(f"{path}: file shorter than the 1024-byte MRC header")
-    header = raw[:HEADER_SIZE]
     nx, ny, nz = struct.unpack_from("<3i", header, 0)
     (mode,) = struct.unpack_from("<i", header, 12)
     if header[208:212] != b"MAP ":
@@ -167,13 +169,13 @@ def read_mrc(path) -> DensityVolume:
     n_values = nx * ny * nz
     offset = HEADER_SIZE + nsymbt
     expected = offset + 4 * n_values
-    if len(raw) < expected:
+    if size < expected:
         raise MrcFormatError(
-            f"{path}: truncated data section, expected {expected} bytes, found {len(raw)}"
+            f"{path}: truncated data section, expected {expected} bytes, found {size}"
         )
-    data = np.frombuffer(raw, dtype="<f4", count=n_values, offset=offset)
+    data = np.fromfile(path, dtype="<f4", count=n_values, offset=offset)
     data = data.reshape(nz, ny, nx)  # x fastest on disk -> (d, h, w)
-    return DensityVolume(data.copy(), float(voxel_sizes.mean()), origin)
+    return DensityVolume(data, float(voxel_sizes.mean()), origin)
 
 
 def _read_rows(path, parse) -> list:
@@ -251,13 +253,12 @@ def read_metadata(path) -> list[SubtomogramRecord]:
 
 
 def write_tilt_series(series: TiltSeries, directory) -> None:
-    """Write ``directory/tilts.mrc``, the projections as one float32 stack
+    """Write ``directory/tilts.mrc``, the series' float32 stack as it is,
     at the series' voxel size, and ``directory/angles.ndjson``, one row per
     tilt with its angle and applied drift."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    stack = np.stack(series.projections, dtype=np.float32)
-    write_mrc(DensityVolume(stack, series.voxel_size), directory / "tilts.mrc")
+    write_mrc(DensityVolume(series.projections, series.voxel_size), directory / "tilts.mrc")
     write_ndjson(
         [
             {"index": i, "angle_deg": a, "applied_shift": list(s)}
@@ -268,12 +269,13 @@ def write_tilt_series(series: TiltSeries, directory) -> None:
 
 
 def read_tilt_series(tilts_path, angles_path) -> TiltSeries:
-    """Read a stack and its angle rows back as a float64 TiltSeries."""
+    """Read a stack and its angle rows back as a TiltSeries whose
+    ``projections`` is the stack's float32 payload itself."""
     stack = read_mrc(tilts_path)
     rows = _read_rows(angles_path, lambda row: (row["angle_deg"], tuple(row["applied_shift"])))
     return TiltSeries(
         geometry=TiltGeometry(angles=[angle for angle, _ in rows]),
-        projections=list(stack.data.astype(np.float64)),
+        projections=stack.data,
         applied_shifts=[shift for _, shift in rows],
         voxel_size=stack.voxel_size,
     )

@@ -14,6 +14,8 @@ error), reconstruction (correlation with the composed sample) and noise
 (worst realized-SNR error against the target), and lives in its own file
 so reruns still produce byte-identical metadata. ``jobs`` defaults to
 ``tiltsim.default_jobs()``, the CLI's rule; no output depends on it.
+``align`` and ``reconstruct`` run on the float32 stack ``tilts.mrc`` holds,
+so the CLI reproduces their files from a run's ``tilt_series/`` byte for byte.
 """
 
 from __future__ import annotations
@@ -321,10 +323,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         report=lambda result: {"rows_projected": result.rows_projected},
         jobs=cfg.jobs,
         stack_shape=list(stack_shape),
-        stack_mb=8 * math.prod(stack_shape) / 1e6,  # float64 projections
+        stack_mb=4 * math.prod(stack_shape) / 1e6,  # float32 projections, as in tilts.mrc
     )
 
-    # align + axis refinement on the float64 projections, not tilts.mrc's float32 copy
+    # align + axis refinement
     n_tilts, H, W = stack_shape
     align = _stage(
         "align",

@@ -100,11 +100,11 @@ def wbp_reconstruct(
     scaled by pi / (2 N_tilts). The tomogram keeps the series' voxel size.
 
     The x interpolation weights depend on (tilt, d, w) only, never on h.
-    Every tilt's projection is shifted and filtered in one FFT round trip
-    (``filter_projection``, called once per tilt) and resampled onto the
-    output y grid once, and its transposed rows are stacked into one
-    (n_tilts * Wdet, Hout) matrix R. The output is filled one slab of d
-    rows at a time: a CSR back-projection operator of shape
+    Every tilt's float32 view is cast to float64, shifted and filtered in
+    one FFT round trip (``filter_projection``, called once per tilt) and
+    resampled onto the output y grid once, and its transposed rows are
+    stacked into one (n_tilts * Wdet, Hout) matrix R. The output is filled
+    one slab of d rows at a time: a CSR back-projection operator of shape
     (slab * Wout, n_tilts * Wdet) holds the two taps of every tilt per
     (d, w) voxel column, and one sparse-dense product with R gives the
     slab laid out (d, w, h). No (H, D, W) array is ever formed.
@@ -117,10 +117,9 @@ def wbp_reconstruct(
     runs it, so the output is bit-identical for every ``jobs``. A worker's
     exception is raised here.
     """
-    n_tilts = len(series.projections)
+    n_tilts, Hdet, Wdet = series.projections.shape
     if n_tilts < 3:
         raise ValueError("reconstruction needs at least 3 tilts")
-    Hdet, Wdet = series.projections[0].shape
     if len(align.shifts) != n_tilts:
         raise ValueError("alignment shifts do not match the projection count")
     if len(series.geometry.angles) != n_tilts:

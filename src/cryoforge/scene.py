@@ -14,7 +14,7 @@ from .geometry import quat_to_matrix
 from .volume import DensityVolume, three_ints
 
 
-class PlacementInfeasibleError(RuntimeError):
+class PlacementInfeasibleError(ValueError):
     """Volume interior cannot host even a single center."""
 
 

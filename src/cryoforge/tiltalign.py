@@ -107,7 +107,8 @@ def align_series(
     estimates accumulate; stops at the iteration budget or when the
     largest shift update drops below ``tol`` pixels.
 
-    Each view is transformed once, into one (n, H, W // 2 + 1) stack of
+    Each float32 view of the stack is cast to float64 on its own and
+    transformed once, into one (n, H, W // 2 + 1) complex128 stack of
     half spectra. A view aligned by its current estimate is its spectrum
     times ``shift_ramp`` of minus the estimate, formed when it is
     correlated and again, after its update, when it is added to a running
@@ -116,9 +117,9 @@ def align_series(
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    n = len(series.projections)
-    shape = series.projections[0].shape
-    spectra = np.empty((n, shape[0], shape[1] // 2 + 1), dtype=np.complex128)
+    n, H, W = series.projections.shape
+    shape = (H, W)
+    spectra = np.empty((n, H, W // 2 + 1), dtype=np.complex128)
     for i, proj in enumerate(series.projections):
         proj = np.asarray(proj, dtype=np.float64)
         if np.ptp(proj) == 0:

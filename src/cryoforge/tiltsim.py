@@ -75,13 +75,20 @@ class TiltGeometry:
 
 @dataclass
 class TiltSeries:
+    """One view per angle and its applied drift. ``projections`` has one
+    form, fixed here: a C-contiguous float32 (n_tilts, H, W) stack, the
+    payload of ``tilts.mrc`` (a list of 2-D views is stacked)."""
+
     geometry: TiltGeometry
-    projections: list[np.ndarray]
+    projections: np.ndarray  # float32 (n_tilts, H, W)
     applied_shifts: list[tuple[float, float]]
     voxel_size: float = 1.0  # Angstrom per detector pixel, as in the volume
     rows_projected: int | None = None  # rows along h projected; None when read from files
 
     def __post_init__(self):
+        self.projections = np.ascontiguousarray(self.projections, dtype=np.float32)
+        if self.projections.ndim != 3:
+            raise ValueError(f"projections must be (n_tilts, H, W), got {self.projections.shape}")
         n = len(self.geometry.angles)
         if len(self.projections) != n or len(self.applied_shifts) != n:
             raise ValueError("projections/applied_shifts must match the angle count")
@@ -322,19 +329,22 @@ def simulate_tilt_series(
     are computed once, for the rows along h that hold density, and shared
     by every angle. Each angle's beam operator is built on the calling
     thread; the run that applies it also draws and applies the angle's
-    drift. With ``jobs > 1`` at most ``jobs`` runs are in flight on a
-    thread pool (see ``build_then_run``).
+    drift, and writes the view into its own row of the series' float32
+    stack. With ``jobs > 1`` at most ``jobs`` runs are in flight on a
+    thread pool (see ``build_then_run``); the rows are disjoint, so the
+    stack is byte-identical for every ``jobs``.
     """
     coeffs, rows = _spline_coefficients(vol)
+    stack = np.empty((len(geom.angles), vol.shape[1], vol.shape[2]), dtype=np.float32)
 
-    def project(idx: int, op) -> tuple[np.ndarray, tuple[float, float]]:
+    def project(idx: int, op) -> tuple[float, float]:
         rng = np.random.default_rng((geom.seed, idx))
         proj = _project(coeffs, rows, vol.shape[1], op)
         dx, dy = rng.uniform(-geom.shift_range, geom.shift_range, size=2)
-        shifted = fourier_shift_2d(proj, dx, dy) if (dx or dy) else proj
-        return shifted, (float(dx), float(dy))
+        stack[idx] = fourier_shift_2d(proj, dx, dy) if (dx or dy) else proj
+        return float(dx), float(dy)
 
-    results = build_then_run(
+    shifts = build_then_run(
         range(len(geom.angles)),
         lambda idx: _beam_operator(vol.shape, geom.angles[idx], geom.oversample),
         project,
@@ -342,8 +352,8 @@ def simulate_tilt_series(
     )
     return TiltSeries(
         geometry=geom,
-        projections=[r[0] for r in results],
-        applied_shifts=[r[1] for r in results],
+        projections=stack,
+        applied_shifts=shifts,
         voxel_size=vol.voxel_size,
         rows_projected=len(rows),
     )

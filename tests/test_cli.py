@@ -65,6 +65,17 @@ def test_non_integer_dims_exits_1(tmp_path, rng, capsys, command):
     assert not out.exists()
 
 
+def test_place_infeasible_volume_exits_1(tmp_path, capsys):
+    out = tmp_path / "instances.ndjson"
+    code = main(["place", "--labels", "a", "--count", "1", "--dims", "10,10,10",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: volume (10, 10, 10)") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_noise_command(tmp_path):
     rng = np.random.default_rng(0)
     clean_path = tmp_path / "clean.mrc"
@@ -77,6 +88,29 @@ def test_noise_command(tmp_path):
     v_sig = float(np.var(clean.data.astype(np.float64)))
     noise_var = float(np.var(noisy.data.astype(np.float64) - clean.data))
     assert v_sig / noise_var == pytest.approx(0.05, rel=0.15)
+
+
+def test_main_carries_no_option_between_calls(tmp_path):
+    clean_path = tmp_path / "clean.mrc"
+    cio.write_mrc(DensityVolume(np.random.default_rng(0).random((8, 8, 8))), clean_path)
+    args = ["noise", "--volume", str(clean_path), "--snr", "0.05", "--out"]
+    assert main(["--seed", "5", *args, str(tmp_path / "seed5.mrc")]) == 0
+    assert main([*args, str(tmp_path / "unseeded.mrc")]) == 0
+    assert main(["--seed", "0", *args, str(tmp_path / "seed0.mrc")]) == 0
+    assert cli.build_parser() is cli.build_parser()  # built once per process
+    unseeded = (tmp_path / "unseeded.mrc").read_bytes()
+    assert unseeded == (tmp_path / "seed0.mrc").read_bytes()
+    assert unseeded != (tmp_path / "seed5.mrc").read_bytes()
+
+
+def test_main_runs_the_current_command_function(tmp_path, monkeypatch):
+    # the parser outlives a main call; a cmd_* function replaced afterwards
+    # (as the benchmark's tracer does) is still the one main runs
+    assert main(["verify", "--trials", "1"]) == 0
+    called = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: called.append(args.trials) or 0)
+    assert main(["verify", "--trials", "2"]) == 0
+    assert called == [2]
 
 
 def test_stage_chain_project_align_reconstruct_extract(tmp_path, rng):

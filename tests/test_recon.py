@@ -125,7 +125,7 @@ def test_wbp_shift_count_mismatch():
 
 def test_wbp_angle_count_mismatch():
     _, series = _blob_series([-10.0, 0.0, 10.0, 20.0], 16)
-    series.projections.pop()  # four angles, three projections
+    series.projections = series.projections[:-1]  # four angles, three projections
     with pytest.raises(ValueError, match="angles"):
         wbp_reconstruct(
             series, AlignmentResult(shifts=[(0.0, 0.0)] * 3), ReconConfig(output_dims=(16, 16, 16))

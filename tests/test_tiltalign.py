@@ -157,7 +157,7 @@ def _reference_align_series(series, iterations=3, tol=0.01):
             dx, dy = _reference_phase_correlate(reference, aligned[i])
             estimates[i] += (dx, dy)
             aligned[i] = reference_fourier_shift_2d(
-                series.projections[i], -estimates[i, 0], -estimates[i, 1]
+                series.projections[i].astype(np.float64), -estimates[i, 0], -estimates[i, 1]
             )
             max_update = max(max_update, abs(dx), abs(dy))
         reference = np.mean(aligned, axis=0)

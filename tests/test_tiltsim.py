@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 
 import numpy as np
@@ -49,6 +50,23 @@ def test_series_length_invariant():
     geom = TiltGeometry(angles=[-2.0, 0.0, 2.0])
     with pytest.raises(ValueError):
         TiltSeries(geom, projections=[np.zeros((4, 4))] * 2, applied_shifts=[(0, 0)] * 3)
+
+
+def test_series_projections_are_one_float32_stack():
+    geom = TiltGeometry(angles=[-2.0, 0.0, 2.0])
+    views = [np.full((4, 5), float(i)) for i in range(3)]  # float64 2-D views
+    series = TiltSeries(geom, projections=views, applied_shifts=[(0.0, 0.0)] * 3)
+    assert isinstance(series.projections, np.ndarray)
+    assert series.projections.dtype == np.float32 and series.projections.shape == (3, 4, 5)
+    assert series.projections.flags.c_contiguous
+    assert np.array_equal(series.projections[2], views[2])
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3, 4, 5, 2)])
+def test_series_rejects_a_stack_that_is_not_3d(shape):
+    geom = TiltGeometry(angles=[-2.0, 0.0, 2.0])
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        TiltSeries(geom, projections=np.zeros(shape), applied_shifts=[(0.0, 0.0)] * 3)
 
 
 def reference_project_tilt(vol, angle_deg, geom):
@@ -254,7 +272,7 @@ def test_unshifted_series_equals_project_tilt(jobs):
     geom = TiltGeometry(angles=[-90.0, -45.0, 0.0, 45.0, 90.0], shift_range=0.0)
     series = simulate_tilt_series(vol, geom, jobs=jobs)
     for angle, proj in zip(geom.angles, series.projections):
-        assert np.array_equal(proj, project_tilt(vol, angle, geom))
+        assert np.array_equal(proj, project_tilt(vol, angle, geom).astype(np.float32))
 
 
 def test_zero_angle_projection_equals_z_sum():
@@ -319,13 +337,13 @@ def test_zero_shift_range():
 def test_series_deterministic_and_parallel_invariant():
     vol = multi_blob_volume(16, blobs=2)
     geom = TiltGeometry(angles=[-10.0, 0.0, 10.0], seed=9)
-    a = simulate_tilt_series(vol, geom, jobs=1)
-    b = simulate_tilt_series(vol, geom, jobs=1)
-    c = simulate_tilt_series(vol, geom, jobs=3)
-    assert a.applied_shifts == b.applied_shifts == c.applied_shifts
-    for pa, pb, pc in zip(a.projections, b.projections, c.projections):
-        assert np.array_equal(pa, pb)
-        assert np.array_equal(pa, pc)
+    runs = [simulate_tilt_series(vol, geom, jobs=jobs) for jobs in (1, 1, 2, 3)]
+    for series in runs:
+        # one C-contiguous float32 stack, the payload of tilts.mrc
+        assert series.projections.dtype == np.float32 and series.projections.shape == (3, 16, 16)
+        assert series.projections.flags.c_contiguous
+        assert series.applied_shifts == runs[0].applied_shifts
+        assert series.projections.tobytes() == runs[0].projections.tobytes()
 
 
 def test_series_builds_operators_on_calling_thread(monkeypatch):
