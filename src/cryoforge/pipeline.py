@@ -3,19 +3,22 @@
 Drives the stages densify -> place -> project -> align -> reconstruct ->
 extract -> noise from a single JSON config, writing MRC volumes, NDJSON
 ground-truth metadata, and NDJSON provenance (config hash, seed, timings)
-into a per-run output directory. Metadata is deterministic for a fixed
+into a per-run output directory. The config's nested sections hold what
+every stage runs with, the fields derived from the top-level ones included,
+so the config hash covers what ran. Metadata is deterministic for a fixed
 seed; provenance carries wall-clock timings, peak memory, the worker
 count of the threaded stages (project, reconstruct), the atom count and
 density-map size of densify, the sizes of the composed sample, the
-projection stack, the alignment spectra and the tomogram (arithmetic on
-their shapes), the number of rows along the tilt axis the projector
-projected, and the ground-truth quality of alignment (x-drift RMS
-error), reconstruction (correlation with the composed sample) and noise
-(worst realized-SNR error against the target), and lives in its own file
-so reruns still produce byte-identical metadata. ``jobs`` defaults to
-``tiltsim.default_jobs()``, the CLI's rule; no output depends on it.
-``align`` and ``reconstruct`` run on the float32 stack ``tilts.mrc`` holds,
-so the CLI reproduces their files from a run's ``tilt_series/`` byte for byte.
+projection stack and the tomogram (read from the arrays) and of the
+alignment spectra (arithmetic on the stack's shape), the number of rows
+along the tilt axis the projector projected, and the ground-truth quality
+of alignment (x-drift RMS error), reconstruction (correlation with the
+composed sample) and noise (worst realized-SNR error against the target),
+and lives in its own file so reruns still produce byte-identical metadata.
+``jobs`` defaults to ``tiltsim.default_jobs()``, the CLI's rule; no output
+depends on it. ``align`` and ``reconstruct`` run on the float32 stack
+``tilts.mrc`` holds, so the CLI reproduces their files from a run's
+``tilt_series/`` byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
+import os
 import resource
 import sys
 import time
@@ -86,10 +89,29 @@ class PipelineConfig:
                 raise PipelineConfigError(
                     f"SNR target {t} is not in the supported set {cio.SNR_TAGS[1:]}"
                 )
+        for label in self.structures:
+            # labels name files and directories under output_dir
+            if label in ("", ".", "..") or any(
+                sep in label for sep in ("/", os.sep, os.altsep, "\0") if sep
+            ):
+                raise PipelineConfigError(
+                    f"structure label {label!r} must be one plain path component"
+                )
+        # the nested fields every stage takes from the top-level ones
+        self.placement = dataclasses.replace(
+            self.placement,
+            seed=self.seed,
+            target_count=self.particles_per_class * len(self.structures),
+        )
+        self.tilt = dataclasses.replace(self.tilt, seed=self.seed)
+        self.recon = dataclasses.replace(self.recon, output_dims=self.placement.volume_dims)
+        self.extraction = dataclasses.replace(self.extraction, seed=self.seed)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        """Build a config from parsed JSON; ``raw`` is left unchanged."""
+        """Build a config from parsed JSON; ``raw`` is left unchanged. A
+        section may name a field ``__post_init__`` derives only at the
+        derived value."""
         nested = {
             "densify": DensifyConfig,
             "placement": PlacementConfig,
@@ -111,14 +133,13 @@ class PipelineConfig:
             cfg = cls(**top, **kwargs)
         except TypeError as exc:
             raise PipelineConfigError(str(exc)) from exc
-        # run_pipeline overwrites these, so another value would be ignored
-        for section, fields in cfg.derived().items():
-            for name, value in fields.items():
-                given = getattr(kwargs[section], name) if name in raw.get(section, {}) else value
-                if given != value:
+        for section, given in kwargs.items():
+            for name in raw[section]:
+                value, kept = getattr(given, name), getattr(getattr(cfg, section), name)
+                if kept is not value and kept != value:  # a kept NaN is itself, not ==
                     raise PipelineConfigError(
-                        f"{section}.{name} is {given!r}, but the pipeline "
-                        f"derives it as {value!r}; leave it out"
+                        f"{section}.{name} is {value!r}, but the pipeline "
+                        f"derives it as {kept!r}; leave it out"
                     )
         return cfg
 
@@ -134,22 +155,10 @@ class PipelineConfig:
             raise PipelineConfigError(f"{path}: the top level must be a JSON object")
         return cls.from_dict({**raw, **overrides})
 
-    def derived(self) -> dict[str, dict]:
-        """The nested fields run_pipeline sets from the top-level ones, by
-        section: ``{section: {field: value}}``."""
-        return {
-            "placement": {
-                "seed": self.seed,
-                "target_count": self.particles_per_class * len(self.structures),
-            },
-            "tilt": {"seed": self.seed},
-            "recon": {"output_dims": self.placement.volume_dims},
-            "extraction": {"seed": self.seed},
-        }
-
     def config_hash(self) -> str:
         """sha256 of the config as sorted-key JSON (tuples written as lists),
-        without ``jobs``, which outputs do not depend on."""
+        without ``jobs``, which outputs do not depend on. The nested sections
+        hold the derived values, so configs that run alike hash alike."""
         fields = {k: v for k, v in dataclasses.asdict(self).items() if k != "jobs"}
         return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
@@ -217,59 +226,46 @@ def _snr_error(replicas) -> dict[str, float]:
     return {"snr_err": float(worst)}
 
 
-class _Provenance:
-    """Collects one NDJSON row per completed stage."""
-
-    def __init__(self, cfg: PipelineConfig):
-        self.rows: list[dict] = []
-        self.cfg_hash = cfg.config_hash()
-        self.seed = cfg.seed
-
-    def record(self, stage: str, inputs: list[str], started: float, **extra):
-        self.rows.append(
-            {
-                "stage": stage,
-                "inputs": inputs,
-                "config_hash": self.cfg_hash,
-                "seed": self.seed,
-                "elapsed_s": round(time.perf_counter() - started, 4),
-                "peak_rss_mb": round(_peak_rss_mb(), 1),
-                **extra,
-            }
-        )
-
-    def write(self, path: Path):
-        cio.write_ndjson(self.rows, path)
-
-
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Run every stage and write all artifacts under cfg.output_dir.
 
-    Layout: densities/<label>.mrc, tilt_series/{tilts.mrc, angles.ndjson}
-    (the files ``cryoforge align`` and ``reconstruct`` read),
-    alignment.ndjson, tomogram.mrc, subtomograms/<label>/<tag>/NNNN.mrc
-    (tag in clean + configured SNRs), masks/, metadata.ndjson,
-    rejections.ndjson, provenance.ndjson.
+    Layout: densities/<label>.mrc, instances.ndjson (the file ``cryoforge
+    extract`` reads), tilt_series/{tilts.mrc, angles.ndjson} (the files
+    ``cryoforge align`` and ``reconstruct`` read), alignment.ndjson,
+    tomogram.mrc, subtomograms/<label>/<tag>/NNNN.mrc (tag in clean +
+    configured SNRs), masks/, metadata.ndjson, rejections.ndjson,
+    provenance.ndjson.
     Each artifact is written inside the stage that produces it, so the
     run fails fast with that stage's name at the first error, a failed
-    write included.
+    write included. Every stage runs with the config's sections as they are.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    prov = _Provenance(cfg)
+    cfg_hash = cfg.config_hash()
+    provenance: list[dict] = []
 
     def _stage(name, fn, inputs=(), report=None, **extra):
-        """Run one stage; ``report(result)`` adds fields measured on its
-        result (array sizes, ground-truth scores) to its provenance row,
-        outside the stage's elapsed time."""
+        """Run one stage and append its provenance row; ``report(result)``
+        adds fields measured on its result (array sizes, ground-truth
+        scores), outside the stage's elapsed time."""
         started = time.perf_counter()
         try:
             result = fn()
         except Exception as exc:
             raise StageError(name, exc) from exc
-        prov.record(name, list(inputs), started, **extra)
+        provenance.append(
+            {
+                "stage": name,
+                "inputs": list(inputs),
+                "config_hash": cfg_hash,
+                "seed": cfg.seed,
+                "elapsed_s": round(time.perf_counter() - started, 4),
+                "peak_rss_mb": round(_peak_rss_mb(), 1),
+                **extra,
+            }
+        )
         if report is not None:
-            prov.rows[-1].update(report(result))
+            provenance[-1].update(report(result))
         return result
 
     # densify: one ground-truth density per class
@@ -291,43 +287,45 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         inputs=sorted(cfg.structures.values()),
         report=lambda atoms: {
             "atoms": atoms,
-            "density_mb": sum(4 * v.data.size for v in densities.values()) / 1e6,  # float32
+            "density_mb": sum(v.data.nbytes for v in densities.values()) / 1e6,
         },
     )
 
     # place: centers, labels, orientations, composed sample volume
-    derived = cfg.derived()
-    placement = dataclasses.replace(cfg.placement, **derived["placement"])
-    labels = sorted(cfg.structures)
-    instances = _stage("place", lambda: place_particles(labels, placement))
-    dims = placement.volume_dims
+    def _place():
+        instances = place_particles(sorted(cfg.structures), cfg.placement)
+        cio.write_instances(instances, out / "instances.ndjson")
+        return instances
+
+    instances = _stage("place", _place)
     sample = _stage(
         "compose",
-        lambda: compose_sample(densities, instances, placement),
-        sample_dims=list(dims),
-        sample_mb=4 * math.prod(dims) / 1e6,  # float32 voxels
+        lambda: compose_sample(densities, instances, cfg.placement),
+        report=lambda result: {
+            "sample_dims": list(result.shape),
+            "sample_mb": result.data.nbytes / 1e6,
+        },
     )
 
     # project: simulated tilt series with recorded drifts
-    geom = dataclasses.replace(cfg.tilt, **derived["tilt"])
-    stack_shape = (len(geom.angles), dims[1], dims[2])
-
     def _project():
-        series = simulate_tilt_series(sample, geom, jobs=cfg.jobs)
+        series = simulate_tilt_series(sample, cfg.tilt, jobs=cfg.jobs)
         cio.write_tilt_series(series, out / "tilt_series")
         return series
 
     series = _stage(
         "project",
         _project,
-        report=lambda result: {"rows_projected": result.rows_projected},
+        report=lambda result: {
+            "stack_shape": list(result.projections.shape),
+            "stack_mb": result.projections.nbytes / 1e6,
+            "rows_projected": result.rows_projected,
+        },
         jobs=cfg.jobs,
-        stack_shape=list(stack_shape),
-        stack_mb=4 * math.prod(stack_shape) / 1e6,  # float32 projections, as in tilts.mrc
     )
 
     # align + axis refinement
-    n_tilts, H, W = stack_shape
+    n_tilts, H, W = series.projections.shape
     align = _stage(
         "align",
         lambda: align_series(series),
@@ -344,27 +342,25 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     _stage("refine_axis", _refine_axis)
 
     # reconstruct
-    recon_cfg = dataclasses.replace(cfg.recon, **derived["recon"])
-
     def _reconstruct():
-        tomo = wbp_reconstruct(series, align, recon_cfg, jobs=cfg.jobs)
+        tomo = wbp_reconstruct(series, align, cfg.recon, jobs=cfg.jobs)
         cio.write_mrc(tomo, out / "tomogram.mrc")
         return tomo
 
     tomo = _stage(
         "reconstruct",
         _reconstruct,
-        report=lambda result: {"tomo_corr": _volume_correlation(result, sample)},
+        report=lambda result: {
+            "output_dims": list(result.shape),
+            "tomogram_mb": result.data.nbytes / 1e6,
+            "tomo_corr": _volume_correlation(result, sample),
+        },
         jobs=cfg.jobs,
-        output_dims=list(recon_cfg.output_dims),
-        tomogram_mb=4 * math.prod(recon_cfg.output_dims) / 1e6,  # float32 voxels
     )
 
     # extract
-    extraction = dataclasses.replace(cfg.extraction, **derived["extraction"])
-
     def _extract():
-        accepted, rejections = extract(tomo, instances, extraction)
+        accepted, rejections = extract(tomo, instances, cfg.extraction)
         cio.write_rejections(rejections, out / "rejections.ndjson")
         return accepted, rejections
 
@@ -378,7 +374,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         (out / "masks").mkdir(exist_ok=True)
         for i, sub in enumerate(accepted):
             clean = DensityVolume(sub.data, tomo.voxel_size)
-            mask = make_mask(clean, extraction)
+            mask = make_mask(clean, cfg.extraction)
             mask_path = out / "masks" / f"{i:04d}.mrc"
             cio.write_mrc(
                 DensityVolume(mask.astype(np.float32), tomo.voxel_size), mask_path
@@ -403,7 +399,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     metadata_path = out / "metadata.ndjson"
     cio.write_metadata(records, metadata_path)
-    prov.write(out / "provenance.ndjson")
+    cio.write_ndjson(provenance, out / "provenance.ndjson")
     return PipelineResult(
         output_dir=out,
         placed=len(instances),

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +7,10 @@ import pytest
 from conftest import make_blob_pdb
 from cryoforge import io as cio, tiltsim
 from cryoforge.cli import main
-from cryoforge.scene import compose_sample, place_particles
+from cryoforge.recon import ReconConfig
+from cryoforge.scene import PlacementConfig, compose_sample, place_particles
+from cryoforge.subtomo import ExtractionConfig
+from cryoforge.tiltsim import TiltGeometry
 from cryoforge.pipeline import (
     PipelineConfig,
     PipelineConfigError,
@@ -59,10 +61,50 @@ def test_config_hash_tracks_content(tmp_path):
 def test_config_hash_is_pinned(tmp_path):
     # sha256 of the sorted-key JSON of every field but jobs, which outputs do
     # not depend on and whose default depends on the machine; the value
-    # changed when jobs left the hash
+    # changed when jobs left the hash, and again when the nested sections
+    # began to hold the seeds, target_count and output_dims the run uses
     raw = _raw_config(tmp_path, structures={"a": "a.pdb"}, output_dir="out")
     cfg = PipelineConfig.from_dict(raw)
-    assert cfg.config_hash() == "9218c6d0a3ed454287731f1e435aac4ee279b4b04c882b2bd0e656e8870a06b6"
+    assert cfg.config_hash() == "6296d188d587a837d9b72c5cdb84678b61627076b5a3097b3bb67140046398cb"
+
+
+def test_config_spelling_out_derived_fields_hashes_alike(tmp_path):
+    # seed 3, five particles of one structure, a 40^3 sample
+    spelled = _raw_config(
+        tmp_path,
+        placement={"volume_dims": [40, 40, 40], "seed": 3, "target_count": 5},
+        tilt={"seed": 3},
+        extraction={"seed": 3},
+        recon={"output_dims": [40, 40, 40]},
+    )
+    omitted = PipelineConfig.from_dict(_raw_config(tmp_path))
+    assert PipelineConfig.from_dict(spelled).config_hash() == omitted.config_hash()
+
+
+def _assert_holds_derived_values(cfg):
+    assert cfg.placement.seed == cfg.tilt.seed == cfg.extraction.seed == cfg.seed
+    assert cfg.placement.target_count == cfg.particles_per_class * len(cfg.structures)
+    assert cfg.recon.output_dims == cfg.placement.volume_dims
+
+
+def test_config_holds_the_values_the_stages_run_with(tmp_path):
+    raw = _raw_config(tmp_path, particles_per_class=2, structures={"a": "a.pdb", "b": "b.pdb"})
+    cfg = PipelineConfig.from_dict(raw)
+    _assert_holds_derived_values(cfg)
+    assert (cfg.placement.target_count, cfg.recon.output_dims) == (4, (40, 40, 40))
+
+    sections = {
+        "placement": PlacementConfig(volume_dims=(40, 60, 50)),
+        "tilt": TiltGeometry(angles=[-10.0, 0.0, 10.0]),
+        "recon": ReconConfig(),
+        "extraction": ExtractionConfig(),
+    }
+    before = copy.deepcopy(sections)
+    cfg = PipelineConfig(structures={"a": "a.pdb"}, output_dir="out", seed=7, **sections)
+    _assert_holds_derived_values(cfg)
+    assert cfg.recon.output_dims == (40, 60, 50) and cfg.tilt.angles == [-10.0, 0.0, 10.0]
+    for name, section in sections.items():  # the caller's objects are left as they were
+        assert section == before[name] and getattr(cfg, name) is not section
 
 
 def test_config_from_dict_leaves_its_argument_unchanged(tmp_path):
@@ -193,6 +235,24 @@ def test_cli_seed_overrides_an_unpinned_config(tmp_path):
     assert angles["cli"] == angles["file"]
 
 
+@pytest.mark.parametrize(
+    "label",
+    ["", ".", "..", "../../escaped", "a/b", "/abs", "nul\0byte"],
+    ids=["empty", "dot", "dotdot", "escaping", "slash", "absolute", "nul"],
+)
+def test_config_rejects_a_label_that_is_not_one_path_component(tmp_path, capsys, label):
+    out = tmp_path / "run" / "out"
+    raw = _raw_config(tmp_path, structures={label: str(tmp_path / "a.pdb")}, output_dir=str(out))
+    with pytest.raises(PipelineConfigError, match="structure label") as err:
+        PipelineConfig.from_dict(raw)
+    assert repr(label) in str(err.value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "pipeline"]) == 1
+    assert repr(label) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "escaped.mrc").exists()
+
+
 def test_config_validation(tmp_path):
     with pytest.raises(PipelineConfigError):
         PipelineConfig.from_dict(_raw_config(tmp_path, structures={}))
@@ -305,8 +365,8 @@ def test_provenance_reports_array_sizes(tmp_path):
     assert spectra.nbytes / 1e6 == pytest.approx(rows["align"]["spectra_mb"])
     # the projector skips the rows along h of the composed sample that hold
     # no density; the sample is rebuilt from the placement the pipeline used
-    placement = dataclasses.replace(cfg.placement, seed=cfg.seed, target_count=2)
-    sample = compose_sample({"blob": density}, place_particles(["blob"], placement), placement)
+    instances = place_particles(["blob"], cfg.placement)
+    sample = compose_sample({"blob": density}, instances, cfg.placement)
     held = np.count_nonzero((sample.data != 0).any(axis=(0, 2)))
     assert rows["project"]["rows_projected"] == held < 80
     # sizes stay out of the deterministic metadata
@@ -368,9 +428,8 @@ def test_provenance_reports_alignment_and_tomogram_quality(tmp_path):
 
     # correlation of the written tomogram with the composed sample, rebuilt
     # from the written densities and the placement the pipeline used
-    placement = dataclasses.replace(cfg.placement, seed=cfg.seed, target_count=2)
     densities = {"blob": cio.read_mrc(out / "densities" / "blob.mrc")}
-    sample = compose_sample(densities, place_particles(["blob"], placement), placement)
+    sample = compose_sample(densities, place_particles(["blob"], cfg.placement), cfg.placement)
     tomogram = cio.read_mrc(out / "tomogram.mrc")
     expected = np.corrcoef(tomogram.data.ravel(), sample.data.ravel())[0, 1]
     assert rows["reconstruct"]["tomo_corr"] == pytest.approx(expected, abs=1e-9)
@@ -396,21 +455,38 @@ def test_provenance_reports_alignment_and_tomogram_quality(tmp_path):
 def test_pipeline_output_feeds_cli_stages(tmp_path):
     pdb = tmp_path / "blob.pdb"
     pdb.write_text(make_blob_pdb(np.random.default_rng(0), radius=60.0, n=400))
+    # a 20-voxel placement box packs three particles close enough that
+    # extract's 32-voxel box rejects two: one at a face, one at a neighbour
     raw = _raw_config(
         tmp_path,
         structures={"blob": str(pdb)},
-        particles_per_class=2,
+        particles_per_class=3,
         snr_targets=[0.1],
-        placement={"volume_dims": [40, 80, 40]},
+        placement={"volume_dims": [40, 80, 40], "box_size": 20},
         tilt={"angles": [-20.0, -10.0, 0.0, 10.0, 20.0]},
     )
-    out = run_pipeline(PipelineConfig.from_dict(raw)).output_dir
+    result = run_pipeline(PipelineConfig.from_dict(raw))
+    out = result.output_dir
+    assert {r.reason for r in result.rejections} == {"boundary", "neighbor"}
+    assert result.accepted > 0
     series = out / "tilt_series"
     inputs = ["--tilts", str(series / "tilts.mrc"), "--angles", str(series / "angles.ndjson")]
     assert main(["align", *inputs, "--out", str(tmp_path / "alignment.ndjson")]) == 0
     assert main(["reconstruct", *inputs, "--alignment", str(out / "alignment.ndjson"),
                  "--dims", "40,80,40", "--out", str(tmp_path / "tomo.mrc")]) == 0
+    assert main(["--seed", "3", "extract", "--tomogram", str(out / "tomogram.mrc"),
+                 "--instances", str(out / "instances.ndjson"),
+                 "--out", str(tmp_path / "extract")]) == 0
 
     # the pipeline aligns and reconstructs the stack tilts.mrc holds
     assert (tmp_path / "alignment.ndjson").read_bytes() == (out / "alignment.ndjson").read_bytes()
     assert (tmp_path / "tomo.mrc").read_bytes() == (out / "tomogram.mrc").read_bytes()
+    # and extracts from the instances it wrote, with the run's seed
+    rejections = (tmp_path / "extract" / "rejections.ndjson").read_bytes()
+    assert rejections == (out / "rejections.ndjson").read_bytes()
+    clean = [r for r in cio.read_metadata(out / "metadata.ndjson") if r.snr_tag == "clean"]
+    redone = cio.read_metadata(tmp_path / "extract" / "metadata.ndjson")
+    assert len(redone) == len(clean) == result.accepted
+    for a, b in zip(redone, clean):
+        payload = cio.read_mrc(tmp_path / "extract" / a.volume_path).data
+        assert payload.tobytes() == cio.read_mrc(out / b.volume_path).data.tobytes()

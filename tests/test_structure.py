@@ -118,6 +118,26 @@ def test_splat_matches_brute_force_oracle():
     assert np.abs(vol.data - expected).max() < 1e-6
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="splat_atoms samples each atom's Gaussian (sigma 0.25-0.44 A) only at the nodes "
+    "of the voxel grid, so at 10 A voxels an atom counts only within 1.4 A of a node; "
+    "see the FOUND line on densify in CHANGES.md",
+)
+def test_splat_conserves_atom_mass():
+    # each atom integrates to amp * (2 pi sigma^2)^(3/2); the map's summed
+    # density times the voxel volume should hold the total
+    cfg = DensifyConfig()
+    sigma, amp = cfg.sigma_for("C"), cfg.amplitude_for("C")
+    ratios = []
+    for seed in range(5):
+        positions = np.random.default_rng(seed).uniform(0.0, 150.0, size=(900, 3))
+        vol = splat_atoms(AtomicModel([Atom("C", p) for p in positions]), cfg)
+        mass = vol.data.sum(dtype=np.float64) * cfg.voxel_size**3
+        ratios.append(mass / (len(positions) * amp * (2 * np.pi * sigma**2) ** 1.5))
+    assert ratios == pytest.approx([1.0] * 5, rel=0.05)
+
+
 def test_lowpass_matches_direct_space_oracle(rng):
     grid = rng.random((12, 12, 12))
     sigma = 1.5
