@@ -102,12 +102,31 @@ def _replacing(path, mode: str):
         raise
 
 
+_RMS_CHUNK = 1 << 16  # values in _rms's float64 buffer (512 KB)
+
+
+def _rms(data: np.ndarray) -> float:
+    """Standard deviation of the payload in float64: the mean, then the
+    centred sum of squares over flat chunks, each cast into one reused
+    float64 buffer."""
+    flat = data.reshape(-1)
+    mean = float(flat.sum(dtype=np.float64)) / flat.size
+    buf = np.empty(min(flat.size, _RMS_CHUNK))
+    sq = 0.0
+    for i in range(0, flat.size, _RMS_CHUNK):
+        part = flat[i : i + _RMS_CHUNK]
+        dev = np.subtract(part, mean, out=buf[: part.size], dtype=np.float64)
+        sq += float(np.vdot(dev, dev))
+    return float(np.sqrt(sq / flat.size))
+
+
 def write_mrc(vol: DensityVolume, path) -> None:
     """Write a volume as an MRC2014 mode-2 file.
 
     nx/ny/nz map to (W, H, D) of the (d, h, w) data array; cella is the
-    voxel size times the grid dimensions; dmin/dmax/dmean are computed from
-    the payload.
+    voxel size times the grid dimensions; dmin/dmax/dmean/rms are computed
+    from the payload, rms (its standard deviation) in float64 without a
+    payload-sized temporary.
     """
     data = vol.data
     nz, ny, nx = data.shape  # (d, h, w) -> nz, ny, nx
@@ -129,7 +148,7 @@ def write_mrc(vol: DensityVolume, path) -> None:
     struct.pack_into("<3f", header, 196, *vol.origin.tolist())
     header[208:212] = b"MAP "
     header[212:216] = _MACHINE_STAMP_LE
-    struct.pack_into("<f", header, 216, float(data.std()))
+    struct.pack_into("<f", header, 216, _rms(data))
     struct.pack_into("<i", header, 220, 0)  # nlabl
     with _replacing(path, "wb") as fh:
         fh.write(bytes(header))

@@ -13,7 +13,10 @@ the ASTRA toolbox (van Aarle et al., Ultramicroscopy, 2015). The tilt axis
 h is an identity axis, so the interpolation taps of a voxel column (d, w)
 are the same for every h: each slab of d rows is one sparse
 back-projection operator, two taps per tilt per voxel column, applied to
-all filtered detector rows with one sparse-dense product.
+all filtered detector rows with one sparse-dense product. The filtered rows
+and the operator's taps are float32, as in ASTRA's single-precision
+back-projectors, so the memory-bound product moves half the bytes of a
+float64 one; the filter itself runs in float64.
 
 With ``jobs > 1`` the slab products run on a thread pool, each writing
 its own disjoint d rows of the output, so the tomogram is bit-identical
@@ -34,7 +37,7 @@ from .volume import DensityVolume, three_ints
 
 FILTERS = ("hann_ramp", "ramp", "none")
 WEIGHTINGS = ("abs_cos", "uniform")
-SLAB_BYTES = 4_000_000  # float64 output and operator taps of one d slab
+SLAB_BYTES = 4_000_000  # float32 product and operator taps (value + int32 index) of one d slab
 
 
 @dataclass
@@ -100,14 +103,15 @@ def wbp_reconstruct(
     scaled by pi / (2 N_tilts). The tomogram keeps the series' voxel size.
 
     The x interpolation weights depend on (tilt, d, w) only, never on h.
-    Every tilt's float32 view is cast to float64, shifted and filtered in
-    one FFT round trip (``filter_projection``, called once per tilt) and
-    resampled onto the output y grid once, and its transposed rows are
-    stacked into one (n_tilts * Wdet, Hout) matrix R. The output is filled
-    one slab of d rows at a time: a CSR back-projection operator of shape
-    (slab * Wout, n_tilts * Wdet) holds the two taps of every tilt per
-    (d, w) voxel column, and one sparse-dense product with R gives the
-    slab laid out (d, w, h). No (H, D, W) array is ever formed.
+    Every tilt's float32 view is shifted and filtered in float64 in one FFT
+    round trip (``filter_projection``, called once per tilt) and resampled
+    onto the output y grid once, and its transposed rows are stored, cast
+    once to float32, in one (n_tilts * Wdet, Hout) matrix R. The output is
+    filled one slab of d rows at a time: a CSR back-projection operator of
+    shape (slab * Wout, n_tilts * Wdet) holds the float32 taps of every
+    tilt per (d, w) voxel column, and one float32 sparse-dense product with
+    R gives the slab laid out (d, w, h). No (H, D, W) array is ever formed.
+    The tomogram agrees with a float64 product to float32 round-off.
 
     The calling thread builds each slab's operator, and ``build_then_run``
     forms its product, with at most ``jobs`` slabs in flight on a thread
@@ -138,7 +142,7 @@ def wbp_reconstruct(
     ty = np.clip(y_coords - y0, 0.0, 1.0)
 
     # R[i * Wdet + x, h]: filtered row h of tilt i, resampled in y
-    R = np.empty((n_tilts, Wdet, Hout))
+    R = np.empty((n_tilts, Wdet, Hout), dtype=np.float32)
     for i, proj in enumerate(series.projections):
         dx, dy = align.shifts[i]
         proj = filter_projection(proj, cfg, -dx, -dy)
@@ -150,10 +154,11 @@ def wbp_reconstruct(
     w_t = np.abs(cos_t) if cfg.weighting == "abs_cos" else np.ones(n_tilts)
     col0 = (np.arange(n_tilts) * Wdet).astype(np.int32)
     scale = np.pi / (2.0 * n_tilts)
-    # a d row costs its float64 output (Wout * Hout) and its taps (Wout * 2 * n_tilts);
+    # a d row costs its float32 product (Wout * Hout) and its taps (Wout * 2 * n_tilts),
+    # each a float32 value and an int32 index;
     # jobs slabs are in flight at once, so each gets a jobs-th of SLAB_BYTES
     # (max keeps jobs < 1 from dividing by zero before build_then_run rejects it)
-    slab = max(1, SLAB_BYTES // max(jobs, 1) // (8 * Wout * (Hout + 2 * n_tilts)))
+    slab = max(1, SLAB_BYTES // max(jobs, 1) // (4 * Wout * (Hout + 4 * n_tilts)))
     out = np.empty((D, Hout, Wout), dtype=np.float32)
 
     def operator(d0: int) -> sparse.csr_array:
@@ -166,7 +171,7 @@ def wbp_reconstruct(
         i0 = np.floor(xcl).astype(np.int32)
         tx = xcl - i0
         # two taps per tilt, ordered by tilt then tap
-        data = np.stack([w_t * (1.0 - tx) * inside, w_t * tx * inside], axis=-1)
+        data = np.stack([w_t * (1.0 - tx) * inside, w_t * tx * inside], axis=-1, dtype=np.float32)
         indices = np.stack([col0 + i0, col0 + np.minimum(i0 + 1, Wdet - 1)], axis=-1)
         rows = len(z) * Wout
         indptr = np.arange(0, rows * 2 * n_tilts + 1, 2 * n_tilts, dtype=np.int32)

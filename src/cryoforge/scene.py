@@ -33,6 +33,8 @@ class PlacementConfig:
 
     def __post_init__(self):
         self.volume_dims = three_ints(self.volume_dims, "volume_dims")
+        if min(self.volume_dims) < 1:
+            raise ValueError(f"volume_dims must be positive, got {self.volume_dims}")
         if self.target_count < 1:
             raise ValueError("target_count must be >= 1")
         if self.max_attempts < 1:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,28 @@ def test_header_stats_single_hot_voxel(tmp_path):
     _, dmax, dmean = struct.unpack_from("<3f", path.read_bytes(), 76)
     assert dmax == 1.0
     assert dmean == pytest.approx(0.125)
+
+
+def test_header_rms_is_float64_std_of_payload(tmp_path, rng):
+    data = (rng.normal(size=(7, 9, 11)) * 3.0 + 100.0).astype(np.float32)
+    path = tmp_path / "r.mrc"
+    write_mrc(DensityVolume(data), path)
+    (rms,) = struct.unpack_from("<f", path.read_bytes(), 216)
+    ref = np.std(data.astype(np.float64))
+    assert abs(rms - ref) <= np.spacing(np.float32(ref))  # float32 rounding of the float64 std
+
+
+def test_write_mrc_allocates_less_than_the_payload(tmp_path, rng):
+    vol = DensityVolume(rng.normal(size=(16, 128, 128)).astype(np.float32))
+    write_mrc(vol, tmp_path / "warm.mrc")
+    tracemalloc.start()
+    try:
+        write_mrc(vol, tmp_path / "v.mrc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rms temporary, one float64 chunk, is half of this 1 MB payload
+    assert peak < vol.data.nbytes
 
 
 def test_header_dims_and_magic(tmp_path):

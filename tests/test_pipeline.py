@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -135,13 +136,16 @@ def test_config_jobs_defaults_to_the_cli_rule(tmp_path, monkeypatch):
          "placement must be a JSON object"),
         ('{"structures": {"a": "a.pdb"}, "output_dir": "out", "placement": {"volume_dims": 5}}',
          "placement: volume_dims must be three integers D,H,W, got 5"),
+        ('{"structures": {"a": "a.pdb"}, "output_dir": "out", '
+         '"placement": {"volume_dims": [0, 40, 40]}}',
+         "placement: volume_dims must be positive, got (0, 40, 40)"),
     ],
-    ids=["top_level_list", "section_list", "dims_int"],
+    ids=["top_level_list", "section_list", "dims_int", "dims_zero"],
 )
 def test_malformed_config_shape_exits_1(tmp_path, capsys, monkeypatch, text, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(text)
-    with pytest.raises(PipelineConfigError, match=named):
+    with pytest.raises(PipelineConfigError, match=re.escape(named)):
         PipelineConfig.from_json(tmp_path / "cfg.json")
     assert main(["--config", "cfg.json", "pipeline"]) == 1
     assert named in capsys.readouterr().err

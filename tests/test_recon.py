@@ -215,7 +215,7 @@ def test_wbp_matches_per_tilt_gather_reference(monkeypatch, rng, filt, weighting
     # detector 10 x 13: Hout is smaller and larger, odd and even, so the y
     # resampling is not the identity, and Wout differs from Wdet
     series, align = _random_series(rng, [-90.0, -60.0, 0.0, 1e-7, 34.0, 90.0], (10, 13))
-    # D = 11 is prime and 8000 bytes make slabs of 2 to 5 rows: the last slab is partial
+    # D = 11 is prime and 8000 bytes make slabs of 2 to 7 rows: the last slab is partial
     monkeypatch.setattr(recon, "SLAB_BYTES", 8000)
     cfg = ReconConfig(output_dims=(11, Hout, Wout), filter=filt, weighting=weighting)
     got = wbp_reconstruct(series, align, cfg)
@@ -223,6 +223,27 @@ def test_wbp_matches_per_tilt_gather_reference(monkeypatch, rng, filt, weighting
     assert got.data.dtype == np.float32 and got.shape == (11, Hout, Wout)
     assert got.voxel_size == 4.0
     _assert_within_one_ulp(got.data, ref.data)
+
+
+# -60...60 degrees in 2 degree steps: the float32 product sums 122 taps per voxel
+LONG_SERIES = default_angles(-60, 60, 2)
+
+
+@pytest.mark.parametrize("weighting", recon.WEIGHTINGS)
+def test_wbp_matches_per_tilt_gather_reference_at_61_tilts(monkeypatch, rng, weighting):
+    series, align = _random_series(rng, LONG_SERIES, (16, 21))
+    monkeypatch.setattr(recon, "SLAB_BYTES", 40_000)  # slabs of 2 rows, the last partial
+    cfg = ReconConfig(output_dims=(11, 14, 19), weighting=weighting)
+    got = wbp_reconstruct(series, align, cfg)
+    _assert_within_one_ulp(got.data, _reference_wbp(series, align, cfg).data)
+
+
+def test_wbp_threads_match_serial_at_61_tilts(monkeypatch, rng):
+    series, align = _random_series(rng, LONG_SERIES, (16, 21))
+    monkeypatch.setattr(recon, "SLAB_BYTES", 40_000)
+    cfg = ReconConfig(output_dims=(11, 14, 19))
+    serial = wbp_reconstruct(series, align, cfg, jobs=1)
+    assert np.array_equal(wbp_reconstruct(series, align, cfg, jobs=2).data, serial.data)
 
 
 def test_wbp_slab_height_does_not_change_output(monkeypatch, rng):
@@ -241,7 +262,7 @@ def test_wbp_threads_match_serial(monkeypatch, rng, Hout, Wout):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so slabs interleave
     try:
-        # 8000 bytes make serial slabs of 2 to 5 rows and threaded ones a
+        # 8000 bytes make serial slabs of 2 to 7 rows and threaded ones a
         # jobs-th of that, so D = 11 ends on a partial slab; 1 byte makes one
         # d row per slab, many more slabs than workers
         for slab_bytes in (8000, 1):
