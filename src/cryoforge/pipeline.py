@@ -11,9 +11,11 @@ count of the threaded stages (project, reconstruct), the atom count and
 density-map size of densify, the sizes of the composed sample, the
 projection stack and the tomogram (read from the arrays) and of the
 alignment spectra (arithmetic on the stack's shape), the number of rows
-along the tilt axis the projector projected, and the ground-truth quality
-of alignment (x-drift RMS error), reconstruction (correlation with the
-composed sample) and noise (worst realized-SNR error against the target),
+along the tilt axis the projector projected, the mass the composed sample
+keeps of the placed maps, and the ground-truth quality of alignment
+(x-drift RMS error), reconstruction (correlation with the composed
+sample), extraction (correlation of each clean box with the same box of
+the sample) and noise (worst realized-SNR error against the target),
 and lives in its own file so reruns still produce byte-identical metadata.
 ``jobs`` defaults to ``tiltsim.default_jobs()``, the CLI's rule; no output
 depends on it. ``align`` and ``reconstruct`` run on the float32 stack
@@ -213,6 +215,25 @@ def _volume_correlation(a: DensityVolume, b: DensityVolume) -> float:
     return sab / np.sqrt(saa * sbb)
 
 
+def _mass_ratio(sample: DensityVolume, densities, instances) -> float:
+    """The composed sample's sum over the summed sums of the placed maps."""
+    placed = sum(float(densities[i.class_label].data.sum(dtype=np.float64)) for i in instances)
+    return float(sample.data.sum(dtype=np.float64)) / placed
+
+
+def _subtomo_corr(accepted, sample: DensityVolume) -> dict[str, float | None]:
+    """Median and minimum Pearson correlation of each accepted clean box
+    with the same box (``crop_corner``, box size) of the composed sample;
+    None when no box was accepted."""
+    corrs = []
+    for sub in accepted:
+        box = tuple(slice(c, c + n) for c, n in zip(sub.crop_corner, sub.data.shape))
+        corrs.append(float(np.corrcoef(sub.data.ravel(), sample.data[box].ravel())[0, 1]))
+    if not corrs:
+        return {"subtomo_corr_median": None, "subtomo_corr_min": None}
+    return {"subtomo_corr_median": float(np.median(corrs)), "subtomo_corr_min": min(corrs)}
+
+
 def _snr_error(replicas) -> dict[str, float]:
     """max |realized SNR / target - 1| over (clean, [(noisy, target), ...])
     groups, with realized SNR = var(clean) / var(noisy - clean) in float64."""
@@ -304,6 +325,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         report=lambda result: {
             "sample_dims": list(result.shape),
             "sample_mb": result.data.nbytes / 1e6,
+            "mass_ratio": _mass_ratio(result, densities, instances),
         },
     )
 
@@ -364,7 +386,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         cio.write_rejections(rejections, out / "rejections.ndjson")
         return accepted, rejections
 
-    accepted, rejections = _stage("extract", _extract)
+    accepted, rejections = _stage(
+        "extract", _extract, report=lambda result: _subtomo_corr(result[0], sample)
+    )
 
     # noise: clean references, masks, and per-SNR noisy replicas
     records: list[cio.SubtomogramRecord] = []

@@ -1,8 +1,10 @@
 """Atomic models to ground-truth density volumes.
 
-Parses fixed-column PDB text and synthesizes electron-density maps by
-element-specific Gaussian splatting, Fourier low-pass filtering,
-normalization to unit maximum, and suppression of near-zero voxels.
+Parses fixed-column PDB text and synthesizes electron-density maps: each
+atom is an element-specific Gaussian, blurred to the target resolution in
+closed form (a Gaussian low-pass of a Gaussian is a Gaussian) and averaged
+over each voxel's cell; the map is normalized to unit maximum and its
+near-zero voxels are suppressed.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from .volume import DensityVolume
 
@@ -30,9 +33,6 @@ DEFAULT_NUMBER = 6
 
 VDW_RADIUS = {"H": 1.2, "C": 1.7, "N": 1.55, "O": 1.52, "P": 1.8, "S": 1.8}
 DEFAULT_VDW = 1.7
-
-SPLAT_CUTOFF_SIGMAS = 4.0
-SPLAT_BYTES = 4_000_000  # temporaries of one block of atoms in splat_atoms
 
 
 class PdbParseError(ValueError):
@@ -81,15 +81,18 @@ class DensifyConfig:
     element_amplitude: dict = field(default_factory=lambda: dict(ELEMENT_NUMBER))
 
     def __post_init__(self):
-        if not self.voxel_size > 0:
-            raise ConfigError("voxel_size must be positive")
-        if self.target_resolution < 0:
-            raise ConfigError("target_resolution must be >= 0 (0 disables low-pass)")
+        if not 0 < self.voxel_size < np.inf:
+            raise ConfigError(f"voxel_size must be positive and finite, got {self.voxel_size!r}")
+        for name in ("target_resolution", "solvent_margin_factor"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         if not 0 <= self.peak_threshold_fraction < 1:
             raise ConfigError("peak_threshold_fraction must be in [0, 1)")
         for elem, amp in self.element_amplitude.items():
-            if amp == 0:
-                raise ConfigError(f"zero amplitude configured for element {elem!r}")
+            if not 0 < abs(amp) < np.inf:
+                raise ConfigError(
+                    f"amplitude for element {elem!r} must be finite and nonzero, got {amp!r}"
+                )
         for elem, sigma in self.element_sigma.items():
             if not 0 < sigma < np.inf:
                 raise ConfigError(
@@ -156,35 +159,22 @@ def parse_pdb(text: str, source_id: str = "") -> AtomicModel:
     return AtomicModel(atoms, source_id=source_id)
 
 
-def _lowpass_gaussian_fft(grid: np.ndarray, sigma_vox: float) -> np.ndarray:
-    """Gaussian low-pass via zero-padded FFT (pad >= 4 sigma per side)."""
-    pad = int(np.ceil(SPLAT_CUTOFF_SIGMAS * sigma_vox)) + 1
-    padded = np.pad(grid, pad, mode="constant")
-    out = np.array(padded, dtype=np.float64)
-    for axis, n in enumerate(padded.shape):
-        freq = np.fft.fftfreq(n)
-        kernel = np.exp(-2.0 * (np.pi * freq * sigma_vox) ** 2)
-        shape = [1, 1, 1]
-        shape[axis] = n
-        out = np.fft.ifft(np.fft.fft(out, axis=axis) * kernel.reshape(shape), axis=axis).real
-    sl = tuple(slice(pad, pad + n) for n in grid.shape)
-    return out[sl]
-
-
 def splat_atoms(model: AtomicModel, cfg: DensifyConfig) -> DensityVolume:
-    """Sum per-atom Gaussians on a grid sized to the model plus margin.
+    """Each atom's Gaussian, blurred to the target resolution and averaged
+    over each voxel's cell, summed on a grid sized to the model plus margin.
 
-    Each atom contributes amplitude * exp(-r^2 / (2 sigma^2)) within a
-    4-sigma cutoff; the grid extent is the atom bounding box expanded per
-    axis by the solvent margin (margin factor times the largest van der
-    Waals radius present).
+    An atom of amplitude amp (times its occupancy) and width sigma holds
+    mass amp * (2 pi sigma^2)^(3/2). A Gaussian low-pass of width
+    target_resolution / 2 makes it a Gaussian of the same mass and width
+    sigma_t = sqrt(sigma^2 + (target_resolution / 2)^2). A voxel holds that
+    Gaussian's mean over its cell: mass / voxel^3 times, per axis, the
+    difference of the normal CDF at the cell's faces. No cutoff is applied,
+    so the map holds each atom's mass wherever the grid holds its blur. The
+    grid extent is the atom bounding box expanded per axis by the solvent
+    margin (margin factor times the largest van der Waals radius present).
 
-    One array pass over blocks of consecutive atoms: every atom's voxel
-    window is padded to the largest window, the padding and the voxels
-    past the cutoff are masked out, and the rest are accumulated with
-    ``np.add.at`` in atom order, so each voxel's float64 sum is formed in
-    the order of the atom list. A block's temporaries stay within
-    ``SPLAT_BYTES`` (a block holds at least one atom).
+    The per-axis factors are (atoms, n) matrices; the grid is formed one d
+    plane at a time as a product over atoms, never as (atoms, H, W).
     """
     positions = model.positions()
     elements = [a.element for a in model.atoms]
@@ -193,64 +183,36 @@ def splat_atoms(model: AtomicModel, cfg: DensifyConfig) -> DensityVolume:
     lo = positions.min(axis=0) - margin
     hi = positions.max(axis=0) + margin
     dims = np.maximum(np.ceil((hi - lo) / cfg.voxel_size).astype(int), 1)
-    grid = np.zeros(tuple(dims[::-1]), dtype=np.float64)  # (d, h, w) = (z, y, x)
-    _, H, W = grid.shape
 
     kinds, kind = np.unique(elements, return_inverse=True)
     sigma = np.array([cfg.sigma_for(e) for e in kinds])[kind]
     amp = np.array([cfg.amplitude_for(e) for e in kinds])[kind] * np.array(
         [a.occupancy for a in model.atoms], dtype=np.float64
     )
-    cutoff = SPLAT_CUTOFF_SIGMAS * sigma
-    # voxel-index window covering each atom's cutoff sphere, (x, y, z)
-    pos_vox = (positions - lo) / cfg.voxel_size
-    r_vox = (cutoff / cfg.voxel_size)[:, None]
-    lo_idx = np.maximum(np.floor(pos_vox - r_vox).astype(int), 0)
-    hi_idx = np.minimum(np.ceil(pos_vox + r_vox).astype(int) + 1, dims)
-    kept = np.all(lo_idx < hi_idx, axis=1)
-    positions, lo_idx, hi_idx = positions[kept], lo_idx[kept], hi_idx[kept]
-    cut2, den, amp = cutoff[kept] ** 2, 2.0 * sigma[kept] * sigma[kept], amp[kept]
-    window = (hi_idx - lo_idx).max(axis=0, initial=1)
-    # a padded window voxel costs at most 48 bytes of temporaries
-    block = max(1, SPLAT_BYTES // (48 * int(np.prod(window))))
-    flat = grid.reshape(-1)
-    for a in range(0, len(positions), block):
-        b = slice(a, a + block)
-        # per axis: node indices, their validity and squared distances, (atoms, window)
-        idx, valid, dist2 = [], [], []
-        for axis in range(3):
-            nodes = lo_idx[b, axis, None] + np.arange(window[axis])
-            idx.append(nodes)
-            valid.append(nodes < hi_idx[b, axis, None])
-            dist2.append(((nodes * cfg.voxel_size + lo[axis]) - positions[b, axis, None]) ** 2)
-        x2, y2, z2 = dist2
-        r2 = (z2[:, :, None, None] + y2[:, None, :, None]) + x2[:, None, None, :]
-        inside = r2 <= cut2[b, None, None, None]
-        inside &= valid[2][:, :, None, None] & valid[1][:, None, :, None]
-        inside &= valid[0][:, None, None, :]
-        voxel = (idx[2][:, :, None, None] * H + idx[1][:, None, :, None]) * W
-        voxel = (voxel + idx[0][:, None, None, :])[inside]
-        counts = np.count_nonzero(inside.reshape(len(inside), -1), axis=1)
-        r2 = r2[inside]
-        del inside
-        blob = np.exp(-r2 / np.repeat(den[b], counts))
-        blob *= np.repeat(amp[b], counts)
-        np.add.at(flat, voxel, blob)
+    w = amp * (2.0 * np.pi * sigma**2) ** 1.5 / cfg.voxel_size**3  # mass per voxel volume
+    sigma_t = np.sqrt(sigma**2 + (cfg.target_resolution / 2.0) ** 2)[:, None]
+    # per axis (x, y, z): the fraction of each atom's mass in each cell, (atoms, n);
+    # voxel i is centred on lo + i * voxel_size
+    gx, gy, gz = (
+        np.diff(ndtr((lo[a] + (np.arange(n + 1) - 0.5) * cfg.voxel_size - positions[:, a, None])
+                     / sigma_t), axis=1)
+        for a, n in enumerate(dims)
+    )
+    grid = np.empty(tuple(dims[::-1]), dtype=np.float32)  # (d, h, w) = (z, y, x)
+    for d in range(len(grid)):
+        grid[d] = (gy * (w * gz[:, d])[:, None]).T @ gx
     # origin records the (x, y, z) Angstrom position of voxel (0, 0, 0)
-    return DensityVolume(grid.astype(np.float32), cfg.voxel_size, lo.astype(np.float32))
+    return DensityVolume(grid, cfg.voxel_size, lo.astype(np.float32))
 
 
 def densify(model: AtomicModel, cfg: DensifyConfig | None = None) -> DensityVolume:
-    """Full density synthesis: splat, low-pass, normalize, threshold."""
+    """Full density synthesis: the closed-form blurred splat, normalized to
+    unit maximum, with voxels below the peak threshold set to 0."""
     cfg = cfg or DensifyConfig()
     vol = splat_atoms(model, cfg)
-    grid = vol.data.astype(np.float64)
-    if cfg.target_resolution > 0:
-        sigma_vox = (cfg.target_resolution / 2.0) / cfg.voxel_size
-        grid = _lowpass_gaussian_fft(grid, sigma_vox)
-    peak = grid.max()
+    peak = vol.data.max()
     if peak <= 0:
         raise ValueError("density synthesis produced a non-positive map")
-    grid = grid / peak
+    grid = vol.data / peak
     grid[grid < cfg.peak_threshold_fraction] = 0.0
-    return DensityVolume(grid.astype(np.float32), cfg.voxel_size, vol.origin)
+    return DensityVolume(grid, cfg.voxel_size, vol.origin)

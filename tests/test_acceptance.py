@@ -2,7 +2,8 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` — the verbose listing gives
 one PASS/FAIL line per criterion. Each test also prints its measured
-values, shown on failure (or with ``-s``).
+values, shown on failure (or with ``-s``). Two more tests check the
+criterion-10 run against its ground truth and the CLI, on the same run.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import pytest
 from conftest import band_limited_image, gaussian_blob, make_blob_pdb, make_shell_pdb, shell_phantom
 from cryoforge import io as cio
 from cryoforge.apt import SteerableSelectionNet, verify_equivariance
+from cryoforge.cli import main
 from cryoforge.geometry import (
     gso_to_matrix_batch,
     rot_z,
@@ -294,6 +296,27 @@ def test_criterion_10_pipeline_classification_and_determinism(pipeline_runs):
     meta1 = first.metadata_path.read_bytes()
     meta2 = second.metadata_path.read_bytes()
     assert meta1 == meta2  # same seed: byte-identical ground truth
+
+
+def test_pipeline_subtomograms_match_the_composed_sample(pipeline_runs):
+    # ground truth at the product: each clean box against the same box of the
+    # composed sample, as the extract row of provenance.ndjson reports it
+    first, _ = pipeline_runs
+    rows = {r["stage"]: r for r in cio.read_ndjson(first.output_dir / "provenance.ndjson")}
+    extract_row = rows["extract"]
+    print(f"subtomogram correlation with the sample: median "
+          f"{extract_row['subtomo_corr_median']:.3f}, min {extract_row['subtomo_corr_min']:.3f} "
+          f"(median >= 0.7); compose mass ratio {rows['compose']['mass_ratio']:.3f}")
+    assert extract_row["subtomo_corr_median"] >= 0.7
+
+
+def test_cli_densify_reproduces_the_pipeline_densities(pipeline_runs, tmp_path):
+    first, _ = pipeline_runs
+    for label in ("blob", "shell"):
+        out = tmp_path / f"{label}.mrc"
+        pdb = first.output_dir.parent / f"{label}.pdb"
+        assert main(["densify", "--pdb", str(pdb), "--out", str(out)]) == 0
+        assert out.read_bytes() == (first.output_dir / "densities" / f"{label}.mrc").read_bytes()
 
 
 def test_criterion_11_io_round_trips(tmp_path):

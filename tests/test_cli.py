@@ -17,12 +17,21 @@ def test_densify_command(tmp_path, capsys):
     pdb = tmp_path / "one.pdb"
     pdb.write_text(SINGLE_CARBON)
     out = tmp_path / "one.mrc"
-    # fine enough grid that a single atom's 4-sigma splat hits voxel centers
     assert main(["densify", "--pdb", str(pdb), "--out", str(out),
                  "--voxel-size", "0.5", "--resolution", "2.0"]) == 0
     vol = cio.read_mrc(out)
     assert vol.data.max() == pytest.approx(1.0)
     assert "densify" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("resolution", ["nan", "inf"])
+def test_densify_non_finite_resolution_exits_1(tmp_path, capsys, resolution):
+    pdb = tmp_path / "one.pdb"
+    pdb.write_text(SINGLE_CARBON)
+    out = tmp_path / "one.mrc"
+    assert main(["densify", "--pdb", str(pdb), "--out", str(out), "--resolution", resolution]) == 1
+    assert "target_resolution must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_input_exits_2(tmp_path, capsys):

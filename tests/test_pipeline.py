@@ -10,7 +10,7 @@ from cryoforge import io as cio, tiltsim
 from cryoforge.cli import main
 from cryoforge.recon import ReconConfig
 from cryoforge.scene import PlacementConfig, compose_sample, place_particles
-from cryoforge.subtomo import ExtractionConfig
+from cryoforge.subtomo import ExtractionConfig, extract
 from cryoforge.tiltsim import TiltGeometry
 from cryoforge.pipeline import (
     PipelineConfig,
@@ -375,7 +375,9 @@ def test_provenance_reports_array_sizes(tmp_path):
     assert rows["project"]["rows_projected"] == held < 80
     # sizes stay out of the deterministic metadata
     for record in cio.read_ndjson(out / "metadata.ndjson"):
-        assert not {"atoms", "density_mb", "rows_projected"} & set(record)
+        assert not {
+            "atoms", "density_mb", "rows_projected", "mass_ratio", "subtomo_corr_median"
+        } & set(record)
 
 
 def test_failed_artifact_write_names_its_stage(tmp_path, capsys):
@@ -438,6 +440,26 @@ def test_provenance_reports_alignment_and_tomogram_quality(tmp_path):
     expected = np.corrcoef(tomogram.data.ravel(), sample.data.ravel())[0, 1]
     assert rows["reconstruct"]["tomo_corr"] == pytest.approx(expected, abs=1e-9)
     assert 0.0 < rows["reconstruct"]["tomo_corr"] <= 1.0
+
+    # the mass the sample keeps of the placed maps
+    placed = densities["blob"].data.sum(dtype=np.float64) * cfg.placement.target_count
+    expected = sample.data.sum(dtype=np.float64) / placed
+    assert rows["compose"]["mass_ratio"] == pytest.approx(expected, rel=1e-9)
+    assert 0.5 < rows["compose"]["mass_ratio"] <= 1.0
+
+    # each accepted clean box of the written tomogram against the same box
+    # of the sample
+    accepted, _ = extract(tomogram, place_particles(["blob"], cfg.placement), cfg.extraction)
+    assert len(accepted) == result.accepted > 0
+    corrs = [
+        np.corrcoef(
+            sub.data.ravel(),
+            sample.data[tuple(slice(c, c + cfg.extraction.box) for c in sub.crop_corner)].ravel(),
+        )[0, 1]
+        for sub in accepted
+    ]
+    assert rows["extract"]["subtomo_corr_median"] == pytest.approx(np.median(corrs), abs=1e-12)
+    assert rows["extract"]["subtomo_corr_min"] == pytest.approx(min(corrs), abs=1e-12)
 
     # worst realized SNR against its target, from the written subtomograms
     records = cio.read_metadata(out / "metadata.ndjson")
