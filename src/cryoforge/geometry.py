@@ -11,19 +11,24 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 
 class DegenerateRepresentationError(ValueError):
     """Raised when a rotation representation cannot be decoded uniquely."""
 
 
-def _check_rotation(R: np.ndarray, tol: float = 1e-6) -> None:
-    if np.abs(R.T @ R - np.eye(3)).max() > tol or abs(np.linalg.det(R) - 1.0) > tol:
-        raise ValueError("matrix is not a rotation (orthogonality/det check failed)")
+def _check_rotation(R: np.ndarray, name: str, tol: float = 1e-6) -> None:
+    if R.shape != (3, 3):
+        raise ValueError(f"{name} must be a 3x3 matrix, got shape {R.shape}")
+    # "not (err <= tol)": a NaN entry makes both errors NaN and fails it
+    if not (
+        np.abs(R.T @ R - np.eye(3)).max() <= tol and abs(np.linalg.det(R) - 1.0) <= tol
+    ):
+        raise ValueError(f"{name} is not a rotation (orthogonality/det check failed)")
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -164,8 +169,8 @@ def rotation_error(R_est: np.ndarray, R_gt: np.ndarray) -> float:
     """
     R_est = np.asarray(R_est, dtype=float)
     R_gt = np.asarray(R_gt, dtype=float)
-    _check_rotation(R_est)
-    _check_rotation(R_gt)
+    _check_rotation(R_est, "R_est")
+    _check_rotation(R_gt, "R_gt")
     arg = (np.trace(R_est.T @ R_gt) - 1.0) / 2.0
     return float(np.degrees(np.arccos(np.clip(arg, -1.0, 1.0))))
 
@@ -185,7 +190,11 @@ class RigidTransform:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=float)
         self.translation = np.asarray(self.translation, dtype=float)
-        _check_rotation(self.rotation)
+        _check_rotation(self.rotation, "rotation")
+        if self.translation.shape != (3,):
+            raise ValueError(f"translation must have shape (3,), got {self.translation.shape}")
+        if not np.isfinite(self.translation).all():
+            raise ValueError("translation must be finite")
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """self after other: applying the composite through apply_rigid matches
@@ -197,26 +206,101 @@ class RigidTransform:
         )
 
 
-def apply_rigid(data: np.ndarray, transform: RigidTransform, order: int = 1) -> np.ndarray:
-    """Resample a volume under a rigid transform about its center.
+_TAP_PAD = 2  # zero border the taps read: a sample's lower node is clipped to [-2, size]
 
-    output(x) = input(R^-1 (x - c) + c - t), trilinear by default,
-    out-of-bounds sampled as 0.
+
+@dataclass(frozen=True)
+class RigidOperator:
+    """The trilinear taps of :func:`apply_rigid` for one (D, H, W) grid and
+    one transform, built once by :func:`rigid_operator` and applied to any
+    number of volumes on that grid.
+
+    The taps read the volume zero-padded by ``_TAP_PAD`` on every side.
+    Output voxel i's lower corner is padded voxel ``corner[i]`` (C-order
+    flat index); its tap k = 4 bit_d + 2 bit_h + bit_w lies ``steps[k]``
+    further on and has the axis weights ``weights[0, bit_d, i]``,
+    ``weights[1, bit_h, i]`` and ``weights[2, bit_w, i]``.
+    """
+
+    shape: tuple[int, int, int]
+    corner: np.ndarray  # intp (N,)
+    steps: tuple[int, ...]  # 8 flat offsets
+    weights: np.ndarray  # float64 (3, 2, N): lower and upper weight per axis
+
+    def apply(self, volume: np.ndarray) -> np.ndarray:
+        """Resample one (D, H, W) volume into a flat float64 (N,) array.
+
+        Each tap's sample is multiplied by its d, h and w weight in turn
+        and the taps are summed in order from 0.0: the arithmetic of
+        ``ndimage.affine_transform(order=1, mode="grid-constant")``, so
+        the result is bit-equal to it.
+        """
+        volume = np.asarray(volume)
+        if volume.shape != self.shape:
+            raise ValueError(f"volume has shape {volume.shape}, the operator {self.shape}")
+        padded = np.zeros(tuple(size + 2 * _TAP_PAD for size in self.shape))
+        padded[_TAP_PAD:-_TAP_PAD, _TAP_PAD:-_TAP_PAD, _TAP_PAD:-_TAP_PAD] = volume
+        padded = padded.ravel()
+        out = np.zeros(len(self.corner))
+        tap = np.empty_like(out)
+        for step, bits in zip(self.steps, itertools.product((0, 1), repeat=3)):
+            # every tap lies in the padded grid (rigid_operator clips the
+            # corners), so "clip" only skips the bounds check
+            np.take(padded[step:], self.corner, out=tap, mode="clip")
+            for axis, bit in enumerate(bits):
+                tap *= self.weights[axis, bit]
+            out += tap
+        return out
+
+
+def rigid_operator(shape: tuple[int, int, int], transform: RigidTransform) -> RigidOperator:
+    """Trilinear taps of output(x) = input(R^-1 (x - c) + c - t) on a
+    (D, H, W) grid, with c its center.
+
+    A tap outside the grid reads 0 (scipy's ``grid-constant`` mode), so a
+    sample a hair outside the grid is interpolated against 0 instead of
+    dropped, and right-angle rotations stay index-exact. The coordinates
+    and weights are formed in scipy's order: the offset plus each column
+    of R^-1 times its grid index in turn, the lower weight as
+    1 - frac and the upper one as 1 - lower.
+    """
+    D, H, W = shape
+    n = D * H * W
+    R_inv = transform.rotation.T
+    center = (np.array(shape) - 1.0) / 2.0
+    offset = center - R_inv @ center - transform.translation
+    d, h, w = np.ogrid[:D, :H, :W]
+    strides = ((H + 2 * _TAP_PAD) * (W + 2 * _TAP_PAD), W + 2 * _TAP_PAD, 1)
+    weights = np.empty((3, 2, n))
+    corner = np.zeros(n)  # padded flat index of the lower corner, exact in float64
+    for axis, (size, stride) in enumerate(zip(shape, strides)):
+        coord = ((offset[axis] + R_inv[axis, 0] * d) + R_inv[axis, 1] * h) + R_inv[axis, 2] * w
+        coord = coord.ravel()
+        node = np.floor(coord)
+        frac = np.subtract(coord, node, out=coord)
+        np.subtract(1.0, frac, out=weights[axis, 0])
+        np.subtract(1.0, weights[axis, 0], out=weights[axis, 1])
+        # clipped, a sample far outside the grid reads only the zero border
+        np.clip(node, -_TAP_PAD, size, out=node)
+        node += _TAP_PAD
+        node *= stride
+        corner += node
+    steps = tuple(int(np.dot(bits, strides)) for bits in itertools.product((0, 1), repeat=3))
+    return RigidOperator(tuple(shape), corner.astype(np.intp), steps, weights)
+
+
+def apply_rigid(data: np.ndarray, transform: RigidTransform) -> np.ndarray:
+    """Resample a (D, H, W) volume, or each volume of a (V, D, H, W) stack,
+    under a rigid transform about the volume center.
+
+    output(x) = input(R^-1 (x - c) + c - t), trilinear, out-of-bounds
+    sampled as 0. The taps (:func:`rigid_operator`) are built once and
+    applied to every volume in float64; the result is cast back to the
+    input dtype.
     """
     data = np.asarray(data)
-    R_inv = transform.rotation.T
-    center = (np.array(data.shape, dtype=float) - 1.0) / 2.0
-    offset = center - R_inv @ center - transform.translation
-    out = ndimage.affine_transform(
-        data.astype(np.float64),
-        R_inv,
-        offset=offset,
-        order=order,
-        # grid-constant keeps samples an epsilon outside the grid interpolated
-        # against 0 instead of snapping the whole voxel to 0, so right-angle
-        # rotations stay index-exact
-        mode="grid-constant",
-        cval=0.0,
-        prefilter=(order > 1),
-    )
-    return out.astype(data.dtype, copy=False)
+    if data.ndim not in (3, 4):
+        raise ValueError(f"data must be (D, H, W) or (V, D, H, W), got shape {data.shape}")
+    op = rigid_operator(data.shape[-3:], transform)
+    out = np.stack([op.apply(volume) for volume in data.reshape((-1,) + op.shape)])
+    return out.reshape(data.shape).astype(data.dtype, copy=False)

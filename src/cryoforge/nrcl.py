@@ -242,9 +242,19 @@ class PrecomputedEncoder(PairEncoder):
 
 
 def _transform_batch(volumes: np.ndarray, transforms: list[RigidTransform]) -> np.ndarray:
-    if len(transforms) != volumes.shape[0]:
-        raise ValueError("transform batch must match the volume batch")
+    """Entry b of ``volumes`` (one volume, or a stack of them) under ``transforms[b]``."""
     return np.stack([apply_rigid(v, t) for v, t in zip(volumes, transforms)])
+
+
+def _check_batch(X, X_clean, X_noisy, T, T_prime) -> None:
+    if X.ndim != 4:
+        raise ValueError(f"X must be a (B, D, H, W) batch, got shape {X.shape}")
+    for name, other in (("X_clean", X_clean), ("X_noisy", X_noisy)):
+        if other.shape != X.shape:
+            raise ValueError(f"{name} has shape {other.shape}, X has {X.shape}")
+    for name, transforms in (("T", T), ("T_prime", T_prime)):
+        if len(transforms) != len(X):
+            raise ValueError(f"{name} has {len(transforms)} transforms for a batch of {len(X)}")
 
 
 def _checked(encoded: EmbeddingBatch, name: str) -> EmbeddingBatch:
@@ -272,11 +282,19 @@ def nrcl_step(
           + infonce(q1, k_clean, k_noisy)
     together with the per-term breakdown; ``wass_converged`` is true only
     if both Sinkhorn plans converged. No parameters are updated.
+
+    X, X_clean and X_noisy are (B, D, H, W) batches of one shape, and T
+    and T_prime hold B transforms each. Under T the three share each
+    transform's resampling taps: one ``apply_rigid`` call per entry
+    resamples all three, each cast back to its own dtype.
     """
-    X1 = _transform_batch(X, T)
+    X, X_clean, X_noisy = (np.asarray(a) for a in (X, X_clean, X_noisy))
+    _check_batch(X, X_clean, X_noisy, T, T_prime)
+    shared = _transform_batch(np.stack([X, X_clean, X_noisy], axis=1), T)
+    X1, X1_clean, X1_noisy = (
+        shared[:, i].astype(a.dtype, copy=False) for i, a in enumerate((X, X_clean, X_noisy))
+    )
     X2 = _transform_batch(X, T_prime)
-    X1_clean = _transform_batch(X_clean, T)
-    X1_noisy = _transform_batch(X_noisy, T)
 
     q1 = _checked(encoder_q.encode(X1, X), "encoder_q")
     q2 = _checked(encoder_q.encode(X2, X), "encoder_q")

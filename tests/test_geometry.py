@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from conftest import gaussian_blob
 from cryoforge.geometry import (
@@ -12,6 +13,7 @@ from cryoforge.geometry import (
     matrix_to_euler,
     matrix_to_quat,
     quat_to_matrix,
+    rigid_operator,
     rot_z,
     rotation_error,
     svd_to_matrix,
@@ -191,6 +193,29 @@ def test_rigid_transform_validates_rotation():
         RigidTransform(rotation=np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"rotation": np.full((3, 3), np.nan)}, "rotation"),
+        ({"rotation": np.where(np.eye(3) > 0, np.nan, 0.0)}, "rotation"),
+        ({"rotation": np.eye(2)}, "rotation"),
+        ({"translation": [0.0, np.nan, 0.0]}, "translation"),
+        ({"translation": [np.inf, 0.0, 0.0]}, "translation"),
+        ({"translation": [1.0, 2.0]}, "translation"),
+    ],
+)
+def test_rigid_transform_rejects_non_finite_or_misshapen_fields(kwargs, field):
+    # NaN compares False, so a NaN rotation used to pass the orthogonality
+    # check; a NaN translation made apply_rigid return an all-NaN volume
+    with pytest.raises(ValueError, match=field):
+        RigidTransform(**kwargs)
+
+
+def test_rotation_error_rejects_nan_matrix():
+    with pytest.raises(ValueError, match="R_est"):
+        rotation_error(np.full((3, 3), np.nan), np.eye(3))
+
+
 def test_rigid_compose_matches_chained_sampling_map(rng):
     # apply_rigid realizes the forward map x -> R(x - c + t) + c about the
     # volume center c; composing transforms must chain that exact map
@@ -231,3 +256,65 @@ def test_apply_rigid_composition(rng):
     # trilinear error on a sigma-3 Gaussian is ~1.5% of peak per resampling;
     # chaining two roughly doubles it (measured ~2.9%)
     assert np.abs(twice - once).max() < 0.04 * data.max()
+
+
+def _scipy_apply_rigid(volume, transform):
+    """Test-only oracle: the map of apply_rigid through scipy's resampler."""
+    R_inv = transform.rotation.T
+    center = (np.array(volume.shape, dtype=float) - 1.0) / 2.0
+    offset = center - R_inv @ center - transform.translation
+    out = ndimage.affine_transform(
+        volume.astype(np.float64), R_inv, offset=offset, order=1,
+        mode="grid-constant", cval=0.0, prefilter=False,
+    )
+    return out.astype(volume.dtype, copy=False)
+
+
+def _random_transform(rng, scale=3.0):
+    rotation = gso_to_matrix(rng.normal(size=3), rng.normal(size=3))
+    return RigidTransform(rotation, scale * rng.normal(size=3))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(12, 12, 12), (7, 9, 11), (1, 5, 6)])
+def test_apply_rigid_bit_equal_to_scipy_oracle(rng, dtype, shape):
+    special = [
+        RigidTransform(),
+        RigidTransform(translation=[2.0, 0.0, -3.0]),
+        RigidTransform(rot_z(np.pi / 2)),
+        RigidTransform(rot_z(np.pi / 2), [0.5, -1.25, 2.0]),
+        RigidTransform(translation=[100.0, 0.0, 0.0]),  # every sample outside
+    ]
+    for transform in special + [_random_transform(rng) for _ in range(12)]:
+        stack = rng.normal(size=(3,) + shape).astype(dtype)
+        expected = np.stack([_scipy_apply_rigid(v, transform) for v in stack])
+        out = apply_rigid(stack, transform)
+        assert out.dtype == dtype and out.shape == stack.shape
+        assert out.tobytes() == expected.tobytes()
+        assert apply_rigid(stack[1], transform).tobytes() == expected[1].tobytes()
+
+
+def test_apply_rigid_interpolates_a_sample_a_hair_outside_against_zero(rng):
+    # the first d plane samples d = -1e-12: its lower tap is outside the
+    # grid and reads 0, its upper tap keeps weight 1 - 1e-12
+    data = rng.random((6, 7, 8)) + 1.0
+    transform = RigidTransform(translation=[1e-12, 0.0, 0.0])
+    out = apply_rigid(data, transform)
+    assert out.tobytes() == _scipy_apply_rigid(data, transform).tobytes()
+    assert np.abs(out[0] - data[0]).max() < 1e-11
+
+
+def test_rigid_operator_taps_stay_in_the_padded_grid(rng):
+    shape = (5, 6, 7)
+    padded = np.prod(np.array(shape) + 4)
+    for transform in [RigidTransform(translation=[-1e9, 1e9, 3.5]), _random_transform(rng, 10.0)]:
+        op = rigid_operator(shape, transform)
+        assert op.corner.shape == (np.prod(shape),) and len(op.steps) == 8
+        assert op.corner.min() >= 0 and op.corner.max() + max(op.steps) < padded
+        with pytest.raises(ValueError, match="shape"):
+            op.apply(np.zeros((5, 6, 8)))
+
+
+def test_apply_rigid_rejects_non_volume_data():
+    with pytest.raises(ValueError, match="data"):
+        apply_rigid(np.zeros((4, 4)), RigidTransform())

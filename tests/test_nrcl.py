@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.special import logsumexp
 
-from cryoforge.geometry import RigidTransform
+from cryoforge import nrcl
+from cryoforge.geometry import RigidTransform, gso_to_matrix
 from cryoforge.nrcl import (
     EmbeddingBatch,
     EncoderContractError,
@@ -286,6 +288,69 @@ def test_nrcl_step_with_linear_encoder_is_deterministic(rng):
     t2 = nrcl_step(X, X, X, identity, identity, enc_q, enc_k, cfg)
     assert t1[0] == t2[0]
     assert np.isfinite(t1[0])
+
+
+def _per_volume_apply_rigid(data, transform):
+    """The resampling nrcl_step did before it shared taps: scipy's
+    resampler, one volume at a time, each cast back to the input dtype."""
+    R_inv = transform.rotation.T
+    center = (np.array(data.shape[-3:], dtype=float) - 1.0) / 2.0
+    offset = center - R_inv @ center - transform.translation
+    volumes = [
+        ndimage.affine_transform(
+            v.astype(np.float64), R_inv, offset=offset, order=1,
+            mode="grid-constant", cval=0.0, prefilter=False,
+        ).astype(data.dtype, copy=False)
+        for v in data.reshape((-1,) + data.shape[-3:])
+    ]
+    return np.stack(volumes).reshape(data.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_nrcl_step_loss_bit_equal_to_per_volume_path(rng, dtype, monkeypatch):
+    B, n = 4, 6
+    X, X_clean, X_noisy = (rng.normal(size=(B, n, n, n)).astype(dtype) for _ in range(3))
+
+    def transforms():
+        rotations = [gso_to_matrix(rng.normal(size=3), rng.normal(size=3)) for _ in range(B)]
+        return [RigidTransform(R, rng.normal(size=3)) for R in rotations]
+
+    T, T_prime = transforms(), transforms()
+    encoders = [LinearProjectionEncoder(input_voxels=n**3, dim=8, seed=k) for k in (1, 2)]
+    shared = nrcl_step(X, X_clean, X_noisy, T, T_prime, *encoders, LossConfig())
+    calls = []
+
+    def per_volume(data, transform):
+        calls.append(data.shape)
+        return _per_volume_apply_rigid(data, transform)
+
+    monkeypatch.setattr(nrcl, "apply_rigid", per_volume)
+    reference = nrcl_step(X, X_clean, X_noisy, T, T_prime, *encoders, LossConfig())
+    assert shared[0] == reference[0]
+    assert shared[1] == reference[1]
+    # one call per transform: B under T for the three stacked batches, B under T'
+    assert calls == [(3, n, n, n)] * B + [(n, n, n)] * B
+
+
+@pytest.mark.parametrize(
+    "change, name",
+    [
+        (lambda a: a.update(X_clean=a["X_clean"][:, :3]), "X_clean"),
+        (lambda a: a.update(X_noisy=a["X_noisy"][:2]), "X_noisy"),
+        (lambda a: a.update(X=a["X"][0]), "X"),
+        (lambda a: a.update(T=a["T"][:1]), "T"),
+        (lambda a: a.update(T_prime=a["T_prime"] + [RigidTransform()]), "T_prime"),
+    ],
+)
+def test_nrcl_step_rejects_mismatched_inputs(rng, change, name):
+    X, identity = _step_inputs(rng, B=3)
+    args = {
+        "X": X, "X_clean": X.copy(), "X_noisy": X.copy(), "T": identity, "T_prime": list(identity)
+    }
+    change(args)
+    encoder = LinearProjectionEncoder(input_voxels=64, dim=8, seed=1)
+    with pytest.raises(ValueError, match=f"^{name} "):
+        nrcl_step(**args, encoder_q=encoder, encoder_k=encoder, cfg=LossConfig())
 
 
 def test_nrcl_step_rejects_unnormalized_encoder(rng):

@@ -22,6 +22,9 @@ from cryoforge.tiltsim import (
     TiltGeometry,
     TiltSeries,
     _beam_operator,
+    _mirror,
+    _project,
+    _spline_coefficients,
     default_angles,
     fourier_shift_2d,
     pretraining_angles,
@@ -44,6 +47,17 @@ def test_geometry_rejects_bad_angles():
         TiltGeometry(angles=[0.0, 1.0, 3.0])
     with pytest.raises(ValueError):
         TiltGeometry(oversample=0)
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [[0.0, math.nan, 4.0], [-math.inf, 0.0], [0.0, math.inf], [-92.0, 0.0, 92.0], [88.0, 90.5]],
+)
+def test_geometry_rejects_non_finite_or_out_of_range_angles(angles):
+    # a NaN angle used to pass and fail in simulate_tilt_series; |angle| > 90
+    # failed only at projection
+    with pytest.raises(ValueError, match="angles must be finite and within"):
+        TiltGeometry(angles=angles)
 
 
 def test_series_length_invariant():
@@ -356,7 +370,57 @@ def test_series_builds_operators_on_calling_thread(monkeypatch):
     monkeypatch.setattr(tiltsim, "_beam_operator", recording_operator)
     geom = TiltGeometry(angles=[-20.0, -10.0, 0.0, 10.0, 20.0])
     simulate_tilt_series(multi_blob_volume(12, blobs=1), geom, jobs=2)
-    assert built_in == [threading.main_thread()] * 5
+    # one build per distinct |angle|: 20, 10 and 0
+    assert built_in == [threading.main_thread()] * 3
+
+
+MIRROR_ANGLE_SETS = [
+    [-20.0, -10.0, 0.0, 10.0, 20.0],  # symmetric, with 0
+    [-15.0, -5.0, 5.0, 15.0],  # symmetric, without 0
+    [-30.0, -20.0, -10.0, 0.0, 10.0],  # asymmetric, with 0
+    [-9.0, -3.0, 3.0, 9.0, 15.0, 21.0],  # asymmetric, without 0
+    [-90.0, -45.0, 0.0, 45.0, 90.0],
+]
+
+
+@pytest.mark.parametrize("angles", MIRROR_ANGLE_SETS)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_series_builds_one_operator_per_distinct_tilt(monkeypatch, angles, jobs):
+    built = []
+
+    def recording_operator(shape, angle, oversample):
+        built.append((angle, threading.current_thread()))
+        return _beam_operator(shape, angle, oversample)
+
+    monkeypatch.setattr(tiltsim, "_beam_operator", recording_operator)
+    simulate_tilt_series(multi_blob_volume(12, blobs=1), TiltGeometry(angles=angles), jobs=jobs)
+    tilts = sorted(angle for angle, _ in built)
+    assert tilts == sorted({abs(a) for a in angles})
+    assert {thread for _, thread in built} == {threading.main_thread()}
+
+
+@pytest.mark.parametrize("angles", MIRROR_ANGLE_SETS)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unshifted_views_match_project_tilt(angles, jobs):
+    # a negative angle's view comes from the mirrored +|angle| operator,
+    # project_tilt builds the operator of the angle itself
+    vol = multi_blob_volume(16, blobs=3)
+    geom = TiltGeometry(angles=angles, shift_range=0.0, seed=2)
+    series = simulate_tilt_series(vol, geom, jobs=jobs)
+    for angle, view in zip(angles, series.projections):
+        expected = project_tilt(vol, angle, geom).astype(np.float32)
+        assert np.abs(view - expected).max() <= 1e-12 * np.abs(expected).max(), angle
+
+
+@pytest.mark.parametrize("shape", [(46, 360, 46), (64, 12, 128), (7, 3, 10), (10, 2, 7)])
+def test_mirrored_operator_projects_like_a_direct_build(shape):
+    vol = DensityVolume(np.random.default_rng(1).random(shape).astype(np.float32))
+    coeffs, rows = _spline_coefficients(vol)
+    for angle in (2.0, 30.0, 45.0, 60.0, 90.0, 1e-7, 17.3):
+        op = _beam_operator(shape, angle, 2)
+        mirrored = _project(coeffs, rows, shape[1], _mirror(op, shape))[:, ::-1]
+        direct = _project(coeffs, rows, shape[1], _beam_operator(shape, -angle, 2))
+        assert np.abs(mirrored - direct).max() <= 1e-13 * np.abs(direct).max(), angle
 
 
 def test_series_worker_exception_propagates(monkeypatch):
