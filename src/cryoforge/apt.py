@@ -77,25 +77,11 @@ class PatchSize:
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.s_d, self.s_h, self.s_w)
 
-    @property
-    def count(self) -> int:
-        return self.s_d * self.s_h * self.s_w
 
-
-@dataclass
-class PolyphaseSet:
-    """Phase components indexed (p, q, r); axes 0-2 are the phase grid."""
-
-    components: np.ndarray  # (s_d, s_h, s_w, D/s_d, H/s_h, W/s_w)
-    patch: PatchSize
-
-    @property
-    def count(self) -> int:
-        return self.patch.count
-
-
-def polyphase_decompose(data: np.ndarray, patch: PatchSize) -> PolyphaseSet:
-    """Split a volume into its interleaved phase components.
+def polyphase_decompose(data: np.ndarray, patch: PatchSize) -> np.ndarray:
+    """Split a volume into its interleaved phase components, an
+    (s_d, s_h, s_w, D/s_d, H/s_h, W/s_w) array whose axes 0-2 are the
+    phase grid.
 
     Component (p, q, r) holds the samples at indices
     (i s_d + p, j s_h + q, k s_w + r); the inverse interleave is exact.
@@ -109,13 +95,13 @@ def polyphase_decompose(data: np.ndarray, patch: PatchSize) -> PolyphaseSet:
     # axis (i, p) of the reshape is index i * s + p, so moving the phase
     # axes first puts sample (i s_d + p, j s_h + q, k s_w + r) at [p, q, r, i, j, k]
     comps = data.reshape(D // sd, sd, H // sh, sh, W // sw, sw).transpose(1, 3, 5, 0, 2, 4)
-    return PolyphaseSet(comps.copy(), patch)
+    return comps.copy()
 
 
-def interleave(ps: PolyphaseSet) -> np.ndarray:
+def interleave(components: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`polyphase_decompose`."""
-    sd, sh, sw, nd, nh, nw = ps.components.shape
-    out = ps.components.transpose(3, 0, 4, 1, 5, 2).copy()
+    sd, sh, sw, nd, nh, nw = components.shape
+    out = components.transpose(3, 0, 4, 1, 5, 2).copy()
     return out.reshape(nd * sd, nh * sh, nw * sw)
 
 
@@ -183,11 +169,6 @@ class SteerableSelectionNet:
             kernels[J] = bank
         return kernels
 
-    def kernel_sum(self, J: int = 0, m_index: int = 0, radial_index: int = 0) -> float:
-        """Total mass of one kernel; handy for closed-form checks."""
-        return float(self._kernels[J][m_index, radial_index].sum())
-
-
     def _kernel_spectra(self, shape: tuple[int, int, int]):
         """Weight-free kernel spectra for components of one shape, cached.
 
@@ -224,18 +205,19 @@ def _wrap_kernel_rfft(kernel: np.ndarray, shape: tuple[int, int, int]) -> np.nda
     return np.fft.rfftn(wrapped, axes=(-3, -2, -1))
 
 
-def _logit_fields(comps: np.ndarray, net: SteerableSelectionNet) -> np.ndarray:
-    """Pooled logits for a stack of components (..., n_d, n_h, n_w).
+def component_logits(components: np.ndarray, net: SteerableSelectionNet) -> np.ndarray:
+    """Pooled logit per component of a stack (..., n_d, n_h, n_w), shaped
+    like its leading axes (the phase grid of :func:`polyphase_decompose`).
 
     Closed form of the pooled convolution responses: one batched rfftn of
     the components, then the scalar term mean(f) * sum_b w_scalar[b]
     K_b(0) plus <|F|^2, W> / N^2 with the weight spectrum W formed from
     the net's cached per-shape kernel powers and its current weights.
     """
-    lead = comps.shape[:-3]
-    shape = comps.shape[-3:]
+    lead = components.shape[:-3]
+    shape = components.shape[-3:]
     n = math.prod(shape)
-    flat = comps.reshape(-1, *shape).astype(np.float64)
+    flat = components.reshape(-1, *shape).astype(np.float64)
     F = np.fft.rfftn(flat, axes=(-3, -2, -1))
     mass, power, control = net._kernel_spectra(shape)
     W = np.tensordot(net.w_energy, power, axes=2)
@@ -245,12 +227,6 @@ def _logit_fields(comps: np.ndarray, net: SteerableSelectionNet) -> np.ndarray:
     spectrum = (F.real**2 + F.imag**2).reshape(F.shape[0], -1)
     logits = F[:, 0, 0, 0].real / n * float(net.w_scalar @ mass) + spectrum @ W.ravel() / n**2
     return logits.reshape(lead) if lead else logits
-
-
-def steerable_features(component: np.ndarray, net: SteerableSelectionNet) -> float:
-    """Pooled scalar logit of one phase component, in the closed form of
-    :func:`_logit_fields` (cached kernel spectra for its shape)."""
-    return float(_logit_fields(np.asarray(component)[None], net)[0])
 
 
 @dataclass
@@ -270,13 +246,13 @@ class SelectionProbabilities:
 
 
 def selection_probs(
-    ps: PolyphaseSet,
+    components: np.ndarray,
     net: SteerableSelectionNet,
     temperature: float = 1.0,
     mode: str = "inference",
 ) -> SelectionProbabilities:
     """Softmax over the per-component pooled logits."""
-    return _softmax(component_logits(ps, net), temperature, mode)
+    return _softmax(component_logits(components, net), temperature, mode)
 
 
 def _softmax(
@@ -286,11 +262,6 @@ def _softmax(
     z = logits - logits.max()
     e = np.exp(z)
     return SelectionProbabilities(e / e.sum(), temperature, mode)
-
-
-def component_logits(ps: PolyphaseSet, net: SteerableSelectionNet) -> np.ndarray:
-    """Pooled logit per phase component, shaped like the phase grid."""
-    return _logit_fields(ps.components, net)
 
 
 def gumbel_select(
@@ -326,10 +297,10 @@ def apt_forward(
     temperature: float = 1.0,
 ) -> tuple[np.ndarray, tuple[int, int, int], SelectionProbabilities]:
     """Full tokenization pass: decompose, score, select, extract."""
-    ps = polyphase_decompose(data, patch)
-    probs = selection_probs(ps, net, temperature=temperature, mode=mode)
+    components = polyphase_decompose(data, patch)
+    probs = selection_probs(components, net, temperature=temperature, mode=mode)
     index = gumbel_select(probs, rng)
-    return ps.components[index], index, probs
+    return components[index], index, probs
 
 
 # -- equivariance harness ----------------------------------------------------
@@ -395,11 +366,11 @@ def verify_equivariance(
     all_shifts = list(itertools.product(*(range(si) for si in s)))
     for _ in range(trials):
         vol = rng.normal(size=volume_shape)
-        ps = polyphase_decompose(vol, patch)
-        logits = component_logits(ps, net)
+        comps = polyphase_decompose(vol, patch)
+        logits = component_logits(comps, net)
         probs = _softmax(logits)
         sel = gumbel_select(probs)
-        selected = ps.components[sel]
+        selected = comps[sel]
 
         shifts = all_shifts
         if shifts_per_trial is not None:
@@ -407,8 +378,8 @@ def verify_equivariance(
             shifts = [all_shifts[i] for i in picks]
         for g in shifts:
             shifted = np.roll(vol, g, axis=(0, 1, 2))
-            ps_g = polyphase_decompose(shifted, patch)
-            probs_g = selection_probs(ps_g, net)
+            comps_g = polyphase_decompose(shifted, patch)
+            probs_g = selection_probs(comps_g, net)
             # probs of the shifted volume are the index-mapped originals
             expected = np.roll(probs.probs, g, axis=(0, 1, 2))
             max_prob_dev_shift = max(
@@ -417,15 +388,15 @@ def verify_equivariance(
             sel_g = gumbel_select(probs_g)
             exp_index, inner = _shift_component_map(sel, g, s)
             if sel_g != exp_index or not np.array_equal(
-                ps_g.components[sel_g], np.roll(selected, inner, axis=(0, 1, 2))
+                comps_g[sel_g], np.roll(selected, inner, axis=(0, 1, 2))
             ):
                 shift_exact = False
 
         if volume_shape[0] == volume_shape[1] == volume_shape[2] and s[0] == s[1] == s[2]:
             for _, rot in rotations:
                 rvol = rot(vol)
-                ps_r = polyphase_decompose(np.ascontiguousarray(rvol), patch)
-                logits_r = component_logits(ps_r, net)
+                comps_r = polyphase_decompose(np.ascontiguousarray(rvol), patch)
+                logits_r = component_logits(comps_r, net)
                 probs_r = _softmax(logits_r)
                 # the phase grid transforms by the same array operation
                 max_logit_dev_rot = max(
@@ -435,7 +406,7 @@ def verify_equivariance(
                     max_prob_dev_rot, float(np.abs(probs_r.probs - rot(probs.probs)).max())
                 )
                 sel_r = gumbel_select(probs_r)
-                if not np.array_equal(ps_r.components[sel_r], rot(selected)):
+                if not np.array_equal(comps_r[sel_r], rot(selected)):
                     rot_exact = False
 
     report = {

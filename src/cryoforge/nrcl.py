@@ -223,8 +223,8 @@ class LinearProjectionEncoder(PairEncoder):
     def encode(self, views: np.ndarray, originals: np.ndarray) -> EmbeddingBatch:
         B = views.shape[0]
         flat = np.concatenate(
-            [views.reshape(B, -1), originals.reshape(B, -1)], axis=1
-        ).astype(np.float64)
+            [views.reshape(B, -1), originals.reshape(B, -1)], axis=1, dtype=np.float64
+        )
         out = flat @ self.weight.T
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         norms[norms == 0] = 1.0

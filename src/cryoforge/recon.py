@@ -32,10 +32,10 @@ import numpy as np
 from scipy import sparse
 
 from .tiltalign import AlignmentResult
-from .tiltsim import TiltSeries, build_then_run, fourier_shift_2d, shift_ramp
+from .tiltsim import TiltSeries, build_then_run, shift_ramp
+from .tiltsim import fourier_shift_2d  # noqa: F401  perfbench traces recon.fourier_shift_2d
 from .volume import DensityVolume, three_ints
 
-FILTERS = ("hann_ramp", "ramp", "none")
 WEIGHTINGS = ("abs_cos", "uniform")
 SLAB_BYTES = 4_000_000  # float32 product and operator taps (value + int32 index) of one d slab
 
@@ -43,50 +43,33 @@ SLAB_BYTES = 4_000_000  # float32 product and operator taps (value + int32 index
 @dataclass
 class ReconConfig:
     output_dims: tuple[int, int, int] = (200, 500, 500)  # (D, H, W)
-    filter: str = "hann_ramp"
     weighting: str = "abs_cos"
 
     def __post_init__(self):
         self.output_dims = three_ints(self.output_dims, "output_dims")
         if min(self.output_dims) < 1:
             raise ValueError("output_dims must be positive")
-        if self.filter not in FILTERS:
-            raise ValueError(f"filter must be one of {FILTERS}")
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}")
 
 
-def filter_response(n: int, kind: str) -> np.ndarray:
-    """Frequency response H(f) on the rfft grid of an n-sample row.
-
-    hann_ramp: |f/f_N| * (0.5 + 0.5 cos(pi f / f_N)) up to Nyquist f_N.
-    """
+def filter_response(n: int) -> np.ndarray:
+    """Hann-tapered ramp H(f) on the rfft grid of an n-sample row:
+    |f/f_N| * (0.5 + 0.5 cos(pi f / f_N)) up to Nyquist f_N."""
     freqs = np.fft.rfftfreq(n)  # cycles/pixel, f_N = 0.5
-    ramp = freqs / 0.5
-    if kind == "none":
-        return np.ones_like(freqs)
-    if kind == "ramp":
-        return ramp
-    if kind == "hann_ramp":
-        return ramp * (0.5 + 0.5 * np.cos(np.pi * freqs / 0.5))
-    raise ValueError(f"unknown filter {kind!r}")
+    return freqs / 0.5 * (0.5 + 0.5 * np.cos(np.pi * freqs / 0.5))
 
 
-def filter_projection(
-    img: np.ndarray, cfg: ReconConfig, dx: float = 0.0, dy: float = 0.0
-) -> np.ndarray:
-    """Apply the 1D reconstruction filter along the detector x-axis and
-    shift the content by (+dx, +dy), in one ``rfft2`` round trip.
+def filter_projection(img: np.ndarray, dx: float = 0.0, dy: float = 0.0) -> np.ndarray:
+    """Apply the Hann ramp along the detector x-axis and shift the content
+    by (+dx, +dy), in one ``rfft2`` round trip.
 
     Rows run perpendicular to the tilt axis (the detector y-axis), which
     stays unfiltered. The filter response and ``shift_ramp`` multiply the
-    same half spectrum; with filter "none" this is ``fourier_shift_2d``,
-    and with no shift either, a copy of the input.
+    same half spectrum.
     """
     img = np.asarray(img, dtype=np.float64)
-    if cfg.filter == "none":
-        return fourier_shift_2d(img, dx, dy) if (dx or dy) else img.copy()
-    spectrum = np.fft.rfft2(img) * filter_response(img.shape[1], cfg.filter)[None, :]
+    spectrum = np.fft.rfft2(img) * filter_response(img.shape[1])[None, :]
     if dx or dy:
         spectrum *= shift_ramp(img.shape, dx, dy)
     return np.fft.irfft2(spectrum, s=img.shape)
@@ -145,7 +128,7 @@ def wbp_reconstruct(
     R = np.empty((n_tilts, Wdet, Hout), dtype=np.float32)
     for i, proj in enumerate(series.projections):
         dx, dy = align.shifts[i]
-        proj = filter_projection(proj, cfg, -dx, -dy)
+        proj = filter_projection(proj, -dx, -dy)
         R[i] = (proj[y0, :] * (1.0 - ty)[:, None] + proj[y1, :] * ty[:, None]).T
     R = R.reshape(n_tilts * Wdet, Hout)
 

@@ -9,7 +9,7 @@ near-zero voxels are suppressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -77,8 +77,6 @@ class DensifyConfig:
     target_resolution: float = 30.0
     solvent_margin_factor: float = 2.0
     peak_threshold_fraction: float = 0.005
-    element_sigma: dict = field(default_factory=lambda: dict(ELEMENT_SIGMA))
-    element_amplitude: dict = field(default_factory=lambda: dict(ELEMENT_NUMBER))
 
     def __post_init__(self):
         if not 0 < self.voxel_size < np.inf:
@@ -88,22 +86,14 @@ class DensifyConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         if not 0 <= self.peak_threshold_fraction < 1:
             raise ConfigError("peak_threshold_fraction must be in [0, 1)")
-        for elem, amp in self.element_amplitude.items():
-            if not 0 < abs(amp) < np.inf:
-                raise ConfigError(
-                    f"amplitude for element {elem!r} must be finite and nonzero, got {amp!r}"
-                )
-        for elem, sigma in self.element_sigma.items():
-            if not 0 < sigma < np.inf:
-                raise ConfigError(
-                    f"sigma for element {elem!r} must be positive and finite, got {sigma!r}"
-                )
 
-    def sigma_for(self, element: str) -> float:
-        return self.element_sigma.get(element, DEFAULT_SIGMA)
+    @staticmethod
+    def sigma_for(element: str) -> float:
+        return ELEMENT_SIGMA.get(element, DEFAULT_SIGMA)
 
-    def amplitude_for(self, element: str) -> float:
-        return float(self.element_amplitude.get(element, DEFAULT_NUMBER))
+    @staticmethod
+    def amplitude_for(element: str) -> float:
+        return float(ELEMENT_NUMBER.get(element, DEFAULT_NUMBER))
 
 
 def _element_from_line(line: str) -> str:

@@ -41,6 +41,8 @@ class ExtractionConfig:
             raise ValueError("neighbor_exclusion must be positive")
         if self.jitter_range < 0:
             raise ValueError("jitter_range must be >= 0")
+        if not 0 < self.mask_threshold <= 1:  # NaN included
+            raise ValueError(f"mask_threshold must be in (0, 1], got {self.mask_threshold!r}")
 
 
 @dataclass
@@ -124,16 +126,10 @@ def make_mask(particle_density: DensityVolume, cfg: ExtractionConfig) -> np.ndar
     return (data >= cfg.mask_threshold * peak).astype(np.uint8)
 
 
-def signal_variance(clean: DensityVolume, mask: np.ndarray | None = None) -> float:
-    """Population voxel variance of the clean signal.
-
-    By default the variance is taken over the full crop including
-    background; pass a mask to restrict it to particle voxels.
-    """
-    data = clean.data.astype(np.float64)
-    if mask is not None:
-        data = data[mask.astype(bool)]
-    v = float(np.var(data))
+def signal_variance(clean: DensityVolume) -> float:
+    """Population voxel variance of the clean signal over the full crop,
+    background included."""
+    v = float(np.var(clean.data.astype(np.float64)))
     if v <= 0:
         raise DegenerateSignalError("clean volume has zero variance")
     return v
@@ -145,9 +141,7 @@ def noise_field(shape: tuple[int, ...], sigma: float, seed) -> np.ndarray:
     return rng.normal(0.0, sigma, size=shape)
 
 
-def add_noise(
-    clean: DensityVolume, spec: NoiseSpec, mask: np.ndarray | None = None
-) -> DensityVolume:
+def add_noise(clean: DensityVolume, spec: NoiseSpec) -> DensityVolume:
     """Add zero-mean Gaussian noise calibrated to the target SNR.
 
     sigma^2 = v_sig / snr_target with v_sig the voxel variance of the
@@ -155,11 +149,11 @@ def add_noise(
     Deterministic per spec.seed; the noise field is regenerable via
     :func:`noise_field`.
     """
-    noise = noise_field(clean.data.shape, noise_sigma(clean, spec, mask), spec.seed)
+    noise = noise_field(clean.data.shape, noise_sigma(clean, spec), spec.seed)
     noisy = clean.data.astype(np.float64) + noise
     return clean.with_data(noisy.astype(np.float32))
 
 
-def noise_sigma(clean: DensityVolume, spec: NoiseSpec, mask: np.ndarray | None = None) -> float:
+def noise_sigma(clean: DensityVolume, spec: NoiseSpec) -> float:
     """Noise standard deviation used for this clean volume and target."""
-    return float(np.sqrt(signal_variance(clean, mask) / spec.snr_target))
+    return float(np.sqrt(signal_variance(clean) / spec.snr_target))

@@ -74,6 +74,8 @@ class TiltGeometry:
                 raise ValueError("tilt angle step must be uniform")
         if self.oversample < 1:
             raise ValueError("oversample must be >= 1")
+        if not 0 <= self.shift_range < np.inf:  # NaN included
+            raise ValueError(f"shift_range must be finite and >= 0, got {self.shift_range!r}")
 
 
 @dataclass

@@ -12,7 +12,6 @@ from cryoforge.apt import (
     octahedral_rotations,
     polyphase_decompose,
     selection_probs,
-    steerable_features,
     verify_equivariance,
 )
 
@@ -20,21 +19,20 @@ from cryoforge.apt import (
 def test_patch_size_validation():
     with pytest.raises(ValueError):
         PatchSize(0, 4, 4)
-    assert PatchSize(2, 3, 4).count == 24
+    assert PatchSize(2, 3, 4).as_tuple() == (2, 3, 4)
 
 
 def test_decompose_shapes_and_exact_interleave(rng):
     data = rng.normal(size=(4, 4, 4))
-    ps = polyphase_decompose(data, PatchSize(2, 2, 2))
-    assert ps.components.shape == (2, 2, 2, 2, 2, 2)
-    assert ps.count == 8
-    assert np.array_equal(interleave(ps), data)
+    comps = polyphase_decompose(data, PatchSize(2, 2, 2))
+    assert comps.shape == (2, 2, 2, 2, 2, 2)
+    assert np.array_equal(interleave(comps), data)
 
 
 def test_decompose_indexing_follows_strides(rng):
     data = rng.normal(size=(8, 8, 8))
-    ps = polyphase_decompose(data, PatchSize(4, 4, 4))
-    assert np.array_equal(ps.components[1, 2, 3], data[1::4, 2::4, 3::4])
+    comps = polyphase_decompose(data, PatchSize(4, 4, 4))
+    assert np.array_equal(comps[1, 2, 3], data[1::4, 2::4, 3::4])
 
 
 @pytest.mark.parametrize(
@@ -42,23 +40,23 @@ def test_decompose_indexing_follows_strides(rng):
 )
 def test_decompose_and_interleave_match_stride_loops(rng, shape, patch):
     data = rng.normal(size=shape)
-    ps = polyphase_decompose(data, PatchSize(*patch))
+    comps = polyphase_decompose(data, PatchSize(*patch))
     sd, sh, sw = patch
-    expected = np.empty(ps.components.shape)
+    expected = np.empty(comps.shape)
     rebuilt = np.empty(shape)
     for p in range(sd):
         for q in range(sh):
             for r in range(sw):
                 expected[p, q, r] = data[p::sd, q::sh, r::sw]
-                rebuilt[p::sd, q::sh, r::sw] = ps.components[p, q, r]
-    assert ps.components.shape == (sd, sh, sw, shape[0] // sd, shape[1] // sh, shape[2] // sw)
-    assert np.array_equal(ps.components, expected)
-    assert np.array_equal(interleave(ps), rebuilt)
+                rebuilt[p::sd, q::sh, r::sw] = comps[p, q, r]
+    assert comps.shape == (sd, sh, sw, shape[0] // sd, shape[1] // sh, shape[2] // sw)
+    assert np.array_equal(comps, expected)
+    assert np.array_equal(interleave(comps), rebuilt)
 
 
 def test_decompose_constant_volume():
-    ps = polyphase_decompose(np.full((8, 8, 8), 2.5), PatchSize(4, 4, 4))
-    assert np.ptp(ps.components) == 0.0
+    comps = polyphase_decompose(np.full((8, 8, 8), 2.5), PatchSize(4, 4, 4))
+    assert np.ptp(comps) == 0.0
 
 
 def test_decompose_rejects_non_divisible():
@@ -69,13 +67,13 @@ def test_decompose_rejects_non_divisible():
 def test_shift_maps_components(rng):
     # Circular shift by (1,0,0) sends component (p,q,r) to ((p+1) mod 4, q, r)
     data = rng.normal(size=(16, 16, 16))
-    ps = polyphase_decompose(data, PatchSize())
+    comps = polyphase_decompose(data, PatchSize())
     shifted = polyphase_decompose(np.roll(data, 1, axis=0), PatchSize())
     for p in range(4):
         for q in range(4):
             for r in range(4):
-                expect = np.roll(ps.components[p, q, r], (p + 1) // 4, axis=0)
-                assert np.array_equal(shifted.components[(p + 1) % 4, q, r], expect)
+                expect = np.roll(comps[p, q, r], (p + 1) // 4, axis=0)
+                assert np.array_equal(shifted[(p + 1) % 4, q, r], expect)
 
 
 def test_constant_component_logit_is_kernel_mass():
@@ -83,22 +81,22 @@ def test_constant_component_logit_is_kernel_mass():
     net = SteerableSelectionNet(
         w_scalar=np.array([1.0, 0.0, 0.0]), w_energy=np.zeros((2, nb))
     )
-    logit = steerable_features(np.full((8, 8, 8), 2.0), net)
-    assert logit == pytest.approx(2.0 * net.kernel_sum(J=0, m_index=0, radial_index=0), rel=1e-9)
+    (logit,) = component_logits(np.full((1, 8, 8, 8), 2.0), net)
+    assert logit == pytest.approx(2.0 * net._kernels[0][0, 0].sum(), rel=1e-9)
 
 
 def test_zero_weights_zero_logit(rng):
     net = SteerableSelectionNet(w_scalar=np.zeros(3), w_energy=np.zeros((2, 3)))
-    assert steerable_features(rng.normal(size=(8, 8, 8)), net) == 0.0
+    assert np.array_equal(component_logits(rng.normal(size=(1, 8, 8, 8)), net), [0.0])
 
 
 def test_logit_rotation_invariance(rng):
     net = SteerableSelectionNet.random(rng)
     comp = rng.normal(size=(8, 8, 8))
-    base = steerable_features(comp, net)
+    (base,) = component_logits(comp[None], net)
     scale = max(1.0, abs(base))
     for _, rot in octahedral_rotations():
-        rotated = steerable_features(np.ascontiguousarray(rot(comp)), net)
+        (rotated,) = component_logits(np.ascontiguousarray(rot(comp))[None], net)
         assert abs(rotated - base) < 1e-6 * scale
 
 
@@ -109,8 +107,8 @@ def test_net_requires_odd_kernel():
 
 def test_uniform_probs_for_constant_volume():
     net = SteerableSelectionNet()
-    ps = polyphase_decompose(np.full((16, 16, 16), 1.0), PatchSize())
-    probs = selection_probs(ps, net)
+    comps = polyphase_decompose(np.full((16, 16, 16), 1.0), PatchSize())
+    probs = selection_probs(comps, net)
     assert np.abs(probs.probs - 1.0 / 64).max() < 1e-9
     assert probs.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -196,8 +194,8 @@ def test_verify_equivariance_trials_guard():
 
 
 def test_component_logits_shape(rng):
-    ps = polyphase_decompose(rng.normal(size=(8, 8, 8)), PatchSize(2, 2, 2))
-    logits = component_logits(ps, SteerableSelectionNet.random(rng))
+    comps = polyphase_decompose(rng.normal(size=(8, 8, 8)), PatchSize(2, 2, 2))
+    logits = component_logits(comps, SteerableSelectionNet.random(rng))
     assert logits.shape == (2, 2, 2)
 
 
@@ -260,17 +258,17 @@ def _assert_logits_match(got, want):
 def test_component_logits_match_convolution_reference(volume_shape, patch, break_rotation):
     rng = np.random.default_rng(sum(volume_shape) + break_rotation)
     net = SteerableSelectionNet.random(rng, break_rotation=break_rotation)
-    ps = polyphase_decompose(rng.normal(size=volume_shape), PatchSize(*patch))
-    _assert_logits_match(component_logits(ps, net), _reference_logits(ps.components, net))
+    comps = polyphase_decompose(rng.normal(size=volume_shape), PatchSize(*patch))
+    _assert_logits_match(component_logits(comps, net), _reference_logits(comps, net))
 
 
 def test_component_logits_follow_reassigned_weights(rng):
     net = SteerableSelectionNet.random(rng)
-    ps = polyphase_decompose(rng.normal(size=(16, 16, 16)), PatchSize())
-    first = component_logits(ps, net)
-    _assert_logits_match(first, _reference_logits(ps.components, net))
+    comps = polyphase_decompose(rng.normal(size=(16, 16, 16)), PatchSize())
+    first = component_logits(comps, net)
+    _assert_logits_match(first, _reference_logits(comps, net))
     net.w_energy = rng.normal(size=net.w_energy.shape)
     net.w_scalar = rng.normal(size=net.w_scalar.shape)
-    second = component_logits(ps, net)
-    _assert_logits_match(second, _reference_logits(ps.components, net))
+    second = component_logits(comps, net)
+    _assert_logits_match(second, _reference_logits(comps, net))
     assert np.abs(second - first).max() > 1e-3 * np.abs(first).max()

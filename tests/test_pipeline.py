@@ -63,10 +63,12 @@ def test_config_hash_is_pinned(tmp_path):
     # sha256 of the sorted-key JSON of every field but jobs, which outputs do
     # not depend on and whose default depends on the machine; the value
     # changed when jobs left the hash, and again when the nested sections
-    # began to hold the seeds, target_count and output_dims the run uses
+    # began to hold the seeds, target_count and output_dims the run uses, and
+    # again when densify.element_sigma, densify.element_amplitude and
+    # recon.filter were removed
     raw = _raw_config(tmp_path, structures={"a": "a.pdb"}, output_dir="out")
     cfg = PipelineConfig.from_dict(raw)
-    assert cfg.config_hash() == "6296d188d587a837d9b72c5cdb84678b61627076b5a3097b3bb67140046398cb"
+    assert cfg.config_hash() == "983c35afdf2cf1d1307668d53bd948cb444c00abcfee1d6f995195d1a8c283b9"
 
 
 def test_config_spelling_out_derived_fields_hashes_alike(tmp_path):
@@ -139,8 +141,14 @@ def test_config_jobs_defaults_to_the_cli_rule(tmp_path, monkeypatch):
         ('{"structures": {"a": "a.pdb"}, "output_dir": "out", '
          '"placement": {"volume_dims": [0, 40, 40]}}',
          "placement: volume_dims must be positive, got (0, 40, 40)"),
+        ('{"structures": {"a": "a.pdb"}, "output_dir": "out", "tilt": {"shift_range": -1}}',
+         "tilt: shift_range must be finite and >= 0, got -1"),
+        ('{"structures": {"a": "a.pdb"}, "output_dir": "out", '
+         '"extraction": {"mask_threshold": 2.0}}',
+         "extraction: mask_threshold must be in (0, 1], got 2.0"),
     ],
-    ids=["top_level_list", "section_list", "dims_int", "dims_zero"],
+    ids=["top_level_list", "section_list", "dims_int", "dims_zero", "shift_range_negative",
+         "mask_threshold_above_one"],
 )
 def test_malformed_config_shape_exits_1(tmp_path, capsys, monkeypatch, text, named):
     monkeypatch.chdir(tmp_path)
@@ -154,12 +162,32 @@ def test_malformed_config_shape_exits_1(tmp_path, capsys, monkeypatch, text, nam
 
 def test_config_naming_removed_tilt_noise_exits_1(tmp_path, capsys):
     raw = _raw_config(tmp_path, tilt={"noise_sigma": 0.0})
-    with pytest.raises(PipelineConfigError, match="noise_sigma"):
+    with pytest.raises(PipelineConfigError, match=r"tilt: .*'noise_sigma'"):
         PipelineConfig.from_dict(raw)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     assert main(["--config", str(path), "pipeline"]) == 1
     assert "noise_sigma" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, name, value",
+    [
+        ("densify", "element_sigma", {"C": 0.35}),
+        ("densify", "element_amplitude", {"C": 6}),
+        ("recon", "filter", "hann_ramp"),
+    ],
+    ids=["densify.element_sigma", "densify.element_amplitude", "recon.filter"],
+)
+def test_config_naming_removed_key_exits_1(tmp_path, capsys, section, name, value):
+    raw = _raw_config(tmp_path, **{section: {name: value}})
+    with pytest.raises(PipelineConfigError, match=rf"{section}: .*'{name}'"):
+        PipelineConfig.from_dict(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "pipeline"]) == 1
+    assert name in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

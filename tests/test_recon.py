@@ -22,36 +22,25 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ReconConfig(output_dims=(0, 4, 4))
     with pytest.raises(ValueError):
-        ReconConfig(filter="butterworth")
-    with pytest.raises(ValueError):
         ReconConfig(weighting="cos2")
 
 
 def test_filter_response_endpoints():
-    H = filter_response(32, "hann_ramp")
+    H = filter_response(32)
     assert H[0] == 0.0  # ramp kills DC
     assert H[-1] == pytest.approx(0.0, abs=1e-15)  # Hann taper zeroes Nyquist
-    assert np.all(filter_response(32, "none") == 1.0)
-    ramp = filter_response(32, "ramp")
-    assert ramp[0] == 0.0 and ramp[-1] == pytest.approx(1.0)
 
 
 def test_constant_image_filters_to_zero():
-    out = filter_projection(np.full((8, 16), 3.0), ReconConfig(output_dims=(8, 8, 16)))
+    out = filter_projection(np.full((8, 16), 3.0))
     assert np.abs(out).max() < 1e-12
-
-
-def test_filter_none_is_identity(rng):
-    img = rng.normal(size=(8, 16))
-    cfg = ReconConfig(output_dims=(8, 8, 16), filter="none")
-    assert np.array_equal(filter_projection(img, cfg), img)
 
 
 def test_impulse_row_matches_direct_dft_oracle():
     N = 32
     img = np.zeros((1, N))
     img[0, 7] = 1.0
-    out = filter_projection(img, ReconConfig(output_dims=(1, 1, N)))
+    out = filter_projection(img)
     # oracle: evaluate H(f) from its formula and inverse-transform directly
     freqs = np.fft.rfftfreq(N)
     H = (freqs / 0.5) * (0.5 + 0.5 * np.cos(np.pi * freqs / 0.5))
@@ -132,26 +121,22 @@ def test_wbp_angle_count_mismatch():
         )
 
 
-def _reference_shift_filter(img, cfg, dx, dy):
+def _reference_shift_filter(img, dx, dy):
     """Two round trips per tilt, as before the fused one: a complex
     full-grid shift, then the row filter as rfft/irfft along x."""
     img = np.asarray(img, dtype=np.float64)
     if dx or dy:
         img = reference_fourier_shift_2d(img, dx, dy)
-    if cfg.filter == "none":
-        return img.copy()
-    H = filter_response(img.shape[1], cfg.filter)
+    H = filter_response(img.shape[1])
     return np.fft.irfft(np.fft.rfft(img, axis=1) * H[None, :], n=img.shape[1], axis=1)
 
 
-@pytest.mark.parametrize("filt", recon.FILTERS)
 @pytest.mark.parametrize("shape", SHIFT_SHAPES)
-def test_filter_projection_matches_two_round_trips(rng, filt, shape):
+def test_filter_projection_matches_two_round_trips(rng, shape):
     img = rng.normal(size=shape)
-    cfg = ReconConfig(output_dims=(4, *shape), filter=filt)
     for dx, dy in [(0.0, 0.0), (0.5, 0.5), (-0.5, 1.5), tuple(rng.uniform(-2.0, 2.0, size=2))]:
-        got = filter_projection(img, cfg, dx, dy)
-        ref = _reference_shift_filter(img, cfg, dx, dy)
+        got = filter_projection(img, dx, dy)
+        ref = _reference_shift_filter(img, dx, dy)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -177,7 +162,7 @@ def _reference_wbp(series, align, cfg):
         if weight == 0.0:
             continue
         dx, dy = align.shifts[i]
-        proj = _reference_shift_filter(series.projections[i], cfg, -dx, -dy)
+        proj = _reference_shift_filter(series.projections[i], -dx, -dy)
         rows = proj[y0, :] * (1.0 - ty)[:, None] + proj[y1, :] * ty[:, None]
         xprime = np.sin(theta) * zc[:, None] + np.cos(theta) * xc[None, :] + cw_det
         inside = (xprime >= 0.0) & (xprime <= Wdet - 1)
@@ -208,16 +193,15 @@ def _assert_within_one_ulp(got, ref):
     assert np.all((diff <= ulp) | (diff <= 1e-6 * np.abs(ref).max()))
 
 
-@pytest.mark.parametrize("filt", recon.FILTERS)
 @pytest.mark.parametrize("weighting", recon.WEIGHTINGS)
 @pytest.mark.parametrize("Hout,Wout", [(7, 9), (8, 17), (15, 9), (16, 17)])
-def test_wbp_matches_per_tilt_gather_reference(monkeypatch, rng, filt, weighting, Hout, Wout):
+def test_wbp_matches_per_tilt_gather_reference(monkeypatch, rng, weighting, Hout, Wout):
     # detector 10 x 13: Hout is smaller and larger, odd and even, so the y
     # resampling is not the identity, and Wout differs from Wdet
     series, align = _random_series(rng, [-90.0, -60.0, 0.0, 1e-7, 34.0, 90.0], (10, 13))
     # D = 11 is prime and 8000 bytes make slabs of 2 to 7 rows: the last slab is partial
     monkeypatch.setattr(recon, "SLAB_BYTES", 8000)
-    cfg = ReconConfig(output_dims=(11, Hout, Wout), filter=filt, weighting=weighting)
+    cfg = ReconConfig(output_dims=(11, Hout, Wout), weighting=weighting)
     got = wbp_reconstruct(series, align, cfg)
     ref = _reference_wbp(series, align, cfg)
     assert got.data.dtype == np.float32 and got.shape == (11, Hout, Wout)

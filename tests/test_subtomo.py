@@ -26,6 +26,10 @@ def test_config_validation():
         ExtractionConfig(neighbor_exclusion=0.0)
     with pytest.raises(ValueError):
         ExtractionConfig(jitter_range=-1)
+    # NaN or above 1 made an all-zero mask, 0 or below a full-box one
+    for threshold in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="mask_threshold must be in"):
+            ExtractionConfig(mask_threshold=threshold)
     with pytest.raises(ValueError):
         NoiseSpec(snr_target=0.0)
 
@@ -134,14 +138,6 @@ def test_measured_snr_close_to_target():
         pooled.append((noisy.data.astype(np.float64) - clean.data) ** 2)
     noise_var = np.mean(pooled)
     assert (v_sig / noise_var) / target == pytest.approx(1.0, abs=0.05)
-
-
-def test_masked_variance_mode():
-    data = np.zeros((16, 16, 16), dtype=np.float32)
-    data[4:12, 4:12, 4:12] = gaussian_blob((8, 8, 8), (3.5, 3.5, 3.5), 2.0)
-    vol = DensityVolume(data)
-    mask = make_mask(vol, ExtractionConfig())
-    assert signal_variance(vol, mask) != pytest.approx(signal_variance(vol))
 
 
 def test_zero_variance_rejected():

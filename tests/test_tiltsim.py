@@ -47,6 +47,10 @@ def test_geometry_rejects_bad_angles():
         TiltGeometry(angles=[0.0, 1.0, 3.0])
     with pytest.raises(ValueError):
         TiltGeometry(oversample=0)
+    # these used to fail inside simulate_tilt_series' uniform draw, unnamed
+    for shift_range in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="shift_range must be finite and >= 0"):
+            TiltGeometry(shift_range=shift_range)
 
 
 @pytest.mark.parametrize(
