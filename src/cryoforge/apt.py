@@ -6,9 +6,12 @@ phase sampling, the full tokenization forward pass, and a property-test
 harness for its translation/rotation equivariance.
 
 The selection network scores each phase component f (N voxels) with a
-bank of kernels k_Jmb = R_b(r) * Y_J^m(x/r), capped per radius at
-J_max(r) = floor(pi r / dx) and at a global degree cap, applied as
-circular convolutions. The degree-0 channel enters the pooled logit
+fixed bank of 7^3 kernels k_Jmb = R_b(r) * Y_J^m(x/r), degrees J <= 2 over
+three Gaussian radial shells R_b, applied as circular convolutions. Degrees
+J >= 1 vanish at the centre, where the direction x/r is undefined; that is
+the only cap that binds, because the smallest nonzero radius on the
+integer grid is 1 and the band limit floor(pi r) of a steerable filter is
+already 3 > 2 there. The degree-0 channel enters the pooled logit
 linearly; higher degrees enter through their rotation-invariant
 per-degree energies (sum over m of squared responses), so pooled logits
 are invariant under grid-exact rotations while remaining sensitive to
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,31 +108,60 @@ def interleave(components: np.ndarray) -> np.ndarray:
     return out.reshape(nd * sd, nh * sh, nw * sw)
 
 
+# the selection net's fixed shape: degrees up to J_MAX on Gaussian radial
+# shells (grid units) over a KERNEL_EXTENT^3 integer grid
+J_MAX = 2
+RADIAL_CENTERS = (1.0, 2.0, 3.0)
+RADIAL_WIDTH = 0.75
+KERNEL_EXTENT = 7
+
+
+def _build_kernels():
+    """Kernel stacks per degree: {J: array (2J+1, n_radial, K, K, K)}."""
+    half = KERNEL_EXTENT // 2
+    grid = np.arange(-half, half + 1, dtype=float)
+    od, oh, ow = np.meshgrid(grid, grid, grid, indexing="ij")
+    # physical axes: x <- w, y <- h, z <- d
+    x, y, z = ow, oh, od
+    r = np.sqrt(x * x + y * y + z * z)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        xu, yu, zu = (np.where(r > 0, v / np.where(r > 0, r, 1.0), 0.0) for v in (x, y, z))
+    # degrees >= 1 vanish at the centre only: the band limit floor(pi r) is
+    # at least 3 > J_MAX at every nonzero radius of the integer grid
+    off_centre = (r > 0).astype(float)
+    radial = np.stack(
+        [np.exp(-((r - c) ** 2) / (2.0 * RADIAL_WIDTH**2)) for c in RADIAL_CENTERS]
+    )  # (n_b, K, K, K)
+    kernels = {}
+    for J in range(J_MAX + 1):
+        mask = off_centre if J else 1.0
+        kernels[J] = np.stack(
+            [radial * (_real_sph_harm(J, m, xu, yu, zu) * mask)[None] for m in range(-J, J + 1)]
+        )  # (2J+1, n_b, K, K, K)
+    return kernels
+
+
+_KERNELS = _build_kernels()
+
+
 @dataclass
 class SteerableSelectionNet:
-    """Steerable-filter scoring network shared across phase components."""
+    """Weights of the steerable-filter scoring network shared across phase
+    components; the kernels are the module's fixed bank."""
 
-    j_max_cap: int = 2
-    radial_centers: tuple[float, ...] = (1.0, 2.0, 3.0)
-    radial_width: float = 0.75
-    kernel_extent: int = 7
-    grid_spacing: float = 1.0
-    w_scalar: np.ndarray = field(default=None)  # (n_radial,) degree-0 weights
-    w_energy: np.ndarray = field(default=None)  # (j_max_cap, n_radial) energy weights
+    w_scalar: np.ndarray = None  # (n_radial,) degree-0 weights
+    w_energy: np.ndarray = None  # (J_MAX, n_radial) energy weights
     break_rotation: bool = False  # test fixture: adds a non-steerable term
 
     def __post_init__(self):
-        if self.kernel_extent % 2 != 1:
-            raise ValueError("kernel_extent must be odd")
-        nb = len(self.radial_centers)
+        nb = len(RADIAL_CENTERS)
         if self.w_scalar is None:
             self.w_scalar = np.zeros(nb)
             self.w_scalar[0] = 1.0
         if self.w_energy is None:
-            self.w_energy = np.full((self.j_max_cap, nb), 0.1)
+            self.w_energy = np.full((J_MAX, nb), 0.1)
         self.w_scalar = np.asarray(self.w_scalar, dtype=float).reshape(nb)
-        self.w_energy = np.asarray(self.w_energy, dtype=float).reshape(self.j_max_cap, nb)
-        self._kernels = self._build_kernels()
+        self.w_energy = np.asarray(self.w_energy, dtype=float).reshape(J_MAX, nb)
         self._spectra: dict[tuple[int, int, int], tuple] = {}
 
     @classmethod
@@ -139,43 +171,13 @@ class SteerableSelectionNet:
         net.w_energy = rng.normal(0.0, 1.0, size=net.w_energy.shape)
         return net
 
-    def _build_kernels(self):
-        """Kernel stacks per degree: {J: array (2J+1, n_radial, K, K, K)}."""
-        K = self.kernel_extent
-        half = K // 2
-        grid = np.arange(-half, half + 1, dtype=float)
-        od, oh, ow = np.meshgrid(grid, grid, grid, indexing="ij")
-        # physical axes: x <- w, y <- h, z <- d
-        x, y, z = ow, oh, od
-        r = np.sqrt(x * x + y * y + z * z)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            xu, yu, zu = (np.where(r > 0, v / np.where(r > 0, r, 1.0), 0.0) for v in (x, y, z))
-        j_max_r = np.floor(np.pi * r / self.grid_spacing).astype(int)
-        j_max_r = np.minimum(j_max_r, self.j_max_cap)
-        j_max_r[r == 0] = 0  # center point carries only the scalar term
-        radial = np.stack(
-            [np.exp(-((r - c) ** 2) / (2.0 * self.radial_width**2)) for c in self.radial_centers]
-        )  # (n_b, K, K, K)
-        kernels = {}
-        for J in range(self.j_max_cap + 1):
-            allowed = (j_max_r >= J).astype(float)
-            ms = range(-J, J + 1)
-            bank = np.stack(
-                [
-                    radial * (_real_sph_harm(J, m, xu, yu, zu) * allowed)[None]
-                    for m in ms
-                ]
-            )  # (2J+1, n_b, K, K, K)
-            kernels[J] = bank
-        return kernels
-
     def _kernel_spectra(self, shape: tuple[int, int, int]):
         """Weight-free kernel spectra for components of one shape, cached.
 
         Returns the scalar masses K_b(0) (n_b,), the degree powers
-        sum_m |K_Jmb|^2 (j_max_cap, n_b, *half) and the negative control's
-        |K_{1, m-index 2, b 0}|^2 (*half, None without degree 1), on the
-        rfftn half grid with the Hermitian multiplicities folded in.
+        sum_m |K_Jmb|^2 (J_MAX, n_b, *half) and the negative control's
+        |K_{1, m-index 2, b 0}|^2 (*half), on the rfftn half grid with the
+        Hermitian multiplicities folded in.
         """
         spectra = self._spectra.get(shape)
         if spectra is None:
@@ -184,15 +186,12 @@ class SteerableSelectionNet:
             hermitian[0] = 1.0
             if shape[2] % 2 == 0:
                 hermitian[-1] = 1.0
-            mass = self._kernels[0][0].sum(axis=(-3, -2, -1))
-            power = np.empty((self.j_max_cap, len(self.radial_centers)) + half)
-            control = None
-            for J in range(1, self.j_max_cap + 1):
-                bank = np.abs(_wrap_kernel_rfft(self._kernels[J], shape)) ** 2
-                power[J - 1] = bank.sum(axis=0) * hermitian
-                if J == 1:
-                    control = bank[2, 0] * hermitian
-            spectra = self._spectra[shape] = (mass, power, control)
+            mass = _KERNELS[0][0].sum(axis=(-3, -2, -1))
+            banks = [
+                np.abs(_wrap_kernel_rfft(_KERNELS[J], shape)) ** 2 for J in range(1, J_MAX + 1)
+            ]
+            power = np.stack([bank.sum(axis=0) for bank in banks]) * hermitian
+            spectra = self._spectra[shape] = (mass, power, banks[0][2, 0] * hermitian)
         return spectra
 
 
@@ -221,7 +220,7 @@ def component_logits(components: np.ndarray, net: SteerableSelectionNet) -> np.n
     F = np.fft.rfftn(flat, axes=(-3, -2, -1))
     mass, power, control = net._kernel_spectra(shape)
     W = np.tensordot(net.w_energy, power, axes=2)
-    if net.break_rotation and control is not None:
+    if net.break_rotation:
         # single-m squared channel: shift-invariant, not rotation-invariant
         W = W + control
     spectrum = (F.real**2 + F.imag**2).reshape(F.shape[0], -1)
@@ -229,61 +228,30 @@ def component_logits(components: np.ndarray, net: SteerableSelectionNet) -> np.n
     return logits.reshape(lead) if lead else logits
 
 
-@dataclass
-class SelectionProbabilities:
-    probs: np.ndarray  # (s_d, s_h, s_w), sums to 1
-    temperature: float = 1.0
-    mode: str = "inference"
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-        if self.mode not in ("training", "inference"):
-            raise ValueError("mode must be 'training' or 'inference'")
-        if abs(self.probs.sum() - 1.0) > 1e-6:
-            raise ValueError("probabilities must sum to 1 within 1e-6")
-        if self.mode == "training" and not self.temperature > 0:
-            raise ValueError("training mode requires temperature > 0")
-
-
-def selection_probs(
-    components: np.ndarray,
-    net: SteerableSelectionNet,
-    temperature: float = 1.0,
-    mode: str = "inference",
-) -> SelectionProbabilities:
-    """Softmax over the per-component pooled logits."""
-    return _softmax(component_logits(components, net), temperature, mode)
-
-
-def _softmax(
-    logits: np.ndarray, temperature: float = 1.0, mode: str = "inference"
-) -> SelectionProbabilities:
-    """Selection probabilities from logits already computed."""
-    z = logits - logits.max()
-    e = np.exp(z)
-    return SelectionProbabilities(e / e.sum(), temperature, mode)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Selection probabilities from the per-component pooled logits."""
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
 
 
 def gumbel_select(
-    probs: SelectionProbabilities, rng: np.random.Generator | None = None
+    probs: np.ndarray, rng: np.random.Generator | None = None
 ) -> tuple[int, int, int]:
-    """Pick a phase index from the selection probabilities.
+    """Pick a phase index from selection probabilities that sum to 1.
 
-    Training mode adds i.i.d. Gumbel(0, 1) noise to the log-probabilities,
-    divides by the temperature, and takes the argmax of the softmax (the
-    relaxation's hard sample); inference mode is the deterministic argmax
-    with lexicographically-smallest tie-breaking.
+    With an rng, the Gumbel-max sample argmax(log p - log(-log u)), u drawn
+    uniform once per call: the hard sample of the Gumbel-softmax relaxation,
+    the same for every temperature. Without one, the argmax of p, ties
+    broken toward the lexicographically smallest index.
     """
-    p = probs.probs
-    if probs.mode == "training":
-        if rng is None:
-            raise ValueError("training mode requires an RNG")
+    p = np.asarray(probs, dtype=float)
+    if abs(p.sum() - 1.0) > 1e-6:
+        raise ValueError("probabilities must sum to 1 within 1e-6")
+    scores = p
+    if rng is not None:
         with np.errstate(divide="ignore"):
             logp = np.log(p)
-        gumbel = -np.log(-np.log(rng.random(p.shape)))
-        scores = (logp + gumbel) / probs.temperature
-    else:
-        scores = p
+        scores = logp - np.log(-np.log(rng.random(p.shape)))
     flat = int(np.argmax(scores))  # np.argmax returns the first (lexicographic) maximum
     return np.unravel_index(flat, p.shape)  # type: ignore[return-value]
 
@@ -294,12 +262,20 @@ def apt_forward(
     net: SteerableSelectionNet,
     mode: str = "inference",
     rng: np.random.Generator | None = None,
-    temperature: float = 1.0,
-) -> tuple[np.ndarray, tuple[int, int, int], SelectionProbabilities]:
-    """Full tokenization pass: decompose, score, select, extract."""
+) -> tuple[np.ndarray, tuple[int, int, int], np.ndarray]:
+    """Full tokenization pass: decompose, score, select, extract.
+
+    Returns the selected component, its phase index and the selection
+    probabilities. Training mode samples the index with ``rng``; inference
+    mode takes the argmax and ignores ``rng``.
+    """
+    if mode not in ("training", "inference"):
+        raise ValueError("mode must be 'training' or 'inference'")
+    if mode == "training" and rng is None:
+        raise ValueError("training mode requires an RNG")
     components = polyphase_decompose(data, patch)
-    probs = selection_probs(components, net, temperature=temperature, mode=mode)
-    index = gumbel_select(probs, rng)
+    probs = softmax(component_logits(components, net))
+    index = gumbel_select(probs, rng if mode == "training" else None)
     return components[index], index, probs
 
 
@@ -341,20 +317,19 @@ def verify_equivariance(
     trials: int = 20,
     seed: int = 0,
     volume_shape: tuple[int, int, int] = (16, 16, 16),
-    patch: PatchSize | None = None,
     shifts_per_trial: int | None = None,
 ) -> dict:
     """Property suite for translation and rotation equivariance.
 
-    Runs random periodic volumes through the tokenizer and checks, per
-    trial: probability shift-permutation (tolerance 1e-5), voxel-exact
-    translated extraction, pooled-logit rotation invariance (1e-6),
-    probability rotation invariance (1e-5), and voxel-exact rotated
-    extraction under the 24 octahedral rotations.
+    Runs random periodic volumes through the tokenizer at the default
+    :class:`PatchSize` and checks, per trial: probability shift-permutation
+    (tolerance 1e-5), voxel-exact translated extraction, pooled-logit
+    rotation invariance (1e-6), probability rotation invariance (1e-5), and
+    voxel-exact rotated extraction under the 24 octahedral rotations.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    patch = patch or PatchSize()
+    patch = PatchSize()
     rng = np.random.default_rng(seed)
     s = patch.as_tuple()
     max_prob_dev_shift = 0.0
@@ -368,7 +343,7 @@ def verify_equivariance(
         vol = rng.normal(size=volume_shape)
         comps = polyphase_decompose(vol, patch)
         logits = component_logits(comps, net)
-        probs = _softmax(logits)
+        probs = softmax(logits)
         sel = gumbel_select(probs)
         selected = comps[sel]
 
@@ -379,11 +354,11 @@ def verify_equivariance(
         for g in shifts:
             shifted = np.roll(vol, g, axis=(0, 1, 2))
             comps_g = polyphase_decompose(shifted, patch)
-            probs_g = selection_probs(comps_g, net)
+            probs_g = softmax(component_logits(comps_g, net))
             # probs of the shifted volume are the index-mapped originals
-            expected = np.roll(probs.probs, g, axis=(0, 1, 2))
+            expected = np.roll(probs, g, axis=(0, 1, 2))
             max_prob_dev_shift = max(
-                max_prob_dev_shift, float(np.abs(probs_g.probs - expected).max())
+                max_prob_dev_shift, float(np.abs(probs_g - expected).max())
             )
             sel_g = gumbel_select(probs_g)
             exp_index, inner = _shift_component_map(sel, g, s)
@@ -392,18 +367,18 @@ def verify_equivariance(
             ):
                 shift_exact = False
 
-        if volume_shape[0] == volume_shape[1] == volume_shape[2] and s[0] == s[1] == s[2]:
+        if volume_shape[0] == volume_shape[1] == volume_shape[2]:
             for _, rot in rotations:
                 rvol = rot(vol)
                 comps_r = polyphase_decompose(np.ascontiguousarray(rvol), patch)
                 logits_r = component_logits(comps_r, net)
-                probs_r = _softmax(logits_r)
+                probs_r = softmax(logits_r)
                 # the phase grid transforms by the same array operation
                 max_logit_dev_rot = max(
                     max_logit_dev_rot, float(np.abs(logits_r - rot(logits)).max())
                 )
                 max_prob_dev_rot = max(
-                    max_prob_dev_rot, float(np.abs(probs_r.probs - rot(probs.probs)).max())
+                    max_prob_dev_rot, float(np.abs(probs_r - rot(probs)).max())
                 )
                 sel_r = gumbel_select(probs_r)
                 if not np.array_equal(comps_r[sel_r], rot(selected)):

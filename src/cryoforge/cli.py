@@ -152,15 +152,13 @@ def cmd_pipeline(args) -> int:
 
 
 def _geometry_suite(rng) -> bool:
-    ok = True
-    for _ in range(200):
-        R = gso_to_matrix(rng.normal(size=3), rng.normal(size=3))
-        ok &= abs(np.linalg.det(R) - 1.0) < 1e-9
-        ok &= float(np.abs(R.T @ R - np.eye(3)).max()) < 1e-9
-        R2 = svd_to_matrix(rng.normal(size=(3, 3)))
-        ok &= float(np.abs(svd_to_matrix(R2) - R2).max()) < 1e-9
-        # arccos is ill-conditioned at zero angle; roundoff yields ~1e-6 deg
-        ok &= rotation_error(R, R) < 1e-4
+    R = gso_to_matrix(rng.normal(size=(200, 3)), rng.normal(size=(200, 3)))
+    ok = float(np.abs(np.linalg.det(R) - 1.0).max()) < 1e-9
+    ok &= float(np.abs(R.swapaxes(-1, -2) @ R - np.eye(3)).max()) < 1e-9
+    R2 = svd_to_matrix(rng.normal(size=(200, 3, 3)))
+    ok &= float(np.abs(svd_to_matrix(R2) - R2).max()) < 1e-9
+    # arccos is ill-conditioned at zero angle; roundoff yields ~1e-6 deg
+    ok &= all(rotation_error(r, r) < 1e-4 for r in R)
     return bool(ok)
 
 

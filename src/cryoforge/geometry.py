@@ -75,13 +75,8 @@ def matrix_to_euler(R: np.ndarray) -> tuple[float, float, float]:
 
 
 def gso_to_matrix(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Decode one 6D representation: one row of :func:`gso_to_matrix_batch`."""
-    return gso_to_matrix_batch([v1], [v2])[0]
-
-
-def gso_to_matrix_batch(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """Decode the 6D (two free vectors) representation by Gram-Schmidt,
-    over leading batch axes (N, 3).
+    over any leading axes: (..., 3) vectors give (..., 3, 3) rotations.
 
     The first vector is normalized, the second has its projection on the
     first removed and is normalized, and the third column is their cross
@@ -104,13 +99,8 @@ def gso_to_matrix_batch(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
 
 
 def svd_to_matrix(M: np.ndarray) -> np.ndarray:
-    """Project one 3x3 matrix onto SO(3): one matrix of :func:`svd_to_matrix_batch`."""
-    return svd_to_matrix_batch([M])[0]
-
-
-def svd_to_matrix_batch(M: np.ndarray) -> np.ndarray:
-    """Project unconstrained 3x3 matrices onto SO(3), over a leading batch
-    axis (N, 3, 3).
+    """Project unconstrained 3x3 matrices onto SO(3), over any leading
+    axes (..., 3, 3).
 
     Uses U @ diag(1, 1, det(U V^T)) @ V^T, the Frobenius-closest rotation.
     Idempotent on rotation inputs and invariant to uniform positive scaling.

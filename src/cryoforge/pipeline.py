@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as cio
-from .recon import ReconConfig, wbp_reconstruct
+from .recon import MIN_TILTS, ReconConfig, wbp_reconstruct
 from .scene import PlacementConfig, compose_sample, place_particles
 from .structure import DensifyConfig, densify, parse_pdb
 from .subtomo import (
@@ -84,6 +84,10 @@ class PipelineConfig:
             raise PipelineConfigError("particles_per_class must be >= 1")
         if self.jobs < 1:
             raise PipelineConfigError("jobs must be >= 1")
+        if len(self.tilt.angles) < MIN_TILTS:
+            raise PipelineConfigError(
+                f"tilt.angles must hold at least {MIN_TILTS} angles, got {self.tilt.angles}"
+            )
         for t in self.snr_targets:
             if not t > 0:
                 raise PipelineConfigError(f"SNR target {t} must be positive")

@@ -37,6 +37,7 @@ from .tiltsim import fourier_shift_2d  # noqa: F401  perfbench traces recon.four
 from .volume import DensityVolume, three_ints
 
 WEIGHTINGS = ("abs_cos", "uniform")
+MIN_TILTS = 3  # the fewest views a reconstruction takes
 SLAB_BYTES = 4_000_000  # float32 product and operator taps (value + int32 index) of one d slab
 
 
@@ -82,8 +83,9 @@ def wbp_reconstruct(
 
     Each output voxel samples every projection at its projected detector
     coordinate (beam geometry: x' = sin(theta) z + cos(theta) x about the
-    volume center) with bilinear interpolation; the sum over tilts is
-    scaled by pi / (2 N_tilts). The tomogram keeps the series' voxel size.
+    volume center) with bilinear interpolation, and a sample off the
+    detector in x or y contributes 0; the sum over tilts is scaled by
+    pi / (2 N_tilts). The tomogram keeps the series' voxel size.
 
     The x interpolation weights depend on (tilt, d, w) only, never on h.
     Every tilt's float32 view is shifted and filtered in float64 in one FFT
@@ -105,8 +107,8 @@ def wbp_reconstruct(
     exception is raised here.
     """
     n_tilts, Hdet, Wdet = series.projections.shape
-    if n_tilts < 3:
-        raise ValueError("reconstruction needs at least 3 tilts")
+    if n_tilts < MIN_TILTS:
+        raise ValueError(f"reconstruction needs at least {MIN_TILTS} tilts")
     if len(align.shifts) != n_tilts:
         raise ValueError("alignment shifts do not match the projection count")
     if len(series.geometry.angles) != n_tilts:
@@ -118,18 +120,21 @@ def wbp_reconstruct(
     zc = np.arange(D) - cd
     xc = np.arange(Wout) - cw
 
-    # detector y per output row: integer-aligned when Hout == Hdet
+    # detector y per output row: integer-aligned when Hout == Hdet; rows off
+    # the detector get weight 0, as voxel columns off it in x do
     y_coords = (np.arange(Hout) - ch_out) + ch_det
+    inside_y = (y_coords >= 0.0) & (y_coords <= Hdet - 1)
     y0 = np.clip(np.floor(y_coords).astype(int), 0, Hdet - 1)
     y1 = np.clip(y0 + 1, 0, Hdet - 1)
     ty = np.clip(y_coords - y0, 0.0, 1.0)
+    wy0, wy1 = ((1.0 - ty) * inside_y)[:, None], (ty * inside_y)[:, None]
 
     # R[i * Wdet + x, h]: filtered row h of tilt i, resampled in y
     R = np.empty((n_tilts, Wdet, Hout), dtype=np.float32)
     for i, proj in enumerate(series.projections):
         dx, dy = align.shifts[i]
         proj = filter_projection(proj, -dx, -dy)
-        R[i] = (proj[y0, :] * (1.0 - ty)[:, None] + proj[y1, :] * ty[:, None]).T
+        R[i] = (proj[y0, :] * wy0 + proj[y1, :] * wy1).T
     R = R.reshape(n_tilts * Wdet, Hout)
 
     theta = np.radians(np.asarray(series.geometry.angles, dtype=np.float64))

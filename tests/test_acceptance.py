@@ -16,10 +16,10 @@ from cryoforge import io as cio
 from cryoforge.apt import SteerableSelectionNet, verify_equivariance
 from cryoforge.cli import main
 from cryoforge.geometry import (
-    gso_to_matrix_batch,
+    gso_to_matrix,
     rot_z,
     rotation_error,
-    svd_to_matrix_batch,
+    svd_to_matrix,
     translation_error,
 )
 from cryoforge.nrcl import EmbeddingBatch, LossConfig, infonce_loss, nrcl_step, sinkhorn_wasserstein, sym_loss
@@ -133,14 +133,14 @@ def test_criterion_06_wbp_fidelity_and_missing_wedge():
 def test_criterion_07_rotation_representations():
     rng = np.random.default_rng(17)
     N = 100_000
-    R6 = gso_to_matrix_batch(rng.normal(size=(N, 3)), rng.normal(size=(N, 3)))
-    R9 = svd_to_matrix_batch(rng.normal(size=(N, 3, 3)))
+    R6 = gso_to_matrix(rng.normal(size=(N, 3)), rng.normal(size=(N, 3)))
+    R9 = svd_to_matrix(rng.normal(size=(N, 3, 3)))
     for name, R in (("six-vector", R6), ("nine-matrix", R9)):
         ortho = np.abs(np.einsum("nij,nik->njk", R, R) - np.eye(3)).max()
         det = np.abs(np.linalg.det(R) - 1.0).max()
         print(f"criterion 7: {name} ortho dev {ortho:.2e}, det dev {det:.2e} (< 1e-9)")
         assert ortho < 1e-9 and det < 1e-9
-    idem = np.abs(svd_to_matrix_batch(R9[:1000]) - R9[:1000]).max()
+    idem = np.abs(svd_to_matrix(R9[:1000]) - R9[:1000]).max()
     assert idem < 1e-9
 
     base = R6[0]

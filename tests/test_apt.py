@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from cryoforge import apt
 from cryoforge.apt import (
     PatchSize,
-    SelectionProbabilities,
     SteerableSelectionNet,
     apt_forward,
     component_logits,
@@ -11,7 +11,7 @@ from cryoforge.apt import (
     interleave,
     octahedral_rotations,
     polyphase_decompose,
-    selection_probs,
+    softmax,
     verify_equivariance,
 )
 
@@ -82,7 +82,7 @@ def test_constant_component_logit_is_kernel_mass():
         w_scalar=np.array([1.0, 0.0, 0.0]), w_energy=np.zeros((2, nb))
     )
     (logit,) = component_logits(np.full((1, 8, 8, 8), 2.0), net)
-    assert logit == pytest.approx(2.0 * net._kernels[0][0, 0].sum(), rel=1e-9)
+    assert logit == pytest.approx(2.0 * apt._KERNELS[0][0, 0].sum(), rel=1e-9)
 
 
 def test_zero_weights_zero_logit(rng):
@@ -100,50 +100,69 @@ def test_logit_rotation_invariance(rng):
         assert abs(rotated - base) < 1e-6 * scale
 
 
-def test_net_requires_odd_kernel():
-    with pytest.raises(ValueError):
-        SteerableSelectionNet(kernel_extent=6)
+def test_kernel_support_is_the_steerable_band_limit():
+    # degree J lives where J <= floor(pi r); on the integer grid that removes
+    # only the centre of each degree >= 1
+    g = np.arange(apt.KERNEL_EXTENT) - apt.KERNEL_EXTENT // 2
+    r = np.sqrt(g[:, None, None] ** 2 + g[None, :, None] ** 2 + g[None, None, :] ** 2)
+    for J in range(apt.J_MAX + 1):
+        support = np.abs(apt._KERNELS[J]).sum(axis=(0, 1)) > 0
+        assert np.array_equal(support, np.floor(np.pi * r) >= J)
+        assert np.count_nonzero(support) == r.size - (J > 0)
 
 
 def test_uniform_probs_for_constant_volume():
     net = SteerableSelectionNet()
     comps = polyphase_decompose(np.full((16, 16, 16), 1.0), PatchSize())
-    probs = selection_probs(comps, net)
-    assert np.abs(probs.probs - 1.0 / 64).max() < 1e-9
-    assert probs.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    probs = softmax(component_logits(comps, net))
+    assert np.abs(probs - 1.0 / 64).max() < 1e-9
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_selection_probabilities_validation():
-    with pytest.raises(ValueError):
-        SelectionProbabilities(np.array([0.5, 0.4]))
-    with pytest.raises(ValueError):
-        SelectionProbabilities(np.array([0.5, 0.5]), mode="sampling")
-    with pytest.raises(ValueError):
-        SelectionProbabilities(np.array([0.5, 0.5]), temperature=0.0, mode="training")
-
-
-def test_gumbel_inference_argmax_and_tie_break():
-    probs = SelectionProbabilities(np.array([[0.2, 0.7], [0.1, 0.0]]).reshape(2, 2, 1))
-    assert gumbel_select(probs) == (0, 1, 0)
-    uniform = SelectionProbabilities(np.full((2, 2, 1), 0.25))
-    assert gumbel_select(uniform) == (0, 0, 0)  # lexicographic tie-break
+def test_apt_forward_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="mode"):
+        apt_forward(np.zeros((8, 8, 8)), PatchSize(), SteerableSelectionNet(), mode="sampling")
 
 
 def test_gumbel_training_requires_rng():
-    probs = SelectionProbabilities(np.full((2, 2, 1), 0.25), temperature=1.0, mode="training")
-    with pytest.raises(ValueError):
-        gumbel_select(probs)
+    with pytest.raises(ValueError, match="RNG"):
+        apt_forward(np.zeros((8, 8, 8)), PatchSize(), SteerableSelectionNet(), mode="training")
+
+
+def test_gumbel_select_rejects_unnormalized_probabilities(rng):
+    for probs in (np.array([0.5, 0.4]), np.array([0.5, 0.5 + 2e-6])):
+        with pytest.raises(ValueError, match="sum to 1"):
+            gumbel_select(probs)
+        with pytest.raises(ValueError, match="sum to 1"):
+            gumbel_select(probs, rng)
+
+
+def test_gumbel_inference_argmax_and_tie_break():
+    probs = np.array([[0.2, 0.7], [0.1, 0.0]]).reshape(2, 2, 1)
+    assert gumbel_select(probs) == (0, 1, 0)
+    assert gumbel_select(np.full((2, 2, 1), 0.25)) == (0, 0, 0)  # lexicographic tie-break
+
+
+def test_gumbel_sample_is_gumbel_max_of_one_uniform_draw():
+    p = np.array([0.1, 0.2, 0.3, 0.4]).reshape(2, 2, 1)
+    for seed in range(20):
+        u = np.random.default_rng(seed).random(p.shape)
+        expected = np.unravel_index(np.argmax(np.log(p) - np.log(-np.log(u))), p.shape)
+        rng = np.random.default_rng(seed)
+        assert gumbel_select(p, rng) == expected
+        # exactly one draw of the phase-grid shape per call
+        assert rng.random() == np.random.default_rng(seed).random(p.size + 1)[-1]
 
 
 def test_gumbel_training_sharp_logits(rng):
     p = np.exp([10.0, 0.0, 0.0])
-    probs = SelectionProbabilities((p / p.sum()).reshape(3, 1, 1), temperature=0.1, mode="training")
+    probs = (p / p.sum()).reshape(3, 1, 1)
     hits = sum(gumbel_select(probs, rng) == (0, 0, 0) for _ in range(10_000))
     assert hits / 10_000 >= 0.999
 
 
 def test_gumbel_training_uniform_frequencies(rng):
-    probs = SelectionProbabilities(np.full((3, 1, 1), 1.0 / 3), temperature=1.0, mode="training")
+    probs = np.full((3, 1, 1), 1.0 / 3)
     n = 30_000
     counts = np.zeros(3)
     for _ in range(n):
@@ -159,7 +178,7 @@ def test_apt_forward_constant_volume():
     )
     assert index == (0, 0, 0)
     assert np.ptp(component) == 0.0
-    assert probs.probs.shape == (4, 4, 4)
+    assert probs.shape == (4, 4, 4)
 
 
 def test_octahedral_rotation_group_has_24_distinct_ops(rng):
@@ -227,12 +246,12 @@ def _reference_logits(comps, net):
     F = np.fft.fftn(flat, axes=(-3, -2, -1))
     logits = np.zeros(flat.shape[0])
 
-    scalar_fft = _reference_wrap_kernel_fft(net._kernels[0][0], shape)
+    scalar_fft = _reference_wrap_kernel_fft(apt._KERNELS[0][0], shape)
     scalar_fields = np.fft.ifftn(F[:, None] * scalar_fft[None], axes=(-3, -2, -1)).real
     logits += np.einsum("b,cbzyx->c", net.w_scalar, scalar_fields) / np.prod(shape)
 
-    for J in range(1, net.j_max_cap + 1):
-        bank_fft = _reference_wrap_kernel_fft(net._kernels[J], shape)
+    for J in range(1, apt.J_MAX + 1):
+        bank_fft = _reference_wrap_kernel_fft(apt._KERNELS[J], shape)
         fields = np.fft.ifftn(F[:, None, None] * bank_fft[None], axes=(-3, -2, -1)).real
         energy = np.sum(fields**2, axis=1)
         logits += np.einsum("b,cbzyx->c", net.w_energy[J - 1], energy) / np.prod(shape)
@@ -272,3 +291,29 @@ def test_component_logits_follow_reassigned_weights(rng):
     second = component_logits(comps, net)
     _assert_logits_match(second, _reference_logits(comps, net))
     assert np.abs(second - first).max() > 1e-3 * np.abs(first).max()
+
+
+def test_tokens_are_pinned_for_a_fixed_seed():
+    # the draw order that perfbench's tokens_sha256 depends on: the net's
+    # weights first, then one uniform draw of the phase-grid shape per
+    # training-mode call
+    rng = np.random.default_rng(21)
+    net = SteerableSelectionNet.random(rng)
+    assert net.w_scalar.tolist() == [0.35877340800391416, 1.5106773081434572, -1.7863312373111822]
+    assert net.w_energy.tolist() == [
+        [1.686613508665752, -0.047317212156137566, -0.7999785843751532],
+        [-0.802956718390362, -1.082816516582591, -0.22364535840745078],
+    ]
+    vols = rng.normal(scale=0.1, size=(8, 16, 16, 16)).astype(np.float32)
+    inference = [tuple(map(int, apt_forward(v, PatchSize(), net)[1])) for v in vols]
+    training = [
+        tuple(map(int, apt_forward(v, PatchSize(), net, mode="training", rng=rng)[1]))
+        for v in vols
+    ]
+    assert inference == [
+        (3, 2, 2), (2, 0, 2), (0, 0, 2), (1, 2, 3), (3, 2, 3), (2, 0, 3), (1, 1, 1), (0, 1, 0)
+    ]
+    assert training == [
+        (3, 2, 2), (2, 0, 2), (2, 2, 1), (1, 3, 0), (1, 1, 1), (1, 1, 1), (1, 1, 1), (0, 1, 0)
+    ]
+    assert rng.random() == 0.9676919237775016

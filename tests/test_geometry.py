@@ -9,7 +9,6 @@ from cryoforge.geometry import (
     apply_rigid,
     euler_to_matrix,
     gso_to_matrix,
-    gso_to_matrix_batch,
     matrix_to_euler,
     matrix_to_quat,
     quat_to_matrix,
@@ -17,7 +16,6 @@ from cryoforge.geometry import (
     rot_z,
     rotation_error,
     svd_to_matrix,
-    svd_to_matrix_batch,
     translation_error,
 )
 
@@ -98,11 +96,12 @@ def _svd_reference(M):
 
 
 def test_gso_batch_matches_scalar(rng):
-    # the scalar decoder is one batch row; both match the per-row reference
-    v1 = rng.normal(size=(500, 3))
-    v2 = rng.normal(size=(500, 3))
-    batch = gso_to_matrix_batch(v1, v2)
-    for i in range(len(v1)):
+    # a batch decodes row by row, over any leading axes; each row matches the reference
+    v1 = rng.normal(size=(20, 25, 3))
+    v2 = rng.normal(size=(20, 25, 3))
+    batch = gso_to_matrix(v1, v2)
+    assert batch.shape == (20, 25, 3, 3)
+    for i in np.ndindex(v1.shape[:-1]):
         assert np.array_equal(gso_to_matrix(v1[i], v2[i]), batch[i])
         assert np.abs(batch[i] - _gso_reference(v1[i], v2[i])).max() <= 1e-14
 
@@ -114,7 +113,7 @@ def test_gso_parallel_rule_is_scale_aware():
         with pytest.raises(DegenerateRepresentationError):
             decode(v1, v2)
     with pytest.raises(DegenerateRepresentationError):
-        gso_to_matrix_batch([[0.0, 0.0, 1.0], v1], [[1.0, 0.0, 0.0], v2])
+        gso_to_matrix([[0.0, 0.0, 1.0], v1], [[1.0, 0.0, 0.0], v2])
 
 
 def test_svd_identity_and_scale_invariance(rng):
@@ -144,10 +143,11 @@ def test_svd_rank_deficient_rejected():
 
 
 def test_svd_batch_matches_scalar(rng):
-    # the scalar decoder is one batch matrix; both match the per-matrix reference
-    M = rng.normal(size=(500, 3, 3))
-    batch = svd_to_matrix_batch(M)
-    for i in range(len(M)):
+    # a batch projects matrix by matrix, over any leading axes; each matches the reference
+    M = rng.normal(size=(20, 25, 3, 3))
+    batch = svd_to_matrix(M)
+    assert batch.shape == (20, 25, 3, 3)
+    for i in np.ndindex(M.shape[:-2]):
         assert np.array_equal(svd_to_matrix(M[i]), batch[i])
         assert np.abs(batch[i] - _svd_reference(M[i])).max() <= 1e-14
 

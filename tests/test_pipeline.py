@@ -8,7 +8,7 @@ import pytest
 from conftest import make_blob_pdb
 from cryoforge import io as cio, tiltsim
 from cryoforge.cli import main
-from cryoforge.recon import ReconConfig
+from cryoforge.recon import MIN_TILTS, ReconConfig
 from cryoforge.scene import PlacementConfig, compose_sample, place_particles
 from cryoforge.subtomo import ExtractionConfig, extract
 from cryoforge.tiltsim import TiltGeometry
@@ -188,6 +188,19 @@ def test_config_naming_removed_key_exits_1(tmp_path, capsys, section, name, valu
     path.write_text(json.dumps(raw))
     assert main(["--config", str(path), "pipeline"]) == 1
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("angles", [[], [0.0], [-10.0, 10.0]], ids=["none", "one", "two"])
+def test_config_with_too_few_tilt_angles_exits_1(tmp_path, capsys, angles):
+    raw = _raw_config(tmp_path, tilt={"angles": angles})
+    named = f"tilt.angles must hold at least {MIN_TILTS} angles"
+    with pytest.raises(PipelineConfigError, match=re.escape(named)):
+        PipelineConfig.from_dict(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["--config", str(path), "pipeline"]) == 1
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

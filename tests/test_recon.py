@@ -104,6 +104,21 @@ def test_wbp_requires_three_tilts():
         )
 
 
+def test_wbp_rows_off_the_detector_are_zero(rng):
+    # a detector 8 rows high under a 16-row tomogram: output row h sits at
+    # detector y = h - 4, so rows 0-3 and 12-15 lie off the detector
+    series, _ = _random_series(rng, [-20.0, -10.0, 0.0, 10.0, 20.0], (8, 16))
+    align = AlignmentResult(shifts=[(0.0, 0.0)] * 5)
+    tall = wbp_reconstruct(series, align, ReconConfig(output_dims=(6, 16, 16))).data
+    assert not tall[:, :4].any() and not tall[:, 12:].any()
+    # the rows on the detector are those of the tomogram as high as the detector
+    fitted = wbp_reconstruct(series, align, ReconConfig(output_dims=(6, 8, 16))).data
+    assert np.array_equal(tall[:, 4:12], fitted)
+    # x already zeroes what lies off the detector: the outer columns of a wider grid
+    wide = wbp_reconstruct(series, align, ReconConfig(output_dims=(6, 8, 40))).data
+    assert not wide[..., :4].any() and not wide[..., -4:].any()
+
+
 def test_wbp_shift_count_mismatch():
     _, series = _blob_series([-10.0, 0.0, 10.0], 16)
     with pytest.raises(ValueError):
@@ -155,6 +170,7 @@ def _reference_wbp(series, align, cfg):
     y0 = np.clip(np.floor(y_coords).astype(int), 0, Hdet - 1)
     y1 = np.clip(y0 + 1, 0, Hdet - 1)
     ty = np.clip(y_coords - y0, 0.0, 1.0)
+    inside_y = (y_coords >= 0.0) & (y_coords <= Hdet - 1)
     out = np.zeros((D, Hout, Wout), dtype=np.float64)
     for i in range(n_tilts):
         theta = np.radians(series.geometry.angles[i])
@@ -164,6 +180,7 @@ def _reference_wbp(series, align, cfg):
         dx, dy = align.shifts[i]
         proj = _reference_shift_filter(series.projections[i], -dx, -dy)
         rows = proj[y0, :] * (1.0 - ty)[:, None] + proj[y1, :] * ty[:, None]
+        rows *= inside_y[:, None]
         xprime = np.sin(theta) * zc[:, None] + np.cos(theta) * xc[None, :] + cw_det
         inside = (xprime >= 0.0) & (xprime <= Wdet - 1)
         xcl = np.clip(xprime, 0.0, Wdet - 1)
