@@ -193,10 +193,16 @@ def cmd_verify(args) -> int:
 
 def _read_embeddings(path) -> EmbeddingBatch:
     rows = cio.read_ndjson(path)
-    return EmbeddingBatch(np.array([r["vector"] for r in rows], dtype=float))
+    try:
+        return EmbeddingBatch(np.array([r["vector"] for r in rows], dtype=float))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_nrcl_eval(args) -> int:
+    if (args.z_clean is None) != (args.z_noisy is None):
+        missing = "--z-noisy" if args.z_noisy is None else "--z-clean"
+        raise ValueError(f"infonce needs --z-clean and --z-noisy together; {missing} is missing")
     cfg = LossConfig(temperature=args.temperature)
     z = _read_embeddings(args.z)
     z_pos = _read_embeddings(args.z_pos)
@@ -208,7 +214,7 @@ def cmd_nrcl_eval(args) -> int:
         "wasserstein_iterations": plan.iterations_used,
         "wasserstein_epsilon": plan.epsilon,
     }
-    if args.z_clean and args.z_noisy:
+    if args.z_clean is not None:
         out["infonce"] = infonce_loss(
             z, _read_embeddings(args.z_clean), _read_embeddings(args.z_noisy), cfg
         )
@@ -288,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nrcl-eval", help="losses over embedding NDJSON files")
     p.add_argument("--z", required=True)
     p.add_argument("--z-pos", required=True)
-    p.add_argument("--z-clean")
-    p.add_argument("--z-noisy")
+    p.add_argument("--z-clean", help="InfoNCE positives; needs --z-noisy")
+    p.add_argument("--z-noisy", help="InfoNCE negatives; needs --z-clean")
     p.add_argument("--temperature", type=float, default=0.1)
     return parser
 

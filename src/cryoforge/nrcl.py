@@ -2,11 +2,12 @@
 
 A symmetric exponential (RINCE-family) instance loss, an entropic
 Sinkhorn-Wasserstein alignment term (epsilon-scaling, with the scalings
-absorbed into log-domain potentials), a
-noise-aware InfoNCE with one clean positive and one noisy negative per
-anchor, and a pure evaluation step that wires them together over a
-pluggable pair encoder. A deterministic linear-projection encoder is
-provided so the workflow can be exercised without a learned backbone.
+absorbed into log-domain potentials), a noise-aware InfoNCE with one clean
+positive and one noisy negative per anchor, and a pure evaluation step that
+wires them together over any object with ``encode(views, originals)``. A
+deterministic linear-projection encoder lets the workflow run without a
+learned backbone. Every loss reads ``EmbeddingBatch``es, whose rows are
+checked once, when built, to be finite and of unit norm within 1e-6.
 """
 
 from __future__ import annotations
@@ -21,31 +22,21 @@ EPS_SCALING = 0.5  # ratio of consecutive epsilons in sinkhorn_wasserstein
 STAGE_TOL = 1e-3  # marginal tolerance of its intermediate epsilon stages
 
 
-class EncoderContractError(ValueError):
-    """Encoder returned embeddings that are not unit-normalized."""
-
-
 class InsufficientNegativesError(ValueError):
     """Instance losses need at least two samples per batch."""
 
 
 @dataclass
 class EmbeddingBatch:
-    vectors: np.ndarray  # (B, d)
-    normalized: bool = True
+    vectors: np.ndarray  # (B, d), finite rows of unit norm
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
         if self.vectors.ndim != 2:
             raise ValueError("embedding batch must be a B x d array")
-        if self.normalized:
-            norms = np.linalg.norm(self.vectors, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-6):
-                raise ValueError("normalized batch has rows off unit norm by > 1e-6")
-
-    @property
-    def batch_size(self) -> int:
-        return self.vectors.shape[0]
+        norms = np.linalg.norm(self.vectors, axis=1)
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN and inf fail too
+            raise ValueError("embedding rows must be finite and of unit norm within 1e-6")
 
 
 @dataclass
@@ -62,10 +53,14 @@ class LossConfig:
             raise ValueError("temperature must be positive")
         if not 0.0 < self.rince_c <= 1.0:
             raise ValueError("rince_c must lie in (0, 1]")
-        if self.lambda_w < 0:
-            raise ValueError("lambda_w must be >= 0")
+        if not 0 <= self.lambda_w < np.inf:  # NaN included
+            raise ValueError(f"lambda_w must be finite and >= 0, got {self.lambda_w!r}")
         if not self.sinkhorn_epsilon > 0:
             raise ValueError("sinkhorn_epsilon must be positive")
+        if not self.sinkhorn_max_iter >= 1:
+            raise ValueError(f"sinkhorn_max_iter must be >= 1, got {self.sinkhorn_max_iter!r}")
+        if not self.sinkhorn_tol > 0:  # else no plan ever converges
+            raise ValueError(f"sinkhorn_tol must be positive, got {self.sinkhorn_tol!r}")
 
 
 @dataclass
@@ -102,7 +97,7 @@ def sym_loss(z: EmbeddingBatch, z_pos: EmbeddingBatch, cfg: LossConfig) -> float
     down-weighting hard (likely false) negatives at larger c.
     """
     _check_pair(z, z_pos)
-    B = z.batch_size
+    B = len(z.vectors)
     if B < 2:
         raise InsufficientNegativesError("sym_loss needs B >= 2 for in-batch negatives")
     c = cfg.rince_c
@@ -142,9 +137,7 @@ def sinkhorn_wasserstein(
     _check_pair(z, z_pos)
     a, b = z.vectors, z_pos.vectors
     B = a.shape[0]
-    C = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-    if not np.isfinite(C).all():
-        raise ValueError("embeddings must be finite")  # else no epsilon reaches max C
+    C = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)  # in [0, 4] for unit rows
     target = cfg.sinkhorn_epsilon
     schedule = [target]
     while schedule[0] < C.max():
@@ -199,14 +192,7 @@ def infonce_loss(
     return float(loss.mean())
 
 
-class PairEncoder:
-    """Interface: (transformed batch, original batch) -> EmbeddingBatch."""
-
-    def encode(self, views: np.ndarray, originals: np.ndarray) -> EmbeddingBatch:
-        raise NotImplementedError
-
-
-class LinearProjectionEncoder(PairEncoder):
+class LinearProjectionEncoder:
     """Deterministic test encoder: project concatenated flattened pairs.
 
     The projection matrix is drawn once from a seeded generator, so two
@@ -232,7 +218,7 @@ class LinearProjectionEncoder(PairEncoder):
 
 
 @dataclass
-class PrecomputedEncoder(PairEncoder):
+class PrecomputedEncoder:
     """Test fixture returning fixed embeddings regardless of input."""
 
     batch: EmbeddingBatch
@@ -257,27 +243,21 @@ def _check_batch(X, X_clean, X_noisy, T, T_prime) -> None:
             raise ValueError(f"{name} has {len(transforms)} transforms for a batch of {len(X)}")
 
 
-def _checked(encoded: EmbeddingBatch, name: str) -> EmbeddingBatch:
-    norms = np.linalg.norm(encoded.vectors, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise EncoderContractError(f"{name} embeddings are not unit-normalized")
-    return encoded
-
-
 def nrcl_step(
     X: np.ndarray,
     X_clean: np.ndarray,
     X_noisy: np.ndarray,
     T: list[RigidTransform],
     T_prime: list[RigidTransform],
-    encoder_q: PairEncoder,
-    encoder_k: PairEncoder,
+    encoder_q,
+    encoder_k,
     cfg: LossConfig,
 ) -> tuple[float, dict]:
     """One pure evaluation of the full contrastive objective.
 
     Builds the two transformed views plus transformed clean/noisy
-    variants, encodes queries and momentum keys, and returns
+    variants, encodes queries with ``encoder_q`` and keys with
+    ``encoder_k``, and returns
     total = sym(q1,k2) + lw*wass(q1,k2) + sym(q2,k1) + lw*wass(q2,k1)
           + infonce(q1, k_clean, k_noisy)
     together with the per-term breakdown; ``wass_converged`` is true only
@@ -296,12 +276,12 @@ def nrcl_step(
     )
     X2 = _transform_batch(X, T_prime)
 
-    q1 = _checked(encoder_q.encode(X1, X), "encoder_q")
-    q2 = _checked(encoder_q.encode(X2, X), "encoder_q")
-    k1 = _checked(encoder_k.encode(X1, X), "encoder_k")
-    k2 = _checked(encoder_k.encode(X2, X), "encoder_k")
-    k_clean = _checked(encoder_k.encode(X1_clean, X), "encoder_k")
-    k_noisy = _checked(encoder_k.encode(X1_noisy, X), "encoder_k")
+    q1 = encoder_q.encode(X1, X)
+    q2 = encoder_q.encode(X2, X)
+    k1 = encoder_k.encode(X1, X)
+    k2 = encoder_k.encode(X2, X)
+    k_clean = encoder_k.encode(X1_clean, X)
+    k_noisy = encoder_k.encode(X1_noisy, X)
 
     sym12 = sym_loss(q1, k2, cfg)
     sym21 = sym_loss(q2, k1, cfg)
@@ -321,14 +301,3 @@ def nrcl_step(
     total = breakdown["instance"] + breakdown["noise"]
     breakdown["total"] = total
     return total, breakdown
-
-
-def momentum_update(params_q: np.ndarray, params_k: np.ndarray, m: float) -> np.ndarray:
-    """Exponential-moving-average key update: k <- m k + (1 - m) q."""
-    q = np.asarray(params_q, dtype=np.float64)
-    k = np.asarray(params_k, dtype=np.float64)
-    if q.shape != k.shape:
-        raise ValueError("parameter vectors must have equal lengths")
-    if not 0.0 <= m <= 1.0:
-        raise ValueError("momentum coefficient must lie in [0, 1]")
-    return m * k + (1.0 - m) * q

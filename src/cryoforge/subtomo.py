@@ -37,8 +37,10 @@ class ExtractionConfig:
     def __post_init__(self):
         if self.box < 8:
             raise ValueError("box must be >= 8")
-        if self.neighbor_exclusion <= 0:
-            raise ValueError("neighbor_exclusion must be positive")
+        if not 0 < self.neighbor_exclusion < np.inf:  # NaN would accept every neighbour
+            raise ValueError(
+                f"neighbor_exclusion must be finite and positive, got {self.neighbor_exclusion!r}"
+            )
         if self.jitter_range < 0:
             raise ValueError("jitter_range must be >= 0")
         if not 0 < self.mask_threshold <= 1:  # NaN included

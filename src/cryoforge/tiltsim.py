@@ -16,7 +16,7 @@ operator, the spline tap weights of its beam samples summed per detector
 column, and projects all rows with one sparse-dense product: no 3D
 resampled grid is ever formed. For the same reason a row along h whose
 (d, w) slice holds no nonzero voxel projects to exact zeros, so only the
-rows that hold density (a NaN counts) are prefiltered and projected; the
+rows that hold density are prefiltered and projected; the
 others stay zero in the (H, W) image the drift shift is applied to.
 
 With ``jobs > 1`` the operators are applied on a thread pool: see
@@ -32,6 +32,7 @@ single pass; no 16-tap expansion and no global sort are made.
 
 from __future__ import annotations
 
+import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -72,8 +73,13 @@ class TiltGeometry:
                 raise ValueError("tilt angles must be strictly increasing")
             if np.ptp(diffs) > 1e-9:
                 raise ValueError("tilt angle step must be uniform")
-        if self.oversample < 1:
-            raise ValueError("oversample must be >= 1")
+        try:  # a fractional step breaks project_tilt's exact zero-angle sum
+            oversample = operator.index(self.oversample)
+        except TypeError:
+            oversample = 0
+        if oversample < 1:
+            raise ValueError(f"oversample must be an integer >= 1, got {self.oversample!r}")
+        self.oversample = oversample
         if not 0 <= self.shift_range < np.inf:  # NaN included
             raise ValueError(f"shift_range must be finite and >= 0, got {self.shift_range!r}")
 
@@ -106,8 +112,8 @@ def _spline_coefficients(vol: DensityVolume) -> tuple[np.ndarray, np.ndarray]:
     """Cubic B-spline coefficients of the volume's rows along h that hold
     density, for `_beam_operator`, and the indices of those rows.
 
-    A row holds density when its (d, w) slice has a voxel that is nonzero
-    or NaN; the rows are found one d slice at a time, so no volume-sized
+    A row holds density when its (d, w) slice has a nonzero voxel; the
+    rows are found one d slice at a time, so no volume-sized
     temporary is made. The kept rows are zero-padded by ``PAD`` in d and
     w, so the interpolant's compact support lies inside the sampled
     domain, and prefiltered along (d, w) only: the tilt axis h is sampled

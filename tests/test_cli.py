@@ -314,6 +314,27 @@ def test_nrcl_eval_command(tmp_path, capsys):
     assert out["wasserstein_converged"] is True
 
 
+@pytest.mark.parametrize("given, missing", [("--z-clean", "--z-noisy"), ("--z-noisy", "--z-clean")])
+def test_nrcl_eval_needs_both_infonce_files(tmp_path, capsys, given, missing):
+    # one of the two used to exit 0 with no infonce in the output
+    _write_embeddings(tmp_path / "z.ndjson", np.eye(4)[:2])
+    z = str(tmp_path / "z.ndjson")
+    assert main(["nrcl-eval", "--z", z, "--z-pos", z, given, z]) == 1
+    captured = capsys.readouterr()
+    assert f"{missing} is missing" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("bad", [np.nan, 2.0])
+def test_nrcl_eval_names_a_file_with_bad_rows(tmp_path, capsys, bad):
+    _write_embeddings(tmp_path / "z.ndjson", np.eye(4)[:2])
+    _write_embeddings(tmp_path / "zp.ndjson", [[bad, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    code = main(["nrcl-eval", "--z", str(tmp_path / "z.ndjson"),
+                 "--z-pos", str(tmp_path / "zp.ndjson")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'zp.ndjson'}: embedding rows must be finite" in err
+
+
 def test_nrcl_eval_reports_unconverged_sinkhorn(tmp_path, capsys):
     # B = 8 random unit vectors in 8-D need about 2300 iterations at the
     # shipped epsilon, far beyond the shipped 200-iteration budget

@@ -146,9 +146,18 @@ def test_config_jobs_defaults_to_the_cli_rule(tmp_path, monkeypatch):
         ('{"structures": {"a": "a.pdb"}, "output_dir": "out", '
          '"extraction": {"mask_threshold": 2.0}}',
          "extraction: mask_threshold must be in (0, 1], got 2.0"),
+        ('{"structures": {"a": "a.pdb"}, "output_dir": "out", '
+         '"extraction": {"neighbor_exclusion": NaN}}',
+         "extraction: neighbor_exclusion must be finite and positive, got nan"),
+        ('{"structures": {"a": "a.pdb"}, "output_dir": "out", '
+         '"extraction": {"neighbor_exclusion": Infinity}}',
+         "extraction: neighbor_exclusion must be finite and positive, got inf"),
+        ('{"structures": {"a": "a.pdb"}, "output_dir": "out", "tilt": {"oversample": 1.5}}',
+         "tilt: oversample must be an integer >= 1, got 1.5"),
     ],
     ids=["top_level_list", "section_list", "dims_int", "dims_zero", "shift_range_negative",
-         "mask_threshold_above_one"],
+         "mask_threshold_above_one", "neighbor_exclusion_nan", "neighbor_exclusion_inf",
+         "oversample_fractional"],
 )
 def test_malformed_config_shape_exits_1(tmp_path, capsys, monkeypatch, text, named):
     monkeypatch.chdir(tmp_path)

@@ -22,8 +22,10 @@ IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 def test_config_validation():
     with pytest.raises(ValueError):
         ExtractionConfig(box=4)
-    with pytest.raises(ValueError):
-        ExtractionConfig(neighbor_exclusion=0.0)
+    # a NaN distance accepted every neighbour, however close
+    for distance in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="neighbor_exclusion must be finite and positive"):
+            ExtractionConfig(neighbor_exclusion=distance)
     with pytest.raises(ValueError):
         ExtractionConfig(jitter_range=-1)
     # NaN or above 1 made an all-zero mask, 0 or below a full-box one

@@ -45,8 +45,11 @@ def test_geometry_rejects_bad_angles():
         TiltGeometry(angles=[0.0, -2.0, 2.0])
     with pytest.raises(ValueError):
         TiltGeometry(angles=[0.0, 1.0, 3.0])
-    with pytest.raises(ValueError):
-        TiltGeometry(oversample=0)
+    # NaN failed inside project; 1.5 ran and broke the exact zero-angle sum
+    for oversample in (0, -1, 1.5, 2.0, math.nan, "2"):
+        with pytest.raises(ValueError, match="oversample must be an integer >= 1"):
+            TiltGeometry(oversample=oversample)
+    assert type(TiltGeometry(oversample=np.int64(3)).oversample) is int
     # these used to fail inside simulate_tilt_series' uniform draw, unnamed
     for shift_range in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="shift_range must be finite and >= 0"):
