@@ -221,7 +221,8 @@ def _volume_correlation(a: DensityVolume, b: DensityVolume) -> float:
 
 def _mass_ratio(sample: DensityVolume, densities, instances) -> float:
     """The composed sample's sum over the summed sums of the placed maps."""
-    placed = sum(float(densities[i.class_label].data.sum(dtype=np.float64)) for i in instances)
+    sums = {label: float(d.data.sum(dtype=np.float64)) for label, d in densities.items()}
+    placed = sum(sums[i.class_label] for i in instances)
     return float(sample.data.sum(dtype=np.float64)) / placed
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import ndimage
 
 from .geometry import quat_to_matrix
-from .volume import DensityVolume, three_ints
+from .volume import DensityVolume, int_at_least, three_ints
 
 
 class PlacementInfeasibleError(ValueError):
@@ -35,10 +35,10 @@ class PlacementConfig:
         self.volume_dims = three_ints(self.volume_dims, "volume_dims")
         if min(self.volume_dims) < 1:
             raise ValueError(f"volume_dims must be positive, got {self.volume_dims}")
-        if self.target_count < 1:
-            raise ValueError("target_count must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        self.box_size = int_at_least(self.box_size, "box_size", 1)
+        self.safety_margin = int_at_least(self.safety_margin, "safety_margin", 0)
+        self.target_count = int_at_least(self.target_count, "target_count", 1)
+        self.max_attempts = int_at_least(self.max_attempts, "max_attempts", 1)
 
     @property
     def exclusion_radius(self) -> float:

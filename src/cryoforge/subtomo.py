@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scene import ParticleInstance
-from .volume import DensityVolume
+from .volume import DensityVolume, int_at_least
 
 SNR_TARGETS = (100.0, 0.1, 0.05, 0.03, 0.01)  # the supported SNR grades
 
@@ -35,14 +35,12 @@ class ExtractionConfig:
     mask_threshold: float = 0.05  # fraction of the particle peak
 
     def __post_init__(self):
-        if self.box < 8:
-            raise ValueError("box must be >= 8")
+        self.box = int_at_least(self.box, "box", 8)
         if not 0 < self.neighbor_exclusion < np.inf:  # NaN would accept every neighbour
             raise ValueError(
                 f"neighbor_exclusion must be finite and positive, got {self.neighbor_exclusion!r}"
             )
-        if self.jitter_range < 0:
-            raise ValueError("jitter_range must be >= 0")
+        self.jitter_range = int_at_least(self.jitter_range, "jitter_range", 0)
         if not 0 < self.mask_threshold <= 1:  # NaN included
             raise ValueError(f"mask_threshold must be in (0, 1], got {self.mask_threshold!r}")
 

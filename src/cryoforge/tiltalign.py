@@ -1,8 +1,9 @@
 """Translation recovery for simulated tilt series.
 
 Iterative phase correlation against an evolving reference with quadratic
-sub-pixel peak refinement, followed by an exhaustive grid search for a
-single in-plane tilt-axis rotation and vertical offset.
+sub-pixel peak refinement, followed by a grid search for a single
+in-plane tilt-axis rotation and vertical offset whose scores all follow
+from four sums over the views (see ``refine_axis``).
 
 Every shift and every correlation works on half spectra (``rfft2``).
 ``align_series`` transforms each view once per series; a view shifted by
@@ -11,6 +12,14 @@ the mean of the aligned views is, by linearity, the mean of those
 shifted spectra. Each correlation is then one normalised cross-power
 product and one ``irfft2``, as in registration against spectra computed
 once (Guizar-Sicairos, Thurman & Fienup, Opt. Lett., 2008).
+
+The shifts depend on numpy's temporary elision: from 256 KiB up numpy
+reuses the ``np.conj(Fb)`` temporary, so at 256×256 (a 516 KiB half
+spectrum) ``Fa * np.conj(Fb)`` is not bit-equal to
+``np.multiply(Fa, np.conj(Fb))`` (it is at 360×46 and 128×128), and on
+whitened, noiseless stacks such last-bit changes can move the shifts by
+many pixels, so a rewrite of the correlation loop (preallocated buffers,
+say) is not free of output changes.
 """
 
 from __future__ import annotations
@@ -157,10 +166,20 @@ def refine_axis(
 ) -> tuple[float, float, float]:
     """Grid-search the tilt-axis in-plane angle and vertical offset.
 
-    Scores mean-squared error between the measured shift trajectory and
+    Scores mean-squared error between the measured shift trajectory m and
     the rigid-axis drift model over the full grid; ties break toward the
     smallest |angle| then smallest |offset|. Returns
     (axis_angle_deg, axis_offset, residual_mse).
+
+    A center offset by o voxels perpendicular to an axis rotated in-plane
+    by φ from detector y drifts o·r·(cos φ, −sin φ), r = cos θ − 1. Expanding
+    the square, the whole grid's scores follow from four sums over views:
+
+        mse(φ, o) = (Σ|m|² − 2o·(cos φ·Σ m_x r − sin φ·Σ m_y r) + o²·Σ r²) / 2n
+
+    so only an (angles, offsets) array is formed. The winner's
+    ``residual_mse`` is then evaluated directly from its model, so it is
+    never negative by cancellation.
     """
     if len(shifts) < 3:
         raise UnderdeterminedError("axis refinement needs at least 3 views")
@@ -170,19 +189,20 @@ def refine_axis(
     n_o = int(round(2 * offset_range / offset_step)) + 1
     cand_angles = (np.arange(n_a) - n_a // 2) * angle_step
     cand_offsets = (np.arange(n_o) - n_o // 2) * offset_step
-    # rigid-axis drift model of the whole grid at once, (n_a, n_o, views, 2):
-    # a center offset by `off` voxels perpendicular to an axis rotated
-    # in-plane by phi from detector y drifts off*(cos theta - 1) along the
-    # rotated x direction
-    theta = np.radians(angles)
-    phi = np.radians(cand_angles)[:, None, None]
-    radial = cand_offsets[None, :, None] * (np.cos(theta) - 1.0)
-    model = np.stack([radial * np.cos(phi), -radial * np.sin(phi)], axis=-1)
-    mse = np.mean((measured - model) ** 2, axis=(2, 3))
+    r = np.cos(np.radians(angles)) - 1.0
+    phi = np.radians(cand_angles)
+    cross = np.cos(phi) * (measured[:, 0] @ r) - np.sin(phi) * (measured[:, 1] @ r)
+    mse = (
+        np.sum(measured**2)
+        - 2.0 * np.outer(cross, cand_offsets)
+        + (r @ r) * cand_offsets**2
+    ) / (2 * len(measured))
     # lexicographic (mse, |angle|, |offset|); a stable sort keeps the first
     # grid point of a full tie
     abs_phi = np.broadcast_to(np.abs(cand_angles)[:, None], mse.shape)
     abs_off = np.broadcast_to(np.abs(cand_offsets)[None, :], mse.shape)
     best = np.lexsort((abs_off.ravel(), abs_phi.ravel(), mse.ravel()))[0]
     ia, io = np.unravel_index(best, mse.shape)
-    return float(cand_angles[ia]), float(cand_offsets[io]), float(mse[ia, io])
+    radial = cand_offsets[io] * r
+    model = np.stack([radial * np.cos(phi[ia]), -radial * np.sin(phi[ia])], axis=-1)
+    return float(cand_angles[ia]), float(cand_offsets[io]), float(np.mean((measured - model) ** 2))

@@ -32,7 +32,6 @@ single pass; no 16-tap expansion and no global sort are made.
 
 from __future__ import annotations
 
-import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage, sparse
 
-from .volume import DensityVolume
+from .volume import DensityVolume, int_at_least
 
 PAD = 4  # zero padding of d and w, at least the cubic B-spline's support
 
@@ -73,13 +72,8 @@ class TiltGeometry:
                 raise ValueError("tilt angles must be strictly increasing")
             if np.ptp(diffs) > 1e-9:
                 raise ValueError("tilt angle step must be uniform")
-        try:  # a fractional step breaks project_tilt's exact zero-angle sum
-            oversample = operator.index(self.oversample)
-        except TypeError:
-            oversample = 0
-        if oversample < 1:
-            raise ValueError(f"oversample must be an integer >= 1, got {self.oversample!r}")
-        self.oversample = oversample
+        # a fractional step breaks project_tilt's exact zero-angle sum
+        self.oversample = int_at_least(self.oversample, "oversample", 1)
         if not 0 <= self.shift_range < np.inf:  # NaN included
             raise ValueError(f"shift_range must be finite and >= 0, got {self.shift_range!r}")
 

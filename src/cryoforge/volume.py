@@ -20,6 +20,18 @@ def three_ints(value, name: str) -> tuple[int, int, int]:
     return dims
 
 
+def int_at_least(value, name: str, low: int) -> int:
+    """``value`` as an int; a ValueError naming ``name`` if it is not an
+    integer (NaN and 2.5 included) or is below ``low``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = low - 1
+    if number < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return number
+
+
 @dataclass
 class DensityVolume:
     """3D scalar grid with physical voxel spacing.

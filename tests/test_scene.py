@@ -23,6 +23,41 @@ def test_exclusion_radius_default():
     assert PlacementConfig().exclusion_radius == 19.0
 
 
+# NaN box_size or safety_margin placed all-NaN centres, NaN max_attempts
+# placed none, box_size -40 made the exclusion radius -17 (centres outside
+# the volume), and target_count 2.5 placed 3
+def test_box_size_must_be_a_positive_integer():
+    for bad in (float("nan"), -40, 0, 12.5):
+        with pytest.raises(ValueError, match="box_size must be an integer >= 1"):
+            PlacementConfig(box_size=bad)
+
+
+def test_safety_margin_must_be_a_non_negative_integer():
+    for bad in (float("nan"), -1, 2.5):
+        with pytest.raises(ValueError, match="safety_margin must be an integer >= 0"):
+            PlacementConfig(safety_margin=bad)
+    assert PlacementConfig(box_size=20, safety_margin=0).exclusion_radius == 10.0
+
+
+def test_target_count_must_be_a_positive_integer():
+    for bad in (float("nan"), 0, 2.5):
+        with pytest.raises(ValueError, match="target_count must be an integer >= 1"):
+            PlacementConfig(target_count=bad)
+
+
+def test_max_attempts_must_be_a_positive_integer():
+    for bad in (float("nan"), 0, 2.5):
+        with pytest.raises(ValueError, match="max_attempts must be an integer >= 1"):
+            PlacementConfig(max_attempts=bad)
+
+
+def test_placement_integer_fields_become_ints():
+    cfg = PlacementConfig(box_size=np.int64(20), safety_margin=np.int32(2),
+                          target_count=np.uint8(3), max_attempts=np.int16(50))
+    fields = (cfg.box_size, cfg.safety_margin, cfg.target_count, cfg.max_attempts)
+    assert fields == (20, 2, 3, 50) and all(type(v) is int for v in fields)
+
+
 def test_tiny_volume_admits_single_center():
     cfg = PlacementConfig(volume_dims=(40, 40, 40), target_count=3, max_attempts=500)
     centers = poisson_disk_sample(cfg)

@@ -36,6 +36,24 @@ def test_config_validation():
         NoiseSpec(snr_target=0.0)
 
 
+# NaN and fractional boxes, and a NaN jitter, used to build and then fail
+# inside extract with a TypeError or a ValueError naming no field
+def test_box_must_be_an_integer_of_at_least_8():
+    for bad in (float("nan"), 12.5, 7, -32):
+        with pytest.raises(ValueError, match="box must be an integer >= 8"):
+            ExtractionConfig(box=bad)
+    cfg = ExtractionConfig(box=np.int64(16))
+    assert cfg.box == 16 and type(cfg.box) is int
+
+
+def test_jitter_range_must_be_a_non_negative_integer():
+    for bad in (float("nan"), 1.5, -1):
+        with pytest.raises(ValueError, match="jitter_range must be an integer >= 0"):
+            ExtractionConfig(jitter_range=bad)
+    cfg = ExtractionConfig(jitter_range=np.int32(0))
+    assert cfg.jitter_range == 0 and type(cfg.jitter_range) is int
+
+
 def _tomo(shape=(32, 32, 32), seed=0):
     rng = np.random.default_rng(seed)
     return DensityVolume(rng.random(shape).astype(np.float32))

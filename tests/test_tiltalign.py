@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,70 @@ def test_refine_axis_underdetermined():
     series = _series(0.0)
     with pytest.raises(UnderdeterminedError):
         refine_axis(series, [(0.0, 0.0), (0.0, 0.0)])
+
+
+def _reference_refine_axis(angles_deg, shifts, angle_range=5.0, angle_step=0.1,
+                           offset_range=5.0, offset_step=0.1):
+    """The broadcast grid search the closed form replaced: the rigid-axis
+    model of every (angle, offset) as one (n_a, n_o, views, 2) array."""
+    measured = np.asarray(shifts, dtype=float)
+    n_a = int(round(2 * angle_range / angle_step)) + 1
+    n_o = int(round(2 * offset_range / offset_step)) + 1
+    cand_angles = (np.arange(n_a) - n_a // 2) * angle_step
+    cand_offsets = (np.arange(n_o) - n_o // 2) * offset_step
+    theta = np.radians(np.asarray(angles_deg))
+    phi = np.radians(cand_angles)[:, None, None]
+    radial = cand_offsets[None, :, None] * (np.cos(theta) - 1.0)
+    model = np.stack([radial * np.cos(phi), -radial * np.sin(phi)], axis=-1)
+    mse = np.mean((measured - model) ** 2, axis=(2, 3))
+    abs_phi = np.broadcast_to(np.abs(cand_angles)[:, None], mse.shape)
+    abs_off = np.broadcast_to(np.abs(cand_offsets)[None, :], mse.shape)
+    best = np.lexsort((abs_off.ravel(), abs_phi.ravel(), mse.ravel()))[0]
+    ia, io = np.unravel_index(best, mse.shape)
+    return float(cand_angles[ia]), float(cand_offsets[io]), float(mse[ia, io])
+
+
+def _geometry_series(angles_deg):
+    n = len(angles_deg)
+    return TiltSeries(TiltGeometry(angles=list(angles_deg)), np.zeros((n, 2, 2)), [(0.0, 0.0)] * n)
+
+
+def _random_angles(rng, n):
+    # TiltGeometry wants a uniform step: a random span, not centred on 0
+    return np.linspace(rng.uniform(-70.0, -5.0), rng.uniform(5.0, 70.0), n)
+
+
+@pytest.mark.parametrize("kind", ["random", "exact", "zero"])
+def test_refine_axis_closed_form_matches_grid_reference(kind):
+    rng = np.random.default_rng({"random": 1, "exact": 2, "zero": 3}[kind])
+    for n in list(range(3, 71, 3)) + [70]:
+        angles = _random_angles(rng, n)
+        if kind == "random":
+            shifts = rng.normal(0.0, rng.choice([0.01, 0.5, 3.0]), size=(n, 2))
+        elif kind == "exact":
+            phi, off = rng.integers(-50, 51, size=2) * 0.1
+            shifts = np.asarray(_model_shifts(angles, phi, off))
+        else:
+            shifts = np.zeros((n, 2))
+        got = refine_axis(_geometry_series(angles), [tuple(s) for s in shifts])
+        want = _reference_refine_axis(angles, shifts)
+        assert got[:2] == want[:2], (n, got, want)
+        assert got[2] == pytest.approx(want[2], rel=1e-12, abs=0.0), (n, got, want)
+
+
+def test_refine_axis_allocates_no_views_by_grid_array(rng):
+    angles = np.linspace(-60.0, 60.0, 61)
+    series = _geometry_series(angles)
+    shifts = [tuple(s) for s in rng.normal(0.0, 0.5, size=(61, 2))]
+    refine_axis(series, shifts)
+    tracemalloc.start()
+    try:
+        refine_axis(series, shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (101, 101, 61, 2) float64 model grid alone is 9.96 MB
+    assert peak < 1_000_000
 
 
 def _reference_phase_correlate(img_a, img_b):
