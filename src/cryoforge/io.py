@@ -35,7 +35,7 @@ from .scene import ParticleInstance
 from .subtomo import SNR_TARGETS, ExtractedSubtomogram, Rejection, snr_tag
 from .tiltalign import AlignmentResult
 from .tiltsim import TiltGeometry, TiltSeries
-from .volume import DensityVolume
+from .volume import DensityVolume, centred_sums
 
 HEADER_SIZE = 1024
 MODE_FLOAT32 = 2
@@ -102,31 +102,13 @@ def _replacing(path, mode: str):
         raise
 
 
-_RMS_CHUNK = 1 << 16  # values in _rms's float64 buffer (512 KB)
-
-
-def _rms(data: np.ndarray) -> float:
-    """Standard deviation of the payload in float64: the mean, then the
-    centred sum of squares over flat chunks, each cast into one reused
-    float64 buffer."""
-    flat = data.reshape(-1)
-    mean = float(flat.sum(dtype=np.float64)) / flat.size
-    buf = np.empty(min(flat.size, _RMS_CHUNK))
-    sq = 0.0
-    for i in range(0, flat.size, _RMS_CHUNK):
-        part = flat[i : i + _RMS_CHUNK]
-        dev = np.subtract(part, mean, out=buf[: part.size], dtype=np.float64)
-        sq += float(np.vdot(dev, dev))
-    return float(np.sqrt(sq / flat.size))
-
-
 def write_mrc(vol: DensityVolume, path) -> None:
     """Write a volume as an MRC2014 mode-2 file.
 
     nx/ny/nz map to (W, H, D) of the (d, h, w) data array; cella is the
     voxel size times the grid dimensions; dmin/dmax/dmean/rms are computed
-    from the payload, rms (its standard deviation) in float64 without a
-    payload-sized temporary.
+    from the payload, rms (its standard deviation) in float64 by
+    ``volume.centred_sums``, without a payload-sized temporary.
     """
     data = vol.data
     nz, ny, nx = data.shape  # (d, h, w) -> nz, ny, nx
@@ -148,7 +130,7 @@ def write_mrc(vol: DensityVolume, path) -> None:
     struct.pack_into("<3f", header, 196, *vol.origin.tolist())
     header[208:212] = b"MAP "
     header[212:216] = _MACHINE_STAMP_LE
-    struct.pack_into("<f", header, 216, _rms(data))
+    struct.pack_into("<f", header, 216, np.sqrt(centred_sums(data)[0] / data.size))
     struct.pack_into("<i", header, 220, 0)  # nlabl
     with _replacing(path, "wb") as fh:
         fh.write(bytes(header))
@@ -157,42 +139,42 @@ def write_mrc(vol: DensityVolume, path) -> None:
 
 def read_mrc(path) -> DensityVolume:
     """Read an MRC2014 mode-2 file written by :func:`write_mrc` or peers,
-    its payload once, straight into the returned array."""
+    header and payload from one handle, the payload once, into the array."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = fh.read(HEADER_SIZE)
         size = os.fstat(fh.fileno()).st_size
-    if len(header) < HEADER_SIZE:
-        raise MrcFormatError(f"{path}: file shorter than the 1024-byte MRC header")
-    nx, ny, nz = struct.unpack_from("<3i", header, 0)
-    (mode,) = struct.unpack_from("<i", header, 12)
-    if header[208:212] != b"MAP ":
-        raise MrcFormatError(f"{path}: missing 'MAP ' magic at byte 208")
-    if mode != MODE_FLOAT32:
-        raise UnsupportedModeError(f"{path}: mode {mode} unsupported, only mode 2 is handled")
-    if min(nx, ny, nz) < 1:
-        raise MrcFormatError(f"{path}: non-positive dimensions nx={nx} ny={ny} nz={nz}")
-    mx, my, mz = struct.unpack_from("<3i", header, 28)
-    cella = struct.unpack_from("<3f", header, 40)
-    if mx < 1 or my < 1 or mz < 1:
-        raise MrcFormatError(f"{path}: non-positive sampling grid mx={mx} my={my} mz={mz}")
-    voxel_sizes = np.array(cella, dtype=np.float64) / np.array([mx, my, mz], dtype=np.float64)
-    if np.any(voxel_sizes <= 0):
-        raise MrcFormatError(f"{path}: non-positive cella {cella}")
-    if np.ptp(voxel_sizes) > 1e-4 * voxel_sizes.mean():
-        raise MrcFormatError(f"{path}: anisotropic voxel size {tuple(voxel_sizes)} unsupported")
-    (nsymbt,) = struct.unpack_from("<i", header, 92)
-    if nsymbt < 0:
-        raise MrcFormatError(f"{path}: negative nsymbt {nsymbt}")
-    origin = np.array(struct.unpack_from("<3f", header, 196), dtype=np.float32)
-    n_values = nx * ny * nz
-    offset = HEADER_SIZE + nsymbt
-    expected = offset + 4 * n_values
-    if size < expected:
-        raise MrcFormatError(
-            f"{path}: truncated data section, expected {expected} bytes, found {size}"
-        )
-    data = np.fromfile(path, dtype="<f4", count=n_values, offset=offset)
+        if len(header) < HEADER_SIZE:
+            raise MrcFormatError(f"{path}: file shorter than the 1024-byte MRC header")
+        nx, ny, nz = struct.unpack_from("<3i", header, 0)
+        (mode,) = struct.unpack_from("<i", header, 12)
+        if header[208:212] != b"MAP ":
+            raise MrcFormatError(f"{path}: missing 'MAP ' magic at byte 208")
+        if mode != MODE_FLOAT32:
+            raise UnsupportedModeError(f"{path}: mode {mode} unsupported, only mode 2 is handled")
+        if min(nx, ny, nz) < 1:
+            raise MrcFormatError(f"{path}: non-positive dimensions nx={nx} ny={ny} nz={nz}")
+        mx, my, mz = struct.unpack_from("<3i", header, 28)
+        cella = struct.unpack_from("<3f", header, 40)
+        if mx < 1 or my < 1 or mz < 1:
+            raise MrcFormatError(f"{path}: non-positive sampling grid mx={mx} my={my} mz={mz}")
+        voxel_sizes = np.array(cella, dtype=np.float64) / np.array([mx, my, mz], dtype=np.float64)
+        if np.any(voxel_sizes <= 0):
+            raise MrcFormatError(f"{path}: non-positive cella {cella}")
+        if np.ptp(voxel_sizes) > 1e-4 * voxel_sizes.mean():
+            raise MrcFormatError(f"{path}: anisotropic voxels {tuple(voxel_sizes)} unsupported")
+        (nsymbt,) = struct.unpack_from("<i", header, 92)
+        if nsymbt < 0:
+            raise MrcFormatError(f"{path}: negative nsymbt {nsymbt}")
+        origin = np.array(struct.unpack_from("<3f", header, 196), dtype=np.float32)
+        n_values = nx * ny * nz
+        expected = HEADER_SIZE + nsymbt + 4 * n_values
+        if size < expected:
+            raise MrcFormatError(
+                f"{path}: truncated data section, expected {expected} bytes, found {size}"
+            )
+        # offset counts from the handle's position, the end of the header
+        data = np.fromfile(fh, dtype="<f4", count=n_values, offset=nsymbt)
     data = data.reshape(nz, ny, nx)  # x fastest on disk -> (d, h, w)
     return DensityVolume(data, float(voxel_sizes.mean()), origin)
 

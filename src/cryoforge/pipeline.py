@@ -46,7 +46,7 @@ from .subtomo import (
 )
 from .tiltalign import align_series, refine_axis
 from .tiltsim import TiltGeometry, default_jobs, simulate_tilt_series
-from .volume import DensityVolume
+from .volume import DensityVolume, centred_sums, int_at_least
 
 
 class PipelineConfigError(ValueError):
@@ -80,10 +80,11 @@ class PipelineConfig:
         self.snr_targets = tuple(self.snr_targets)
         if not self.structures:
             raise PipelineConfigError("at least one structure is required")
-        if self.particles_per_class < 1:
-            raise PipelineConfigError("particles_per_class must be >= 1")
-        if self.jobs < 1:
-            raise PipelineConfigError("jobs must be >= 1")
+        for name in ("particles_per_class", "jobs"):
+            try:
+                setattr(self, name, int_at_least(getattr(self, name), name, 1))
+            except ValueError as exc:
+                raise PipelineConfigError(str(exc)) from None
         if len(self.tilt.angles) < MIN_TILTS:
             raise PipelineConfigError(
                 f"tilt.angles must hold at least {MIN_TILTS} angles, got {self.tilt.angles}"
@@ -198,25 +199,10 @@ def _drift_rms_x(applied, estimated) -> dict[str, float]:
     }
 
 
-def _volume_correlation(a: DensityVolume, b: DensityVolume) -> float:
-    """Pearson correlation of two equal-shape volumes.
-
-    Two passes over d slabs, each cast to float64 on its own: the means,
-    then the centred sums. No volume-sized temporary is formed.
-    """
-    if a.shape != b.shape:
-        raise ValueError("volumes must have equal dimensions")
-    n = a.data.size
-    mean_a = sum(float(sa.sum(dtype=np.float64)) for sa in a.data) / n
-    mean_b = sum(float(sb.sum(dtype=np.float64)) for sb in b.data) / n
-    sab = saa = sbb = 0.0
-    for sa, sb in zip(a.data, b.data):
-        da = sa.astype(np.float64) - mean_a
-        db = sb.astype(np.float64) - mean_b
-        sab += float(np.vdot(da, db))
-        saa += float(np.vdot(da, da))
-        sbb += float(np.vdot(db, db))
-    return sab / np.sqrt(saa * sbb)
+def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson correlation of two equal-shape arrays."""
+    saa, sbb, sab = centred_sums(a, b)
+    return float(sab / np.sqrt(saa * sbb))
 
 
 def _mass_ratio(sample: DensityVolume, densities, instances) -> float:
@@ -233,7 +219,7 @@ def _subtomo_corr(accepted, sample: DensityVolume) -> dict[str, float | None]:
     corrs = []
     for sub in accepted:
         box = tuple(slice(c, c + n) for c, n in zip(sub.crop_corner, sub.data.shape))
-        corrs.append(float(np.corrcoef(sub.data.ravel(), sample.data[box].ravel())[0, 1]))
+        corrs.append(_pearson(sub.data, sample.data[box]))
     if not corrs:
         return {"subtomo_corr_median": None, "subtomo_corr_min": None}
     return {"subtomo_corr_median": float(np.median(corrs)), "subtomo_corr_min": min(corrs)}
@@ -380,7 +366,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         report=lambda result: {
             "output_dims": list(result.shape),
             "tomogram_mb": result.data.nbytes / 1e6,
-            "tomo_corr": _volume_correlation(result, sample),
+            "tomo_corr": _pearson(result.data, sample.data),
         },
         jobs=cfg.jobs,
     )

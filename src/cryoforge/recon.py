@@ -32,7 +32,7 @@ import numpy as np
 from scipy import sparse
 
 from .tiltalign import AlignmentResult
-from .tiltsim import TiltSeries, build_then_run, shift_ramp
+from .tiltsim import TiltSeries, build_then_run, checked_jobs, shift_ramp
 from .tiltsim import fourier_shift_2d  # noqa: F401  perfbench traces recon.fourier_shift_2d
 from .volume import DensityVolume, three_ints
 
@@ -145,8 +145,7 @@ def wbp_reconstruct(
     # a d row costs its float32 product (Wout * Hout) and its taps (Wout * 2 * n_tilts),
     # each a float32 value and an int32 index;
     # jobs slabs are in flight at once, so each gets a jobs-th of SLAB_BYTES
-    # (max keeps jobs < 1 from dividing by zero before build_then_run rejects it)
-    slab = max(1, SLAB_BYTES // max(jobs, 1) // (4 * Wout * (Hout + 4 * n_tilts)))
+    slab = max(1, SLAB_BYTES // checked_jobs(jobs) // (4 * Wout * (Hout + 4 * n_tilts)))
     out = np.empty((D, Hout, Wout), dtype=np.float32)
 
     def operator(d0: int) -> sparse.csr_array:

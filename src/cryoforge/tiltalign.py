@@ -121,8 +121,8 @@ def align_series(
     half spectra. A view aligned by its current estimate is its spectrum
     times ``shift_ramp`` of minus the estimate, formed when it is
     correlated and again, after its update, when it is added to a running
-    sum; that sum over n is the next reference's spectrum. No aligned
-    image is ever formed.
+    sum; that sum over n is the next reference's spectrum, so the last
+    iteration forms none. No aligned image is ever formed.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -138,18 +138,20 @@ def align_series(
         spectra[i] = np.fft.rfft2(proj)
     estimates = np.zeros((n, 2))  # (dx, dy) estimated applied drift
     reference = spectra[series.zero_angle_index()]
-    for _ in range(iterations):
+    for iteration in range(iterations):
+        last = iteration == iterations - 1  # no later reference is read
         max_update = 0.0
         total = np.zeros_like(reference)
         for i in range(n):
             aligned = spectra[i] * shift_ramp(shape, -estimates[i, 0], -estimates[i, 1])
             dx, dy = _spectral_shift(reference, aligned, shape)
             estimates[i] += (dx, dy)
-            total += spectra[i] * shift_ramp(shape, -estimates[i, 0], -estimates[i, 1])
+            if not last:
+                total += spectra[i] * shift_ramp(shape, -estimates[i, 0], -estimates[i, 1])
             max_update = max(max_update, abs(dx), abs(dy))
-        reference = total / n
-        if max_update < tol:
+        if last or max_update < tol:
             break
+        reference = total / n
     # the common translation of all views is unobservable: anchor the
     # estimates to zero mean so the aligned stack stays centered
     estimates -= estimates.mean(axis=0)

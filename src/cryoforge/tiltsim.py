@@ -313,6 +313,13 @@ def default_jobs() -> int:
     return int(env)
 
 
+def checked_jobs(jobs) -> int:
+    """``jobs`` as an int; a ValueError naming it unless it is an integer >= 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    return int_at_least(jobs, "jobs", 1)
+
+
 def build_then_run(items, build, run, jobs: int) -> list:
     """``[run(item, build(item)) for item in items]``, with every ``build``
     on the calling thread and, with ``jobs > 1``, the runs on a pool of
@@ -329,8 +336,7 @@ def build_then_run(items, build, run, jobs: int) -> list:
     exception is raised here. ``jobs == 1`` runs inline: a one-thread pool
     would add a worker arena.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    jobs = checked_jobs(jobs)
     if jobs == 1:
         return [run(item, build(item)) for item in items]
     results = []

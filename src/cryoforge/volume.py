@@ -32,6 +32,35 @@ def int_at_least(value, name: str, low: int) -> int:
     return number
 
 
+_CHUNK = 1 << 16  # values per float64 buffer (512 KB)
+
+
+def centred_sums(a: np.ndarray, b: np.ndarray | None = None) -> tuple[float, float, float]:
+    """Σ(a−ā)², Σ(b−b̄)² and Σ(a−ā)(b−b̄) in float64 for equal-shape arrays,
+    ``b`` defaulting to ``a``. Each flat chunk is cast into one reused
+    float64 buffer per array and summed by ``np.einsum``, numpy's own loop:
+    a BLAS reduction (``np.vdot``) over more than about 10,000 values leaves
+    an OpenBLAS thread spinning a second core for about 0.1 s."""
+    if b is not None and a.shape != b.shape:
+        raise ValueError(f"arrays must have equal shapes, got {a.shape} and {b.shape}")
+    n = a.size
+    a = a.reshape(-1)
+    mean_a, buf_a = float(a.sum(dtype=np.float64)) / n, np.empty(min(n, _CHUNK))
+    if b is not None:
+        b = b.reshape(-1)
+        mean_b, buf_b = float(b.sum(dtype=np.float64)) / n, np.empty_like(buf_a)
+    saa = sbb = sab = 0.0
+    for i in range(0, n, _CHUNK):
+        j = min(i + _CHUNK, n)
+        da = np.subtract(a[i:j], mean_a, out=buf_a[: j - i], dtype=np.float64)
+        saa += float(np.einsum("i,i->", da, da))
+        if b is not None:
+            db = np.subtract(b[i:j], mean_b, out=buf_b[: j - i], dtype=np.float64)
+            sbb += float(np.einsum("i,i->", db, db))
+            sab += float(np.einsum("i,i->", da, db))
+    return (saa, saa, saa) if b is None else (saa, sbb, sab)
+
+
 @dataclass
 class DensityVolume:
     """3D scalar grid with physical voxel spacing.

@@ -1,3 +1,5 @@
+import io
+import os
 import struct
 import tracemalloc
 
@@ -79,6 +81,30 @@ def test_write_mrc_allocates_less_than_the_payload(tmp_path, rng):
         tracemalloc.stop()
     # the rms temporary, one float64 chunk, is half of this 1 MB payload
     assert peak < vol.data.nbytes
+
+
+def test_read_mrc_takes_the_payload_from_the_file_whose_header_it_read(
+    tmp_path, rng, monkeypatch
+):
+    path, other = tmp_path / "v.mrc", tmp_path / "other.mrc"
+    first = DensityVolume(rng.normal(size=(4, 5, 6)).astype(np.float32))
+    write_mrc(first, path)
+    write_mrc(DensityVolume(first.data + 1.0), other)
+
+    class SwapAfterFirstRead(io.FileIO):
+        """A handle that renames ``other`` onto ``path`` as soon as its first
+        read, the header's, has returned."""
+
+        def read(self, size=-1):
+            data = super().read(size)
+            if other.exists():
+                os.replace(other, path)
+            return data
+
+    monkeypatch.setattr(cio, "open", SwapAfterFirstRead, raising=False)
+    back = read_mrc(path)
+    assert not other.exists()  # the rename happened mid-read
+    assert np.array_equal(back.data, first.data)
 
 
 def test_header_dims_and_magic(tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from cryoforge.pipeline import (
     PipelineConfig,
     PipelineConfigError,
     StageError,
+    _pearson,
     run_pipeline,
     snr_tag,
 )
+from cryoforge.volume import DensityVolume, centred_sums
 
 
 def test_snr_tag_formatting():
@@ -316,6 +319,31 @@ def test_config_validation(tmp_path):
         PipelineConfig.from_dict(_raw_config(tmp_path, snr_targets=[0.02]))
     with pytest.raises(PipelineConfigError):
         PipelineConfig.from_dict(_raw_config(tmp_path, unknown_key=1))
+
+
+@pytest.mark.parametrize("field", ["jobs", "particles_per_class"])
+@pytest.mark.parametrize("value", ["NaN", "2.5"])
+def test_config_rejects_a_count_that_is_not_an_integer_by_name(tmp_path, field, value):
+    # Python's json reads NaN; a NaN jobs used to leave the projector's
+    # thread pool without a worker, and the run hung
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_raw_config(tmp_path))[:-1] + f', "{field}": {value}}}')
+    with pytest.raises(PipelineConfigError, match=f"^{field} must be an integer >= 1, got "):
+        PipelineConfig.from_json(path)
+
+
+def test_a_serial_write_or_score_leaves_no_thread_spinning(tmp_path, rng):
+    # a BLAS reduction (np.vdot, np.corrcoef) over more than about 10,000
+    # values wakes an OpenBLAS worker that spins a second core for about
+    # 0.1 s after the call returns; process CPU time over a sleep shows it
+    time.sleep(0.2)  # a spinner left by an earlier test expires
+    cio.write_mrc(DensityVolume(rng.normal(size=(32, 32, 32))), tmp_path / "v.mrc")
+    a, b = (rng.normal(size=(46, 360, 46)).astype(np.float32) for _ in range(2))
+    centred_sums(a)
+    assert -1.0 < _pearson(a, b) < 1.0
+    start = time.process_time()
+    time.sleep(0.15)
+    assert time.process_time() - start < 0.03
 
 
 def test_bad_json_reports_config_error(tmp_path):

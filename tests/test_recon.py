@@ -300,3 +300,9 @@ def test_wbp_rejects_jobs_below_one(rng, jobs):
     series, align = _random_series(rng, [-10.0, 0.0, 10.0], (8, 8))
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         wbp_reconstruct(series, align, ReconConfig(output_dims=(8, 8, 8)), jobs=jobs)
+
+
+def test_wbp_rejects_jobs_that_is_not_an_integer(rng):
+    series, align = _random_series(rng, [-10.0, 0.0, 10.0], (8, 8))
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1, got 2.5"):
+        wbp_reconstruct(series, align, ReconConfig(output_dims=(8, 8, 8)), jobs=2.5)

@@ -25,6 +25,7 @@ from cryoforge.tiltsim import (
     _mirror,
     _project,
     _spline_coefficients,
+    build_then_run,
     default_angles,
     fourier_shift_2d,
     pretraining_angles,
@@ -449,6 +450,25 @@ def test_series_rejects_jobs_below_one(jobs):
     geom = TiltGeometry(angles=[-10.0, 0.0, 10.0])
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         simulate_tilt_series(multi_blob_volume(8, blobs=1), geom, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [float("nan"), 2.5])
+def test_build_then_run_rejects_jobs_that_is_not_an_integer(jobs):
+    # a NaN pool never starts a worker, so the call runs on a thread with a
+    # timeout: the failure must be a ValueError, not a hang
+    raised = []
+
+    def call():
+        try:
+            build_then_run([1, 2, 3], lambda item: item, lambda item, built: built, jobs)
+        except ValueError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=10.0)
+    assert not worker.is_alive(), f"build_then_run(jobs={jobs!r}) hung"
+    assert raised and str(raised[0]) == f"jobs must be an integer >= 1, got {jobs!r}"
 
 
 def test_applied_shift_recoverable_by_phase_correlation():
