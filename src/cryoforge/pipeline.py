@@ -1,13 +1,15 @@
 """End-to-end batch orchestration.
 
-Drives the stages densify -> place -> project -> align -> reconstruct ->
-extract -> noise from a single JSON config, writing MRC volumes, NDJSON
-ground-truth metadata, and NDJSON provenance (config hash, seed, timings)
-into a per-run output directory. The config's nested sections hold what
-every stage runs with, the fields derived from the top-level ones included,
-so the config hash covers what ran. Metadata is deterministic for a fixed
-seed; provenance carries wall-clock timings, peak memory, the worker
-count of the threaded stages (project, reconstruct), the atom count and
+Drives the nine stages densify -> place -> compose -> project -> align ->
+refine_axis -> reconstruct -> extract -> noise from a single JSON config,
+writing MRC volumes, NDJSON ground-truth metadata, and NDJSON provenance
+(config hash, seed, timings; one row per stage) into a per-run output
+directory. The config's nested sections hold what every stage runs with,
+the fields derived from the top-level ones included, so the config hash
+covers what ran. Metadata is deterministic for a fixed seed; provenance
+carries wall-clock timings, peak memory, the worker count of the threaded
+stages (project, reconstruct), the python, numpy and scipy versions and
+the BLAS and OpenMP thread caps the run had, the atom count and
 density-map size of densify, the sizes of the composed sample, the
 projection stack and the tomogram (read from the arrays) and of the
 alignment spectra (arithmetic on the stack's shape), the number of rows
@@ -17,6 +19,8 @@ keeps of the placed maps, and the ground-truth quality of alignment
 sample), extraction (correlation of each clean box with the same box of
 the sample) and noise (worst realized-SNR error against the target),
 and lives in its own file so reruns still produce byte-identical metadata.
+A failed run writes the rows up to the failed stage's, which names the
+error.
 ``jobs`` defaults to ``tiltsim.default_jobs()``, the CLI's rule; no output
 depends on it. ``align`` and ``reconstruct`` run on the float32 stack
 ``tilts.mrc`` holds, so the CLI reproduces their files from a run's
@@ -29,13 +33,16 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import resource
 import sys
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import io as cio
 from .recon import MIN_TILTS, ReconConfig, wbp_reconstruct
@@ -47,6 +54,10 @@ from .subtomo import (
 from .tiltalign import align_series, refine_axis
 from .tiltsim import TiltGeometry, default_jobs, simulate_tilt_series
 from .volume import DensityVolume, centred_sums, int_at_least
+
+
+# the BLAS and OpenMP thread caps the densify row reports, null when unset
+_THREAD_CAPS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class PipelineConfigError(ValueError):
@@ -179,11 +190,13 @@ class PipelineResult:
     metadata_path: Path
 
 
-def _peak_rss_mb() -> float:
-    """Peak resident set size of this process so far, in MB (10^6 bytes)."""
+def _usage(started: float) -> dict[str, float]:
+    """Wall time since ``started`` (a ``time.perf_counter()`` reading) and
+    this process's peak resident set size so far, in MB (10^6 bytes)."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is in bytes on macOS and in KiB elsewhere
-    return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
+    peak_mb = peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
+    return {"elapsed_s": round(time.perf_counter() - started, 4), "peak_rss_mb": round(peak_mb, 1)}
 
 
 def _drift_rms_x(applied, estimated) -> dict[str, float]:
@@ -249,143 +262,109 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     provenance.ndjson.
     Each artifact is written inside the stage that produces it, so the
     run fails fast with that stage's name at the first error, a failed
-    write included. Every stage runs with the config's sections as they are.
+    write included; provenance.ndjson is then written with the rows up to
+    the failed stage's. Every stage runs with the config's sections as
+    they are.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg_hash = cfg.config_hash()
     provenance: list[dict] = []
 
-    def _stage(name, fn, inputs=(), report=None, **extra):
-        """Run one stage and append its provenance row; ``report(result)``
-        adds fields measured on its result (array sizes, ground-truth
-        scores), outside the stage's elapsed time."""
+    @contextmanager
+    def _stage(name, inputs=(), **fields):
+        """Run the block as stage ``name`` and yield its provenance row.
+        Fields set on the row after the block (array sizes, ground-truth
+        scores) stay outside its elapsed time. A failed block's row gains
+        ``error``, and provenance.ndjson is written before the StageError."""
+        row = {"stage": name, "inputs": list(inputs), "config_hash": cfg_hash, "seed": cfg.seed}
+        row.update(fields)
+        provenance.append(row)
         started = time.perf_counter()
         try:
-            result = fn()
+            yield row
         except Exception as exc:
+            row.update(_usage(started), error=str(exc))
+            with suppress(OSError):  # the stage's failure is the one to report
+                cio.write_ndjson(provenance, out / "provenance.ndjson")
             raise StageError(name, exc) from exc
-        provenance.append(
-            {
-                "stage": name,
-                "inputs": list(inputs),
-                "config_hash": cfg_hash,
-                "seed": cfg.seed,
-                "elapsed_s": round(time.perf_counter() - started, 4),
-                "peak_rss_mb": round(_peak_rss_mb(), 1),
-                **extra,
-            }
-        )
-        if report is not None:
-            provenance[-1].update(report(result))
-        return result
+        row.update(_usage(started))
 
     # densify: one ground-truth density per class
-    (out / "densities").mkdir(exist_ok=True)
     densities: dict[str, DensityVolume] = {}
-
-    def _densify():
-        atoms = 0
+    atoms = 0
+    with _stage(
+        "densify",
+        inputs=sorted(cfg.structures.values()),
+        versions={
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+        thread_caps={name: os.environ.get(name) for name in _THREAD_CAPS},
+    ) as row:
+        (out / "densities").mkdir(exist_ok=True)
         for label, pdb_path in sorted(cfg.structures.items()):
             model = parse_pdb(Path(pdb_path).read_text(), source_id=label)
             atoms += len(model.atoms)
             densities[label] = densify(model, cfg.densify)
             cio.write_mrc(densities[label], out / "densities" / f"{label}.mrc")
-        return atoms
-
-    _stage(
-        "densify",
-        _densify,
-        inputs=sorted(cfg.structures.values()),
-        report=lambda atoms: {
-            "atoms": atoms,
-            "density_mb": sum(v.data.nbytes for v in densities.values()) / 1e6,
-        },
-    )
+    row.update(atoms=atoms, density_mb=sum(v.data.nbytes for v in densities.values()) / 1e6)
 
     # place: centers, labels, orientations, composed sample volume
-    def _place():
+    with _stage("place"):
         instances = place_particles(sorted(cfg.structures), cfg.placement)
         cio.write_instances(instances, out / "instances.ndjson")
-        return instances
-
-    instances = _stage("place", _place)
-    sample = _stage(
-        "compose",
-        lambda: compose_sample(densities, instances, cfg.placement),
-        report=lambda result: {
-            "sample_dims": list(result.shape),
-            "sample_mb": result.data.nbytes / 1e6,
-            "mass_ratio": _mass_ratio(result, densities, instances),
-        },
+    with _stage("compose") as row:
+        sample = compose_sample(densities, instances, cfg.placement)
+    row.update(
+        sample_dims=list(sample.shape),
+        sample_mb=sample.data.nbytes / 1e6,
+        mass_ratio=_mass_ratio(sample, densities, instances),
     )
 
     # project: simulated tilt series with recorded drifts
-    def _project():
+    with _stage("project", jobs=cfg.jobs) as row:
         series = simulate_tilt_series(sample, cfg.tilt, jobs=cfg.jobs)
         cio.write_tilt_series(series, out / "tilt_series")
-        return series
-
-    series = _stage(
-        "project",
-        _project,
-        report=lambda result: {
-            "stack_shape": list(result.projections.shape),
-            "stack_mb": result.projections.nbytes / 1e6,
-            "rows_projected": result.rows_projected,
-        },
-        jobs=cfg.jobs,
+    row.update(
+        stack_shape=list(series.projections.shape),
+        stack_mb=series.projections.nbytes / 1e6,
+        rows_projected=series.rows_projected,
     )
 
     # align + axis refinement
     n_tilts, H, W = series.projections.shape
-    align = _stage(
-        "align",
-        lambda: align_series(series),
-        report=lambda result: _drift_rms_x(series.applied_shifts, result.shifts),
-        spectra_mb=16 * n_tilts * H * (W // 2 + 1) / 1e6,  # complex128 rfft2 stack
-    )
-
-    def _refine_axis():
+    spectra_mb = 16 * n_tilts * H * (W // 2 + 1) / 1e6  # complex128 rfft2 stack
+    with _stage("align", spectra_mb=spectra_mb) as row:
+        align = align_series(series)
+    row.update(_drift_rms_x(series.applied_shifts, align.shifts))
+    with _stage("refine_axis"):
         align.axis_angle, align.axis_offset, align.residual_mse = refine_axis(
             series, align.shifts
         )
         cio.write_alignment(align, out / "alignment.ndjson")
 
-    _stage("refine_axis", _refine_axis)
-
     # reconstruct
-    def _reconstruct():
+    with _stage("reconstruct", jobs=cfg.jobs) as row:
         tomo = wbp_reconstruct(series, align, cfg.recon, jobs=cfg.jobs)
         cio.write_mrc(tomo, out / "tomogram.mrc")
-        return tomo
-
-    tomo = _stage(
-        "reconstruct",
-        _reconstruct,
-        report=lambda result: {
-            "output_dims": list(result.shape),
-            "tomogram_mb": result.data.nbytes / 1e6,
-            "tomo_corr": _pearson(result.data, sample.data),
-        },
-        jobs=cfg.jobs,
+    row.update(
+        output_dims=list(tomo.shape),
+        tomogram_mb=tomo.data.nbytes / 1e6,
+        tomo_corr=_pearson(tomo.data, sample.data),
     )
 
     # extract
-    def _extract():
+    with _stage("extract") as row:
         accepted, rejections = extract(tomo, instances, cfg.extraction)
         cio.write_rejections(rejections, out / "rejections.ndjson")
-        return accepted, rejections
-
-    accepted, rejections = _stage(
-        "extract", _extract, report=lambda result: _subtomo_corr(result[0], sample)
-    )
+    row.update(_subtomo_corr(accepted, sample))
 
     # noise: clean references, masks, and per-SNR noisy replicas
     records: list[cio.SubtomogramRecord] = []
-
-    def _noise():
-        replicas = []  # (clean, [(noisy, target), ...]) for the realized-SNR check
+    replicas = []  # (clean, [(noisy, target), ...]) for the realized-SNR check
+    with _stage("noise", extra_targets=[snr_tag(t) for t in cfg.snr_targets]) as row:
         (out / "masks").mkdir(exist_ok=True)
         for i, sub in enumerate(accepted):
             clean = DensityVolume(sub.data, tomo.voxel_size)
@@ -403,14 +382,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             for tag, vol in variants:
                 path = out / "subtomograms" / sub.class_label / tag / f"{i:04d}.mrc"
                 records.append(cio.write_subtomogram(vol, sub, path, out, tag, mask_path))
-        return replicas
-
-    _stage(
-        "noise",
-        _noise,
-        report=_snr_error,
-        extra_targets=[snr_tag(t) for t in cfg.snr_targets],
-    )
+    row.update(_snr_error(replicas))
 
     metadata_path = out / "metadata.ndjson"
     cio.write_metadata(records, metadata_path)

@@ -2,14 +2,19 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` — the verbose listing gives
 one PASS/FAIL line per criterion. Each test also prints its measured
-values, shown on failure (or with ``-s``). Two more tests check the
-criterion-10 run against its ground truth and the CLI, on the same run.
+values, shown on failure (or with ``-s``). Three more tests check the
+criterion-10 run against its ground truth, the CLI and the output digests
+pinned in ``pipeline_digests.json``, on the same run.
 """
 
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from conftest import band_limited_image, gaussian_blob, make_blob_pdb, make_shell_pdb, shell_phantom
 from cryoforge import io as cio
@@ -308,6 +313,30 @@ def test_pipeline_subtomograms_match_the_composed_sample(pipeline_runs):
           f"{extract_row['subtomo_corr_median']:.3f}, min {extract_row['subtomo_corr_min']:.3f} "
           f"(median >= 0.7); compose mass ratio {rows['compose']['mass_ratio']:.3f}")
     assert extract_row["subtomo_corr_median"] >= 0.7
+
+
+def test_pipeline_outputs_match_their_pinned_digests(pipeline_runs):
+    # every file but provenance.ndjson, against tests/pipeline_digests.json;
+    # a change that moves an output on purpose updates the pin
+    first, _ = pipeline_runs
+    pinned = json.loads(Path(__file__).with_name("pipeline_digests.json").read_text())
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    assert versions == pinned["versions"], (
+        f"digests pinned with {pinned['versions']}, running {versions}"
+    )
+    out = first.output_dir
+    found = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.rglob("*")
+        if path.is_file() and path.name != "provenance.ndjson"
+    }
+    expected = pinned["sha256"]
+    moved = {
+        name: (expected.get(name), found.get(name))
+        for name in sorted(expected.keys() | found.keys())
+        if expected.get(name) != found.get(name)
+    }
+    assert not moved, f"{len(moved)} outputs moved (pinned, found): {moved}"
 
 
 def test_cli_densify_reproduces_the_pipeline_densities(pipeline_runs, tmp_path):

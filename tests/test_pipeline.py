@@ -1,13 +1,15 @@
 import copy
 import json
+import platform
 import re
 import time
 
 import numpy as np
 import pytest
+import scipy
 
 from conftest import make_blob_pdb
-from cryoforge import io as cio, tiltsim
+from cryoforge import io as cio, pipeline, tiltsim
 from cryoforge.cli import main
 from cryoforge.recon import MIN_TILTS, ReconConfig
 from cryoforge.scene import PlacementConfig, compose_sample, place_particles
@@ -386,6 +388,19 @@ def test_provenance_reports_peak_rss_and_jobs(tmp_path):
     assert [(r["stage"], r["jobs"]) for r in rows if "jobs" in r] == [
         ("project", 2), ("reconstruct", 2)
     ]
+    common = {"stage", "inputs", "config_hash", "seed", "elapsed_s", "peak_rss_mb"}
+    assert {r["stage"]: set(r) - common for r in rows} == {
+        "densify": {"versions", "thread_caps", "atoms", "density_mb"},
+        "place": set(),
+        "compose": {"sample_dims", "sample_mb", "mass_ratio"},
+        "project": {"jobs", "stack_shape", "stack_mb", "rows_projected"},
+        "align": {"spectra_mb", "align_rms_x_px", "uncorrected_rms_x_px"},
+        "refine_axis": set(),
+        "reconstruct": {"jobs", "output_dims", "tomogram_mb", "tomo_corr"},
+        "extract": {"subtomo_corr_median", "subtomo_corr_min"},
+        "noise": {"extra_targets", "snr_err"},
+    }
+    assert all(common <= set(r) for r in rows)
     density = cio.read_mrc(result.output_dir / "densities" / "blob.mrc")
     tomogram = cio.read_mrc(result.output_dir / "tomogram.mrc")
     assert tomogram.voxel_size == pytest.approx(density.voxel_size)
@@ -393,6 +408,87 @@ def test_provenance_reports_peak_rss_and_jobs(tmp_path):
     assert recon_row["stage"] == "reconstruct"
     assert recon_row["output_dims"] == [40, 80, 40] == list(tomogram.shape)
     assert recon_row["tomogram_mb"] == pytest.approx(tomogram.data.nbytes / 1e6)
+
+
+def _blob_config(tmp_path) -> PipelineConfig:
+    pdb = tmp_path / "blob.pdb"
+    pdb.write_text(make_blob_pdb(np.random.default_rng(0), radius=60.0, n=400))
+    raw = _raw_config(
+        tmp_path,
+        structures={"blob": str(pdb)},
+        particles_per_class=2,
+        snr_targets=[0.1],
+        placement={"volume_dims": [40, 80, 40]},
+        tilt={"angles": [-20.0, 0.0, 20.0]},
+    )
+    return PipelineConfig.from_dict(raw)
+
+
+def test_provenance_reports_versions_and_thread_caps(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = run_pipeline(_blob_config(tmp_path)).output_dir
+    rows = cio.read_ndjson(out / "provenance.ndjson")
+    assert rows[0]["stage"] == "densify"
+    assert rows[0]["versions"] == {
+        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__
+    }
+    assert rows[0]["thread_caps"] == {
+        "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": None
+    }
+    # once per run, and never in the deterministic metadata
+    assert not any({"versions", "thread_caps"} & set(r) for r in rows[1:])
+    for record in cio.read_ndjson(out / "metadata.ndjson"):
+        assert not {"versions", "thread_caps", "python", "numpy", "OMP_NUM_THREADS"} & set(record)
+
+
+def test_a_failed_run_writes_its_provenance(tmp_path, monkeypatch):
+    cfg = _blob_config(tmp_path)
+    out = run_pipeline(cfg).output_dir
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("no room for the tomogram")
+
+    # a rerun into the same directory that fails replaces the complete rows
+    monkeypatch.setattr(pipeline, "wbp_reconstruct", fail)
+    with pytest.raises(StageError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "reconstruct"
+    rows = cio.read_ndjson(out / "provenance.ndjson")
+    assert [r["stage"] for r in rows] == [
+        "densify", "place", "compose", "project", "align", "refine_axis", "reconstruct",
+    ]
+    failed = rows[-1]
+    assert failed["error"] == "no room for the tomogram"
+    assert failed["elapsed_s"] >= 0 and failed["peak_rss_mb"] > 0
+    assert failed["jobs"] == cfg.jobs and "tomo_corr" not in failed
+    assert not any("error" in r for r in rows[:-1])
+
+    # a provenance file that cannot be written leaves the stage's failure to report
+    (out / "provenance.ndjson").unlink()
+    (out / "provenance.ndjson").mkdir()
+    with pytest.raises(StageError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "reconstruct"
+    assert str(err.value.cause) == "no room for the tomogram"
+
+
+def test_ground_truth_scores_stay_outside_the_stage_time(tmp_path, monkeypatch):
+    cfg = _blob_config(tmp_path)
+    pearson, slept = pipeline._pearson, []
+
+    def slow_pearson(a, b):
+        if a.shape == cfg.placement.volume_dims:  # tomo_corr, not an extracted box
+            slept.append(a.shape)
+            time.sleep(0.5)
+        return pearson(a, b)
+
+    monkeypatch.setattr(pipeline, "_pearson", slow_pearson)
+    out = run_pipeline(cfg).output_dir
+    rows = {r["stage"]: r for r in cio.read_ndjson(out / "provenance.ndjson")}
+    assert slept == [(40, 80, 40)]
+    assert rows["reconstruct"]["elapsed_s"] < 0.5
 
 
 def test_cli_pipeline_takes_jobs_from_the_variable(tmp_path, monkeypatch):
