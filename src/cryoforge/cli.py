@@ -59,7 +59,7 @@ def _jobs(args) -> int:
 
 
 def cmd_densify(args) -> int:
-    model = parse_pdb(Path(args.pdb).read_text(), source_id=Path(args.pdb).stem)
+    model = parse_pdb(Path(args.pdb).read_text())
     cfg = DensifyConfig(voxel_size=args.voxel_size, target_resolution=args.resolution)
     vol = densify(model, cfg)
     cio.write_mrc(vol, args.out)
@@ -129,8 +129,7 @@ def cmd_extract(args) -> int:
 
 def cmd_noise(args) -> int:
     vol = cio.read_mrc(args.volume)
-    spec = NoiseSpec(snr_target=args.snr, seed=_seed(args))
-    noisy = add_noise(vol, spec)
+    (noisy,) = add_noise(vol, [NoiseSpec(snr_target=args.snr, seed=_seed(args))])
     cio.write_mrc(noisy, args.out)
     print(f"noise: SNR {snr_tag(args.snr)} -> {args.out}")
     return EXIT_OK

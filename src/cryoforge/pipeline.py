@@ -35,6 +35,7 @@ import json
 import os
 import platform
 import resource
+import shutil
 import sys
 import time
 from contextlib import contextmanager, suppress
@@ -238,19 +239,6 @@ def _subtomo_corr(accepted, sample: DensityVolume) -> dict[str, float | None]:
     return {"subtomo_corr_median": float(np.median(corrs)), "subtomo_corr_min": min(corrs)}
 
 
-def _snr_error(replicas) -> dict[str, float]:
-    """max |realized SNR / target - 1| over (clean, [(noisy, target), ...])
-    groups, with realized SNR = var(clean) / var(noisy - clean) in float64."""
-    worst = 0.0
-    for clean, noisy in replicas:
-        c = clean.astype(np.float64)
-        signal = np.var(c)
-        for data, target in noisy:
-            realized = signal / np.var(data - c)  # float32 - float64 is float64
-            worst = max(worst, abs(realized / target - 1.0))
-    return {"snr_err": float(worst)}
-
-
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Run every stage and write all artifacts under cfg.output_dir.
 
@@ -259,7 +247,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     ``cryoforge align`` and ``reconstruct`` read), alignment.ndjson,
     tomogram.mrc, subtomograms/<label>/<tag>/NNNN.mrc (tag in clean +
     configured SNRs), masks/, metadata.ndjson, rejections.ndjson,
-    provenance.ndjson.
+    provenance.ndjson. It first removes these, and nothing else, so a rerun
+    into the same directory keeps none of an earlier run's outputs.
     Each artifact is written inside the stage that produces it, so the
     run fails fast with that stage's name at the first error, a failed
     write included; provenance.ndjson is then written with the rows up to
@@ -268,6 +257,13 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("densities", "tilt_series", "subtomograms", "masks"):
+        if (out / name).is_dir():
+            shutil.rmtree(out / name)
+    for name in ("instances.ndjson", "alignment.ndjson", "tomogram.mrc", "rejections.ndjson",
+                 "metadata.ndjson", "provenance.ndjson"):
+        if (out / name).is_file():
+            (out / name).unlink()
     cfg_hash = cfg.config_hash()
     provenance: list[dict] = []
 
@@ -305,8 +301,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     ) as row:
         (out / "densities").mkdir(exist_ok=True)
         for label, pdb_path in sorted(cfg.structures.items()):
-            model = parse_pdb(Path(pdb_path).read_text(), source_id=label)
-            atoms += len(model.atoms)
+            model = parse_pdb(Path(pdb_path).read_text())
+            atoms += len(model.positions)
             densities[label] = densify(model, cfg.densify)
             cio.write_mrc(densities[label], out / "densities" / f"{label}.mrc")
     row.update(atoms=atoms, density_mb=sum(v.data.nbytes for v in densities.values()) / 1e6)
@@ -361,28 +357,27 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         cio.write_rejections(rejections, out / "rejections.ndjson")
     row.update(_subtomo_corr(accepted, sample))
 
-    # noise: clean references, masks, and per-SNR noisy replicas
+    # noise: clean references, masks, and per-SNR noisy copies
     records: list[cio.SubtomogramRecord] = []
-    replicas = []  # (clean, [(noisy, target), ...]) for the realized-SNR check
-    with _stage("noise", extra_targets=[snr_tag(t) for t in cfg.snr_targets]) as row:
+    tags = [snr_tag(t) for t in cfg.snr_targets]
+    snr_err = 0.0  # max |realized SNR / target - 1| so far
+    with _stage("noise", extra_targets=tags) as row:
         (out / "masks").mkdir(exist_ok=True)
         for i, sub in enumerate(accepted):
             clean = DensityVolume(sub.data, tomo.voxel_size)
-            mask = make_mask(clean, cfg.extraction)
+            mask = make_mask(clean, cfg.extraction).astype(np.float32)
             mask_path = out / "masks" / f"{i:04d}.mrc"
-            cio.write_mrc(
-                DensityVolume(mask.astype(np.float32), tomo.voxel_size), mask_path
-            )
-            variants = [("clean", clean)]
-            for j, target in enumerate(cfg.snr_targets):
-                spec = NoiseSpec(snr_target=target, seed=(cfg.seed, i, j))
-                variants.append((snr_tag(target), add_noise(clean, spec)))
-            noisy = [(v.data, t) for (_, v), t in zip(variants[1:], cfg.snr_targets)]
-            replicas.append((clean.data, noisy))
-            for tag, vol in variants:
+            cio.write_mrc(DensityVolume(mask, tomo.voxel_size), mask_path)
+            specs = [NoiseSpec(t, seed=(cfg.seed, i, j)) for j, t in enumerate(cfg.snr_targets)]
+            noisy = add_noise(clean, specs)
+            c = clean.data.astype(np.float64)  # realized SNR: var(clean) / var(noisy - clean)
+            signal = np.var(c)
+            for vol, target in zip(noisy, cfg.snr_targets):  # float32 - float64 is float64
+                snr_err = max(snr_err, abs(signal / np.var(vol.data - c) / target - 1.0))
+            for tag, vol in zip(["clean", *tags], [clean, *noisy]):
                 path = out / "subtomograms" / sub.class_label / tag / f"{i:04d}.mrc"
                 records.append(cio.write_subtomogram(vol, sub, path, out, tag, mask_path))
-    row.update(_snr_error(replicas))
+    row.update(snr_err=float(snr_err))
 
     metadata_path = out / "metadata.ndjson"
     cio.write_metadata(records, metadata_path)

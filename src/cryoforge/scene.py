@@ -132,18 +132,15 @@ def compose_sample(
     Each instance's class density is rotated by its quaternion about the
     density's geometric center and translated so that center lands on the
     instance center; resampling is trilinear and voxels outside every
-    particle stay 0.
+    particle stay 0. Each class map is cast to float64 once per call.
     """
     dims = cfg.volume_dims
     out = np.zeros(dims, dtype=np.float64)
-    voxel_size = None
+    sources = {label: d.data.astype(np.float64) for label, d in density_by_class.items()}
     for idx, inst in enumerate(instances):
-        if inst.class_label not in density_by_class:
+        if inst.class_label not in sources:
             raise KeyError(f"no density registered for class {inst.class_label!r}")
-        density = density_by_class[inst.class_label]
-        if voxel_size is None:
-            voxel_size = density.voxel_size
-        src = density.data.astype(np.float64)
+        src = sources[inst.class_label]
         box = np.array(src.shape)
         # center voxel index; integer so integer-aligned placement is exact
         c_src = (box // 2).astype(float)
@@ -161,4 +158,5 @@ def compose_sample(
         )
         sl = tuple(slice(corner[a], corner[a] + box[a]) for a in range(3))
         out[sl] += patch
-    return DensityVolume(out.astype(np.float32), voxel_size or 1.0)
+    voxel_size = density_by_class[instances[0].class_label].voxel_size if instances else 1.0
+    return DensityVolume(out.astype(np.float32), voxel_size)

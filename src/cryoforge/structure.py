@@ -1,10 +1,10 @@
 """Atomic models to ground-truth density volumes.
 
-Parses fixed-column PDB text and synthesizes electron-density maps: each
-atom is an element-specific Gaussian, blurred to the target resolution in
-closed form (a Gaussian low-pass of a Gaussian is a Gaussian) and averaged
-over each voxel's cell; the map is normalized to unit maximum and its
-near-zero voxels are suppressed.
+Parses fixed-column PDB text into per-atom arrays and synthesizes
+electron-density maps: each atom is an element-specific Gaussian, blurred
+to the target resolution in closed form (a Gaussian low-pass of a Gaussian
+is a Gaussian) and averaged over each voxel's cell; the map is normalized
+to unit maximum and its near-zero voxels are suppressed.
 """
 
 from __future__ import annotations
@@ -47,28 +47,39 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class Atom:
-    element: str
-    position: np.ndarray  # Angstrom
-    occupancy: float = 1.0
+class InvalidAtomError(ValueError):
+    """Row ``index`` holds a non-finite coordinate or a non-finite or negative occupancy."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"atom {index}: {reason}")
+        self.index, self.reason = index, reason
 
 
 @dataclass
 class AtomicModel:
-    atoms: list[Atom]
-    source_id: str = ""
+    """One row per atom: ``positions`` (n, 3) float64 Angstrom (x, y, z),
+    ``elements`` (n,) symbols and ``occupancy`` (n,) float64."""
+
+    positions: np.ndarray
+    elements: np.ndarray
+    occupancy: np.ndarray
 
     def __post_init__(self):
-        if not self.atoms:
-            raise EmptyModelError("atomic model must contain at least one atom")
-        for atom in self.atoms:
-            atom.position = np.asarray(atom.position, dtype=float).reshape(3)
-            if not np.all(np.isfinite(atom.position)):
-                raise ValueError("atom positions must be finite")
-
-    def positions(self) -> np.ndarray:
-        return np.stack([a.position for a in self.atoms])
+        self.positions = np.asarray(self.positions, dtype=np.float64)
+        self.elements = np.asarray(self.elements, dtype=str)
+        self.occupancy = np.asarray(self.occupancy, dtype=np.float64)
+        n = len(self.elements)
+        if n == 0:
+            raise EmptyModelError("no atoms: the model holds no ATOM/HETATM records")
+        if self.positions.shape != (n, 3) or self.occupancy.shape != (n,):
+            raise ValueError("positions, elements and occupancy must be (n, 3), (n,) and (n,)")
+        finite = np.isfinite(self.positions).all(axis=1)
+        # NaN fails both occupancy comparisons
+        bad = np.flatnonzero(~finite | ~(self.occupancy >= 0) | ~(self.occupancy < np.inf))
+        if bad.size:
+            i = int(bad[0])
+            raise InvalidAtomError(i, "coordinates must be finite" if not finite[i] else
+                                   f"occupancy {self.occupancy[i]:g} must be finite and >= 0")
 
 
 @dataclass
@@ -105,48 +116,42 @@ def _element_from_line(line: str) -> str:
     return elem.capitalize()
 
 
-def parse_pdb(text: str, source_id: str = "") -> AtomicModel:
+def parse_pdb(text: str) -> AtomicModel:
     """Parse ATOM/HETATM records from fixed-column PDB text.
 
     Only the first MODEL block is honored and water (HOH) residues are
     skipped. Coordinates come from columns 31-54, occupancy from 55-60
     (defaulting to 1.0 when blank), element from columns 77-78 with an
-    atom-name fallback.
+    atom-name fallback. An unparseable field, a non-finite coordinate and a
+    non-finite or negative occupancy raise PdbParseError naming the line.
     """
-    atoms: list[Atom] = []
+    rows: list[tuple[float, ...]] = []  # x, y, z, occupancy, line number
+    elements: list[str] = []
     in_model = False
-    model_seen = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         rec = line[:6].strip()
-        if rec == "MODEL":
-            if model_seen:
+        if rec in ("MODEL", "ENDMDL"):
+            if in_model:  # the first MODEL block ends here
                 break
-            model_seen = True
-            in_model = True
+            in_model = rec == "MODEL"
             continue
-        if rec == "ENDMDL":
-            if in_model:
-                break
-            continue
-        if rec not in ("ATOM", "HETATM"):
-            continue
-        if line[17:20].strip() == "HOH":
+        if rec not in ("ATOM", "HETATM") or line[17:20].strip() == "HOH":
             continue
         try:
-            x = float(line[30:38])
-            y = float(line[38:46])
-            z = float(line[46:54])
+            x, y, z = float(line[30:38]), float(line[38:46]), float(line[46:54])
         except (ValueError, IndexError) as exc:
             raise PdbParseError(f"line {lineno}: unparseable coordinate field") from exc
         occ_field = line[54:60].strip()
         try:
-            occupancy = float(occ_field) if occ_field else 1.0
+            rows.append((x, y, z, float(occ_field) if occ_field else 1.0, lineno))
         except ValueError as exc:
             raise PdbParseError(f"line {lineno}: unparseable occupancy field") from exc
-        atoms.append(Atom(_element_from_line(line), np.array([x, y, z]), occupancy))
-    if not atoms:
-        raise EmptyModelError("no ATOM/HETATM records found")
-    return AtomicModel(atoms, source_id=source_id)
+        elements.append(_element_from_line(line))
+    table = np.array(rows).reshape(-1, 5)
+    try:
+        return AtomicModel(table[:, :3], elements, table[:, 3])
+    except InvalidAtomError as exc:
+        raise PdbParseError(f"line {table[exc.index, 4]:.0f}: {exc.reason}") from exc
 
 
 def splat_atoms(model: AtomicModel, cfg: DensifyConfig) -> DensityVolume:
@@ -166,19 +171,16 @@ def splat_atoms(model: AtomicModel, cfg: DensifyConfig) -> DensityVolume:
     The per-axis factors are (atoms, n) matrices; the grid is formed one d
     plane at a time as a product over atoms, never as (atoms, H, W).
     """
-    positions = model.positions()
-    elements = [a.element for a in model.atoms]
-    max_vdw = max(VDW_RADIUS.get(e, DEFAULT_VDW) for e in set(elements))
+    positions = model.positions
+    kinds, kind = np.unique(model.elements, return_inverse=True)
+    max_vdw = max(VDW_RADIUS.get(e, DEFAULT_VDW) for e in kinds)
     margin = cfg.solvent_margin_factor * max_vdw
     lo = positions.min(axis=0) - margin
     hi = positions.max(axis=0) + margin
     dims = np.maximum(np.ceil((hi - lo) / cfg.voxel_size).astype(int), 1)
 
-    kinds, kind = np.unique(elements, return_inverse=True)
     sigma = np.array([cfg.sigma_for(e) for e in kinds])[kind]
-    amp = np.array([cfg.amplitude_for(e) for e in kinds])[kind] * np.array(
-        [a.occupancy for a in model.atoms], dtype=np.float64
-    )
+    amp = np.array([cfg.amplitude_for(e) for e in kinds])[kind] * model.occupancy
     w = amp * (2.0 * np.pi * sigma**2) ** 1.5 / cfg.voxel_size**3  # mass per voxel volume
     sigma_t = np.sqrt(sigma**2 + (cfg.target_resolution / 2.0) ** 2)[:, None]
     # per axis (x, y, z): the fraction of each atom's mass in each cell, (atoms, n);

@@ -2,7 +2,8 @@
 
 Crops fixed-size cubes around known particle centers with integer jitter,
 skipping candidates that exit the tomogram or sit too close to another
-recorded center, and produces noisy replicas with sigma^2 = v_sig / SNR.
+recorded center, and produces one noisy copy per SNR target with
+sigma^2 = v_sig / SNR, v_sig computed once per box for all of its copies.
 """
 
 from __future__ import annotations
@@ -141,19 +142,21 @@ def noise_field(shape: tuple[int, ...], sigma: float, seed) -> np.ndarray:
     return rng.normal(0.0, sigma, size=shape)
 
 
-def add_noise(clean: DensityVolume, spec: NoiseSpec) -> DensityVolume:
-    """Add zero-mean Gaussian noise calibrated to the target SNR.
+def add_noise(clean: DensityVolume, specs: list[NoiseSpec]) -> list[DensityVolume]:
+    """One copy of ``clean`` per spec, in order, plus zero-mean Gaussian
+    noise calibrated to the spec's target SNR.
 
     sigma^2 = v_sig / snr_target with v_sig the voxel variance of the
-    clean volume, so the realized SNR matches the target in expectation.
-    Deterministic per spec.seed; the noise field is regenerable via
-    :func:`noise_field`.
+    clean volume, computed once per call, so the realized SNR matches the
+    target in expectation. Each copy is deterministic per its spec's seed;
+    its noise field is regenerable via :func:`noise_field`.
     """
-    noise = noise_field(clean.data.shape, noise_sigma(clean, spec), spec.seed)
-    noisy = clean.data.astype(np.float64) + noise
-    return clean.with_data(noisy.astype(np.float32))
-
-
-def noise_sigma(clean: DensityVolume, spec: NoiseSpec) -> float:
-    """Noise standard deviation used for this clean volume and target."""
-    return float(np.sqrt(signal_variance(clean) / spec.snr_target))
+    if not specs:
+        return []
+    v_sig = signal_variance(clean)
+    copies = []
+    for spec in specs:
+        noise = noise_field(clean.shape, float(np.sqrt(v_sig / spec.snr_target)), spec.seed)
+        noise += clean.data  # float64 + float32, exact as clean.data.astype(float64) + noise
+        copies.append(clean.with_data(noise.astype(np.float32)))
+    return copies

@@ -76,8 +76,7 @@ def test_criterion_04_noise_calibration():
     v_sig = signal_variance(clean)
     for target in (100.0, 0.1, 0.05, 0.03, 0.01):
         pooled = []
-        for seed in range(10):
-            noisy = add_noise(clean, NoiseSpec(snr_target=target, seed=seed))
+        for noisy in add_noise(clean, [NoiseSpec(snr_target=target, seed=seed) for seed in range(10)]):
             pooled.append((noisy.data.astype(np.float64) - clean.data) ** 2)
         measured = v_sig / np.mean(pooled)
         print(f"criterion 4: target {target:g} -> measured SNR {measured:.4g}")

@@ -474,6 +474,30 @@ def test_a_failed_run_writes_its_provenance(tmp_path, monkeypatch):
     assert str(err.value.cause) == "no room for the tomogram"
 
 
+def test_a_rerun_keeps_none_of_the_earlier_runs_files(tmp_path, monkeypatch):
+    cfg = _blob_config(tmp_path)
+    out = run_pipeline(cfg).output_dir
+    written = {p.name for p in out.iterdir()}
+    assert {"tomogram.mrc", "subtomograms", "masks", "metadata.ndjson"} <= written
+    (out / "densities" / "old_label.mrc").write_bytes(b"")  # from another config
+    (out / "notes.txt").write_text("mine")  # not a path the run writes
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("no room for the tomogram")
+
+    monkeypatch.setattr(pipeline, "wbp_reconstruct", fail)
+    with pytest.raises(StageError):
+        run_pipeline(cfg)
+    # only what this run wrote before reconstruct failed, and the user's file
+    assert sorted(p.name for p in out.iterdir()) == [
+        "alignment.ndjson", "densities", "instances.ndjson", "notes.txt",
+        "provenance.ndjson", "tilt_series",
+    ]
+    assert [p.name for p in (out / "densities").iterdir()] == ["blob.mrc"]
+    assert (out / "notes.txt").read_text() == "mine"
+    assert cio.read_ndjson(out / "provenance.ndjson")[-1]["stage"] == "reconstruct"
+
+
 def test_ground_truth_scores_stay_outside_the_stage_time(tmp_path, monkeypatch):
     cfg = _blob_config(tmp_path)
     pearson, slept = pipeline._pearson, []

@@ -9,7 +9,6 @@ from scipy.special import ndtr
 from cryoforge.structure import (
     DEFAULT_VDW,
     VDW_RADIUS,
-    Atom,
     AtomicModel,
     ConfigError,
     DensifyConfig,
@@ -23,20 +22,19 @@ from cryoforge.structure import (
 SINGLE_CARBON = "ATOM      1  CA  ALA A   1       1.000   2.000   3.000  1.00  0.00           C\n"
 
 
-def _atom_line(serial, x, y, z, element="C", res="ALA"):
+def _atom_line(serial, x, y, z, element="C", res="ALA", occupancy=1.0):
     return (
         f"ATOM  {serial:5d}  CA  {res} A{serial:4d}    "
-        f"{x:8.3f}{y:8.3f}{z:8.3f}  1.00  0.00           {element}"
+        f"{x:8.3f}{y:8.3f}{z:8.3f}{occupancy:6.2f}  0.00           {element}"
     )
 
 
 def test_parse_single_atom():
     model = parse_pdb(SINGLE_CARBON)
-    assert len(model.atoms) == 1
-    atom = model.atoms[0]
-    assert atom.element == "C"
-    assert np.allclose(atom.position, [1.0, 2.0, 3.0])
-    assert atom.occupancy == 1.0
+    assert len(model.positions) == 1
+    assert model.elements[0] == "C"
+    assert np.allclose(model.positions[0], [1.0, 2.0, 3.0])
+    assert model.occupancy[0] == 1.0
 
 
 def test_parse_honors_first_model_only():
@@ -44,13 +42,13 @@ def test_parse_honors_first_model_only():
     block2 = "\n".join(_atom_line(i, 0, i, 0) for i in range(1, 11))
     text = f"MODEL     1\n{block1}\nENDMDL\nMODEL     2\n{block2}\nENDMDL\n"
     model = parse_pdb(text)
-    assert len(model.atoms) == 10
-    assert model.atoms[0].position[0] == 1.0  # from the first block
+    assert len(model.positions) == 10
+    assert model.positions[0, 0] == 1.0  # from the first block
 
 
 def test_parse_skips_water():
     text = _atom_line(1, 0, 0, 0) + "\n" + _atom_line(2, 5, 0, 0, element="O", res="HOH")
-    assert len(parse_pdb(text).atoms) == 1
+    assert len(parse_pdb(text).positions) == 1
 
 
 def test_parse_empty_raises():
@@ -59,20 +57,31 @@ def test_parse_empty_raises():
 
 
 def test_parse_bad_coordinate_reports_line():
-    text = _atom_line(1, 0, 0, 0) + "\nATOM      2  CA  ALA A   2      bad bad bad\n"
-    with pytest.raises(PdbParseError, match="line 2"):
-        parse_pdb(text)
+    # a NaN occupancy used to parse and fail later in densify, and a negative
+    # one subtracted mass; both, and non-finite coordinates, name their line
+    for bad, reason in [
+        ("ATOM      2  CA  ALA A   2      bad bad bad", "unparseable coordinate"),
+        (_atom_line(2, float("nan"), 0, 0), "coordinates must be finite"),
+        (_atom_line(2, 0, float("inf"), 0), "coordinates must be finite"),
+        (_atom_line(2, 0, 0, float("-inf")), "coordinates must be finite"),
+        (_atom_line(2, 0, 0, 0, occupancy=float("nan")), "occupancy nan must be finite"),
+        (_atom_line(2, 0, 0, 0, occupancy=float("inf")), "occupancy inf must be finite"),
+        (_atom_line(2, 0, 0, 0, occupancy=-0.5), "occupancy -0.5 must be finite and >= 0"),
+    ]:
+        text = _atom_line(1, 0, 0, 0) + "\n" + bad + "\n" + _atom_line(3, 1, 0, 0)
+        with pytest.raises(PdbParseError, match=f"line 2: {reason}"):
+            parse_pdb(text)
 
 
 def test_parse_element_fallback_from_atom_name():
     # short line without the element columns: fall back on the atom name
     line = "ATOM      1  N   ALA A   1       0.000   0.000   0.000  1.00  0.00"
-    assert parse_pdb(line).atoms[0].element == "N"
+    assert parse_pdb(line).elements[0] == "N"
 
 
 def test_parse_blank_occupancy_defaults_to_one():
     line = "ATOM      1  CA  ALA A   1       0.000   0.000   0.000"
-    assert parse_pdb(line).atoms[0].occupancy == 1.0
+    assert parse_pdb(line).occupancy[0] == 1.0
 
 
 def test_densify_single_atom_no_lowpass():
@@ -113,8 +122,7 @@ def test_splat_matches_brute_force_oracle():
             for a, n in zip((2, 1, 0), vol.shape)
         )
         expected = np.zeros(vol.shape)
-        for atom in model.atoms:
-            ax, ay, az = atom.position
+        for ax, ay, az in model.positions:
             r2 = (
                 (z[:, :, None, None, None, None] - az) ** 2
                 + (y[None, None, :, :, None, None] - ay) ** 2
@@ -139,7 +147,8 @@ def test_splat_conserves_atom_mass():
     ratios = []
     for seed in range(5):
         positions = np.random.default_rng(seed).uniform(0.0, 150.0, size=(900, 3))
-        vol = splat_atoms(AtomicModel([Atom("C", p) for p in positions]), cfg)
+        model = AtomicModel(positions, ["C"] * len(positions), np.ones(len(positions)))
+        vol = splat_atoms(model, cfg)
         mass = vol.data.sum(dtype=np.float64) * cfg.voxel_size**3
         ratios.append(mass / (len(positions) * amp * (2 * np.pi * sigma**2) ** 1.5))
     assert ratios == pytest.approx([1.0] * 5, rel=0.05)
@@ -158,8 +167,8 @@ def test_splat_conserves_mass_when_the_grid_holds_the_blur(voxel_size, resolutio
     )
     vol = splat_atoms(model, cfg)
     atoms = sum(
-        cfg.amplitude_for(a.element) * a.occupancy * (2 * np.pi * cfg.sigma_for(a.element) ** 2) ** 1.5
-        for a in model.atoms
+        cfg.amplitude_for(e) * o * (2 * np.pi * cfg.sigma_for(e) ** 2) ** 1.5
+        for e, o in zip(model.elements, model.occupancy)
     )
     mass = vol.data.sum(dtype=np.float64) * voxel_size**3
     assert mass == pytest.approx(atoms, rel=1e-6)
@@ -235,19 +244,19 @@ def reference_splat_atoms(model, cfg):
     """The closed form as a per-atom loop: each atom's mass, blurred to
     sigma_t, is spread over the whole grid by the product of its per-axis
     cell fractions (normal-CDF differences) and added in atom order."""
-    positions = model.positions()
-    max_vdw = max(VDW_RADIUS.get(a.element, DEFAULT_VDW) for a in model.atoms)
+    positions = model.positions
+    max_vdw = max(VDW_RADIUS.get(e, DEFAULT_VDW) for e in model.elements)
     margin = cfg.solvent_margin_factor * max_vdw
     lo = positions.min(axis=0) - margin
     hi = positions.max(axis=0) + margin
     dims = np.maximum(np.ceil((hi - lo) / cfg.voxel_size).astype(int), 1)
     grid = np.zeros(tuple(dims[::-1]), dtype=np.float64)
-    for atom in model.atoms:
-        sigma = cfg.sigma_for(atom.element)
-        mass = cfg.amplitude_for(atom.element) * atom.occupancy * (2 * np.pi * sigma**2) ** 1.5
+    for element, position, occupancy in zip(model.elements, positions, model.occupancy):
+        sigma = cfg.sigma_for(element)
+        mass = cfg.amplitude_for(element) * occupancy * (2 * np.pi * sigma**2) ** 1.5
         sigma_t = np.sqrt(sigma**2 + (cfg.target_resolution / 2) ** 2)
         fx, fy, fz = (
-            np.diff(ndtr((lo[a] + (np.arange(n + 1) - 0.5) * cfg.voxel_size - atom.position[a])
+            np.diff(ndtr((lo[a] + (np.arange(n + 1) - 0.5) * cfg.voxel_size - position[a])
                          / sigma_t))
             for a, n in enumerate(dims)
         )
@@ -264,7 +273,7 @@ def _mixed_model(rng, n, voxel_size):
     pos[: n // 3] = pos.min(axis=0) + voxel_size * rng.integers(0, 4, size=(n // 3, 3))
     pos[n - 1], pos[n - 2] = pos[0], pos[n // 2]
     occupancy = rng.choice([1.0, 0.5, 0.37, 2.0], size=n)
-    return AtomicModel([Atom(str(e), p, float(o)) for e, p, o in zip(elements, pos, occupancy)])
+    return AtomicModel(pos, elements, occupancy)
 
 
 @pytest.mark.parametrize("voxel_size", [0.5, 0.8, 1.0, 2.0, 3.3, 10.0])
@@ -292,7 +301,7 @@ def test_splat_forms_no_atoms_by_plane_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    atoms, (d, h, w) = len(model.atoms), grid.shape
+    atoms, (d, h, w) = len(model.positions), grid.shape
     # the float32 grid, per-atom arrays and a few (atoms, n + 1) float64
     # factor matrices; one (atoms, H, W) float64 temporary alone is 8.4 MB
     assert peak <= grid.nbytes + 8 * atoms * (40 + 6 * (max(d, h, w) + 1))

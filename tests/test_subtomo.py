@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_blob
+from cryoforge import subtomo
 from cryoforge.scene import ParticleInstance
 from cryoforge.subtomo import (
     DegenerateSignalError,
@@ -11,7 +12,6 @@ from cryoforge.subtomo import (
     extract,
     make_mask,
     noise_field,
-    noise_sigma,
     signal_variance,
 )
 from cryoforge.volume import DensityVolume
@@ -132,34 +132,50 @@ def test_noise_sigma_arithmetic():
     data = (data - data.mean()) / data.std()  # unit population variance
     vol = DensityVolume(data.astype(np.float32))
     v = signal_variance(vol)
-    assert noise_sigma(vol, NoiseSpec(0.01)) == pytest.approx(np.sqrt(v * 100.0), rel=1e-6)
-    assert noise_sigma(vol, NoiseSpec(100.0)) == pytest.approx(np.sqrt(v / 100.0), rel=1e-6)
+    # noise_field(shape, sigma, seed) is sigma times the unit field of that seed
+    unit = noise_field(vol.shape, 1.0, 0).ravel()
+    low, high = (
+        unit @ (noisy.data.astype(np.float64) - vol.data).ravel() / (unit @ unit)
+        for noisy in add_noise(vol, [NoiseSpec(0.01), NoiseSpec(100.0)])
+    )
+    assert low == pytest.approx(np.sqrt(v * 100.0), rel=1e-6)
+    assert high == pytest.approx(np.sqrt(v / 100.0), rel=1e-6)
 
 
-def test_noise_field_regenerates_the_added_noise():
+def test_noise_field_regenerates_the_added_noise(monkeypatch):
     clean = _tomo((16, 16, 16), seed=3)
-    spec = NoiseSpec(snr_target=0.05, seed=(7, 1))
-    noisy = add_noise(clean, spec)
-    sigma = noise_sigma(clean, spec)
-    recovered = noisy.data.astype(np.float64) - noise_field(clean.shape, sigma, spec.seed)
-    # float32 storage rounds once; recovery is exact to storage precision
-    assert np.abs(recovered - clean.data).max() < 1e-4 * sigma
-    again = add_noise(clean, spec)
-    assert np.array_equal(noisy.data, again.data)
+    specs = [NoiseSpec(snr_target=t, seed=(7, 1, j)) for j, t in enumerate((0.05, 100.0, 0.01))]
+    specs.append(NoiseSpec(snr_target=0.05, seed=(7, 1)))
+    casts = []
+    monkeypatch.setattr(
+        subtomo, "signal_variance", lambda vol: casts.append(vol) or signal_variance(vol)
+    )
+    together = add_noise(clean, specs)
+    monkeypatch.undo()
+    assert len(casts) == 1  # one float64 copy and one variance for all the copies
+    assert len(together) == len(specs)
+    for spec, noisy in zip(specs, together):
+        sigma = np.sqrt(signal_variance(clean) / spec.snr_target)
+        recovered = noisy.data.astype(np.float64) - noise_field(clean.shape, sigma, spec.seed)
+        # float32 storage rounds once; recovery is exact to storage precision
+        assert np.abs(recovered - clean.data).max() < 1e-4 * sigma
+        # one call for several specs makes the bytes of one call per spec,
+        # so the CLI's one-spec path equals the pipeline's
+        (again,) = add_noise(clean, [spec])
+        assert again.data.tobytes() == noisy.data.tobytes()
+    assert add_noise(clean, []) == []
 
 
 def test_measured_snr_close_to_target():
     clean = _tomo((32, 32, 32), seed=5)
     v_sig = signal_variance(clean)
     target = 0.05
-    pooled = []
-    for seed in range(20):
-        noisy = add_noise(clean, NoiseSpec(snr_target=target, seed=seed))
-        pooled.append((noisy.data.astype(np.float64) - clean.data) ** 2)
+    specs = [NoiseSpec(snr_target=target, seed=seed) for seed in range(20)]
+    pooled = [(noisy.data.astype(np.float64) - clean.data) ** 2 for noisy in add_noise(clean, specs)]
     noise_var = np.mean(pooled)
     assert (v_sig / noise_var) / target == pytest.approx(1.0, abs=0.05)
 
 
 def test_zero_variance_rejected():
     with pytest.raises(DegenerateSignalError):
-        add_noise(DensityVolume(np.full((8, 8, 8), 2.0)), NoiseSpec(0.05))
+        add_noise(DensityVolume(np.full((8, 8, 8), 2.0)), [NoiseSpec(0.05)])
