@@ -201,9 +201,9 @@ _TAP_PAD = 2  # zero border the taps read: a sample's lower node is clipped to [
 
 @dataclass(frozen=True)
 class RigidOperator:
-    """The trilinear taps of :func:`apply_rigid` for one (D, H, W) grid and
-    one transform, built once by :func:`rigid_operator` and applied to any
-    number of volumes on that grid.
+    """Trilinear taps of output(x) = input(R^-1 x + offset) on one (D, H, W)
+    grid, built once by :func:`rigid_operator` (for :func:`apply_rigid` and
+    ``scene.compose_sample``) and applied to any number of volumes on it.
 
     The taps read the volume zero-padded by ``_TAP_PAD`` on every side.
     Output voxel i's lower corner is padded voxel ``corner[i]`` (C-order
@@ -243,22 +243,22 @@ class RigidOperator:
         return out
 
 
-def rigid_operator(shape: tuple[int, int, int], transform: RigidTransform) -> RigidOperator:
-    """Trilinear taps of output(x) = input(R^-1 (x - c) + c - t) on a
-    (D, H, W) grid, with c its center.
+def rigid_operator(
+    shape: tuple[int, int, int], R_inv: np.ndarray, offset: np.ndarray
+) -> RigidOperator:
+    """Trilinear taps of output(x) = input(R_inv x + offset) on a (D, H, W) grid:
+    :func:`apply_rigid` passes R^-1 and c - R^-1 c - t, c the grid center,
+    and ``scene.compose_sample`` each particle's R^-1 and box offset.
 
     A tap outside the grid reads 0 (scipy's ``grid-constant`` mode), so a
     sample a hair outside the grid is interpolated against 0 instead of
     dropped, and right-angle rotations stay index-exact. The coordinates
     and weights are formed in scipy's order: the offset plus each column
-    of R^-1 times its grid index in turn, the lower weight as
+    of R_inv times its grid index in turn, the lower weight as
     1 - frac and the upper one as 1 - lower.
     """
     D, H, W = shape
     n = D * H * W
-    R_inv = transform.rotation.T
-    center = (np.array(shape) - 1.0) / 2.0
-    offset = center - R_inv @ center - transform.translation
     d, h, w = np.ogrid[:D, :H, :W]
     strides = ((H + 2 * _TAP_PAD) * (W + 2 * _TAP_PAD), W + 2 * _TAP_PAD, 1)
     weights = np.empty((3, 2, n))
@@ -291,6 +291,7 @@ def apply_rigid(data: np.ndarray, transform: RigidTransform) -> np.ndarray:
     data = np.asarray(data)
     if data.ndim not in (3, 4):
         raise ValueError(f"data must be (D, H, W) or (V, D, H, W), got shape {data.shape}")
-    op = rigid_operator(data.shape[-3:], transform)
+    R_inv, center = transform.rotation.T, (np.array(data.shape[-3:]) - 1.0) / 2.0
+    op = rigid_operator(data.shape[-3:], R_inv, center - R_inv @ center - transform.translation)
     out = np.stack([op.apply(volume) for volume in data.reshape((-1,) + op.shape)])
     return out.reshape(data.shape).astype(data.dtype, copy=False)

@@ -10,7 +10,8 @@ covers what ran. Metadata is deterministic for a fixed seed; provenance
 carries wall-clock timings, peak memory, the worker count of the threaded
 stages (project, reconstruct), the python, numpy and scipy versions and
 the BLAS and OpenMP thread caps the run had, the atom count and
-density-map size of densify, the sizes of the composed sample, the
+density-map size of densify, the particles placed against the target
+count, the sizes of the composed sample, the
 projection stack and the tomogram (read from the arrays) and of the
 alignment spectra (arithmetic on the stack's shape), the number of rows
 along the tilt axis the projector projected, the mass the composed sample
@@ -308,9 +309,11 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     row.update(atoms=atoms, density_mb=sum(v.data.nbytes for v in densities.values()) / 1e6)
 
     # place: centers, labels, orientations, composed sample volume
-    with _stage("place"):
+    # placement stops short of target_count after max_attempts straight rejections
+    with _stage("place", target_count=cfg.placement.target_count) as row:
         instances = place_particles(sorted(cfg.structures), cfg.placement)
         cio.write_instances(instances, out / "instances.ndjson")
+    row.update(placed=len(instances))
     with _stage("compose") as row:
         sample = compose_sample(densities, instances, cfg.placement)
     row.update(

@@ -8,9 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .geometry import quat_to_matrix
+from .geometry import quat_to_matrix, rigid_operator
 from .volume import DensityVolume, int_at_least, three_ints
 
 
@@ -131,16 +130,25 @@ def compose_sample(
 
     Each instance's class density is rotated by its quaternion about the
     density's geometric center and translated so that center lands on the
-    instance center; resampling is trilinear and voxels outside every
-    particle stay 0. Each class map is cast to float64 once per call.
+    instance center through ``geometry.rigid_operator`` (trilinear); voxels
+    outside every particle stay 0, and the float64 sum, taken in instance
+    order, is cast to float32 once. The sample takes the class maps' one
+    voxel size; maps that differ raise ValueError.
     """
+    labels = list(density_by_class)
+    voxel_size = density_by_class[labels[0]].voxel_size if labels else 1.0
+    for label in labels[1:]:
+        if density_by_class[label].voxel_size != voxel_size:
+            raise ValueError(
+                f"class maps {labels[0]!r} and {label!r} have different voxel sizes: "
+                f"{voxel_size} and {density_by_class[label].voxel_size}"
+            )
     dims = cfg.volume_dims
     out = np.zeros(dims, dtype=np.float64)
-    sources = {label: d.data.astype(np.float64) for label, d in density_by_class.items()}
     for idx, inst in enumerate(instances):
-        if inst.class_label not in sources:
+        if inst.class_label not in density_by_class:
             raise KeyError(f"no density registered for class {inst.class_label!r}")
-        src = sources[inst.class_label]
+        src = density_by_class[inst.class_label].data
         box = np.array(src.shape)
         # center voxel index; integer so integer-aligned placement is exact
         c_src = (box // 2).astype(float)
@@ -152,11 +160,7 @@ def compose_sample(
         R_inv = quat_to_matrix(inst.orientation).T
         # local box coordinate o samples src at R^-1 (o + corner - center) + c_src
         offset = R_inv @ (corner - inst.center) + c_src
-        patch = ndimage.affine_transform(
-            src, R_inv, offset=offset, output_shape=tuple(box),
-            order=1, mode="grid-constant", cval=0.0, prefilter=False,
-        )
+        patch = rigid_operator(src.shape, R_inv, offset).apply(src).reshape(src.shape)
         sl = tuple(slice(corner[a], corner[a] + box[a]) for a in range(3))
         out[sl] += patch
-    voxel_size = density_by_class[instances[0].class_label].voxel_size if instances else 1.0
     return DensityVolume(out.astype(np.float32), voxel_size)

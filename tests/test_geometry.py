@@ -308,7 +308,7 @@ def test_rigid_operator_taps_stay_in_the_padded_grid(rng):
     shape = (5, 6, 7)
     padded = np.prod(np.array(shape) + 4)
     for transform in [RigidTransform(translation=[-1e9, 1e9, 3.5]), _random_transform(rng, 10.0)]:
-        op = rigid_operator(shape, transform)
+        op = rigid_operator(shape, transform.rotation.T, -transform.translation)
         assert op.corner.shape == (np.prod(shape),) and len(op.steps) == 8
         assert op.corner.min() >= 0 and op.corner.max() + max(op.steps) < padded
         with pytest.raises(ValueError, match="shape"):

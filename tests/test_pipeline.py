@@ -391,7 +391,7 @@ def test_provenance_reports_peak_rss_and_jobs(tmp_path):
     common = {"stage", "inputs", "config_hash", "seed", "elapsed_s", "peak_rss_mb"}
     assert {r["stage"]: set(r) - common for r in rows} == {
         "densify": {"versions", "thread_caps", "atoms", "density_mb"},
-        "place": set(),
+        "place": {"target_count", "placed"},
         "compose": {"sample_dims", "sample_mb", "mass_ratio"},
         "project": {"jobs", "stack_shape", "stack_mb", "rows_projected"},
         "align": {"spectra_mb", "align_rms_x_px", "uncorrected_rms_x_px"},
@@ -535,6 +535,21 @@ def test_cli_pipeline_takes_jobs_from_the_variable(tmp_path, monkeypatch):
     assert [(r["stage"], r["jobs"]) for r in rows if "jobs" in r] == [
         ("project", 2), ("reconstruct", 2)
     ]
+
+
+def test_provenance_reports_a_short_placement(tmp_path):
+    # the 40^3 interior holds one center at the default exclusion radius 19
+    raw = _raw_config(
+        tmp_path,
+        particles_per_class=3,
+        snr_targets=[0.1],
+        placement={"volume_dims": [40, 40, 40], "max_attempts": 100},
+        tilt={"angles": [-20.0, 0.0, 20.0]},
+    )
+    out = run_pipeline(PipelineConfig.from_dict(raw)).output_dir
+    rows = {r["stage"]: r for r in cio.read_ndjson(out / "provenance.ndjson")}
+    assert (rows["place"]["placed"], rows["place"]["target_count"]) == (1, 3)
+    assert len(cio.read_ndjson(out / "instances.ndjson")) == 1
 
 
 def test_provenance_reports_array_sizes(tmp_path):

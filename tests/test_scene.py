@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from cryoforge.geometry import quat_to_matrix
 from cryoforge.scene import (
     ParticleInstance,
     PlacementConfig,
@@ -228,6 +230,58 @@ def test_compose_right_angle_rotation_is_index_permutation(rng):
     out = compose_sample({"a": density}, [inst], PlacementConfig(volume_dims=(21, 21, 21)))
     patch = out.data[8:13, 8:13, 8:13]
     assert np.allclose(patch, np.rot90(src, 1, axes=(0, 1)), atol=1e-6)
+
+
+def _scipy_compose(density_by_class, instances, dims):
+    """Test-only oracle: each particle through scipy's resampler, summed in
+    float64 in instance order and cast once."""
+    out = np.zeros(dims)
+    for inst in instances:
+        src = density_by_class[inst.class_label].data.astype(np.float64)
+        box = np.array(src.shape)
+        corner = np.round(inst.center).astype(int) - box // 2
+        R_inv = quat_to_matrix(inst.orientation).T
+        offset = R_inv @ (corner - inst.center) + (box // 2).astype(float)
+        out[tuple(slice(c, c + n) for c, n in zip(corner, box))] += ndimage.affine_transform(
+            src, R_inv, offset=offset, order=1, mode="grid-constant", cval=0.0, prefilter=False
+        )
+    return out.astype(np.float32)
+
+
+def test_compose_bit_equal_to_scipy_oracle(rng):
+    maps = {
+        "a": DensityVolume(rng.random((16, 16, 16)).astype(np.float32), 5.0),
+        "b": DensityVolume(rng.random((25, 25, 25)).astype(np.float32), 5.0),
+    }
+    eighth = (np.cos(np.pi / 8), 0.0, 0.0, np.sin(np.pi / 8))  # 45 degrees about w
+    instances = [
+        # two overlapping boxes, the second turned so its corners leave the box
+        ParticleInstance("b", (20.3, 21.7, 22.1), shoemake_quaternion(rng)),
+        ParticleInstance("a", (24.6, 23.2, 19.9), eighth),
+    ] + [
+        ParticleInstance(label, rng.uniform(13.0, 34.0, size=3), shoemake_quaternion(rng))
+        for label in "abab"
+    ]
+    cfg = PlacementConfig(volume_dims=(48, 48, 48))
+    out = compose_sample(maps, instances, cfg)
+    assert out.voxel_size == 5.0
+    assert out.data.tobytes() == _scipy_compose(maps, instances, cfg.volume_dims).tobytes()
+    turned = compose_sample(maps, instances[1:2], cfg)
+    assert turned.data.sum(dtype=np.float64) < 0.95 * maps["a"].data.sum(dtype=np.float64)
+
+
+def test_compose_rejects_class_maps_of_different_voxel_sizes():
+    blob = _blob_density().data
+    maps = {"a": DensityVolume(blob, 5.0), "b": DensityVolume(blob, 10.0)}
+    with pytest.raises(ValueError, match=r"'a' and 'b' .*: 5\.0 and 10\.0"):
+        compose_sample(maps, [], PlacementConfig(volume_dims=(24, 24, 24)))
+
+
+def test_compose_without_instances_takes_the_maps_voxel_size():
+    blob = _blob_density().data
+    maps = {"a": DensityVolume(blob, 7.5), "b": DensityVolume(blob, 7.5)}
+    out = compose_sample(maps, [], PlacementConfig(volume_dims=(24, 24, 24)))
+    assert out.voxel_size == 7.5 and not out.data.any()
 
 
 def test_compose_missing_class_raises():
