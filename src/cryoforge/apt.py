@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .volume import int_at_least
+
 # real spherical harmonics up to degree 2, arguments are unit vectors;
 # the degree-0 term is left unnormalized (1.0) so the scalar channel is the
 # bare radial profile — per-degree constants are absorbed by the weights
@@ -74,8 +76,9 @@ class PatchSize:
     s_w: int = 4
 
     def __post_init__(self):
-        if min(self.s_d, self.s_h, self.s_w) < 1:
-            raise ValueError("patch dimensions must be positive")
+        self.s_d = int_at_least(self.s_d, "s_d", 1)
+        self.s_h = int_at_least(self.s_h, "s_h", 1)
+        self.s_w = int_at_least(self.s_w, "s_w", 1)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.s_d, self.s_h, self.s_w)
@@ -327,8 +330,7 @@ def verify_equivariance(
     rotation invariance (1e-6), probability rotation invariance (1e-5), and
     voxel-exact rotated extraction under the 24 octahedral rotations.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = int_at_least(trials, "trials", 1)
     patch = PatchSize()
     rng = np.random.default_rng(seed)
     s = patch.as_tuple()

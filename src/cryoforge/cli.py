@@ -27,7 +27,7 @@ from .structure import DensifyConfig, densify, parse_pdb
 from .subtomo import ExtractionConfig, NoiseSpec, add_noise, extract
 from .tiltalign import align_series, refine_axis
 from .tiltsim import DEFAULT_JOBS_CAP, TiltGeometry, default_jobs, simulate_tilt_series
-from .volume import DensityVolume
+from .volume import DensityVolume, int_at_least, three_ints
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -39,23 +39,17 @@ def _seed(args) -> int:
 
 
 def _dims(text: str) -> tuple[int, int, int]:
-    """A ``--dims D,H,W`` value as three integers."""
+    """A ``--dims D,H,W`` value as three positive integers."""
     try:
-        dims = tuple(int(v) for v in text.split(","))
+        values = [int(v) for v in text.split(",")]
     except ValueError:
-        dims = ()
-    if len(dims) != 3:
-        raise ValueError(f"--dims must be three integers D,H,W, got {text!r}")
-    return dims
+        values = text  # three_ints names the flag and the text
+    return three_ints(values, "--dims")
 
 
 def _jobs(args) -> int:
     """Worker threads: ``--jobs``, else ``tiltsim.default_jobs()``."""
-    if args.jobs is None:
-        return default_jobs()
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    return args.jobs
+    return default_jobs() if args.jobs is None else int_at_least(args.jobs, "--jobs", 1)
 
 
 def cmd_densify(args) -> int:

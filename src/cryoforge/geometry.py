@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .volume import float_in
+
 
 class DegenerateRepresentationError(ValueError):
     """Raised when a rotation representation cannot be decoded uniquely."""
@@ -29,6 +31,15 @@ def _check_rotation(R: np.ndarray, name: str, tol: float = 1e-6) -> None:
         np.abs(R.T @ R - np.eye(3)).max() <= tol and abs(np.linalg.det(R) - 1.0) <= tol
     ):
         raise ValueError(f"{name} is not a rotation (orthogonality/det check failed)")
+
+
+def unit_quaternion(q, name: str = "orientation") -> np.ndarray:
+    """``q`` as a float (4,) array; a ValueError naming ``name`` unless it
+    is a (w, x, y, z) quaternion of unit norm within 1e-9 (NaN and inf fail)."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (4,) or not abs(np.linalg.norm(q) - 1.0) <= 1e-9:
+        raise ValueError(f"{name} must be a unit quaternion (w, x, y, z), got {q.tolist()}")
+    return q
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -183,8 +194,8 @@ class RigidTransform:
         _check_rotation(self.rotation, "rotation")
         if self.translation.shape != (3,):
             raise ValueError(f"translation must have shape (3,), got {self.translation.shape}")
-        if not np.isfinite(self.translation).all():
-            raise ValueError("translation must be finite")
+        for v in self.translation.tolist():
+            float_in(v, "translation", "(-inf, inf)")
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """self after other: applying the composite through apply_rigid matches

@@ -31,11 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import unit_quaternion
 from .scene import ParticleInstance
 from .subtomo import SNR_TARGETS, ExtractedSubtomogram, Rejection, snr_tag
 from .tiltalign import AlignmentResult
 from .tiltsim import TiltGeometry, TiltSeries
-from .volume import DensityVolume, centred_sums
+from .volume import DensityVolume, centred_sums, float_in, int_at_least, three_ints
 
 HEADER_SIZE = 1024
 MODE_FLOAT32 = 2
@@ -75,14 +76,9 @@ class SubtomogramRecord:
 
     def __post_init__(self):
         self.center_offset = tuple(float(v) for v in self.center_offset)
-        self.orientation = tuple(float(v) for v in self.orientation)
+        self.orientation = tuple(unit_quaternion(self.orientation).tolist())
         if len(self.center_offset) != 3:
             raise ValueError("center_offset must have 3 components")
-        if len(self.orientation) != 4:
-            raise ValueError("orientation must be a quaternion (w, x, y, z)")
-        norm = float(np.linalg.norm(self.orientation))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"quaternion norm {norm} deviates from 1 by more than 1e-9")
         if self.snr_tag not in SNR_TAGS:
             raise ValueError(f"snr_tag must be one of {SNR_TAGS}, got {self.snr_tag!r}")
 
@@ -152,21 +148,23 @@ def read_mrc(path) -> DensityVolume:
             raise MrcFormatError(f"{path}: missing 'MAP ' magic at byte 208")
         if mode != MODE_FLOAT32:
             raise UnsupportedModeError(f"{path}: mode {mode} unsupported, only mode 2 is handled")
-        if min(nx, ny, nz) < 1:
-            raise MrcFormatError(f"{path}: non-positive dimensions nx={nx} ny={ny} nz={nz}")
         mx, my, mz = struct.unpack_from("<3i", header, 28)
         cella = struct.unpack_from("<3f", header, 40)
-        if mx < 1 or my < 1 or mz < 1:
-            raise MrcFormatError(f"{path}: non-positive sampling grid mx={mx} my={my} mz={mz}")
+        (nsymbt,) = struct.unpack_from("<i", header, 92)
+        origin = np.array(struct.unpack_from("<3f", header, 196), dtype=np.float32)
+        try:
+            three_ints((nx, ny, nz), "dimensions nx,ny,nz")
+            three_ints((mx, my, mz), "sampling grid mx,my,mz")
+            for v in cella:
+                float_in(v, "cella", "(0, inf)")
+            int_at_least(nsymbt, "nsymbt", 0)
+            for v in origin.tolist():
+                float_in(v, "origin", "(-inf, inf)")
+        except ValueError as exc:
+            raise MrcFormatError(f"{path}: {exc}") from None
         voxel_sizes = np.array(cella, dtype=np.float64) / np.array([mx, my, mz], dtype=np.float64)
-        if np.any(voxel_sizes <= 0):
-            raise MrcFormatError(f"{path}: non-positive cella {cella}")
         if np.ptp(voxel_sizes) > 1e-4 * voxel_sizes.mean():
             raise MrcFormatError(f"{path}: anisotropic voxels {tuple(voxel_sizes)} unsupported")
-        (nsymbt,) = struct.unpack_from("<i", header, 92)
-        if nsymbt < 0:
-            raise MrcFormatError(f"{path}: negative nsymbt {nsymbt}")
-        origin = np.array(struct.unpack_from("<3f", header, 196), dtype=np.float32)
         n_values = nx * ny * nz
         expected = HEADER_SIZE + nsymbt + 4 * n_values
         if size < expected:

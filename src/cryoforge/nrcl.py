@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RigidTransform, apply_rigid
+from .volume import float_in, int_at_least
 
 EPS_SCALING = 0.5  # ratio of consecutive epsilons in sinkhorn_wasserstein
 STAGE_TOL = 1e-3  # marginal tolerance of its intermediate epsilon stages
@@ -49,18 +50,12 @@ class LossConfig:
     sinkhorn_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
-        if not 0.0 < self.rince_c <= 1.0:
-            raise ValueError("rince_c must lie in (0, 1]")
-        if not 0 <= self.lambda_w < np.inf:  # NaN included
-            raise ValueError(f"lambda_w must be finite and >= 0, got {self.lambda_w!r}")
-        if not self.sinkhorn_epsilon > 0:
-            raise ValueError("sinkhorn_epsilon must be positive")
-        if not self.sinkhorn_max_iter >= 1:
-            raise ValueError(f"sinkhorn_max_iter must be >= 1, got {self.sinkhorn_max_iter!r}")
-        if not self.sinkhorn_tol > 0:  # else no plan ever converges
-            raise ValueError(f"sinkhorn_tol must be positive, got {self.sinkhorn_tol!r}")
+        float_in(self.temperature, "temperature", "(0, inf)")
+        float_in(self.rince_c, "rince_c", "(0, 1]")
+        float_in(self.lambda_w, "lambda_w", "[0, inf)")
+        float_in(self.sinkhorn_epsilon, "sinkhorn_epsilon", "(0, inf)")
+        self.sinkhorn_max_iter = int_at_least(self.sinkhorn_max_iter, "sinkhorn_max_iter", 1)
+        float_in(self.sinkhorn_tol, "sinkhorn_tol", "(0, inf)")  # at 0 no plan ever converges
 
 
 @dataclass

@@ -55,7 +55,7 @@ from .subtomo import (
 )
 from .tiltalign import align_series, refine_axis
 from .tiltsim import TiltGeometry, default_jobs, simulate_tilt_series
-from .volume import DensityVolume, centred_sums, int_at_least
+from .volume import DensityVolume, centred_sums, float_in, int_at_least
 
 
 # the BLAS and OpenMP thread caps the densify row reports, null when unset
@@ -93,22 +93,23 @@ class PipelineConfig:
         self.snr_targets = tuple(self.snr_targets)
         if not self.structures:
             raise PipelineConfigError("at least one structure is required")
-        for name in ("particles_per_class", "jobs"):
-            try:
-                setattr(self, name, int_at_least(getattr(self, name), name, 1))
-            except ValueError as exc:
-                raise PipelineConfigError(str(exc)) from None
+        try:
+            for name, low in (("seed", 0), ("particles_per_class", 1), ("jobs", 1)):
+                setattr(self, name, int_at_least(getattr(self, name), name, low))
+            tags = [snr_tag(float_in(t, "snr_targets", "(0, inf)")) for t in self.snr_targets]
+        except ValueError as exc:
+            raise PipelineConfigError(str(exc)) from None
         if len(self.tilt.angles) < MIN_TILTS:
             raise PipelineConfigError(
                 f"tilt.angles must hold at least {MIN_TILTS} angles, got {self.tilt.angles}"
             )
-        for t in self.snr_targets:
-            if not t > 0:
-                raise PipelineConfigError(f"SNR target {t} must be positive")
-            if snr_tag(t) not in cio.SNR_TAGS:
+        for t, tag in zip(self.snr_targets, tags):
+            if tag not in cio.SNR_TAGS:
                 raise PipelineConfigError(
                     f"SNR target {t} is not in the supported set {cio.SNR_TAGS[1:]}"
                 )
+            if tags.count(tag) > 1:  # both copies would be written to one file
+                raise PipelineConfigError(f"SNR target {t} repeats the tag {tag!r}")
         for label in self.structures:
             # labels name files and directories under output_dir
             if label in ("", ".", "..") or any(
@@ -156,7 +157,7 @@ class PipelineConfig:
         for section, given in kwargs.items():
             for name in raw[section]:
                 value, kept = getattr(given, name), getattr(getattr(cfg, section), name)
-                if kept is not value and kept != value:  # a kept NaN is itself, not ==
+                if kept != value:
                     raise PipelineConfigError(
                         f"{section}.{name} is {value!r}, but the pipeline "
                         f"derives it as {kept!r}; leave it out"

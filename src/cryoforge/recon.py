@@ -48,8 +48,6 @@ class ReconConfig:
 
     def __post_init__(self):
         self.output_dims = three_ints(self.output_dims, "output_dims")
-        if min(self.output_dims) < 1:
-            raise ValueError("output_dims must be positive")
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}")
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import quat_to_matrix, rigid_operator
-from .volume import DensityVolume, int_at_least, three_ints
+from .geometry import quat_to_matrix, rigid_operator, unit_quaternion
+from .volume import DensityVolume, float_in, int_at_least, three_ints
 
 
 class PlacementInfeasibleError(ValueError):
@@ -32,12 +32,11 @@ class PlacementConfig:
 
     def __post_init__(self):
         self.volume_dims = three_ints(self.volume_dims, "volume_dims")
-        if min(self.volume_dims) < 1:
-            raise ValueError(f"volume_dims must be positive, got {self.volume_dims}")
         self.box_size = int_at_least(self.box_size, "box_size", 1)
         self.safety_margin = int_at_least(self.safety_margin, "safety_margin", 0)
         self.target_count = int_at_least(self.target_count, "target_count", 1)
         self.max_attempts = int_at_least(self.max_attempts, "max_attempts", 1)
+        self.seed = int_at_least(self.seed, "seed", 0)
 
     @property
     def exclusion_radius(self) -> float:
@@ -53,10 +52,9 @@ class ParticleInstance:
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float).reshape(3)
-        self.orientation = np.asarray(self.orientation, dtype=float).reshape(4)
-        norm = np.linalg.norm(self.orientation)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError("orientation quaternion must be unit norm within 1e-9")
+        for v in self.center.tolist():
+            float_in(v, "center", "(-inf, inf)")
+        self.orientation = unit_quaternion(self.orientation)
 
 
 def shoemake_quaternion(rng: np.random.Generator) -> np.ndarray:

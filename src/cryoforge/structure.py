@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .volume import DensityVolume
+from .volume import DensityVolume, float_in
 
 # sigma (Angstrom) of the per-element splat kernel; amplitudes scale with
 # atomic number so heavier atoms contribute broader, taller densities
@@ -90,13 +90,13 @@ class DensifyConfig:
     peak_threshold_fraction: float = 0.005
 
     def __post_init__(self):
-        if not 0 < self.voxel_size < np.inf:
-            raise ConfigError(f"voxel_size must be positive and finite, got {self.voxel_size!r}")
-        for name in ("target_resolution", "solvent_margin_factor"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
-        if not 0 <= self.peak_threshold_fraction < 1:
-            raise ConfigError("peak_threshold_fraction must be in [0, 1)")
+        try:
+            float_in(self.voxel_size, "voxel_size", "(0, inf)")
+            float_in(self.target_resolution, "target_resolution", "[0, inf)")
+            float_in(self.solvent_margin_factor, "solvent_margin_factor", "[0, inf)")
+            float_in(self.peak_threshold_fraction, "peak_threshold_fraction", "[0, 1)")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @staticmethod
     def sigma_for(element: str) -> float:

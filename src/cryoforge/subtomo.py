@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scene import ParticleInstance
-from .volume import DensityVolume, int_at_least
+from .volume import DensityVolume, float_in, int_at_least
 
 SNR_TARGETS = (100.0, 0.1, 0.05, 0.03, 0.01)  # the supported SNR grades
 
@@ -37,13 +37,10 @@ class ExtractionConfig:
 
     def __post_init__(self):
         self.box = int_at_least(self.box, "box", 8)
-        if not 0 < self.neighbor_exclusion < np.inf:  # NaN would accept every neighbour
-            raise ValueError(
-                f"neighbor_exclusion must be finite and positive, got {self.neighbor_exclusion!r}"
-            )
+        float_in(self.neighbor_exclusion, "neighbor_exclusion", "(0, inf)")
         self.jitter_range = int_at_least(self.jitter_range, "jitter_range", 0)
-        if not 0 < self.mask_threshold <= 1:  # NaN included
-            raise ValueError(f"mask_threshold must be in (0, 1], got {self.mask_threshold!r}")
+        self.seed = int_at_least(self.seed, "seed", 0)
+        float_in(self.mask_threshold, "mask_threshold", "(0, 1]")
 
 
 @dataclass
@@ -52,8 +49,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.snr_target > 0:
-            raise ValueError("snr_target must be positive")
+        float_in(self.snr_target, "snr_target", "(0, inf)")
 
 
 @dataclass

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tiltsim import TiltSeries, shift_ramp
+from .volume import float_in, int_at_least
 
 
 class DegenerateImageError(ValueError):
@@ -47,8 +48,7 @@ class AlignmentResult:
     residual_mse: float = 0.0
 
     def __post_init__(self):
-        if self.residual_mse < 0:
-            raise ValueError("residual_mse must be >= 0")
+        float_in(self.residual_mse, "residual_mse", "[0, inf)")
 
 
 def _parabolic_offset(ym: float, y0: float, yp: float) -> float:
@@ -124,8 +124,7 @@ def align_series(
     sum; that sum over n is the next reference's spectrum, so the last
     iteration forms none. No aligned image is ever formed.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    iterations = int_at_least(iterations, "iterations", 1)
     n, H, W = series.projections.shape
     shape = (H, W)
     spectra = np.empty((n, H, W // 2 + 1), dtype=np.complex128)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage, sparse
 
-from .volume import DensityVolume, int_at_least
+from .volume import DensityVolume, float_in, int_at_least
 
 PAD = 4  # zero padding of d and w, at least the cubic B-spline's support
 
@@ -62,20 +62,16 @@ class TiltGeometry:
     seed: int = 0
 
     def __post_init__(self):
-        self.angles = [float(a) for a in self.angles]
-        bad = [a for a in self.angles if not abs(a) <= 90.0]  # NaN included
-        if bad:
-            raise ValueError(f"angles must be finite and within ±90 degrees, got {bad[0]}")
-        diffs = np.diff(self.angles)
-        if len(self.angles) > 1:
-            if np.any(diffs <= 0):
-                raise ValueError("tilt angles must be strictly increasing")
-            if np.ptp(diffs) > 1e-9:
-                raise ValueError("tilt angle step must be uniform")
+        self.angles = [float(float_in(a, "angles", "[-90, 90]")) for a in self.angles]
+        steps = np.diff(self.angles).tolist()
+        for step in steps:  # the angles strictly increase
+            float_in(step, "tilt angle step", "(0, inf)")
+        if steps and max(steps) - min(steps) > 1e-9:
+            raise ValueError("tilt angle step must be uniform")
         # a fractional step breaks project_tilt's exact zero-angle sum
         self.oversample = int_at_least(self.oversample, "oversample", 1)
-        if not 0 <= self.shift_range < np.inf:  # NaN included
-            raise ValueError(f"shift_range must be finite and >= 0, got {self.shift_range!r}")
+        float_in(self.shift_range, "shift_range", "[0, inf)")
+        self.seed = int_at_least(self.seed, "seed", 0)
 
 
 @dataclass
@@ -173,8 +169,7 @@ def _beam_operator(shape: tuple[int, int, int], angle_deg: float, oversample: in
     once, so the operator's indices are sorted. Exact zero sums are not
     stored.
     """
-    if abs(angle_deg) > 90.0:
-        raise ValueError("tilt angle must satisfy |angle| <= 90 degrees")
+    float_in(angle_deg, "tilt angle", "[-90, 90]")
     D, _, W = shape
     Dp, Wp = D + 2 * PAD, W + 2 * PAD
     os_ = oversample
@@ -308,9 +303,7 @@ def default_jobs() -> int:
     if not env:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         return min(DEFAULT_JOBS_CAP, cpus or 1)
-    if not (env.strip().isdigit() and int(env) >= 1):
-        raise ValueError(f"CRYOFORGE_JOBS must be an integer >= 1, got {env!r}")
-    return int(env)
+    return int_at_least(int(env) if env.strip().isdecimal() else env, "CRYOFORGE_JOBS", 1)
 
 
 def checked_jobs(jobs) -> int:

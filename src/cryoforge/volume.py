@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -10,26 +11,51 @@ import numpy as np
 
 def three_ints(value, name: str) -> tuple[int, int, int]:
     """``value`` as a (D, H, W) tuple of three ints; a ValueError naming
-    ``name`` if it is not a sequence of three integers."""
-    try:
-        dims = tuple(operator.index(v) for v in value)
+    ``name`` if it is not a sequence of three integers or one is below 1."""
+    try:  # a bool is dropped, so the count falls short of three
+        dims = tuple(operator.index(v) for v in value if not isinstance(v, bool))
     except TypeError:
         dims = ()
     if len(dims) != 3:
         raise ValueError(f"{name} must be three integers D,H,W, got {value!r}")
+    if min(dims) < 1:
+        raise ValueError(f"{name} must be positive, got {dims}")
     return dims
 
 
 def int_at_least(value, name: str, low: int) -> int:
     """``value`` as an int; a ValueError naming ``name`` if it is not an
-    integer (NaN and 2.5 included) or is below ``low``."""
+    integer (NaN, 2.5 and bools included) or is below ``low``."""
     try:
-        number = operator.index(value)
+        number = low - 1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = low - 1
     if number < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return number
+
+
+# how a message words an interval; any other reads "in <interval>"
+_WORDS = {
+    "(0, inf)": "finite and positive",
+    "[0, inf)": "finite and >= 0",
+    "(-inf, inf)": "finite",
+    "[-90, 90]": "finite and within ±90",
+}
+
+
+def float_in(value, name: str, interval: str):
+    """``value`` itself if it is a real number in ``interval``, such as
+    "(0, 1]" ("inf" for an unbounded side); else a ValueError naming
+    ``name`` and the value. NaN, ±inf, bools and non-numbers are in none."""
+    low, high = map(float, interval[1:-1].split(","))
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if real and math.isfinite(value):
+        if (low < value if interval[0] == "(" else low <= value) and (
+            value < high if interval[-1] == ")" else value <= high
+        ):
+            return value
+    raise ValueError(f"{name} must be {_WORDS.get(interval, 'in ' + interval)}, got {value!r}")
 
 
 _CHUNK = 1 << 16  # values per float64 buffer (512 KB)
@@ -76,11 +102,11 @@ class DensityVolume:
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if self.data.ndim != 3 or min(self.data.shape) < 1:
-            raise ValueError("volume data must be 3D with all dimensions >= 1")
-        if not self.voxel_size > 0:
-            raise ValueError("voxel_size must be positive")
+        three_ints(self.data.shape, "volume data shape")
+        float_in(self.voxel_size, "voxel_size", "(0, inf)")
         self.origin = np.asarray(self.origin, dtype=np.float32).reshape(3)
+        for v in self.origin.tolist():
+            float_in(v, "origin", "(-inf, inf)")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("volume contains NaN/Inf values")
 

@@ -74,6 +74,26 @@ def test_non_integer_dims_exits_1(tmp_path, rng, capsys, command):
     assert not out.exists()
 
 
+def test_extract_names_a_non_finite_centre_and_exits_1(tmp_path, capsys):
+    # a NaN or inf centre used to be cast to INT_MIN behind a numpy warning
+    # and the particle rejected as "boundary"
+    tomo = tmp_path / "tomo.mrc"
+    cio.write_mrc(DensityVolume(np.ones((32, 32, 32))), tomo)
+    instances = tmp_path / "instances.ndjson"
+    for bad in (float("nan"), float("inf")):
+        cio.write_ndjson(
+            [{"class_label": "a", "center": c, "orientation": [1.0, 0.0, 0.0, 0.0]}
+             for c in ([16.0, 16.0, 16.0], [16.0, bad, 16.0])],
+            instances,
+        )
+        out = tmp_path / "subs"
+        assert main(["extract", "--tomogram", str(tomo), "--instances", str(instances),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{instances}: line 2: center must be finite, got" in err
+        assert not out.exists()
+
+
 def test_place_infeasible_volume_exits_1(tmp_path, capsys):
     out = tmp_path / "instances.ndjson"
     code = main(["place", "--labels", "a", "--count", "1", "--dims", "10,10,10",
@@ -97,6 +117,17 @@ def test_noise_command(tmp_path):
     v_sig = float(np.var(clean.data.astype(np.float64)))
     noise_var = float(np.var(noisy.data.astype(np.float64) - clean.data))
     assert v_sig / noise_var == pytest.approx(0.05, rel=0.15)
+
+
+@pytest.mark.parametrize("snr", ["inf", "nan", "0"])
+def test_noise_snr_outside_its_range_exits_1(tmp_path, capsys, snr):
+    # --snr inf used to write the clean volume as a "noisy" copy
+    clean_path = tmp_path / "clean.mrc"
+    cio.write_mrc(DensityVolume(np.random.default_rng(0).random((8, 8, 8))), clean_path)
+    out = tmp_path / "noisy.mrc"
+    assert main(["noise", "--volume", str(clean_path), "--snr", snr, "--out", str(out)]) == 1
+    assert "snr_target must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_carries_no_option_between_calls(tmp_path):
@@ -251,7 +282,8 @@ def test_jobs_resolution_order(monkeypatch):
 @pytest.mark.parametrize(
     "flag,env,named",
     [("0", None, "--jobs"), ("-3", None, "--jobs"), (None, "0", "CRYOFORGE_JOBS"),
-     (None, "-2", "CRYOFORGE_JOBS"), (None, "two", "CRYOFORGE_JOBS")],
+     (None, "-2", "CRYOFORGE_JOBS"), (None, "two", "CRYOFORGE_JOBS"),
+     (None, "²", "CRYOFORGE_JOBS")],
 )
 def test_jobs_below_one_exits_1(tmp_path, rng, capsys, monkeypatch, flag, env, named):
     monkeypatch.delenv("CRYOFORGE_JOBS", raising=False)

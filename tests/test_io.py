@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import struct
 import tracemalloc
 
@@ -154,6 +155,32 @@ def test_missing_magic_rejected(tmp_path):
         read_mrc(path)
 
 
+def _with_header_floats(tmp_path, offset, values):
+    """An MRC file whose three header floats at ``offset`` are ``values``."""
+    path = tmp_path / "h.mrc"
+    write_mrc(DensityVolume(np.ones((2, 2, 2)), voxel_size=5.0), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<3f", raw, offset, *values)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+# an inf cella read as voxel size inf behind a numpy RuntimeWarning, and a
+# NaN one failed in DensityVolume without naming the file
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+def test_non_finite_cella_is_rejected_naming_the_file(tmp_path, bad):
+    path = _with_header_floats(tmp_path, 40, (10.0, bad, 10.0))
+    with pytest.raises(MrcFormatError, match=rf"^{re.escape(str(path))}: cella must be finite"):
+        read_mrc(path)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_origin_is_rejected_naming_the_file(tmp_path, bad):
+    path = _with_header_floats(tmp_path, 196, (0.0, 0.0, bad))
+    with pytest.raises(MrcFormatError, match=rf"^{re.escape(str(path))}: origin must be finite"):
+        read_mrc(path)
+
+
 def _record(i=0, q=(1.0, 0.0, 0.0, 0.0)):
     return SubtomogramRecord(
         volume_path=f"sub/{i}.mrc",
@@ -230,6 +257,9 @@ def test_metadata_invalid_record_rejected(tmp_path):
 def test_record_validates_quaternion_and_tag():
     with pytest.raises(ValueError):
         _record(q=(1.0, 0.5, 0.0, 0.0))
+    for q in [(np.nan, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]:  # the NaN one used to pass
+        with pytest.raises(ValueError, match="orientation"):
+            _record(q=q)
     with pytest.raises(ValueError):
         SubtomogramRecord("a", "b", (0, 0, 0), (1, 0, 0, 0), snr_tag="0.02")
 

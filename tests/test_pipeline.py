@@ -323,6 +323,14 @@ def test_config_validation(tmp_path):
         PipelineConfig.from_dict(_raw_config(tmp_path, unknown_key=1))
 
 
+@pytest.mark.parametrize("targets", [[0.1, 0.1], [0.05, 0.1, 0.1000001]])
+def test_config_rejects_snr_targets_whose_tags_repeat(tmp_path, targets):
+    # both copies of a box went to one file, the second over the first, and
+    # metadata.ndjson listed the file twice
+    with pytest.raises(PipelineConfigError, match="repeats the tag '0.1'"):
+        PipelineConfig.from_dict(_raw_config(tmp_path, snr_targets=targets))
+
+
 @pytest.mark.parametrize("field", ["jobs", "particles_per_class"])
 @pytest.mark.parametrize("value", ["NaN", "2.5"])
 def test_config_rejects_a_count_that_is_not_an_integer_by_name(tmp_path, field, value):

@@ -1,9 +1,20 @@
+import dataclasses
+import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cryoforge.volume import centred_sums
+from cryoforge.apt import PatchSize
+from cryoforge.nrcl import LossConfig
+from cryoforge.pipeline import PipelineConfig
+from cryoforge.recon import ReconConfig
+from cryoforge.scene import PlacementConfig
+from cryoforge.structure import DensifyConfig
+from cryoforge.subtomo import ExtractionConfig, NoiseSpec
+from cryoforge.tiltsim import TiltGeometry
+from cryoforge.volume import DensityVolume, centred_sums, float_in, int_at_least, three_ints
 
 
 def test_centred_sums_match_float64_references_across_chunks(rng):
@@ -47,3 +58,89 @@ def test_centred_sums_allocate_two_chunks_not_the_arrays(rng):
         tracemalloc.stop()
     # one 512 KB float64 buffer per array; each array is 3 MB
     assert peak < a.nbytes / 2
+
+
+# Every numeric field of every config dataclass, with the values just
+# outside its range; NaN, ±inf and True are tried on each, and 2.5 on each
+# int field. test_every_numeric_config_field_has_a_row keeps the table whole.
+TINY = 5e-324  # the float just above 0
+RANGE_EDGES = [
+    (DensifyConfig, "voxel_size", [0.0]),
+    (DensifyConfig, "target_resolution", [-TINY]),
+    (DensifyConfig, "solvent_margin_factor", [-TINY]),
+    (DensifyConfig, "peak_threshold_fraction", [-TINY, 1.0]),
+    (PlacementConfig, "box_size", [0]),
+    (PlacementConfig, "safety_margin", [-1]),
+    (PlacementConfig, "target_count", [0]),
+    (PlacementConfig, "max_attempts", [0]),
+    (PlacementConfig, "seed", [-1]),
+    (TiltGeometry, "oversample", [0]),
+    (TiltGeometry, "shift_range", [-TINY]),
+    (TiltGeometry, "seed", [-1]),
+    (ExtractionConfig, "box", [7]),
+    (ExtractionConfig, "jitter_range", [-1]),
+    (ExtractionConfig, "neighbor_exclusion", [0.0]),
+    (ExtractionConfig, "seed", [-1]),
+    (ExtractionConfig, "mask_threshold", [0.0, math.nextafter(1.0, 2.0)]),
+    (NoiseSpec, "snr_target", [0.0]),
+    (LossConfig, "temperature", [0.0]),
+    (LossConfig, "rince_c", [0.0, math.nextafter(1.0, 2.0)]),
+    (LossConfig, "lambda_w", [-TINY]),
+    (LossConfig, "sinkhorn_epsilon", [0.0]),
+    (LossConfig, "sinkhorn_max_iter", [0]),
+    (LossConfig, "sinkhorn_tol", [0.0]),
+    (PatchSize, "s_d", [0]),
+    (PatchSize, "s_h", [0]),
+    (PatchSize, "s_w", [0]),
+    (PipelineConfig, "seed", [-1]),
+    (PipelineConfig, "jobs", [0]),
+    (PipelineConfig, "particles_per_class", [0]),
+    (DensityVolume, "voxel_size", [0.0]),
+]
+REQUIRED = {
+    NoiseSpec: {"snr_target": 0.1},
+    PipelineConfig: {"structures": {"a": "a.pdb"}, "output_dir": "out"},
+    DensityVolume: {"data": np.zeros((2, 2, 2))},
+}
+# NoiseSpec.seed also takes a tuple key, which the pipeline passes
+UNRANGED = {(NoiseSpec, "seed")}
+
+
+def _numeric_fields(ctor) -> dict[str, str]:
+    return {f.name: f.type for f in dataclasses.fields(ctor) if f.type in ("int", "float")}
+
+
+@pytest.mark.parametrize(
+    "ctor, name, outside", RANGE_EDGES, ids=[f"{c.__name__}.{n}" for c, n, _ in RANGE_EDGES]
+)
+def test_config_fields_reject_values_outside_their_range_by_name(ctor, name, outside):
+    extra = [2.5] if _numeric_fields(ctor)[name] == "int" else []
+    for value in [math.nan, math.inf, -math.inf, True, *extra, *outside]:
+        with pytest.raises(ValueError, match=rf"^{name} must be .*, got "):
+            ctor(**{**REQUIRED.get(ctor, {}), name: value})
+
+
+def test_every_numeric_config_field_has_a_row():
+    ctors = {ctor for ctor, _, _ in RANGE_EDGES} | {ReconConfig}
+    fields = {(ctor, name) for ctor in ctors for name in _numeric_fields(ctor)}
+    assert fields - UNRANGED == {(ctor, name) for ctor, name, _ in RANGE_EDGES}
+
+
+def test_float_in_keeps_each_end_of_its_interval():
+    assert float_in(0.0, "x", "[0, 1)") == 0.0 and float_in(1, "x", "(0, 1]") == 1
+    assert float_in(np.float32(-2.5), "x", "(-inf, inf)") == np.float32(-2.5)
+    for value, interval in [(0.0, "(0, 1]"), (1.0, "[0, 1)"), ("0.5", "(0, 1)"),
+                            (np.bool_(True), "[0, 1]"), (None, "(-inf, inf)")]:
+        with pytest.raises(ValueError, match=rf"^x must be .*, got {re.escape(repr(value))}$"):
+            float_in(value, "x", interval)
+
+
+def test_integer_helpers_refuse_bools():
+    assert int_at_least(np.int64(3), "n", 0) == 3
+    for value in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match="^n must be an integer >= 0"):
+            int_at_least(value, "n", 0)
+    with pytest.raises(ValueError, match="^dims must be three integers"):
+        three_ints((True, 4, 4), "dims")
+    with pytest.raises(ValueError, match=re.escape("dims must be positive, got (0, 4, 4)")):
+        three_ints((0, 4, 4), "dims")
