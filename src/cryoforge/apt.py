@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import int_at_least
+from .volume import float_in, int_at_least
 
 # real spherical harmonics up to degree 2, arguments are unit vectors;
 # the degree-0 term is left unnormalized (1.0) so the scalar channel is the
@@ -90,7 +90,7 @@ def polyphase_decompose(data: np.ndarray, patch: PatchSize) -> np.ndarray:
     phase grid.
 
     Component (p, q, r) holds the samples at indices
-    (i s_d + p, j s_h + q, k s_w + r); the inverse interleave is exact.
+    (i s_d + p, j s_h + q, k s_w + r), so each sample lies in exactly one.
     """
     data = np.asarray(data)
     s = patch.as_tuple()
@@ -102,13 +102,6 @@ def polyphase_decompose(data: np.ndarray, patch: PatchSize) -> np.ndarray:
     # axes first puts sample (i s_d + p, j s_h + q, k s_w + r) at [p, q, r, i, j, k]
     comps = data.reshape(D // sd, sd, H // sh, sh, W // sw, sw).transpose(1, 3, 5, 0, 2, 4)
     return comps.copy()
-
-
-def interleave(components: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`polyphase_decompose`."""
-    sd, sh, sw, nd, nh, nw = components.shape
-    out = components.transpose(3, 0, 4, 1, 5, 2).copy()
-    return out.reshape(nd * sd, nh * sh, nw * sw)
 
 
 # the selection net's fixed shape: degrees up to J_MAX on Gaussian radial
@@ -248,7 +241,7 @@ def gumbel_select(
     broken toward the lexicographically smallest index.
     """
     p = np.asarray(probs, dtype=float)
-    if abs(p.sum() - 1.0) > 1e-6:
+    if abs(float_in(float(p.sum()), "probability sum", "(-inf, inf)") - 1.0) > 1e-6:
         raise ValueError("probabilities must sum to 1 within 1e-6")
     scores = p
     if rng is not None:

@@ -4,8 +4,6 @@ volume transforms, and alignment error metrics.
 Conventions used throughout the package:
 
 - rotation matrices are 3x3, right-handed, column-vector (R @ v),
-- Euler angles (alpha, beta, gamma) compose extrinsically as
-  R = Rz(gamma) @ Ry(beta) @ Rx(alpha),
 - quaternions are (w, x, y, z) with unit norm.
 """
 
@@ -42,47 +40,9 @@ def unit_quaternion(q, name: str = "orientation") -> np.ndarray:
     return q
 
 
-def rot_x(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 def rot_z(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def euler_to_matrix(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Build R = Rz(gamma) @ Ry(beta) @ Rx(alpha) (extrinsic x-y-z)."""
-    return rot_z(gamma) @ rot_y(beta) @ rot_x(alpha)
-
-
-def matrix_to_euler(R: np.ndarray) -> tuple[float, float, float]:
-    """Inverse of :func:`euler_to_matrix` on the beta in [-pi/2, pi/2] branch.
-
-    At gimbal lock (|cos beta| ~ 0) gamma is pinned to 0 so the inverse is
-    deterministic; the returned angles always rebuild the same matrix even
-    when they differ from the angles that produced it.
-    """
-    R = np.asarray(R, dtype=float)
-    sb = np.clip(-R[2, 0], -1.0, 1.0)
-    beta = float(np.arcsin(sb))
-    if abs(np.cos(beta)) < 1e-9:
-        # gimbal lock: only alpha -/+ gamma is determined; pin gamma = 0
-        gamma = 0.0
-        if sb > 0:
-            alpha = float(np.arctan2(R[0, 1], R[0, 2]))
-        else:
-            alpha = float(np.arctan2(-R[0, 1], -R[0, 2]))
-    else:
-        alpha = float(np.arctan2(R[2, 1], R[2, 2]))
-        gamma = float(np.arctan2(R[1, 0], R[0, 0]))
-    return alpha, beta, gamma
 
 
 def gso_to_matrix(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -139,29 +99,6 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     )
 
 
-def matrix_to_quat(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a rotation matrix, w >= 0 branch."""
-    R = np.asarray(R, dtype=float)
-    t = np.trace(R)
-    if t > 0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(R)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(R[i, i] - R[j, j] - R[k, k] + 1.0) * 2.0
-        q = np.empty(4)
-        q[0] = (R[k, j] - R[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
-
-
 def rotation_error(R_est: np.ndarray, R_gt: np.ndarray) -> float:
     """Geodesic rotation error in degrees, bounded to [0, 180].
 
@@ -196,15 +133,6 @@ class RigidTransform:
             raise ValueError(f"translation must have shape (3,), got {self.translation.shape}")
         for v in self.translation.tolist():
             float_in(v, "translation", "(-inf, inf)")
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: applying the composite through apply_rigid matches
-        applying other first and then self, sharing its about-center sampling
-        convention output(x) = input(R^-1 (x - c) + c - t)."""
-        return RigidTransform(
-            rotation=self.rotation @ other.rotation,
-            translation=other.translation + other.rotation.T @ self.translation,
-        )
 
 
 _TAP_PAD = 2  # zero border the taps read: a sample's lower node is clipped to [-2, size]

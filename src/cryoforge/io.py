@@ -337,7 +337,3 @@ def read_instances(path) -> list[ParticleInstance]:
 
 def write_rejections(rejections: list[Rejection], path) -> None:
     write_ndjson([asdict(r) for r in rejections], path)
-
-
-def read_rejections(path) -> list[Rejection]:
-    return _read_rows(path, lambda row: Rejection(**row))

@@ -32,9 +32,9 @@ import numpy as np
 from scipy import sparse
 
 from .tiltalign import AlignmentResult
-from .tiltsim import TiltSeries, build_then_run, checked_jobs, shift_ramp
+from .tiltsim import TiltSeries, build_then_run, shift_ramp
 from .tiltsim import fourier_shift_2d  # noqa: F401  perfbench traces recon.fourier_shift_2d
-from .volume import DensityVolume, three_ints
+from .volume import DensityVolume, int_at_least, three_ints
 
 WEIGHTINGS = ("abs_cos", "uniform")
 MIN_TILTS = 3  # the fewest views a reconstruction takes
@@ -143,7 +143,8 @@ def wbp_reconstruct(
     # a d row costs its float32 product (Wout * Hout) and its taps (Wout * 2 * n_tilts),
     # each a float32 value and an int32 index;
     # jobs slabs are in flight at once, so each gets a jobs-th of SLAB_BYTES
-    slab = max(1, SLAB_BYTES // checked_jobs(jobs) // (4 * Wout * (Hout + 4 * n_tilts)))
+    jobs = int_at_least(jobs, "jobs", 1)
+    slab = max(1, SLAB_BYTES // jobs // (4 * Wout * (Hout + 4 * n_tilts)))
     out = np.empty((D, Hout, Wout), dtype=np.float32)
 
     def operator(d0: int) -> sparse.csr_array:

@@ -48,6 +48,13 @@ class AlignmentResult:
     residual_mse: float = 0.0
 
     def __post_init__(self):
+        for shift in self.shifts:
+            if len(shift) != 2:
+                raise ValueError(f"shifts must be (dx, dy) pairs, got {list(shift)!r}")
+            for v in shift:
+                float_in(v, "shifts", "(-inf, inf)")
+        float_in(self.axis_angle, "axis_angle", "(-inf, inf)")
+        float_in(self.axis_offset, "axis_offset", "(-inf, inf)")
         float_in(self.residual_mse, "residual_mse", "[0, inf)")
 
 

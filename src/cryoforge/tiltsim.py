@@ -50,10 +50,6 @@ def default_angles(start: float = -60.0, stop: float = 60.0, step: float = 2.0) 
     return [start + i * step for i in range(n)]
 
 
-def pretraining_angles() -> list[float]:
-    return default_angles(-90.0, 90.0, 2.0)
-
-
 @dataclass
 class TiltGeometry:
     angles: list[float] = field(default_factory=default_angles)
@@ -306,13 +302,6 @@ def default_jobs() -> int:
     return int_at_least(int(env) if env.strip().isdecimal() else env, "CRYOFORGE_JOBS", 1)
 
 
-def checked_jobs(jobs) -> int:
-    """``jobs`` as an int; a ValueError naming it unless it is an integer >= 1."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-    return int_at_least(jobs, "jobs", 1)
-
-
 def build_then_run(items, build, run, jobs: int) -> list:
     """``[run(item, build(item)) for item in items]``, with every ``build``
     on the calling thread and, with ``jobs > 1``, the runs on a pool of
@@ -329,7 +318,7 @@ def build_then_run(items, build, run, jobs: int) -> list:
     exception is raised here. ``jobs == 1`` runs inline: a one-thread pool
     would add a worker arena.
     """
-    jobs = checked_jobs(jobs)
+    jobs = int_at_least(jobs, "jobs", 1)
     if jobs == 1:
         return [run(item, build(item)) for item in items]
     results = []

@@ -8,7 +8,6 @@ from cryoforge.apt import (
     apt_forward,
     component_logits,
     gumbel_select,
-    interleave,
     octahedral_rotations,
     polyphase_decompose,
     softmax,
@@ -22,11 +21,17 @@ def test_patch_size_validation():
     assert PatchSize(2, 3, 4).as_tuple() == (2, 3, 4)
 
 
+def _interleave(components):
+    """Test-only oracle: the inverse of polyphase_decompose."""
+    sd, sh, sw, nd, nh, nw = components.shape
+    return components.transpose(3, 0, 4, 1, 5, 2).reshape(nd * sd, nh * sh, nw * sw)
+
+
 def test_decompose_shapes_and_exact_interleave(rng):
     data = rng.normal(size=(4, 4, 4))
     comps = polyphase_decompose(data, PatchSize(2, 2, 2))
     assert comps.shape == (2, 2, 2, 2, 2, 2)
-    assert np.array_equal(interleave(comps), data)
+    assert np.array_equal(_interleave(comps), data)
 
 
 def test_decompose_indexing_follows_strides(rng):
@@ -51,7 +56,7 @@ def test_decompose_and_interleave_match_stride_loops(rng, shape, patch):
                 rebuilt[p::sd, q::sh, r::sw] = comps[p, q, r]
     assert comps.shape == (sd, sh, sw, shape[0] // sd, shape[1] // sh, shape[2] // sw)
     assert np.array_equal(comps, expected)
-    assert np.array_equal(interleave(comps), rebuilt)
+    assert np.array_equal(_interleave(comps), rebuilt)
 
 
 def test_decompose_constant_volume():
@@ -135,6 +140,16 @@ def test_gumbel_select_rejects_unnormalized_probabilities(rng):
             gumbel_select(probs)
         with pytest.raises(ValueError, match="sum to 1"):
             gumbel_select(probs, rng)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_gumbel_select_rejects_a_non_finite_probability_sum(rng, value):
+    # a NaN sum used to pass the tolerance check and select (0, 0, 0)
+    probs = np.full((2, 2, 2), 0.125)
+    probs[1, 0, 1] = value
+    for draw in (None, rng):
+        with pytest.raises(ValueError, match=f"probability sum must be finite, got {value}"):
+            gumbel_select(probs, draw)
 
 
 def test_gumbel_inference_argmax_and_tie_break():

@@ -194,8 +194,8 @@ def test_stage_chain_project_align_reconstruct_extract(tmp_path, rng):
     assert main(["--seed", "0", "extract", "--tomogram", str(tomo_path),
                  "--instances", str(instances), "--out", str(out_dir)]) == 0
     records = cio.read_metadata(out_dir / "metadata.ndjson")
-    rejections = cio.read_rejections(out_dir / "rejections.ndjson")
-    assert not records and [r.reason for r in rejections] == ["boundary"]
+    rejections = cio.read_ndjson(out_dir / "rejections.ndjson")
+    assert not records and [r["reason"] for r in rejections] == ["boundary"]
 
     # the 16-voxel density is smaller than the 32-voxel box, so the tomogram
     # itself is the volume the noise stage gets
@@ -258,6 +258,15 @@ def test_reconstruct_names_malformed_alignment_file(tmp_path, rng, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"{alignment}: line 1: missing field 'shifts'" in err
+    assert not (tmp_path / "tomo.mrc").exists()
+
+
+def test_reconstruct_names_a_non_finite_alignment_shift(tmp_path, rng, capsys):
+    argv = _reconstruct_args(tmp_path, rng)
+    alignment = tmp_path / "alignment.ndjson"
+    cio.write_ndjson([{"shifts": [[0.0, 0.0], [float("nan"), 0.0], [0.0, 0.0]]}], alignment)
+    assert main(argv) == 1
+    assert f"{alignment}: line 1: shifts must be finite, got nan" in capsys.readouterr().err
     assert not (tmp_path / "tomo.mrc").exists()
 
 

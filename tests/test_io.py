@@ -14,6 +14,7 @@ from cryoforge.io import (
     MrcFormatError,
     SubtomogramRecord,
     UnsupportedModeError,
+    read_alignment,
     read_metadata,
     read_mrc,
     read_ndjson,
@@ -262,6 +263,22 @@ def test_record_validates_quaternion_and_tag():
             _record(q=q)
     with pytest.raises(ValueError):
         SubtomogramRecord("a", "b", (0, 0, 0), (1, 0, 0, 0), snr_tag="0.02")
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({"shifts": [[0.0, 0.0], [float("nan"), 0.0]]}, "shifts must be finite, got nan"),
+        ({"shifts": [[0.0, 0.0]], "axis_angle_deg": float("inf")}, "axis_angle must be finite"),
+        ({"shifts": [[0.0, 0.0], [1.0, 2.0, 3.0]]}, r"shifts must be \(dx, dy\) pairs"),
+    ],
+)
+def test_read_alignment_rejects_bad_values_naming_the_line(tmp_path, row, message):
+    # a NaN shift used to be back-projected and fail later as a NaN volume
+    path = tmp_path / "alignment.ndjson"
+    write_ndjson([row], path)
+    with pytest.raises(MetadataParseError, match=f"^{re.escape(str(path))}: line 1: {message}"):
+        read_alignment(path)
 
 
 def test_ndjson_round_trip(tmp_path):

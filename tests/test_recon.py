@@ -298,7 +298,7 @@ def test_wbp_worker_exception_propagates(monkeypatch, rng):
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_wbp_rejects_jobs_below_one(rng, jobs):
     series, align = _random_series(rng, [-10.0, 0.0, 10.0], (8, 8))
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
+    with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs}$"):
         wbp_reconstruct(series, align, ReconConfig(output_dims=(8, 8, 8)), jobs=jobs)
 
 

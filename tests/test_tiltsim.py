@@ -28,7 +28,6 @@ from cryoforge.tiltsim import (
     build_then_run,
     default_angles,
     fourier_shift_2d,
-    pretraining_angles,
     project_tilt,
     simulate_tilt_series,
 )
@@ -37,7 +36,6 @@ from cryoforge.volume import DensityVolume
 
 def test_angle_presets():
     assert len(default_angles()) == 61
-    assert len(pretraining_angles()) == 91
     assert default_angles()[0] == -60.0 and default_angles()[-1] == 60.0
 
 
@@ -448,7 +446,7 @@ def test_series_worker_exception_propagates(monkeypatch):
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_series_rejects_jobs_below_one(jobs):
     geom = TiltGeometry(angles=[-10.0, 0.0, 10.0])
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
+    with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs}$"):
         simulate_tilt_series(multi_blob_volume(8, blobs=1), geom, jobs=jobs)
 
 
