@@ -96,6 +96,9 @@ def cmd_reconstruct(args) -> int:
     dims = _dims(args.dims)
     series = cio.read_tilt_series(args.tilts, args.angles)
     align = cio.read_alignment(args.alignment)
+    shifts, views = len(align.shifts), len(series.projections)
+    if shifts != views:
+        raise ValueError(f"{args.alignment}: {shifts} shifts, {args.tilts}: {views} views")
     tomo = wbp_reconstruct(series, align, ReconConfig(output_dims=dims), jobs=_jobs(args))
     cio.write_mrc(tomo, args.out)
     print(f"reconstruct: {dims} tomogram -> {args.out}")

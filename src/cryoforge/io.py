@@ -272,8 +272,15 @@ def read_tilt_series(tilts_path, angles_path) -> TiltSeries:
     ``projections`` is the stack's float32 payload itself."""
     stack = read_mrc(tilts_path)
     rows = _read_rows(angles_path, lambda row: (row["angle_deg"], tuple(row["applied_shift"])))
+    views = len(stack.data)
+    if len(rows) != views:
+        raise ValueError(f"{tilts_path}: {views} views, {angles_path}: {len(rows)} angles")
+    try:
+        geometry = TiltGeometry(angles=[angle for angle, _ in rows])
+    except ValueError as exc:
+        raise ValueError(f"{angles_path}: {exc}") from exc
     return TiltSeries(
-        geometry=TiltGeometry(angles=[angle for angle, _ in rows]),
+        geometry=geometry,
         projections=stack.data,
         applied_shifts=[shift for _, shift in rows],
         voxel_size=stack.voxel_size,

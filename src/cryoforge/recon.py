@@ -1,4 +1,4 @@
-"""Filtered weighted back-projection.
+"""Filtered weighted back-projection, and its transpose, the reprojector.
 
 Projections are shift-corrected and multiplied row-wise in Fourier space
 by a Hann-tapered ramp filter (perpendicular to the tilt axis) in one
@@ -11,21 +11,25 @@ projection pixels.
 Back-projection is the adjoint of a sparse line-integral operator, as in
 the ASTRA toolbox (van Aarle et al., Ultramicroscopy, 2015). The tilt axis
 h is an identity axis, so the interpolation taps of a voxel column (d, w)
-are the same for every h: each slab of d rows is one sparse
-back-projection operator, two taps per tilt per voxel column, applied to
-all filtered detector rows with one sparse-dense product. The filtered rows
-and the operator's taps are float32, as in ASTRA's single-precision
-back-projectors, so the memory-bound product moves half the bytes of a
-float64 one; the filter itself runs in float64.
+are the same for every h: each slab of d rows is one ``slab_operator``, two
+taps per tilt per voxel column, applied to all filtered detector rows with
+one sparse-dense product. ``reproject`` applies the same operators, with
+unit taps, transposed to the volume's slabs and adds each product into one
+float64 stack of views: however many slabs there are, it holds that stack,
+one float32 product of its size and about ``SLAB_BYTES``, and at the end
+the returned copy. The filtered rows, the volume and the taps are float32,
+as in ASTRA's single-precision projectors, so the memory-bound products
+move half the bytes of float64 ones.
 
-With ``jobs > 1`` the slab products run on a thread pool, each writing
-its own disjoint d rows of the output, so the tomogram is bit-identical
-for every ``jobs``; the operators are built on the calling thread (see
-``tiltsim.build_then_run``).
+With ``jobs > 1`` the sparse products run on a thread pool, each writing
+its own disjoint d rows of the tomogram or h columns of the views, so both
+are bit-identical for every ``jobs``; the operators are built on the
+calling thread (see ``tiltsim.build_then_run``).
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +78,34 @@ def filter_projection(img: np.ndarray, dx: float = 0.0, dy: float = 0.0) -> np.n
     return np.fft.irfft2(spectrum, s=img.shape)
 
 
+def slab_operator(
+    d_rows: range, D: int, W: int, theta: np.ndarray, detector_width: int, tap_weights: np.ndarray
+) -> sparse.csr_array:
+    """Float32 CSR back-projection operator of the d rows ``d_rows`` of a
+    (D, *, W) volume: row j * W + w, voxel column (d_rows[j], w), holds two
+    linear taps per tilt, by tilt then tap, on the len(theta) * detector_width
+    detector columns, at x' = sin(theta) (d - (D - 1) / 2) + cos(theta)
+    (w - (W - 1) / 2) + (detector_width - 1) / 2 for tilt theta (radians), each
+    times its tilt's tap weight; none where x' is off the detector."""
+    z, x = np.asarray(d_rows) - (D - 1) / 2.0, np.arange(W) - (W - 1) / 2.0
+    sin_t, cos_t, n_tilts = np.sin(theta), np.cos(theta), len(theta)
+    # (n_d, W, n_tilts) detector x of every voxel column per tilt
+    xprime = sin_t * z[:, None, None] + cos_t * x[None, :, None] + (detector_width - 1) / 2.0
+    inside = (xprime >= 0.0) & (xprime <= detector_width - 1)
+    xcl = np.clip(xprime, 0.0, detector_width - 1)
+    i0 = np.floor(xcl).astype(np.int32)
+    tx = xcl - i0
+    data = np.stack(
+        [tap_weights * (1.0 - tx) * inside, tap_weights * tx * inside], axis=-1, dtype=np.float32
+    )
+    col0 = (np.arange(n_tilts) * detector_width).astype(np.int32)
+    indices = np.stack([col0 + i0, col0 + np.minimum(i0 + 1, detector_width - 1)], axis=-1)
+    rows = len(z) * W
+    indptr = np.arange(0, rows * 2 * n_tilts + 1, 2 * n_tilts, dtype=np.int32)
+    shape = (rows, n_tilts * detector_width)
+    return sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=shape)
+
+
 def wbp_reconstruct(
     series: TiltSeries, align: AlignmentResult, cfg: ReconConfig, jobs: int = 1
 ) -> DensityVolume:
@@ -90,10 +122,9 @@ def wbp_reconstruct(
     round trip (``filter_projection``, called once per tilt) and resampled
     onto the output y grid once, and its transposed rows are stored, cast
     once to float32, in one (n_tilts * Wdet, Hout) matrix R. The output is
-    filled one slab of d rows at a time: a CSR back-projection operator of
-    shape (slab * Wout, n_tilts * Wdet) holds the float32 taps of every
-    tilt per (d, w) voxel column, and one float32 sparse-dense product with
-    R gives the slab laid out (d, w, h). No (H, D, W) array is ever formed.
+    filled one slab of d rows at a time: the slab's ``slab_operator``, with
+    the tilt weights as its tap weights, times R in one float32 sparse-dense
+    product gives the slab laid out (d, w, h). No (H, D, W) array is formed.
     The tomogram agrees with a float64 product to float32 round-off.
 
     The calling thread builds each slab's operator, and ``build_then_run``
@@ -113,10 +144,7 @@ def wbp_reconstruct(
         raise ValueError("tilt angles do not match the projection count")
     D, Hout, Wout = cfg.output_dims
 
-    cd, cw = (D - 1) / 2.0, (Wout - 1) / 2.0
-    ch_out, ch_det, cw_det = (Hout - 1) / 2.0, (Hdet - 1) / 2.0, (Wdet - 1) / 2.0
-    zc = np.arange(D) - cd
-    xc = np.arange(Wout) - cw
+    ch_out, ch_det = (Hout - 1) / 2.0, (Hdet - 1) / 2.0
 
     # detector y per output row: integer-aligned when Hout == Hdet; rows off
     # the detector get weight 0, as voxel columns off it in x do
@@ -136,9 +164,7 @@ def wbp_reconstruct(
     R = R.reshape(n_tilts * Wdet, Hout)
 
     theta = np.radians(np.asarray(series.geometry.angles, dtype=np.float64))
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    w_t = np.abs(cos_t) if cfg.weighting == "abs_cos" else np.ones(n_tilts)
-    col0 = (np.arange(n_tilts) * Wdet).astype(np.int32)
+    w_t = np.abs(np.cos(theta)) if cfg.weighting == "abs_cos" else np.ones(n_tilts)
     scale = np.pi / (2.0 * n_tilts)
     # a d row costs its float32 product (Wout * Hout) and its taps (Wout * 2 * n_tilts),
     # each a float32 value and an int32 index;
@@ -147,29 +173,42 @@ def wbp_reconstruct(
     slab = max(1, SLAB_BYTES // jobs // (4 * Wout * (Hout + 4 * n_tilts)))
     out = np.empty((D, Hout, Wout), dtype=np.float32)
 
-    def operator(d0: int) -> sparse.csr_array:
-        """Back-projection operator of the d rows [d0, d0 + slab)."""
-        z = zc[d0 : d0 + slab]
-        # (n_d, Wout, n_tilts) detector x of every voxel column per tilt
-        xprime = sin_t * z[:, None, None] + cos_t * xc[None, :, None] + cw_det
-        inside = (xprime >= 0.0) & (xprime <= Wdet - 1)
-        xcl = np.clip(xprime, 0.0, Wdet - 1)
-        i0 = np.floor(xcl).astype(np.int32)
-        tx = xcl - i0
-        # two taps per tilt, ordered by tilt then tap
-        data = np.stack([w_t * (1.0 - tx) * inside, w_t * tx * inside], axis=-1, dtype=np.float32)
-        indices = np.stack([col0 + i0, col0 + np.minimum(i0 + 1, Wdet - 1)], axis=-1)
-        rows = len(z) * Wout
-        indptr = np.arange(0, rows * 2 * n_tilts + 1, 2 * n_tilts, dtype=np.int32)
-        return sparse.csr_array(
-            (data.ravel(), indices.ravel(), indptr), shape=(rows, n_tilts * Wdet)
-        )
-
     def fill(d0: int, op: sparse.csr_array) -> None:
         n_d = op.shape[0] // Wout
         part = op @ R
         part *= scale
         out[d0 : d0 + n_d] = part.reshape(n_d, Wout, Hout).transpose(0, 2, 1)
 
+    def operator(d0: int) -> sparse.csr_array:
+        return slab_operator(range(d0, min(d0 + slab, D)), D, Wout, theta, Wdet, w_t)
+
     build_then_run(range(0, D, slab), operator, fill, jobs)
     return DensityVolume(out, series.voxel_size)
+
+
+def reproject(volume: DensityVolume, angles, detector_width: int, jobs: int = 1) -> np.ndarray:
+    """The float64 (n_tilts, H, detector_width) line integrals of ``volume``
+    at each tilt angle (degrees), on its h grid: every slab of d rows, laid
+    out (d, w, h), times its ``slab_operator`` transposed, with unit tap
+    weights and no filter or pi / (2 N_tilts) scale, added into one stack.
+    Threads split the h columns, which the operator never mixes, so the slab
+    plan is that of ``jobs == 1`` and the views are bit-identical for every
+    ``jobs``."""
+    D, H, W = volume.shape
+    theta = np.radians(np.asarray(angles, dtype=np.float64))
+    jobs = int_at_least(jobs, "jobs", 1)
+    slab = max(1, SLAB_BYTES // (4 * W * (H + 4 * len(theta))))  # wbp_reconstruct's at jobs 1
+    taps = np.ones(len(theta))
+    out = np.zeros((len(theta) * detector_width, H))
+    edges = np.linspace(0, H, jobs + 1).astype(int)
+
+    def add(h0: int, h1: int) -> None:  # columns [h0, h1) of the current slab's product
+        out[:, h0:h1] += op.T @ rows[:, h0:h1]
+
+    with ThreadPoolExecutor(jobs) as pool:
+        run = pool.map if jobs > 1 else map  # jobs 1 starts no worker thread
+        for d0 in range(0, D, slab):
+            op = slab_operator(range(d0, min(d0 + slab, D)), D, W, theta, detector_width, taps)
+            rows = volume.data[d0 : d0 + slab].transpose(0, 2, 1).reshape(-1, H)
+            list(run(add, edges[:-1], edges[1:]))
+    return np.ascontiguousarray(out.reshape(len(theta), detector_width, H).transpose(0, 2, 1))

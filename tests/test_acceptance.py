@@ -29,8 +29,14 @@ from cryoforge.geometry import (
 )
 from cryoforge.nrcl import EmbeddingBatch, LossConfig, infonce_loss, nrcl_step, sinkhorn_wasserstein, sym_loss
 from cryoforge.pipeline import PipelineConfig, run_pipeline
-from cryoforge.recon import ReconConfig, wbp_reconstruct
-from cryoforge.scene import PlacementConfig, poisson_disk_sample, shoemake_quaternion, quat_to_matrix
+from cryoforge.recon import ReconConfig, reproject, wbp_reconstruct
+from cryoforge.scene import (
+    PlacementConfig,
+    compose_sample,
+    poisson_disk_sample,
+    quat_to_matrix,
+    shoemake_quaternion,
+)
 from cryoforge.subtomo import NoiseSpec, add_noise, signal_variance
 from cryoforge.tiltalign import AlignmentResult, align_series, phase_correlate
 from cryoforge.tiltsim import TiltGeometry, default_angles, fourier_shift_2d, simulate_tilt_series
@@ -312,6 +318,26 @@ def test_pipeline_subtomograms_match_the_composed_sample(pipeline_runs):
           f"{extract_row['subtomo_corr_median']:.3f}, min {extract_row['subtomo_corr_min']:.3f} "
           f"(median >= 0.7); compose mass ratio {rows['compose']['mass_ratio']:.3f}")
     assert extract_row["subtomo_corr_median"] >= 0.7
+
+
+def test_pipeline_sample_projects_alike_through_both_projectors(pipeline_runs):
+    # the spline projector and the back-projector's transpose share one
+    # geometry: linear interpolation and the cubic B-spline interpolant both
+    # reproduce constants and linear functions exactly, so each view's sum
+    # and its centroids in x and h agree, whatever else the kernels smooth
+    first, _ = pipeline_runs
+    out = first.output_dir
+    densities = {path.stem: cio.read_mrc(path) for path in (out / "densities").glob("*.mrc")}
+    instances = cio.read_instances(out / "instances.ndjson")
+    sample = compose_sample(densities, instances, PlacementConfig(volume_dims=(46, 360, 46)))
+    angles = default_angles()
+    spline = simulate_tilt_series(sample, TiltGeometry(angles=angles, shift_range=0.0)).projections
+    linear = reproject(sample, angles, sample.shape[2])
+    h, x = np.arange(sample.shape[1]), np.arange(sample.shape[2])
+    for a, b in zip(spline.astype(np.float64), linear):
+        assert abs(b.sum() / a.sum() - 1.0) <= 1e-5
+        assert abs(h @ b.sum(1) / b.sum() - h @ a.sum(1) / a.sum()) <= 1e-3
+        assert abs(x @ b.sum(0) / b.sum() - x @ a.sum(0) / a.sum()) <= 1e-3
 
 
 def test_pipeline_outputs_match_their_pinned_digests(pipeline_runs):

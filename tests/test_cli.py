@@ -207,15 +207,21 @@ def test_stage_chain_project_align_reconstruct_extract(tmp_path, rng):
         assert cio.read_mrc(path).voxel_size == pytest.approx(7.5), path
 
 
-def _reconstruct_args(tmp_path, rng):
-    """Arguments of ``reconstruct`` on a 3-tilt 12 x 16 stack at 7.5 A."""
-    angles = [-20.0, 0.0, 20.0]
-    stack = DensityVolume(rng.random((3, 12, 16)).astype(np.float32), voxel_size=7.5)
+def _write_tilts(tmp_path, rng, views, angles):
+    """A ``views``-view 12 x 16 stack at 7.5 A and its angle rows, as
+    ``tilts.mrc`` and ``angles.ndjson`` in ``tmp_path``; their paths."""
+    stack = DensityVolume(rng.random((views, 12, 16)).astype(np.float32), voxel_size=7.5)
     cio.write_mrc(stack, tmp_path / "tilts.mrc")
     cio.write_ndjson(
         [{"index": i, "angle_deg": a, "applied_shift": [0.0, 0.0]} for i, a in enumerate(angles)],
         tmp_path / "angles.ndjson",
     )
+    return tmp_path / "tilts.mrc", tmp_path / "angles.ndjson"
+
+
+def _reconstruct_args(tmp_path, rng):
+    """Arguments of ``reconstruct`` on a 3-tilt 12 x 16 stack at 7.5 A."""
+    _write_tilts(tmp_path, rng, 3, [-20.0, 0.0, 20.0])
     cio.write_ndjson([{"shifts": [[0.0, 0.0]] * 3}], tmp_path / "alignment.ndjson")
     return ["reconstruct", "--tilts", str(tmp_path / "tilts.mrc"),
             "--angles", str(tmp_path / "angles.ndjson"),
@@ -267,6 +273,31 @@ def test_reconstruct_names_a_non_finite_alignment_shift(tmp_path, rng, capsys):
     cio.write_ndjson([{"shifts": [[0.0, 0.0], [float("nan"), 0.0], [0.0, 0.0]]}], alignment)
     assert main(argv) == 1
     assert f"{alignment}: line 1: shifts must be finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "tomo.mrc").exists()
+
+
+def test_align_names_both_tilt_files_when_their_counts_differ(tmp_path, rng, capsys):
+    tilts, angles = _write_tilts(tmp_path, rng, 4, [-20.0, 0.0, 20.0])
+    assert main(["align", "--tilts", str(tilts), "--angles", str(angles),
+                 "--out", str(tmp_path / "alignment.ndjson")]) == 1
+    assert f"error: {tilts}: 4 views, {angles}: 3 angles" in capsys.readouterr().err
+    assert not (tmp_path / "alignment.ndjson").exists()
+
+
+def test_align_names_an_angles_file_with_a_non_uniform_step(tmp_path, rng, capsys):
+    tilts, angles = _write_tilts(tmp_path, rng, 3, [-20.0, 0.0, 30.0])
+    assert main(["align", "--tilts", str(tilts), "--angles", str(angles),
+                 "--out", str(tmp_path / "alignment.ndjson")]) == 1
+    assert f"error: {angles}: tilt angle step must be uniform" in capsys.readouterr().err
+    assert not (tmp_path / "alignment.ndjson").exists()
+
+
+def test_reconstruct_names_an_alignment_file_short_of_shifts(tmp_path, rng, capsys):
+    argv = _reconstruct_args(tmp_path, rng)
+    tilts, _ = _write_tilts(tmp_path, rng, 4, [-30.0, -10.0, 10.0, 30.0])
+    alignment = tmp_path / "alignment.ndjson"
+    assert main(argv) == 1
+    assert f"error: {alignment}: 3 shifts, {tilts}: 4 views" in capsys.readouterr().err
     assert not (tmp_path / "tomo.mrc").exists()
 
 

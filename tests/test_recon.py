@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 
 from conftest import SHIFT_SHAPES, gaussian_blob, reference_fourier_shift_2d
 from cryoforge import recon
-from cryoforge.recon import ReconConfig, filter_projection, filter_response, wbp_reconstruct
+from cryoforge.recon import (
+    ReconConfig,
+    filter_projection,
+    filter_response,
+    reproject,
+    wbp_reconstruct,
+)
 from cryoforge.tiltalign import AlignmentResult, align_series
 from cryoforge.tiltsim import (
     TiltGeometry,
@@ -306,3 +313,85 @@ def test_wbp_rejects_jobs_that_is_not_an_integer(rng):
     series, align = _random_series(rng, [-10.0, 0.0, 10.0], (8, 8))
     with pytest.raises(ValueError, match="jobs must be an integer >= 1, got 2.5"):
         wbp_reconstruct(series, align, ReconConfig(output_dims=(8, 8, 8)), jobs=2.5)
+
+
+@pytest.mark.parametrize(
+    "angles,dims,det_width",
+    [([-45.0, -15.0, 15.0, 45.0], (7, 5, 9), 11), (LONG_SERIES, (11, 6, 14), 17)],
+)
+def test_reproject_is_the_adjoint_of_back_projection(monkeypatch, rng, angles, dims, det_width):
+    # with the filter the identity and zero shifts, wbp_reconstruct(y) is
+    # (pi / 2N) sum_t |cos theta_t| A_t^T y_t, and reproject(x) is (A_t x)_t
+    monkeypatch.setattr(recon, "filter_projection", lambda img, dx, dy: img.astype(np.float64))
+    x = rng.random(dims).astype(np.float32)  # positive: the inner products cannot cancel
+    y = rng.random((len(angles), dims[1], det_width)).astype(np.float32)
+    series = TiltSeries(TiltGeometry(angles=angles), y, [(0.0, 0.0)] * len(angles))
+    align = AlignmentResult(shifts=[(0.0, 0.0)] * len(angles))
+    back = wbp_reconstruct(series, align, ReconConfig(output_dims=dims)).data
+    views = reproject(DensityVolume(x), angles, det_width)
+    weights = np.abs(np.cos(np.radians(angles)))[:, None, None]
+    forward = np.pi / (2 * len(angles)) * np.sum(views * weights * y)
+    adjoint = np.sum(x.astype(np.float64) * back)
+    assert abs(forward - adjoint) <= 1e-5 * adjoint
+
+
+def test_reproject_puts_a_point_source_at_its_detector_coordinate():
+    D, H, W, det_width = 9, 5, 12, 8
+    d, h, w = 8, 3, 11
+    data = np.zeros((D, H, W), dtype=np.float32)
+    data[d, h, w] = 1.0
+    views = reproject(DensityVolume(data), LONG_SERIES, det_width)
+    theta = np.radians(LONG_SERIES)
+    x_det = np.sin(theta) * (d - (D - 1) / 2) + np.cos(theta) * (w - (W - 1) / 2)
+    x_det += (det_width - 1) / 2
+    on = (x_det >= 0.0) & (x_det <= det_width - 1)
+    assert 0 < on.sum() < len(on)  # the source leaves the detector at some tilts
+    assert not views[~on].any()
+    for i in np.flatnonzero(on):
+        row = views[i, h]
+        assert abs(row.sum() - 1.0) <= 1e-6
+        assert abs(np.arange(det_width) @ row / row.sum() - x_det[i]) <= 1e-4
+        assert not np.delete(views[i], h, axis=0).any()
+
+
+def test_reproject_zero_degree_view_is_the_z_sum(rng):
+    data = rng.normal(size=(12, 7, 10)).astype(np.float32)
+    view = reproject(DensityVolume(data), [-30.0, 0.0, 30.0], 10)[1]
+    z_sum = data.astype(np.float64).sum(axis=0)
+    # one float32 slab of 12 rows: each addition rounds by at most eps/2 of a
+    # partial sum no larger than the column's sum of |values|
+    assert np.abs(view - z_sum).max() <= 12 * np.finfo(np.float32).eps * np.abs(data).sum(0).max()
+
+
+def test_reproject_threads_match_serial_and_slabs_agree(monkeypatch, rng):
+    vol = DensityVolume(rng.random((13, 22, 18)).astype(np.float32))
+    angles = default_angles(-60, 60, 6)
+    whole = reproject(vol, angles, 20)  # one slab at the default SLAB_BYTES
+    # 20000 bytes make slabs of 2 rows at jobs 1 and 1 row at a jobs-th of
+    # that, so a slab plan that followed jobs would round differently
+    monkeypatch.setattr(recon, "SLAB_BYTES", 20_000)
+    serial = reproject(vol, angles, 20)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so column blocks interleave
+    try:
+        for jobs in (2, 3):
+            assert np.array_equal(reproject(vol, angles, 20, jobs=jobs), serial)
+    finally:
+        sys.setswitchinterval(interval)
+    # a slab's float32 product rounds its own partial sums, so slab heights agree to round-off
+    largest = np.abs(whole).max(axis=(1, 2))
+    assert np.all(np.abs(serial - whole).max(axis=(1, 2)) <= 1e-6 * largest)
+
+
+def test_reproject_memory_does_not_grow_with_the_slab_count(monkeypatch, rng):
+    angles, (D, H, W), det_width = default_angles(-60, 60, 6), (40, 64, 16), 40
+    vol = DensityVolume(rng.random((D, H, W)).astype(np.float32))
+    monkeypatch.setattr(recon, "SLAB_BYTES", 1)  # 40 slabs of one d row
+    stack = len(angles) * H * det_width * 8  # bytes of the float64 views
+    tracemalloc.start()
+    try:
+        reproject(vol, angles, det_width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * stack
