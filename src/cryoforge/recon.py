@@ -21,15 +21,15 @@ the returned copy. The filtered rows, the volume and the taps are float32,
 as in ASTRA's single-precision projectors, so the memory-bound products
 move half the bytes of float64 ones.
 
-With ``jobs > 1`` the sparse products run on a thread pool, each writing
-its own disjoint d rows of the tomogram or h columns of the views, so both
-are bit-identical for every ``jobs``; the operators are built on the
-calling thread (see ``tiltsim.build_then_run``).
+With ``jobs > 1`` the back-projector's sparse products run on a thread
+pool, each writing its own disjoint d rows of the tomogram, so it is
+bit-identical for every ``jobs``; the operators are built on the calling
+thread (see ``tiltsim.build_then_run``). ``reproject`` runs on the calling
+thread alone.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,29 +186,17 @@ def wbp_reconstruct(
     return DensityVolume(out, series.voxel_size)
 
 
-def reproject(volume: DensityVolume, angles, detector_width: int, jobs: int = 1) -> np.ndarray:
+def reproject(volume: DensityVolume, angles, detector_width: int) -> np.ndarray:
     """The float64 (n_tilts, H, detector_width) line integrals of ``volume``
     at each tilt angle (degrees), on its h grid: every slab of d rows, laid
     out (d, w, h), times its ``slab_operator`` transposed, with unit tap
-    weights and no filter or pi / (2 N_tilts) scale, added into one stack.
-    Threads split the h columns, which the operator never mixes, so the slab
-    plan is that of ``jobs == 1`` and the views are bit-identical for every
-    ``jobs``."""
+    weights and no filter or pi / (2 N_tilts) scale, added into one stack."""
     D, H, W = volume.shape
     theta = np.radians(np.asarray(angles, dtype=np.float64))
-    jobs = int_at_least(jobs, "jobs", 1)
     slab = max(1, SLAB_BYTES // (4 * W * (H + 4 * len(theta))))  # wbp_reconstruct's at jobs 1
     taps = np.ones(len(theta))
     out = np.zeros((len(theta) * detector_width, H))
-    edges = np.linspace(0, H, jobs + 1).astype(int)
-
-    def add(h0: int, h1: int) -> None:  # columns [h0, h1) of the current slab's product
-        out[:, h0:h1] += op.T @ rows[:, h0:h1]
-
-    with ThreadPoolExecutor(jobs) as pool:
-        run = pool.map if jobs > 1 else map  # jobs 1 starts no worker thread
-        for d0 in range(0, D, slab):
-            op = slab_operator(range(d0, min(d0 + slab, D)), D, W, theta, detector_width, taps)
-            rows = volume.data[d0 : d0 + slab].transpose(0, 2, 1).reshape(-1, H)
-            list(run(add, edges[:-1], edges[1:]))
+    for d0 in range(0, D, slab):
+        op = slab_operator(range(d0, min(d0 + slab, D)), D, W, theta, detector_width, taps)
+        out += op.T @ volume.data[d0 : d0 + slab].transpose(0, 2, 1).reshape(-1, H)
     return np.ascontiguousarray(out.reshape(len(theta), detector_width, H).transpose(0, 2, 1))

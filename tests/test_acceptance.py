@@ -246,6 +246,9 @@ def test_criterion_09_placement_and_orientations():
     assert np.abs(entry_means).max() < limit
 
 
+PIPELINE_DIMS = (46, 360, 46)  # the pipeline_runs sample's (D, H, W)
+
+
 @pytest.fixture(scope="module")
 def pipeline_runs(tmp_path_factory):
     """Desk-scale two-class pipeline, run twice with the same seed.
@@ -268,7 +271,7 @@ def pipeline_runs(tmp_path_factory):
                 "seed": 11,
                 "particles_per_class": 5,
                 "snr_targets": [100.0],
-                "placement": {"volume_dims": [46, 360, 46]},
+                "placement": {"volume_dims": list(PIPELINE_DIMS)},
                 "tilt": {"shift_range": 1.0, "seed": 11},
             }
         )
@@ -329,7 +332,7 @@ def test_pipeline_sample_projects_alike_through_both_projectors(pipeline_runs):
     out = first.output_dir
     densities = {path.stem: cio.read_mrc(path) for path in (out / "densities").glob("*.mrc")}
     instances = cio.read_instances(out / "instances.ndjson")
-    sample = compose_sample(densities, instances, PlacementConfig(volume_dims=(46, 360, 46)))
+    sample = compose_sample(densities, instances, PlacementConfig(volume_dims=PIPELINE_DIMS))
     angles = default_angles()
     spline = simulate_tilt_series(sample, TiltGeometry(angles=angles, shift_range=0.0)).projections
     linear = reproject(sample, angles, sample.shape[2])

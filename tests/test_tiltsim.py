@@ -343,8 +343,7 @@ def test_projector_matches_exact_gaussian_line_integrals(sigma):
     eps = 2 * (5 / 384) * 3 / sigma**4
     largest = exact.max(axis=(1, 2))
     error = np.abs(views - exact).max(axis=(1, 2))
-    print(f"sigma {sigma}: largest error {(error / largest).max():.2e} of a view (bound {eps:.2e})")
-    assert np.all(error <= eps * largest)
+    assert np.all(error <= eps * largest), f"{(error / largest).max():.2e} of a view > {eps:.2e}"
 
 
 def test_out_of_range_angle_rejected():
