@@ -99,7 +99,7 @@ def cmd_reconstruct(args) -> int:
     shifts, views = len(align.shifts), len(series.projections)
     if shifts != views:
         raise ValueError(f"{args.alignment}: {shifts} shifts, {args.tilts}: {views} views")
-    tomo = wbp_reconstruct(series, align, ReconConfig(output_dims=dims), jobs=_jobs(args))
+    tomo = wbp_reconstruct(series, align.shifts, ReconConfig(output_dims=dims), jobs=_jobs(args))
     cio.write_mrc(tomo, args.out)
     print(f"reconstruct: {dims} tomogram -> {args.out}")
     return EXIT_OK

@@ -347,7 +347,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     # reconstruct
     with _stage("reconstruct", jobs=cfg.jobs) as row:
-        tomo = wbp_reconstruct(series, align, cfg.recon, jobs=cfg.jobs)
+        tomo = wbp_reconstruct(series, align.shifts, cfg.recon, jobs=cfg.jobs)
         cio.write_mrc(tomo, out / "tomogram.mrc")
     row.update(
         output_dims=list(tomo.shape),

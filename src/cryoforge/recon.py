@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .tiltalign import AlignmentResult
 from .tiltsim import TiltSeries, build_then_run, shift_ramp
 from .tiltsim import fourier_shift_2d  # noqa: F401  perfbench traces recon.fourier_shift_2d
 from .volume import DensityVolume, int_at_least, three_ints
@@ -106,10 +105,18 @@ def slab_operator(
     return sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=shape)
 
 
-def wbp_reconstruct(
-    series: TiltSeries, align: AlignmentResult, cfg: ReconConfig, jobs: int = 1
-) -> DensityVolume:
-    """Back-project a shift-corrected, filtered, angle-weighted tilt series.
+def slabs(D: int, W: int, H: int, n_tilts: int, jobs: int = 1) -> list[range]:
+    """The d rows of each slab of a (D, H, W) volume over n_tilts views. A d row
+    costs its float32 product (W * H) and its taps (W * 2 * n_tilts), each a
+    float32 value and an int32 index; ``jobs`` slabs are in flight at once, so
+    each gets a jobs-th of ``SLAB_BYTES``."""
+    n = max(1, SLAB_BYTES // jobs // (4 * W * (H + 4 * n_tilts)))
+    return [range(d0, min(d0 + n, D)) for d0 in range(0, D, n)]
+
+
+def wbp_reconstruct(series: TiltSeries, shifts, cfg: ReconConfig, jobs: int = 1) -> DensityVolume:
+    """Back-project a filtered, angle-weighted tilt series, each view moved
+    by minus its (dx, dy) in ``shifts``, one pair per view.
 
     Each output voxel samples every projection at its projected detector
     coordinate (beam geometry: x' = sin(theta) z + cos(theta) x about the
@@ -138,10 +145,8 @@ def wbp_reconstruct(
     n_tilts, Hdet, Wdet = series.projections.shape
     if n_tilts < MIN_TILTS:
         raise ValueError(f"reconstruction needs at least {MIN_TILTS} tilts")
-    if len(align.shifts) != n_tilts:
-        raise ValueError("alignment shifts do not match the projection count")
-    if len(series.geometry.angles) != n_tilts:
-        raise ValueError("tilt angles do not match the projection count")
+    if len(shifts) != n_tilts:
+        raise ValueError(f"{len(shifts)} shifts for {n_tilts} views")
     D, Hout, Wout = cfg.output_dims
 
     ch_out, ch_det = (Hout - 1) / 2.0, (Hdet - 1) / 2.0
@@ -158,7 +163,7 @@ def wbp_reconstruct(
     # R[i * Wdet + x, h]: filtered row h of tilt i, resampled in y
     R = np.empty((n_tilts, Wdet, Hout), dtype=np.float32)
     for i, proj in enumerate(series.projections):
-        dx, dy = align.shifts[i]
+        dx, dy = shifts[i]
         proj = filter_projection(proj, -dx, -dy)
         R[i] = (proj[y0, :] * wy0 + proj[y1, :] * wy1).T
     R = R.reshape(n_tilts * Wdet, Hout)
@@ -166,23 +171,18 @@ def wbp_reconstruct(
     theta = np.radians(np.asarray(series.geometry.angles, dtype=np.float64))
     w_t = np.abs(np.cos(theta)) if cfg.weighting == "abs_cos" else np.ones(n_tilts)
     scale = np.pi / (2.0 * n_tilts)
-    # a d row costs its float32 product (Wout * Hout) and its taps (Wout * 2 * n_tilts),
-    # each a float32 value and an int32 index;
-    # jobs slabs are in flight at once, so each gets a jobs-th of SLAB_BYTES
     jobs = int_at_least(jobs, "jobs", 1)
-    slab = max(1, SLAB_BYTES // jobs // (4 * Wout * (Hout + 4 * n_tilts)))
     out = np.empty((D, Hout, Wout), dtype=np.float32)
 
-    def fill(d0: int, op: sparse.csr_array) -> None:
-        n_d = op.shape[0] // Wout
+    def operator(rows: range) -> sparse.csr_array:
+        return slab_operator(rows, D, Wout, theta, Wdet, w_t)
+
+    def fill(rows: range, op: sparse.csr_array) -> None:
         part = op @ R
         part *= scale
-        out[d0 : d0 + n_d] = part.reshape(n_d, Wout, Hout).transpose(0, 2, 1)
+        out[rows.start : rows.stop] = part.reshape(len(rows), Wout, Hout).transpose(0, 2, 1)
 
-    def operator(d0: int) -> sparse.csr_array:
-        return slab_operator(range(d0, min(d0 + slab, D)), D, Wout, theta, Wdet, w_t)
-
-    build_then_run(range(0, D, slab), operator, fill, jobs)
+    build_then_run(slabs(D, Wout, Hout, n_tilts, jobs), operator, fill, jobs)
     return DensityVolume(out, series.voxel_size)
 
 
@@ -193,10 +193,9 @@ def reproject(volume: DensityVolume, angles, detector_width: int) -> np.ndarray:
     weights and no filter or pi / (2 N_tilts) scale, added into one stack."""
     D, H, W = volume.shape
     theta = np.radians(np.asarray(angles, dtype=np.float64))
-    slab = max(1, SLAB_BYTES // (4 * W * (H + 4 * len(theta))))  # wbp_reconstruct's at jobs 1
     taps = np.ones(len(theta))
     out = np.zeros((len(theta) * detector_width, H))
-    for d0 in range(0, D, slab):
-        op = slab_operator(range(d0, min(d0 + slab, D)), D, W, theta, detector_width, taps)
-        out += op.T @ volume.data[d0 : d0 + slab].transpose(0, 2, 1).reshape(-1, H)
+    for rows in slabs(D, W, H, len(theta)):
+        op = slab_operator(rows, D, W, theta, detector_width, taps)
+        out += op.T @ volume.data[rows.start : rows.stop].transpose(0, 2, 1).reshape(-1, H)
     return np.ascontiguousarray(out.reshape(len(theta), detector_width, H).transpose(0, 2, 1))

@@ -1,0 +1,87 @@
+"""The package's own import graph, read from the source without importing it."""
+
+import ast
+from pathlib import Path
+
+import cryoforge
+
+PACKAGE = Path(cryoforge.__file__).parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _own_imports(path: Path) -> set[str]:
+    """The package modules that ``path`` imports when it is itself imported:
+    every import outside a function body, relative or by package name."""
+    found, stack = set(), list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # runs at call time, when every module is loaded
+        if isinstance(node, ast.ImportFrom):
+            name = ".".join(["cryoforge"] * node.level + [node.module or ""]).strip(".")
+            if name == "cryoforge":  # from . import x
+                found.update(alias.name for alias in node.names)
+            elif name.startswith("cryoforge."):
+                found.add(name.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+            found.update(name.split(".")[1] for name in names if name.startswith("cryoforge."))
+        stack.extend(ast.iter_child_nodes(node))
+    return found & MODULES
+
+
+def _graph() -> dict[str, set[str]]:
+    return {path.stem: _own_imports(path) for path in PACKAGE.glob("*.py")}
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One import cycle as a path that ends where it starts, or None."""
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> list[str] | None:
+        if module in path:
+            return path[path.index(module) :] + [module]
+        if module in done:
+            return None
+        for dep in sorted(graph[module]):
+            cycle = visit(dep, path + [module])
+            if cycle:
+                return cycle
+        done.add(module)
+        return None
+
+    for module in sorted(graph):
+        cycle = visit(module, [])
+        if cycle:
+            return cycle
+    return None
+
+
+def test_reader_finds_every_import_form(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from .recon import wbp_reconstruct\n"
+        "from . import io\n"
+        "import cryoforge.scene\n"
+        "from cryoforge.volume import DensityVolume\n"
+        "import numpy\n"
+        "try:\n    from .apt import apt_forward\nexcept ImportError:\n    pass\n"
+        "def late():\n    from .tiltalign import align_series\n"
+    )
+    assert _own_imports(source) == {"recon", "io", "scene", "volume", "apt"}
+
+
+def test_cycle_finder_names_a_cycle():
+    assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert _cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
+
+
+def test_package_imports_form_no_cycle():
+    cycle = _cycle(_graph())
+    assert cycle is None, f"import cycle: {' -> '.join(cycle)}"
+
+
+def test_recon_does_not_import_tiltalign():
+    # the aligner may call recon (projection matching), so recon must not
+    # depend on tiltalign, or that call would close a cycle
+    assert "tiltalign" not in _graph()["recon"]

@@ -152,11 +152,31 @@ def test_sinkhorn_matches_lp_oracle(rng):
 def test_sinkhorn_cost_symmetry(rng):
     z = _random_batch(rng, 3)
     z_pos = _random_batch(rng, 3)
-    # run to the marginal tolerance; residual asymmetry scales with it
+    # neither plan reaches the marginal tolerance: both stop at the
+    # 20,000-iteration budget, with violations of 3.3e-6 and 3.5e-6, and
+    # the residual asymmetry scales with them
     cfg = LossConfig(sinkhorn_max_iter=20_000)
     assert sinkhorn_wasserstein(z, z_pos, cfg)[0] == pytest.approx(
         sinkhorn_wasserstein(z_pos, z, cfg)[0], abs=1e-5
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the shipped 200-iteration budget is too small: these pairs need 269 and 2298 "
+    "iterations (ROADMAP, NRCL Sinkhorn under the shipped budget)",
+)
+def test_sinkhorn_converges_within_the_shipped_budget():
+    # B = 8 in 8-D at the default epsilon: both plans stop unconverged at 200
+    # iterations, with marginal violations of 8.3e-6 and 1.4e-4
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        z, z_pos = _random_batch(rng, 8, d=8), _random_batch(rng, 8, d=8)
+        cfg = LossConfig()
+        plan = sinkhorn_wasserstein(z, z_pos, cfg)[1]
+        assert plan.converged, f"seed {seed}: {plan.iterations_used} iterations"
+        assert plan.marginal_violation() < cfg.sinkhorn_tol
 
 
 def test_sinkhorn_permutation_invariance(rng):

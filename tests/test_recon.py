@@ -15,7 +15,7 @@ from cryoforge.recon import (
     reproject,
     wbp_reconstruct,
 )
-from cryoforge.tiltalign import AlignmentResult, align_series
+from cryoforge.tiltalign import align_series
 from cryoforge.tiltsim import (
     TiltGeometry,
     TiltSeries,
@@ -65,8 +65,8 @@ def _blob_series(angles, n=32):
 def test_wbp_peak_near_true_center():
     n = 32
     vol, series = _blob_series(default_angles(-90, 90, 6), n)
-    align = AlignmentResult(shifts=[(0.0, 0.0)] * len(series.projections))
-    tomo = wbp_reconstruct(series, align, ReconConfig(output_dims=(n, n, n)))
+    shifts = [(0.0, 0.0)] * len(series.projections)
+    tomo = wbp_reconstruct(series, shifts, ReconConfig(output_dims=(n, n, n)))
     peak = np.unravel_index(np.argmax(tomo.data), tomo.shape)
     truth = np.unravel_index(np.argmax(vol.data), vol.shape)
     assert np.abs(np.array(peak) - np.array(truth)).max() <= 1
@@ -75,15 +75,15 @@ def test_wbp_peak_near_true_center():
 def test_wbp_linearity_in_projections():
     n = 24
     _, series = _blob_series(default_angles(-60, 60, 20), n)
-    align = AlignmentResult(shifts=[(0.0, 0.0)] * len(series.projections))
+    shifts = [(0.0, 0.0)] * len(series.projections)
     cfg = ReconConfig(output_dims=(n, n, n))
-    base = wbp_reconstruct(series, align, cfg)
+    base = wbp_reconstruct(series, shifts, cfg)
     scaled_series = type(series)(
         geometry=series.geometry,
         projections=[3.0 * p for p in series.projections],
         applied_shifts=series.applied_shifts,
     )
-    scaled = wbp_reconstruct(scaled_series, align, cfg)
+    scaled = wbp_reconstruct(scaled_series, shifts, cfg)
     assert np.abs(scaled.data - 3.0 * base.data).max() < 1e-5 * np.abs(base.data).max()
 
 
@@ -92,12 +92,9 @@ def test_wbp_applies_shift_correction():
     vol, clean = _blob_series(default_angles(-60, 60, 10), n)
     geom = TiltGeometry(angles=default_angles(-60, 60, 10), shift_range=1.0, seed=4)
     drifted = simulate_tilt_series(vol, geom)
-    align = align_series(drifted)
     cfg = ReconConfig(output_dims=(n, n, n))
-    corrected = wbp_reconstruct(drifted, align, cfg)
-    reference = wbp_reconstruct(
-        clean, AlignmentResult(shifts=[(0.0, 0.0)] * len(clean.projections)), cfg
-    )
+    corrected = wbp_reconstruct(drifted, align_series(drifted).shifts, cfg)
+    reference = wbp_reconstruct(clean, [(0.0, 0.0)] * len(clean.projections), cfg)
     inner = (slice(4, -4),) * 3
     a, b = corrected.data[inner].ravel(), reference.data[inner].ravel()
     assert np.corrcoef(a, b)[0, 1] > 0.99
@@ -106,41 +103,30 @@ def test_wbp_applies_shift_correction():
 def test_wbp_requires_three_tilts():
     _, series = _blob_series([-10.0, 10.0], 16)
     with pytest.raises(ValueError):
-        wbp_reconstruct(
-            series, AlignmentResult(shifts=[(0.0, 0.0)] * 2), ReconConfig(output_dims=(16, 16, 16))
-        )
+        wbp_reconstruct(series, [(0.0, 0.0)] * 2, ReconConfig(output_dims=(16, 16, 16)))
 
 
 def test_wbp_rows_off_the_detector_are_zero(rng):
     # a detector 8 rows high under a 16-row tomogram: output row h sits at
     # detector y = h - 4, so rows 0-3 and 12-15 lie off the detector
     series, _ = _random_series(rng, [-20.0, -10.0, 0.0, 10.0, 20.0], (8, 16))
-    align = AlignmentResult(shifts=[(0.0, 0.0)] * 5)
-    tall = wbp_reconstruct(series, align, ReconConfig(output_dims=(6, 16, 16))).data
+    shifts = [(0.0, 0.0)] * 5
+    tall = wbp_reconstruct(series, shifts, ReconConfig(output_dims=(6, 16, 16))).data
     assert not tall[:, :4].any() and not tall[:, 12:].any()
     # the rows on the detector are those of the tomogram as high as the detector
-    fitted = wbp_reconstruct(series, align, ReconConfig(output_dims=(6, 8, 16))).data
+    fitted = wbp_reconstruct(series, shifts, ReconConfig(output_dims=(6, 8, 16))).data
     assert np.array_equal(tall[:, 4:12], fitted)
     # x already zeroes what lies off the detector: the outer columns of a wider grid
-    wide = wbp_reconstruct(series, align, ReconConfig(output_dims=(6, 8, 40))).data
+    wide = wbp_reconstruct(series, shifts, ReconConfig(output_dims=(6, 8, 40))).data
     assert not wide[..., :4].any() and not wide[..., -4:].any()
 
 
 def test_wbp_shift_count_mismatch():
+    # a library caller, such as an aligner, gets both counts, not a file name
     _, series = _blob_series([-10.0, 0.0, 10.0], 16)
-    with pytest.raises(ValueError):
-        wbp_reconstruct(
-            series, AlignmentResult(shifts=[(0.0, 0.0)] * 2), ReconConfig(output_dims=(16, 16, 16))
-        )
-
-
-def test_wbp_angle_count_mismatch():
-    _, series = _blob_series([-10.0, 0.0, 10.0, 20.0], 16)
-    series.projections = series.projections[:-1]  # four angles, three projections
-    with pytest.raises(ValueError, match="angles"):
-        wbp_reconstruct(
-            series, AlignmentResult(shifts=[(0.0, 0.0)] * 3), ReconConfig(output_dims=(16, 16, 16))
-        )
+    for n in (2, 4):
+        with pytest.raises(ValueError, match=f"^{n} shifts for 3 views$"):
+            wbp_reconstruct(series, [(0.0, 0.0)] * n, ReconConfig(output_dims=(16, 16, 16)))
 
 
 def _reference_shift_filter(img, dx, dy):
@@ -162,7 +148,7 @@ def test_filter_projection_matches_two_round_trips(rng, shape):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _reference_wbp(series, align, cfg):
+def _reference_wbp(series, shifts, cfg):
     """The per-tilt gather back-projector the slab operator replaced: every
     tilt gathers an (H, D, W) float64 contribution and adds it to a float64
     volume. Each tilt is shifted and filtered in two FFT round trips."""
@@ -184,7 +170,7 @@ def _reference_wbp(series, align, cfg):
         weight = abs(np.cos(theta)) if cfg.weighting == "abs_cos" else 1.0
         if weight == 0.0:
             continue
-        dx, dy = align.shifts[i]
+        dx, dy = shifts[i]
         proj = _reference_shift_filter(series.projections[i], -dx, -dy)
         rows = proj[y0, :] * (1.0 - ty)[:, None] + proj[y1, :] * ty[:, None]
         rows *= inside_y[:, None]
@@ -206,8 +192,7 @@ def _random_series(rng, angles, det_shape):
     geom.angles = list(angles)  # any order and spacing; WBP reads only the angles
     projections = [rng.normal(size=det_shape).astype(np.float32) for _ in angles]
     series = TiltSeries(geom, projections, [(0.0, 0.0)] * len(angles), voxel_size=4.0)
-    shifts = [tuple(rng.uniform(-1.5, 1.5, size=2)) for _ in angles]
-    return series, AlignmentResult(shifts=shifts)
+    return series, [tuple(rng.uniform(-1.5, 1.5, size=2)) for _ in angles]
 
 
 def _assert_within_one_ulp(got, ref):
@@ -222,12 +207,12 @@ def _assert_within_one_ulp(got, ref):
 def test_wbp_matches_per_tilt_gather_reference(monkeypatch, rng, weighting, Hout, Wout):
     # detector 10 x 13: Hout is smaller and larger, odd and even, so the y
     # resampling is not the identity, and Wout differs from Wdet
-    series, align = _random_series(rng, [-90.0, -60.0, 0.0, 1e-7, 34.0, 90.0], (10, 13))
+    series, shifts = _random_series(rng, [-90.0, -60.0, 0.0, 1e-7, 34.0, 90.0], (10, 13))
     # D = 11 is prime and 8000 bytes make slabs of 2 to 7 rows: the last slab is partial
     monkeypatch.setattr(recon, "SLAB_BYTES", 8000)
     cfg = ReconConfig(output_dims=(11, Hout, Wout), weighting=weighting)
-    got = wbp_reconstruct(series, align, cfg)
-    ref = _reference_wbp(series, align, cfg)
+    got = wbp_reconstruct(series, shifts, cfg)
+    ref = _reference_wbp(series, shifts, cfg)
     assert got.data.dtype == np.float32 and got.shape == (11, Hout, Wout)
     assert got.voxel_size == 4.0
     _assert_within_one_ulp(got.data, ref.data)
@@ -239,33 +224,33 @@ LONG_SERIES = default_angles(-60, 60, 2)
 
 @pytest.mark.parametrize("weighting", recon.WEIGHTINGS)
 def test_wbp_matches_per_tilt_gather_reference_at_61_tilts(monkeypatch, rng, weighting):
-    series, align = _random_series(rng, LONG_SERIES, (16, 21))
+    series, shifts = _random_series(rng, LONG_SERIES, (16, 21))
     monkeypatch.setattr(recon, "SLAB_BYTES", 40_000)  # slabs of 2 rows, the last partial
     cfg = ReconConfig(output_dims=(11, 14, 19), weighting=weighting)
-    got = wbp_reconstruct(series, align, cfg)
-    _assert_within_one_ulp(got.data, _reference_wbp(series, align, cfg).data)
+    got = wbp_reconstruct(series, shifts, cfg)
+    _assert_within_one_ulp(got.data, _reference_wbp(series, shifts, cfg).data)
 
 
 def test_wbp_threads_match_serial_at_61_tilts(monkeypatch, rng):
-    series, align = _random_series(rng, LONG_SERIES, (16, 21))
+    series, shifts = _random_series(rng, LONG_SERIES, (16, 21))
     monkeypatch.setattr(recon, "SLAB_BYTES", 40_000)
     cfg = ReconConfig(output_dims=(11, 14, 19))
-    serial = wbp_reconstruct(series, align, cfg, jobs=1)
-    assert np.array_equal(wbp_reconstruct(series, align, cfg, jobs=2).data, serial.data)
+    serial = wbp_reconstruct(series, shifts, cfg, jobs=1)
+    assert np.array_equal(wbp_reconstruct(series, shifts, cfg, jobs=2).data, serial.data)
 
 
 def test_wbp_slab_height_does_not_change_output(monkeypatch, rng):
-    series, align = _random_series(rng, default_angles(-60, 60, 6), (24, 20))
+    series, shifts = _random_series(rng, default_angles(-60, 60, 6), (24, 20))
     cfg = ReconConfig(output_dims=(13, 22, 18))
-    whole = wbp_reconstruct(series, align, cfg)  # one slab at the default SLAB_BYTES
+    whole = wbp_reconstruct(series, shifts, cfg)  # one slab at the default SLAB_BYTES
     monkeypatch.setattr(recon, "SLAB_BYTES", 1)  # one d row per slab
-    by_row = wbp_reconstruct(series, align, cfg)
+    by_row = wbp_reconstruct(series, shifts, cfg)
     assert np.array_equal(by_row.data, whole.data)
 
 
 @pytest.mark.parametrize("Hout,Wout", [(7, 9), (8, 17), (15, 9), (16, 17)])
 def test_wbp_threads_match_serial(monkeypatch, rng, Hout, Wout):
-    series, align = _random_series(rng, [-90.0, -60.0, 0.0, 1e-7, 34.0, 90.0], (10, 13))
+    series, shifts = _random_series(rng, [-90.0, -60.0, 0.0, 1e-7, 34.0, 90.0], (10, 13))
     cfg = ReconConfig(output_dims=(11, Hout, Wout))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so slabs interleave
@@ -275,16 +260,16 @@ def test_wbp_threads_match_serial(monkeypatch, rng, Hout, Wout):
         # d row per slab, many more slabs than workers
         for slab_bytes in (8000, 1):
             monkeypatch.setattr(recon, "SLAB_BYTES", slab_bytes)
-            serial = wbp_reconstruct(series, align, cfg, jobs=1)
+            serial = wbp_reconstruct(series, shifts, cfg, jobs=1)
             for jobs in (2, 3):
-                threaded = wbp_reconstruct(series, align, cfg, jobs=jobs)
+                threaded = wbp_reconstruct(series, shifts, cfg, jobs=jobs)
                 assert np.array_equal(threaded.data, serial.data)
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_wbp_worker_exception_propagates(monkeypatch, rng):
-    series, align = _random_series(rng, default_angles(-60, 60, 6), (12, 12))
+    series, shifts = _random_series(rng, default_angles(-60, 60, 6), (12, 12))
     monkeypatch.setattr(recon, "SLAB_BYTES", 1)  # one slab per d row
     failed_in = []
 
@@ -298,21 +283,21 @@ def test_wbp_worker_exception_propagates(monkeypatch, rng):
 
     monkeypatch.setattr(recon, "sparse", SimpleNamespace(csr_array=FailingOperator))
     with pytest.raises(RuntimeError, match="slab product failed"):
-        wbp_reconstruct(series, align, ReconConfig(output_dims=(9, 12, 12)), jobs=2)
+        wbp_reconstruct(series, shifts, ReconConfig(output_dims=(9, 12, 12)), jobs=2)
     assert failed_in and threading.main_thread() not in failed_in
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_wbp_rejects_jobs_below_one(rng, jobs):
-    series, align = _random_series(rng, [-10.0, 0.0, 10.0], (8, 8))
+    series, shifts = _random_series(rng, [-10.0, 0.0, 10.0], (8, 8))
     with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs}$"):
-        wbp_reconstruct(series, align, ReconConfig(output_dims=(8, 8, 8)), jobs=jobs)
+        wbp_reconstruct(series, shifts, ReconConfig(output_dims=(8, 8, 8)), jobs=jobs)
 
 
 def test_wbp_rejects_jobs_that_is_not_an_integer(rng):
-    series, align = _random_series(rng, [-10.0, 0.0, 10.0], (8, 8))
+    series, shifts = _random_series(rng, [-10.0, 0.0, 10.0], (8, 8))
     with pytest.raises(ValueError, match="jobs must be an integer >= 1, got 2.5"):
-        wbp_reconstruct(series, align, ReconConfig(output_dims=(8, 8, 8)), jobs=2.5)
+        wbp_reconstruct(series, shifts, ReconConfig(output_dims=(8, 8, 8)), jobs=2.5)
 
 
 @pytest.mark.parametrize(
@@ -326,8 +311,7 @@ def test_reproject_is_the_adjoint_of_back_projection(monkeypatch, rng, angles, d
     x = rng.random(dims).astype(np.float32)  # positive: the inner products cannot cancel
     y = rng.random((len(angles), dims[1], det_width)).astype(np.float32)
     series = TiltSeries(TiltGeometry(angles=angles), y, [(0.0, 0.0)] * len(angles))
-    align = AlignmentResult(shifts=[(0.0, 0.0)] * len(angles))
-    back = wbp_reconstruct(series, align, ReconConfig(output_dims=dims)).data
+    back = wbp_reconstruct(series, series.applied_shifts, ReconConfig(output_dims=dims)).data
     views = reproject(DensityVolume(x), angles, det_width)
     weights = np.abs(np.cos(np.radians(angles)))[:, None, None]
     forward = np.pi / (2 * len(angles)) * np.sum(views * weights * y)
