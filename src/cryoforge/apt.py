@@ -27,12 +27,14 @@ mass), and by Parseval the energy of degree J is
     W = sum_J sum_b w_energy[J-1, b] sum_m |K_Jmb|^2,
 
 one forward FFT per component and no convolution fields. The
-weight-free spectra (masses and sum_m |K_Jmb|^2) are cached on the net
-per component shape; the weights are read on every call.
+weight-free spectra (masses and sum_m |K_Jmb|^2) depend only on the
+fixed kernel bank, so they are computed once per component shape for
+every net; the net holds only its weights, read on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -158,7 +160,6 @@ class SteerableSelectionNet:
             self.w_energy = np.full((J_MAX, nb), 0.1)
         self.w_scalar = np.asarray(self.w_scalar, dtype=float).reshape(nb)
         self.w_energy = np.asarray(self.w_energy, dtype=float).reshape(J_MAX, nb)
-        self._spectra: dict[tuple[int, int, int], tuple] = {}
 
     @classmethod
     def random(cls, rng: np.random.Generator, **kwargs) -> "SteerableSelectionNet":
@@ -167,28 +168,30 @@ class SteerableSelectionNet:
         net.w_energy = rng.normal(0.0, 1.0, size=net.w_energy.shape)
         return net
 
-    def _kernel_spectra(self, shape: tuple[int, int, int]):
-        """Weight-free kernel spectra for components of one shape, cached.
 
-        Returns the scalar masses K_b(0) (n_b,), the degree powers
-        sum_m |K_Jmb|^2 (J_MAX, n_b, *half) and the negative control's
-        |K_{1, m-index 2, b 0}|^2 (*half), on the rfftn half grid with the
-        Hermitian multiplicities folded in.
-        """
-        spectra = self._spectra.get(shape)
-        if spectra is None:
-            half = shape[:2] + (shape[2] // 2 + 1,)
-            hermitian = np.full(half[2], 2.0)
-            hermitian[0] = 1.0
-            if shape[2] % 2 == 0:
-                hermitian[-1] = 1.0
-            mass = _KERNELS[0][0].sum(axis=(-3, -2, -1))
-            banks = [
-                np.abs(_wrap_kernel_rfft(_KERNELS[J], shape)) ** 2 for J in range(1, J_MAX + 1)
-            ]
-            power = np.stack([bank.sum(axis=0) for bank in banks]) * hermitian
-            spectra = self._spectra[shape] = (mass, power, banks[0][2, 0] * hermitian)
-        return spectra
+@functools.cache
+def _kernel_spectra(shape: tuple[int, int, int]):
+    """Weight-free kernel spectra for components of one shape, computed
+    once per shape from the module's fixed bank (a run tokenizes a
+    handful of shapes, so the cache stays small).
+
+    Returns the scalar masses K_b(0) (n_b,), the degree powers
+    sum_m |K_Jmb|^2 (J_MAX, n_b, *half) and the negative control's
+    |K_{1, m-index 2, b 0}|^2 (*half), on the rfftn half grid with the
+    Hermitian multiplicities folded in.
+    """
+    half = shape[:2] + (shape[2] // 2 + 1,)
+    hermitian = np.full(half[2], 2.0)
+    hermitian[0] = 1.0
+    if shape[2] % 2 == 0:
+        hermitian[-1] = 1.0
+    mass = _KERNELS[0][0].sum(axis=(-3, -2, -1))
+    banks = [np.abs(_wrap_kernel_rfft(_KERNELS[J], shape)) ** 2 for J in range(1, J_MAX + 1)]
+    power = np.stack([bank.sum(axis=0) for bank in banks]) * hermitian
+    spectra = (mass, power, banks[0][2, 0] * hermitian)
+    for array in spectra:
+        array.flags.writeable = False  # one copy is shared by every caller
+    return spectra
 
 
 def _wrap_kernel_rfft(kernel: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
@@ -207,14 +210,14 @@ def component_logits(components: np.ndarray, net: SteerableSelectionNet) -> np.n
     Closed form of the pooled convolution responses: one batched rfftn of
     the components, then the scalar term mean(f) * sum_b w_scalar[b]
     K_b(0) plus <|F|^2, W> / N^2 with the weight spectrum W formed from
-    the net's cached per-shape kernel powers and its current weights.
+    the cached per-shape kernel powers and the net's current weights.
     """
     lead = components.shape[:-3]
     shape = components.shape[-3:]
     n = math.prod(shape)
     flat = components.reshape(-1, *shape).astype(np.float64)
     F = np.fft.rfftn(flat, axes=(-3, -2, -1))
-    mass, power, control = net._kernel_spectra(shape)
+    mass, power, control = _kernel_spectra(shape)
     W = np.tensordot(net.w_energy, power, axes=2)
     if net.break_rotation:
         # single-m squared channel: shift-invariant, not rotation-invariant

@@ -22,10 +22,10 @@ from .geometry import gso_to_matrix, rotation_error, svd_to_matrix
 from .nrcl import EmbeddingBatch, LossConfig, infonce_loss, sinkhorn_wasserstein, sym_loss
 from .pipeline import PipelineConfig, StageError, run_pipeline, snr_tag
 from .recon import ReconConfig, wbp_reconstruct
-from .scene import PlacementConfig, place_particles
+from .scene import ParticleInstance, PlacementConfig, place_particles
 from .structure import DensifyConfig, densify, parse_pdb
 from .subtomo import ExtractionConfig, NoiseSpec, add_noise, extract
-from .tiltalign import align_series, refine_axis
+from .tiltalign import AlignmentResult, align_series, refine_axis
 from .tiltsim import DEFAULT_JOBS_CAP, TiltGeometry, default_jobs, simulate_tilt_series
 from .volume import DensityVolume, int_at_least, three_ints
 
@@ -67,7 +67,7 @@ def cmd_place(args) -> int:
         raise ValueError("--labels must name at least one class")
     cfg = PlacementConfig(volume_dims=_dims(args.dims), target_count=args.count, seed=_seed(args))
     instances = place_particles(labels, cfg)
-    cio.write_instances(instances, args.out)
+    cio.write_ndjson(instances, args.out)
     print(f"place: {len(instances)} instances -> {args.out}")
     return EXIT_OK
 
@@ -83,10 +83,10 @@ def cmd_project(args) -> int:
 def cmd_align(args) -> int:
     series = cio.read_tilt_series(args.tilts, args.angles)
     align = align_series(series)
-    align.axis_angle, align.axis_offset, align.residual_mse = refine_axis(series, align.shifts)
-    cio.write_alignment(align, args.out)
+    align = AlignmentResult(align.shifts, *refine_axis(series, align.shifts))
+    cio.write_ndjson([align], args.out)
     print(
-        f"align: axis {align.axis_angle:+.2f} deg "
+        f"align: axis {align.axis_angle_deg:+.2f} deg "
         f"offset {align.axis_offset:+.2f} px -> {args.out}"
     )
     return EXIT_OK
@@ -107,7 +107,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_extract(args) -> int:
     tomo = cio.read_mrc(args.tomogram)
-    instances = cio.read_instances(args.instances)
+    instances = cio.read_ndjson(args.instances, ParticleInstance)
     cfg = ExtractionConfig(seed=_seed(args))
     accepted, rejections = extract(tomo, instances, cfg)
     out = Path(args.out)
@@ -118,8 +118,8 @@ def cmd_extract(args) -> int:
         )
         for i, sub in enumerate(accepted)
     ]
-    cio.write_metadata(records, out / "metadata.ndjson")
-    cio.write_rejections(rejections, out / "rejections.ndjson")
+    cio.write_ndjson(records, out / "metadata.ndjson")
+    cio.write_ndjson(rejections, out / "rejections.ndjson")
     print(f"extract: {len(accepted)} accepted, {len(rejections)} rejected -> {out}")
     return EXIT_OK
 

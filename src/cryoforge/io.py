@@ -7,13 +7,15 @@ mode 2 (32-bit float) is supported; everything the pipeline produces is a
 float density and keeping a single mode makes round-trips bit-exact.
 
 Ground-truth metadata travels in newline-delimited JSON sidecars, one
-record per line, so it stays human-inspectable and streamable.
-
-Each stage artifact has one writer and one reader here: the tilt series
-(``tilts.mrc`` + ``angles.ndjson``), the alignment, the particle
-instances, the rejections, and the subtomograms with their metadata
-records. The CLI subcommands and ``run_pipeline`` both go through them,
-so a pipeline run's files feed the CLI stages.
+record per line, so it stays human-inspectable and streamable. One codec
+writes and reads them all: a row is a dict (provenance) or a dataclass
+whose fields are the row's keys (``SubtomogramRecord``, ``TiltRow``,
+``AlignmentResult``, ``scene.ParticleInstance``, ``subtomo.Rejection``);
+a row read into a dataclass must carry every required field and no other.
+The tilt series (``tilts.mrc`` + ``angles.ndjson``) and the subtomograms
+have their own writer and reader. The CLI subcommands and
+``run_pipeline`` both go through them, so a pipeline run's files feed the
+CLI stages.
 
 Every writer fills a hidden temporary sibling of its target and renames
 it onto the target only once the write is complete, so a failed write
@@ -26,14 +28,13 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import unit_quaternion
-from .scene import ParticleInstance
-from .subtomo import SNR_TARGETS, ExtractedSubtomogram, Rejection, snr_tag
+from .subtomo import SNR_TARGETS, ExtractedSubtomogram, snr_tag
 from .tiltalign import AlignmentResult
 from .tiltsim import TiltGeometry, TiltSeries
 from .volume import DensityVolume, centred_sums, float_in, int_at_least, three_ints
@@ -81,6 +82,16 @@ class SubtomogramRecord:
             raise ValueError("center_offset must have 3 components")
         if self.snr_tag not in SNR_TAGS:
             raise ValueError(f"snr_tag must be one of {SNR_TAGS}, got {self.snr_tag!r}")
+
+
+@dataclass(frozen=True)
+class TiltRow:
+    """One row of ``angles.ndjson``: a view's index, tilt angle and the
+    drift applied to it."""
+
+    index: int
+    angle_deg: float
+    applied_shift: tuple[float, float]
 
 
 @contextmanager
@@ -177,9 +188,42 @@ def read_mrc(path) -> DensityVolume:
     return DensityVolume(data, float(voxel_sizes.mean()), origin)
 
 
-def _read_rows(path, parse) -> list:
-    """NDJSON rows of ``path``, each passed through ``parse``. A line that is
-    not JSON, or that ``parse`` rejects, raises MetadataParseError."""
+def _jsonable(value):
+    """``json.dumps`` hook: a numpy array as its list; anything else that
+    json cannot write stays a TypeError."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def write_ndjson(rows, path) -> None:
+    """Write rows as NDJSON, one per line with sorted keys: a dict as it is
+    (provenance, embeddings...), a dataclass as its fields."""
+    with _replacing(path, "w") as fh:
+        for row in rows:
+            row = row if isinstance(row, dict) else asdict(row)
+            fh.write(json.dumps(row, sort_keys=True, default=_jsonable))
+            fh.write("\n")
+
+
+def _from_row(cls, row):
+    """``cls(**row)``, once ``row`` holds every required field of the
+    dataclass ``cls`` and no key that is not one of its fields."""
+    names = {f.name for f in fields(cls)}
+    for f in fields(cls):
+        if f.name not in row and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing field {f.name!r}")
+    for key in row:
+        if key not in names:
+            raise ValueError(f"unknown field {key!r}")
+    return cls(**row)
+
+
+def read_ndjson(path, cls=None) -> list:
+    """NDJSON rows of ``path``: dicts, or ``cls(**row)`` per line for a
+    dataclass ``cls``. A line that is not JSON, lacks a required field,
+    carries an unknown one, or that ``cls`` rejects raises
+    MetadataParseError."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -187,33 +231,14 @@ def _read_rows(path, parse) -> list:
             if not line:
                 continue
             try:
-                payload = json.loads(line)
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MetadataParseError(path, lineno, f"invalid JSON: {exc}") from exc
             try:
-                rows.append(parse(payload))
-            except KeyError as exc:
-                raise MetadataParseError(path, lineno, f"missing field {exc}") from exc
+                rows.append(row if cls is None else _from_row(cls, row))
             except (TypeError, ValueError) as exc:
                 raise MetadataParseError(path, lineno, str(exc)) from exc
     return rows
-
-
-def write_ndjson(rows: list[dict], path) -> None:
-    """Write generic dict rows as NDJSON (provenance, embeddings...)."""
-    with _replacing(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
-
-
-def read_ndjson(path) -> list[dict]:
-    return _read_rows(path, lambda row: row)
-
-
-def write_metadata(records, path) -> None:
-    """Write SubtomogramRecords as NDJSON, one record per line."""
-    write_ndjson([asdict(rec) for rec in records], path)
 
 
 def write_subtomogram(
@@ -237,110 +262,44 @@ def write_subtomogram(
 
 
 def read_metadata(path) -> list[SubtomogramRecord]:
-    """Read an NDJSON sidecar back into SubtomogramRecords."""
-    return _read_rows(
-        path,
-        lambda row: SubtomogramRecord(
-            volume_path=row["volume_path"],
-            class_label=row["class_label"],
-            center_offset=tuple(row["center_offset"]),
-            orientation=tuple(row["orientation"]),
-            snr_tag=row["snr_tag"],
-            mask_path=row.get("mask_path"),
-        ),
-    )
+    return read_ndjson(path, SubtomogramRecord)
 
 
 def write_tilt_series(series: TiltSeries, directory) -> None:
     """Write ``directory/tilts.mrc``, the series' float32 stack as it is,
-    at the series' voxel size, and ``directory/angles.ndjson``, one row per
-    tilt with its angle and applied drift."""
+    at the series' voxel size, and ``directory/angles.ndjson``, one
+    TiltRow per tilt."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     write_mrc(DensityVolume(series.projections, series.voxel_size), directory / "tilts.mrc")
-    write_ndjson(
-        [
-            {"index": i, "angle_deg": a, "applied_shift": list(s)}
-            for i, (a, s) in enumerate(zip(series.geometry.angles, series.applied_shifts))
-        ],
-        directory / "angles.ndjson",
-    )
+    views = zip(series.geometry.angles, series.applied_shifts)
+    write_ndjson([TiltRow(i, a, s) for i, (a, s) in enumerate(views)], directory / "angles.ndjson")
 
 
 def read_tilt_series(tilts_path, angles_path) -> TiltSeries:
     """Read a stack and its angle rows back as a TiltSeries whose
     ``projections`` is the stack's float32 payload itself."""
     stack = read_mrc(tilts_path)
-    rows = _read_rows(angles_path, lambda row: (row["angle_deg"], tuple(row["applied_shift"])))
+    rows = read_ndjson(angles_path, TiltRow)
     views = len(stack.data)
     if len(rows) != views:
         raise ValueError(f"{tilts_path}: {views} views, {angles_path}: {len(rows)} angles")
     try:
-        geometry = TiltGeometry(angles=[angle for angle, _ in rows])
+        geometry = TiltGeometry(angles=[row.angle_deg for row in rows])
     except ValueError as exc:
         raise ValueError(f"{angles_path}: {exc}") from exc
     return TiltSeries(
         geometry=geometry,
         projections=stack.data,
-        applied_shifts=[shift for _, shift in rows],
+        applied_shifts=[tuple(row.applied_shift) for row in rows],
         voxel_size=stack.voxel_size,
-    )
-
-
-def write_alignment(align: AlignmentResult, path) -> None:
-    """Write an alignment as one NDJSON row: the per-tilt shifts and the
-    refined axis angle, offset and residual."""
-    write_ndjson(
-        [
-            {
-                "shifts": [list(s) for s in align.shifts],
-                "axis_angle_deg": align.axis_angle,
-                "axis_offset": align.axis_offset,
-                "residual_mse": align.residual_mse,
-            }
-        ],
-        path,
     )
 
 
 def read_alignment(path) -> AlignmentResult:
     """Read the one alignment row. Only ``shifts`` is required (it is all
     that reconstruction uses); absent axis fields read as 0."""
-    rows = _read_rows(
-        path,
-        lambda row: AlignmentResult(
-            shifts=[tuple(s) for s in row["shifts"]],
-            axis_angle=row.get("axis_angle_deg", 0.0),
-            axis_offset=row.get("axis_offset", 0.0),
-            residual_mse=row.get("residual_mse", 0.0),
-        ),
-    )
+    rows = read_ndjson(path, AlignmentResult)
     if len(rows) != 1:
         raise ValueError(f"{path}: expected one alignment row, found {len(rows)}")
     return rows[0]
-
-
-def write_instances(instances: list[ParticleInstance], path) -> None:
-    """Write particle instances as NDJSON: label, (d, h, w) centre and
-    (w, x, y, z) orientation per line."""
-    write_ndjson(
-        [
-            {
-                "class_label": inst.class_label,
-                "center": [float(v) for v in inst.center],
-                "orientation": [float(v) for v in inst.orientation],
-            }
-            for inst in instances
-        ],
-        path,
-    )
-
-
-def read_instances(path) -> list[ParticleInstance]:
-    return _read_rows(
-        path, lambda row: ParticleInstance(row["class_label"], row["center"], row["orientation"])
-    )
-
-
-def write_rejections(rejections: list[Rejection], path) -> None:
-    write_ndjson([asdict(r) for r in rejections], path)

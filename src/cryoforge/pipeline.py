@@ -53,7 +53,7 @@ from .structure import DensifyConfig, densify, parse_pdb
 from .subtomo import (
     SNR_TARGETS, ExtractionConfig, NoiseSpec, add_noise, extract, make_mask, snr_tag,
 )
-from .tiltalign import align_series, refine_axis
+from .tiltalign import AlignmentResult, align_series, refine_axis
 from .tiltsim import TiltGeometry, default_jobs, simulate_tilt_series
 from .volume import DensityVolume, centred_sums, float_in, int_at_least
 
@@ -313,7 +313,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     # placement stops short of target_count after max_attempts straight rejections
     with _stage("place", target_count=cfg.placement.target_count) as row:
         instances = place_particles(sorted(cfg.structures), cfg.placement)
-        cio.write_instances(instances, out / "instances.ndjson")
+        cio.write_ndjson(instances, out / "instances.ndjson")
     row.update(placed=len(instances))
     with _stage("compose") as row:
         sample = compose_sample(densities, instances, cfg.placement)
@@ -340,10 +340,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         align = align_series(series)
     row.update(_drift_rms_x(series.applied_shifts, align.shifts))
     with _stage("refine_axis"):
-        align.axis_angle, align.axis_offset, align.residual_mse = refine_axis(
-            series, align.shifts
-        )
-        cio.write_alignment(align, out / "alignment.ndjson")
+        align = AlignmentResult(align.shifts, *refine_axis(series, align.shifts))
+        cio.write_ndjson([align], out / "alignment.ndjson")
 
     # reconstruct
     with _stage("reconstruct", jobs=cfg.jobs) as row:
@@ -358,7 +356,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     # extract
     with _stage("extract") as row:
         accepted, rejections = extract(tomo, instances, cfg.extraction)
-        cio.write_rejections(rejections, out / "rejections.ndjson")
+        cio.write_ndjson(rejections, out / "rejections.ndjson")
     row.update(_subtomo_corr(accepted, sample))
 
     # noise: clean references, masks, and per-SNR noisy copies
@@ -384,7 +382,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     row.update(snr_err=float(snr_err))
 
     metadata_path = out / "metadata.ndjson"
-    cio.write_metadata(records, metadata_path)
+    cio.write_ndjson(records, metadata_path)
     cio.write_ndjson(provenance, out / "provenance.ndjson")
     return PipelineResult(
         output_dir=out,

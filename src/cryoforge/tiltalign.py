@@ -40,20 +40,23 @@ class UnderdeterminedError(ValueError):
     """Too few views to constrain the axis refinement."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlignmentResult:
+    """The row of ``alignment.ndjson``: its fields are the file's keys."""
+
     shifts: list[tuple[float, float]]  # estimated applied (dx, dy) per tilt
-    axis_angle: float = 0.0  # degrees, in-plane rotation from detector y
+    axis_angle_deg: float = 0.0  # in-plane rotation from detector y
     axis_offset: float = 0.0  # voxels
     residual_mse: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "shifts", [tuple(s) for s in self.shifts])
         for shift in self.shifts:
             if len(shift) != 2:
                 raise ValueError(f"shifts must be (dx, dy) pairs, got {list(shift)!r}")
             for v in shift:
                 float_in(v, "shifts", "(-inf, inf)")
-        float_in(self.axis_angle, "axis_angle", "(-inf, inf)")
+        float_in(self.axis_angle_deg, "axis_angle_deg", "(-inf, inf)")
         float_in(self.axis_offset, "axis_offset", "(-inf, inf)")
         float_in(self.residual_mse, "residual_mse", "[0, inf)")
 

@@ -70,7 +70,7 @@ class TiltGeometry:
         self.seed = int_at_least(self.seed, "seed", 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TiltSeries:
     """One view per angle and its applied drift. ``projections`` has one
     form, fixed here: a C-contiguous float32 (n_tilts, H, W) stack, the
@@ -83,7 +83,8 @@ class TiltSeries:
     rows_projected: int | None = None  # rows along h projected; None when read from files
 
     def __post_init__(self):
-        self.projections = np.ascontiguousarray(self.projections, dtype=np.float32)
+        projections = np.ascontiguousarray(self.projections, dtype=np.float32)
+        object.__setattr__(self, "projections", projections)
         if self.projections.ndim != 3:
             raise ValueError(f"projections must be (n_tilts, H, W), got {self.projections.shape}")
         n = len(self.geometry.angles)

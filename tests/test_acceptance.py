@@ -31,14 +31,15 @@ from cryoforge.nrcl import EmbeddingBatch, LossConfig, infonce_loss, nrcl_step, 
 from cryoforge.pipeline import PipelineConfig, run_pipeline
 from cryoforge.recon import ReconConfig, reproject, wbp_reconstruct
 from cryoforge.scene import (
+    ParticleInstance,
     PlacementConfig,
     compose_sample,
     poisson_disk_sample,
     quat_to_matrix,
     shoemake_quaternion,
 )
-from cryoforge.subtomo import NoiseSpec, add_noise, signal_variance
-from cryoforge.tiltalign import align_series, phase_correlate
+from cryoforge.subtomo import NoiseSpec, Rejection, add_noise, signal_variance
+from cryoforge.tiltalign import AlignmentResult, align_series, phase_correlate
 from cryoforge.tiltsim import TiltGeometry, default_angles, fourier_shift_2d, simulate_tilt_series
 from cryoforge.volume import DensityVolume
 
@@ -347,7 +348,7 @@ def test_pipeline_sample_projects_alike_through_both_projectors(pipeline_runs):
     first, _ = pipeline_runs
     out = first.output_dir
     densities = {path.stem: cio.read_mrc(path) for path in (out / "densities").glob("*.mrc")}
-    instances = cio.read_instances(out / "instances.ndjson")
+    instances = cio.read_ndjson(out / "instances.ndjson", ParticleInstance)
     sample = compose_sample(densities, instances, PlacementConfig(volume_dims=PIPELINE_DIMS))
     angles = default_angles()
     spline = simulate_tilt_series(sample, TiltGeometry(angles=angles, shift_range=0.0)).projections
@@ -381,6 +382,28 @@ def test_pipeline_outputs_match_their_pinned_digests(pipeline_runs):
         if expected.get(name) != found.get(name)
     }
     assert not moved, f"{len(moved)} outputs moved (pinned, found): {moved}"
+
+
+@pytest.mark.parametrize(
+    "name, cls",
+    [
+        ("instances.ndjson", ParticleInstance),
+        ("tilt_series/angles.ndjson", cio.TiltRow),
+        ("alignment.ndjson", AlignmentResult),
+        ("metadata.ndjson", cio.SubtomogramRecord),
+        ("rejections.ndjson", Rejection),
+    ],
+)
+def test_pipeline_ndjson_round_trips_through_its_dataclass(pipeline_runs, tmp_path, name, cls):
+    # each artifact row is its dataclass's fields: read into it and written
+    # back, every file is the same bytes (this run rejects no particle, so
+    # its rejections file is empty)
+    first, _ = pipeline_runs
+    path = first.output_dir / name
+    rows = cio.read_ndjson(path, cls)
+    assert all(isinstance(row, cls) for row in rows)
+    cio.write_ndjson(rows, tmp_path / "back.ndjson")
+    assert (tmp_path / "back.ndjson").read_bytes() == path.read_bytes()
 
 
 def test_cli_densify_reproduces_the_pipeline_densities(pipeline_runs, tmp_path):
@@ -423,5 +446,5 @@ def test_criterion_11_io_round_trips(tmp_path):
             )
         )
     meta = tmp_path / "meta.ndjson"
-    cio.write_metadata(records, meta)
+    cio.write_ndjson(records, meta)
     assert cio.read_metadata(meta) == records

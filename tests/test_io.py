@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from cryoforge.io import (
     read_metadata,
     read_mrc,
     read_ndjson,
-    write_metadata,
     write_mrc,
     write_ndjson,
 )
+from cryoforge.scene import ParticleInstance
 from cryoforge.subtomo import ExtractedSubtomogram
 from cryoforge.volume import DensityVolume
 
@@ -214,7 +215,7 @@ def test_write_subtomogram_writes_volume_and_relative_record(tmp_path):
 
 def test_metadata_empty_round_trip(tmp_path):
     path = tmp_path / "m.ndjson"
-    write_metadata([], path)
+    write_ndjson([], path)
     assert path.read_text() == ""
     assert read_metadata(path) == []
 
@@ -222,7 +223,7 @@ def test_metadata_empty_round_trip(tmp_path):
 def test_metadata_identity_quaternion_round_trip(tmp_path):
     path = tmp_path / "m.ndjson"
     rec = _record()
-    write_metadata([rec], path)
+    write_ndjson([rec], path)
     assert read_metadata(path) == [rec]
 
 
@@ -233,13 +234,13 @@ def test_metadata_many_random_quaternions_round_trip(tmp_path, rng):
         q /= np.linalg.norm(q)
         records.append(_record(i, tuple(q)))
     path = tmp_path / "m.ndjson"
-    write_metadata(records, path)
+    write_ndjson(records, path)
     assert read_metadata(path) == records
 
 
 def test_metadata_bad_line_reports_line_number(tmp_path):
     path = tmp_path / "m.ndjson"
-    write_metadata([_record()], path)
+    write_ndjson([_record()], path)
     path.write_text(path.read_text() + "not json\n")
     with pytest.raises(MetadataParseError) as err:
         read_metadata(path)
@@ -269,7 +270,7 @@ def test_record_validates_quaternion_and_tag():
     "row, message",
     [
         ({"shifts": [[0.0, 0.0], [float("nan"), 0.0]]}, "shifts must be finite, got nan"),
-        ({"shifts": [[0.0, 0.0]], "axis_angle_deg": float("inf")}, "axis_angle must be finite"),
+        ({"shifts": [[0.0, 0.0]], "axis_angle_deg": float("inf")}, "axis_angle_deg must be finite"),
         ({"shifts": [[0.0, 0.0], [1.0, 2.0, 3.0]]}, r"shifts must be \(dx, dy\) pairs"),
     ],
 )
@@ -279,6 +280,30 @@ def test_read_alignment_rejects_bad_values_naming_the_line(tmp_path, row, messag
     write_ndjson([row], path)
     with pytest.raises(MetadataParseError, match=f"^{re.escape(str(path))}: line 1: {message}"):
         read_alignment(path)
+
+
+@pytest.mark.parametrize(
+    "read, row, message",
+    [
+        (read_alignment, {"shift": [[0.0, 0.0]]}, "missing field 'shifts'"),
+        (read_alignment, {"shifts": [[0.0, 0.0]], "axis_angle": 1.0}, "unknown field 'axis_angle'"),
+        (read_metadata, {**asdict(_record()), "snr": 0.1}, "unknown field 'snr'"),
+    ],
+)
+def test_read_into_a_dataclass_names_a_missing_or_unknown_field(tmp_path, read, row, message):
+    # an unknown key used to be dropped without a word
+    path = tmp_path / "rows.ndjson"
+    write_ndjson([row], path)
+    with pytest.raises(MetadataParseError, match=f"^{re.escape(str(path))}: line 1: {message}$"):
+        read(path)
+
+
+def test_write_ndjson_writes_a_dataclass_as_its_fields_and_arrays_as_lists(tmp_path):
+    path = tmp_path / "r.ndjson"
+    write_ndjson([ParticleInstance("a", [1, 2, 3], [1, 0, 0, 0])], path)
+    assert path.read_text() == (
+        '{"center": [1.0, 2.0, 3.0], "class_label": "a", "orientation": [1.0, 0.0, 0.0, 0.0]}\n'
+    )
 
 
 def test_ndjson_round_trip(tmp_path):
@@ -298,7 +323,7 @@ def _failing_mrc_write(monkeypatch, path):
 
 
 def _failing_metadata_write(monkeypatch, path):
-    write_metadata([_record(), object()], path)  # the second record is no dataclass
+    write_ndjson([_record(), object()], path)  # the second record is no dataclass
 
 
 def _failing_ndjson_write(monkeypatch, path):

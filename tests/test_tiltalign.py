@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -57,6 +58,13 @@ def test_shape_mismatch_rejected(rng):
 def test_alignment_result_validates():
     with pytest.raises(ValueError):
         AlignmentResult(shifts=[(0.0, 0.0)], residual_mse=-1.0)
+
+
+def test_alignment_result_is_frozen_with_tuple_shifts():
+    result = AlignmentResult(shifts=[[1.0, 2.0]], axis_angle_deg=3.0)
+    assert result.shifts == [(1.0, 2.0)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.axis_angle_deg = float("nan")  # would skip the finite check
 
 
 def _series(shift_range, seed=13):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import threading
@@ -80,6 +81,15 @@ def test_series_projections_are_one_float32_stack():
     assert series.projections.dtype == np.float32 and series.projections.shape == (3, 4, 5)
     assert series.projections.flags.c_contiguous
     assert np.array_equal(series.projections[2], views[2])
+
+
+def test_series_fields_cannot_be_reassigned():
+    # a reassigned stack used to skip the count check and fail inside scipy
+    geom = TiltGeometry(angles=[-2.0, 0.0, 2.0])
+    series = TiltSeries(geom, projections=np.zeros((3, 4, 5)), applied_shifts=[(0.0, 0.0)] * 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        series.projections = np.zeros((2, 4, 5))
+    assert series.projections.shape == (3, 4, 5)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 5, 2)])
