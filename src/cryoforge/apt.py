@@ -282,105 +282,69 @@ def apt_forward(
 
 
 def octahedral_rotations():
-    """The 24 proper rotations of the cube as array operations.
-
-    Each entry is (name, fn) with fn acting on a 3D array the way the
-    rotation acts on index vectors about the array center.
-    """
+    """The 24 proper rotations of the cube as array operations, each acting
+    on a 3D array the way the rotation acts on index vectors about the
+    array center: an axis permutation then flips, kept when that signed
+    permutation has determinant +1."""
     ops = []
     for perm in itertools.permutations(range(3)):
-        parity = ((perm[0], perm[1], perm[2]) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
         for flips in itertools.product((1, -1), repeat=3):
-            det = (1 if parity else -1) * flips[0] * flips[1] * flips[2]
-            if det != 1:
-                continue
-            axes = tuple(a for a, f in zip(range(3), flips) if f == -1)
-
-            def fn(arr, perm=perm, axes=axes):
-                out = np.transpose(arr, perm)
-                return np.flip(out, axis=axes) if axes else out
-
-            ops.append((f"perm{perm}flip{axes}", fn))
+            if np.linalg.det(np.eye(3)[list(perm)] * flips) > 0:
+                axes = tuple(a for a in range(3) if flips[a] == -1)
+                ops.append(lambda arr, p=perm, a=axes: np.flip(np.transpose(arr, p), a))
     return ops
 
 
-def _shift_component_map(index, g, s):
-    """Phase index and internal roll that a circular shift g induces."""
-    new_index = tuple((index[a] + g[a]) % s[a] for a in range(3))
-    inner = tuple((index[a] + g[a]) // s[a] for a in range(3))
-    return new_index, inner
-
-
 def verify_equivariance(
-    net: SteerableSelectionNet,
-    trials: int = 20,
-    seed: int = 0,
-    volume_shape: tuple[int, int, int] = (16, 16, 16),
-    shifts_per_trial: int | None = None,
+    net: SteerableSelectionNet, trials: int = 20, seed: int = 0, size: int = 16
 ) -> dict:
     """Property suite for translation and rotation equivariance.
 
-    Runs random periodic volumes through the tokenizer at the default
-    :class:`PatchSize` and checks, per trial: probability shift-permutation
-    (tolerance 1e-5), voxel-exact translated extraction, pooled-logit
-    rotation invariance (1e-6), probability rotation invariance (1e-5), and
-    voxel-exact rotated extraction under the 24 octahedral rotations.
+    Runs random periodic size^3 volumes through the tokenizer at the
+    default :class:`PatchSize` and checks, per trial, under every circular
+    shift within one patch: probability shift-permutation (tolerance 1e-5)
+    and voxel-exact translated extraction; under the 24 octahedral
+    rotations: pooled-logit invariance (1e-6), probability invariance
+    (1e-5) and voxel-exact rotated extraction.
     """
     trials = int_at_least(trials, "trials", 1)
+    rng = np.random.default_rng(int_at_least(seed, "seed", 0))
+    size = int_at_least(size, "size", 1)
     patch = PatchSize()
-    rng = np.random.default_rng(seed)
     s = patch.as_tuple()
-    max_prob_dev_shift = 0.0
-    max_logit_dev_rot = 0.0
-    max_prob_dev_rot = 0.0
-    shift_exact = True
-    rot_exact = True
+    axes = (0, 1, 2)
     rotations = octahedral_rotations()
-    all_shifts = list(itertools.product(*(range(si) for si in s)))
-    for _ in range(trials):
-        vol = rng.normal(size=volume_shape)
+
+    def tokenize(vol):
         comps = polyphase_decompose(vol, patch)
         logits = component_logits(comps, net)
         probs = softmax(logits)
-        sel = gumbel_select(probs)
-        selected = comps[sel]
+        index = gumbel_select(probs)
+        return logits, probs, index, comps[index]
 
-        shifts = all_shifts
-        if shifts_per_trial is not None:
-            picks = rng.choice(len(all_shifts), size=shifts_per_trial, replace=False)
-            shifts = [all_shifts[i] for i in picks]
-        for g in shifts:
-            shifted = np.roll(vol, g, axis=(0, 1, 2))
-            comps_g = polyphase_decompose(shifted, patch)
-            probs_g = softmax(component_logits(comps_g, net))
+    max_prob_dev_shift = max_logit_dev_rot = max_prob_dev_rot = 0.0
+    shift_exact = rot_exact = True
+    for _ in range(trials):
+        vol = rng.normal(size=(size, size, size))
+        logits, probs, index, selected = tokenize(vol)
+        for g in itertools.product(*map(range, s)):
+            shifted = np.roll(vol, g, axis=axes)
+            _, probs_g, index_g, selected_g = tokenize(shifted)
             # probs of the shifted volume are the index-mapped originals
-            expected = np.roll(probs, g, axis=(0, 1, 2))
-            max_prob_dev_shift = max(
-                max_prob_dev_shift, float(np.abs(probs_g - expected).max())
+            dev = float(np.abs(probs_g - np.roll(probs, g, axis=axes)).max())
+            max_prob_dev_shift = max(max_prob_dev_shift, dev)
+            # phase p moves to (p + g) mod s and rolls by (p + g) // s inside it
+            inner, expected = zip(*map(divmod, np.add(index, g), s))
+            shift_exact &= index_g == expected and np.array_equal(
+                selected_g, np.roll(selected, inner, axis=axes)
             )
-            sel_g = gumbel_select(probs_g)
-            exp_index, inner = _shift_component_map(sel, g, s)
-            if sel_g != exp_index or not np.array_equal(
-                comps_g[sel_g], np.roll(selected, inner, axis=(0, 1, 2))
-            ):
-                shift_exact = False
-
-        if volume_shape[0] == volume_shape[1] == volume_shape[2]:
-            for _, rot in rotations:
-                rvol = rot(vol)
-                comps_r = polyphase_decompose(np.ascontiguousarray(rvol), patch)
-                logits_r = component_logits(comps_r, net)
-                probs_r = softmax(logits_r)
-                # the phase grid transforms by the same array operation
-                max_logit_dev_rot = max(
-                    max_logit_dev_rot, float(np.abs(logits_r - rot(logits)).max())
-                )
-                max_prob_dev_rot = max(
-                    max_prob_dev_rot, float(np.abs(probs_r - rot(probs)).max())
-                )
-                sel_r = gumbel_select(probs_r)
-                if not np.array_equal(comps_r[sel_r], rot(selected)):
-                    rot_exact = False
+        for rot in rotations:
+            rotated = rot(vol)
+            logits_r, probs_r, _, selected_r = tokenize(rotated)
+            # the phase grid transforms by the same array operation
+            max_logit_dev_rot = max(max_logit_dev_rot, float(np.abs(logits_r - rot(logits)).max()))
+            max_prob_dev_rot = max(max_prob_dev_rot, float(np.abs(probs_r - rot(probs)).max()))
+            rot_exact &= np.array_equal(selected_r, rot(selected))
 
     report = {
         "trials": trials,
@@ -393,9 +357,7 @@ def verify_equivariance(
             "max_logit_deviation": max_logit_dev_rot,
             "max_probability_deviation": max_prob_dev_rot,
             "extraction_voxel_exact": rot_exact,
-            "pass": bool(
-                max_logit_dev_rot < 1e-6 and max_prob_dev_rot < 1e-5 and rot_exact
-            ),
+            "pass": bool(max_logit_dev_rot < 1e-6 and max_prob_dev_rot < 1e-5 and rot_exact),
         },
     }
     report["pass"] = bool(report["translation"]["pass"] and report["rotation"]["pass"])

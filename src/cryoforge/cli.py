@@ -35,7 +35,7 @@ EXIT_IO = 2
 
 
 def _seed(args) -> int:
-    return args.seed if args.seed is not None else 0
+    return 0 if args.seed is None else int_at_least(args.seed, "--seed", 0)
 
 
 def _dims(text: str) -> tuple[int, int, int]:

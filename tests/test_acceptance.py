@@ -50,7 +50,7 @@ def equivariance_report():
     weights, all 64 shifts with s=(4,4,4) and all 24 octahedral rotations."""
     rng = np.random.default_rng(2024)
     net = SteerableSelectionNet.random(rng)
-    return verify_equivariance(net, trials=20, seed=2024, volume_shape=(32, 32, 32))
+    return verify_equivariance(net, trials=20, seed=2024, size=32)
 
 
 def test_criterion_01_translation_equivariant_extraction(equivariance_report):

@@ -100,7 +100,7 @@ def test_logit_rotation_invariance(rng):
     comp = rng.normal(size=(8, 8, 8))
     (base,) = component_logits(comp[None], net)
     scale = max(1.0, abs(base))
-    for _, rot in octahedral_rotations():
+    for rot in octahedral_rotations():
         (rotated,) = component_logits(np.ascontiguousarray(rot(comp))[None], net)
         assert abs(rotated - base) < 1e-6 * scale
 
@@ -200,14 +200,43 @@ def test_octahedral_rotation_group_has_24_distinct_ops(rng):
     vol = rng.normal(size=(6, 6, 6))
     ops = octahedral_rotations()
     assert len(ops) == 24
-    images = [rot(vol).tobytes() for _, rot in ops]
+    images = [rot(vol).tobytes() for rot in ops]
     assert len(set(images)) == 24
+
+
+def _signed_permutation(rot, n=5):
+    """The matrix M of ``rot`` on index vectors about the centre of an n^3
+    grid, read off where it sends one off-centre voxel per axis."""
+    c = n // 2
+    columns = []
+    for axis in range(3):
+        probe = np.zeros((n, n, n))
+        probe[tuple(c + (a == axis) for a in range(3))] = 1.0
+        (landed,) = np.argwhere(rot(probe) == 1.0)
+        columns.append(landed - c)
+    return np.stack(columns, axis=1)
+
+
+def test_octahedral_rotations_are_the_proper_rotation_group(rng):
+    ops = octahedral_rotations()
+    matrices = [_signed_permutation(rot) for rot in ops]
+    vol = rng.normal(size=(5, 5, 5))
+    grid = np.indices(vol.shape).reshape(3, -1)
+    for rot, m in zip(ops, matrices):
+        # a signed permutation of determinant +1, acting on every voxel
+        assert np.array_equal(np.abs(m).sum(axis=0), [1, 1, 1])
+        assert round(np.linalg.det(m)) == 1
+        moved = m @ (grid - 2) + 2
+        assert np.array_equal(rot(vol)[tuple(moved)], vol[tuple(grid)])
+    keys = {m.tobytes() for m in matrices}
+    assert len(keys) == 24 and np.eye(3, dtype=int).tobytes() in keys
+    assert all((a @ b).tobytes() in keys for a in matrices for b in matrices)
 
 
 def test_verify_equivariance_passes():
     rng = np.random.default_rng(4)
     net = SteerableSelectionNet.random(rng)
-    report = verify_equivariance(net, trials=2, seed=4, shifts_per_trial=8)
+    report = verify_equivariance(net, trials=2, seed=4)
     assert report["pass"]
     assert report["translation"]["extraction_voxel_exact"]
     assert report["rotation"]["max_logit_deviation"] < 1e-6
@@ -216,7 +245,7 @@ def test_verify_equivariance_passes():
 def test_verify_equivariance_negative_control():
     rng = np.random.default_rng(4)
     net = SteerableSelectionNet.random(rng, break_rotation=True)
-    report = verify_equivariance(net, trials=2, seed=4, shifts_per_trial=8)
+    report = verify_equivariance(net, trials=2, seed=4)
     assert report["translation"]["pass"]
     assert not report["rotation"]["pass"]
     assert not report["pass"]
@@ -225,6 +254,38 @@ def test_verify_equivariance_negative_control():
 def test_verify_equivariance_trials_guard():
     with pytest.raises(ValueError):
         verify_equivariance(SteerableSelectionNet(), trials=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [({"seed": -1}, "seed must be an integer >= 0, got -1"),
+     ({"size": 0}, "size must be an integer >= 1, got 0")],
+)
+def test_verify_equivariance_names_a_bad_seed_or_size(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        verify_equivariance(SteerableSelectionNet(), trials=1, **kwargs)
+
+
+def test_verify_equivariance_fails_a_selection_blind_to_shifts(monkeypatch):
+    # negative control: a selector that always picks phase (0, 0, 0) cannot
+    # follow a shift into the next phase
+    monkeypatch.setattr(apt, "gumbel_select", lambda probs: (0, 0, 0))
+    net = SteerableSelectionNet.random(np.random.default_rng(4))
+    translation = verify_equivariance(net, trials=2, seed=4)["translation"]
+    assert not translation["extraction_voxel_exact"]
+    assert not translation["pass"]
+
+
+def test_verify_equivariance_fails_logits_pinned_to_the_phase_grid(monkeypatch):
+    # negative control: a bias tied to phase index, not content, does not
+    # move with a shift, so the probabilities stop permuting
+    logits = apt.component_logits
+    bias = np.arange(64.0).reshape(4, 4, 4)
+    monkeypatch.setattr(apt, "component_logits", lambda comps, net: logits(comps, net) + bias)
+    net = SteerableSelectionNet.random(np.random.default_rng(4))
+    translation = verify_equivariance(net, trials=2, seed=4)["translation"]
+    assert translation["max_probability_deviation"] >= 1e-5
+    assert not translation["pass"]
 
 
 def test_component_logits_shape(rng):

@@ -143,6 +143,18 @@ def test_main_carries_no_option_between_calls(tmp_path):
     assert unseeded != (tmp_path / "seed5.mrc").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["noise", "verify"])
+def test_negative_seed_is_named_and_exits_1(tmp_path, capsys, command):
+    clean_path = tmp_path / "clean.mrc"
+    cio.write_mrc(DensityVolume(np.random.default_rng(0).random((8, 8, 8))), clean_path)
+    out = tmp_path / "noisy.mrc"
+    args = {"noise": ["noise", "--volume", str(clean_path), "--snr", "0.1", "--out", str(out)],
+            "verify": ["verify", "--trials", "1"]}[command]
+    assert main(["--seed", "-1", *args]) == 1
+    assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_main_runs_the_current_command_function(tmp_path, monkeypatch):
     # the parser outlives a main call; a cmd_* function replaced afterwards
     # (as the benchmark's tracer does) is still the one main runs

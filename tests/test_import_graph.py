@@ -119,6 +119,7 @@ def test_unused_import_finder(tmp_path):
 
 
 def test_package_has_no_unused_import():
-    unused = {path.name: _unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    unused = {path.name: _unused_imports(path) for path in paths}
     unused = {name: found for name, found in unused.items() if found}
     assert not unused, f"unused imports: {unused}"

@@ -10,7 +10,6 @@ import pytest
 
 from cryoforge import io as cio
 from cryoforge.io import (
-    HEADER_SIZE,
     MetadataParseError,
     MrcFormatError,
     SubtomogramRecord,
