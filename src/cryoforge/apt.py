@@ -215,7 +215,7 @@ def component_logits(components: np.ndarray, net: SteerableSelectionNet) -> np.n
     lead = components.shape[:-3]
     shape = components.shape[-3:]
     n = math.prod(shape)
-    flat = components.reshape(-1, *shape).astype(np.float64)
+    flat = components.reshape(-1, *shape).astype(np.float64, copy=False)
     F = np.fft.rfftn(flat, axes=(-3, -2, -1))
     mass, power, control = _kernel_spectra(shape)
     W = np.tensordot(net.w_energy, power, axes=2)

@@ -24,7 +24,7 @@ from .pipeline import PipelineConfig, StageError, run_pipeline, snr_tag
 from .recon import ReconConfig, wbp_reconstruct
 from .scene import ParticleInstance, PlacementConfig, place_particles
 from .structure import DensifyConfig, densify, parse_pdb
-from .subtomo import ExtractionConfig, NoiseSpec, add_noise, extract
+from .subtomo import ExtractionConfig, add_noise, extract
 from .tiltalign import AlignmentResult, align_series, refine_axis
 from .tiltsim import DEFAULT_JOBS_CAP, TiltGeometry, default_jobs, simulate_tilt_series
 from .volume import DensityVolume, int_at_least, three_ints
@@ -74,7 +74,7 @@ def cmd_place(args) -> int:
 
 def cmd_project(args) -> int:
     vol = cio.read_mrc(args.volume)
-    series = simulate_tilt_series(vol, TiltGeometry(seed=_seed(args)), jobs=_jobs(args))
+    series = simulate_tilt_series(vol, TiltGeometry(), seed=_seed(args), jobs=_jobs(args))
     cio.write_tilt_series(series, args.out)
     print(f"project: {len(series.projections)} tilts -> {args.out}")
     return EXIT_OK
@@ -108,8 +108,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_extract(args) -> int:
     tomo = cio.read_mrc(args.tomogram)
     instances = cio.read_ndjson(args.instances, ParticleInstance)
-    cfg = ExtractionConfig(seed=_seed(args))
-    accepted, rejections = extract(tomo, instances, cfg)
+    accepted, rejections = extract(tomo, instances, ExtractionConfig(), seed=_seed(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = [
@@ -126,7 +125,7 @@ def cmd_extract(args) -> int:
 
 def cmd_noise(args) -> int:
     vol = cio.read_mrc(args.volume)
-    (noisy,) = add_noise(vol, [NoiseSpec(snr_target=args.snr, seed=_seed(args))])
+    (noisy,) = add_noise(vol, [args.snr], seed=_seed(args))
     cio.write_mrc(noisy, args.out)
     print(f"noise: SNR {snr_tag(args.snr)} -> {args.out}")
     return EXIT_OK

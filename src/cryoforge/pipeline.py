@@ -4,9 +4,10 @@ Drives the nine stages densify -> place -> compose -> project -> align ->
 refine_axis -> reconstruct -> extract -> noise from a single JSON config,
 writing MRC volumes, NDJSON ground-truth metadata, and NDJSON provenance
 (config hash, seed, timings; one row per stage) into a per-run output
-directory. The config's nested sections hold what every stage runs with,
-the fields derived from the top-level ones included, so the config hash
-covers what ran. Metadata is deterministic for a fixed seed; provenance
+directory. The config hash covers every field but ``jobs``, so it covers
+what ran: the seed, which project, extract and noise take as an argument,
+and the copies the placement and recon sections derive. Metadata is
+deterministic for a fixed seed; provenance
 carries wall-clock timings, peak memory, the worker count of the threaded
 stages (project, reconstruct), the python, numpy and scipy versions and
 the BLAS and OpenMP thread caps the run had, the atom count and
@@ -51,7 +52,7 @@ from .recon import MIN_TILTS, ReconConfig, wbp_reconstruct
 from .scene import PlacementConfig, compose_sample, place_particles
 from .structure import DensifyConfig, densify, parse_pdb
 from .subtomo import (
-    SNR_TARGETS, ExtractionConfig, NoiseSpec, add_noise, extract, make_mask, snr_tag,
+    SNR_TARGETS, ExtractionConfig, add_noise, extract, make_mask, snr_tag,
 )
 from .tiltalign import AlignmentResult, align_series, refine_axis
 from .tiltsim import TiltGeometry, default_jobs, simulate_tilt_series
@@ -118,15 +119,13 @@ class PipelineConfig:
                 raise PipelineConfigError(
                     f"structure label {label!r} must be one plain path component"
                 )
-        # the nested fields every stage takes from the top-level ones
+        # the nested fields placement and reconstruct take from the top-level ones
         self.placement = dataclasses.replace(
             self.placement,
             seed=self.seed,
             target_count=self.particles_per_class * len(self.structures),
         )
-        self.tilt = dataclasses.replace(self.tilt, seed=self.seed)
         self.recon = dataclasses.replace(self.recon, output_dims=self.placement.volume_dims)
-        self.extraction = dataclasses.replace(self.extraction, seed=self.seed)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -146,6 +145,13 @@ class PipelineConfig:
                 section = top.pop(key)
                 if not isinstance(section, dict):
                     raise PipelineConfigError(f"{key} must be a JSON object, got {section!r}")
+                known = {f.name for f in dataclasses.fields(ctor)}
+                for name in section:
+                    if name not in known:
+                        raise PipelineConfigError(
+                            f"{key}: unknown field {name!r}; {key}.{name} is not a "
+                            f"{ctor.__name__} field"
+                        )
                 try:
                     kwargs[key] = ctor(**section)
                 except (TypeError, ValueError) as exc:
@@ -178,8 +184,8 @@ class PipelineConfig:
 
     def config_hash(self) -> str:
         """sha256 of the config as sorted-key JSON (tuples written as lists),
-        without ``jobs``, which outputs do not depend on. The nested sections
-        hold the derived values, so configs that run alike hash alike."""
+        without ``jobs``, which outputs do not depend on. The seed and the
+        derived copies are in it, so configs that run alike hash alike."""
         fields = {k: v for k, v in dataclasses.asdict(self).items() if k != "jobs"}
         return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
@@ -255,7 +261,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     run fails fast with that stage's name at the first error, a failed
     write included; provenance.ndjson is then written with the rows up to
     the failed stage's. Every stage runs with the config's sections as
-    they are.
+    they are; project, extract and noise also take ``cfg.seed``.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -325,7 +331,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     # project: simulated tilt series with recorded drifts
     with _stage("project", jobs=cfg.jobs) as row:
-        series = simulate_tilt_series(sample, cfg.tilt, jobs=cfg.jobs)
+        series = simulate_tilt_series(sample, cfg.tilt, seed=cfg.seed, jobs=cfg.jobs)
         cio.write_tilt_series(series, out / "tilt_series")
     row.update(
         stack_shape=list(series.projections.shape),
@@ -355,7 +361,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     # extract
     with _stage("extract") as row:
-        accepted, rejections = extract(tomo, instances, cfg.extraction)
+        accepted, rejections = extract(tomo, instances, cfg.extraction, seed=cfg.seed)
         cio.write_ndjson(rejections, out / "rejections.ndjson")
     row.update(_subtomo_corr(accepted, sample))
 
@@ -370,8 +376,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             mask = make_mask(clean, cfg.extraction).astype(np.float32)
             mask_path = out / "masks" / f"{i:04d}.mrc"
             cio.write_mrc(DensityVolume(mask, tomo.voxel_size), mask_path)
-            specs = [NoiseSpec(t, seed=(cfg.seed, i, j)) for j, t in enumerate(cfg.snr_targets)]
-            noisy = add_noise(clean, specs)
+            noisy = add_noise(clean, cfg.snr_targets, seed=cfg.seed, index=i)
             c = clean.data.astype(np.float64)  # realized SNR: var(clean) / var(noisy - clean)
             signal = np.var(c)
             for vol, target in zip(noisy, cfg.snr_targets):  # float32 - float64 is float64

@@ -32,24 +32,13 @@ class ExtractionConfig:
     box: int = 32
     jitter_range: int = 2  # +/- voxels, integer, per axis
     neighbor_exclusion: float = 17.0
-    seed: int = 0
     mask_threshold: float = 0.05  # fraction of the particle peak
 
     def __post_init__(self):
         self.box = int_at_least(self.box, "box", 8)
         float_in(self.neighbor_exclusion, "neighbor_exclusion", "(0, inf)")
         self.jitter_range = int_at_least(self.jitter_range, "jitter_range", 0)
-        self.seed = int_at_least(self.seed, "seed", 0)
         float_in(self.mask_threshold, "mask_threshold", "(0, 1]")
-
-
-@dataclass
-class NoiseSpec:
-    snr_target: float
-    seed: int = 0
-
-    def __post_init__(self):
-        float_in(self.snr_target, "snr_target", "(0, inf)")
 
 
 @dataclass
@@ -72,21 +61,24 @@ def extract(
     tomo: DensityVolume,
     instances: list[ParticleInstance],
     cfg: ExtractionConfig,
+    seed: int = 0,
 ) -> tuple[list[ExtractedSubtomogram], list[Rejection]]:
     """Crop one cube per accepted instance, in input order.
 
-    Jitter is an independent integer draw per axis keyed by (seed, index).
+    Instance k's jitter is an independent integer draw per axis from the
+    stream keyed by (seed, k).
     A candidate is skipped when the cube would exit the tomogram
     ("boundary") or when any other recorded center lies within the
     exclusion distance of the jittered crop center ("neighbor").
     """
+    seed = int_at_least(seed, "seed", 0)
     dims = np.array(tomo.shape)
     half = cfg.box // 2
     centers = np.array([inst.center for inst in instances]) if instances else np.zeros((0, 3))
     accepted: list[ExtractedSubtomogram] = []
     rejections: list[Rejection] = []
     for idx, inst in enumerate(instances):
-        rng = np.random.default_rng((cfg.seed, idx))
+        rng = np.random.default_rng((seed, idx))
         jitter = rng.integers(-cfg.jitter_range, cfg.jitter_range + 1, size=3)
         crop_center = np.round(inst.center).astype(int) + jitter
         corner = crop_center - half
@@ -138,21 +130,27 @@ def noise_field(shape: tuple[int, ...], sigma: float, seed) -> np.ndarray:
     return rng.normal(0.0, sigma, size=shape)
 
 
-def add_noise(clean: DensityVolume, specs: list[NoiseSpec]) -> list[DensityVolume]:
-    """One copy of ``clean`` per spec, in order, plus zero-mean Gaussian
-    noise calibrated to the spec's target SNR.
+def add_noise(
+    clean: DensityVolume, snr_targets, seed: int = 0, index: int = 0
+) -> list[DensityVolume]:
+    """One copy of ``clean`` per SNR target, in order, plus zero-mean
+    Gaussian noise calibrated to that target.
 
-    sigma^2 = v_sig / snr_target with v_sig the voxel variance of the
-    clean volume, computed once per call, so the realized SNR matches the
-    target in expectation. Each copy is deterministic per its spec's seed;
-    its noise field is regenerable via :func:`noise_field`.
+    sigma^2 = v_sig / target with v_sig the voxel variance of the clean
+    volume, computed once per call, so the realized SNR matches the target
+    in expectation. Copy j of box ``index`` draws from the stream keyed by
+    (seed, index, j); ``SeedSequence`` drops trailing zero words, so copy 0
+    of box 0 is the stream of ``seed`` alone. Its noise field is
+    regenerable via :func:`noise_field`.
     """
-    if not specs:
+    seed, index = int_at_least(seed, "seed", 0), int_at_least(index, "index", 0)
+    targets = [float_in(t, "snr_target", "(0, inf)") for t in snr_targets]
+    if not targets:
         return []
     v_sig = signal_variance(clean)
     copies = []
-    for spec in specs:
-        noise = noise_field(clean.shape, float(np.sqrt(v_sig / spec.snr_target)), spec.seed)
+    for j, target in enumerate(targets):
+        noise = noise_field(clean.shape, float(np.sqrt(v_sig / target)), (seed, index, j))
         noise += clean.data  # float64 + float32, exact as clean.data.astype(float64) + noise
         copies.append(clean.with_data(noise.astype(np.float32)))
     return copies

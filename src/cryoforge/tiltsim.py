@@ -50,24 +50,26 @@ def default_angles(start: float = -60.0, stop: float = 60.0, step: float = 2.0) 
     return [start + i * step for i in range(n)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TiltGeometry:
+    """Angles (strictly increasing, uniform step), beam oversampling and
+    drift range; frozen, so no angle changes after ``TiltSeries`` checks."""
+
     angles: list[float] = field(default_factory=default_angles)
     oversample: int = 2
     shift_range: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
-        self.angles = [float(float_in(a, "angles", "[-90, 90]")) for a in self.angles]
-        steps = np.diff(self.angles).tolist()
+        angles = [float(float_in(a, "angles", "[-90, 90]")) for a in self.angles]
+        object.__setattr__(self, "angles", angles)
+        steps = np.diff(angles).tolist()
         for step in steps:  # the angles strictly increase
             float_in(step, "tilt angle step", "(0, inf)")
         if steps and max(steps) - min(steps) > 1e-9:
             raise ValueError("tilt angle step must be uniform")
         # a fractional step breaks project_tilt's exact zero-angle sum
-        self.oversample = int_at_least(self.oversample, "oversample", 1)
+        object.__setattr__(self, "oversample", int_at_least(self.oversample, "oversample", 1))
         float_in(self.shift_range, "shift_range", "[0, inf)")
-        self.seed = int_at_least(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -334,11 +336,11 @@ def build_then_run(items, build, run, jobs: int) -> list:
 
 
 def simulate_tilt_series(
-    vol: DensityVolume, geom: TiltGeometry, jobs: int = 1
+    vol: DensityVolume, geom: TiltGeometry, seed: int = 0, jobs: int = 1
 ) -> TiltSeries:
     """One projection per angle, each with an independent recorded drift.
 
-    Per-angle RNG substreams are keyed by (seed, angle index) so results
+    View k's drift is drawn from the stream keyed by (seed, k), so results
     do not depend on the degree of parallelism. The spline coefficients
     are computed once, for the rows along h that hold density, and shared
     by every angle. One beam operator is built per distinct |angle|, on
@@ -351,6 +353,7 @@ def simulate_tilt_series(
     the rows are disjoint, so the stack is byte-identical for every
     ``jobs``.
     """
+    seed = int_at_least(seed, "seed", 0)
     coeffs, rows = _spline_coefficients(vol)
     stack = np.empty((len(geom.angles), vol.shape[1], vol.shape[2]), dtype=np.float32)
     shifts = [None] * len(geom.angles)
@@ -367,7 +370,7 @@ def simulate_tilt_series(
             proj = _project(coeffs, rows, vol.shape[1], op)
             if geom.angles[idx] < 0:
                 proj = proj[:, ::-1]
-            rng = np.random.default_rng((geom.seed, idx))
+            rng = np.random.default_rng((seed, idx))
             dx, dy = rng.uniform(-geom.shift_range, geom.shift_range, size=2)
             stack[idx] = fourier_shift_2d(proj, dx, dy) if (dx or dy) else proj
             shifts[idx] = (float(dx), float(dy))

@@ -38,7 +38,7 @@ from cryoforge.scene import (
     quat_to_matrix,
     shoemake_quaternion,
 )
-from cryoforge.subtomo import NoiseSpec, Rejection, add_noise, signal_variance
+from cryoforge.subtomo import Rejection, add_noise, signal_variance
 from cryoforge.tiltalign import AlignmentResult, align_series, phase_correlate
 from cryoforge.tiltsim import TiltGeometry, default_angles, fourier_shift_2d, simulate_tilt_series
 from cryoforge.volume import DensityVolume
@@ -83,7 +83,8 @@ def test_criterion_04_noise_calibration():
     v_sig = signal_variance(clean)
     for target in (100.0, 0.1, 0.05, 0.03, 0.01):
         pooled = []
-        for noisy in add_noise(clean, [NoiseSpec(snr_target=target, seed=seed) for seed in range(10)]):
+        for seed in range(10):
+            (noisy,) = add_noise(clean, [target], seed=seed)
             pooled.append((noisy.data.astype(np.float64) - clean.data) ** 2)
         measured = v_sig / np.mean(pooled)
         print(f"criterion 4: target {target:g} -> measured SNR {measured:.4g}")
@@ -105,8 +106,8 @@ def test_criterion_05_phase_correlation_and_alignment():
     print(f"criterion 5: worst sub-pixel recovery error = {worst:.4f} px (<= 0.1)")
     assert worst <= 0.1
 
-    geom = TiltGeometry(angles=default_angles(-60, 60, 3), shift_range=1.0, seed=5)
-    series = simulate_tilt_series(shell_phantom(48), geom)
+    geom = TiltGeometry(angles=default_angles(-60, 60, 3), shift_range=1.0)
+    series = simulate_tilt_series(shell_phantom(48), geom, seed=5)
     result = align_series(series, iterations=3)
     applied = np.asarray(series.applied_shifts)
     applied -= applied.mean(axis=0)  # common drift of all views is unobservable
@@ -273,7 +274,7 @@ def pipeline_runs(tmp_path_factory):
                 "particles_per_class": 5,
                 "snr_targets": [100.0],
                 "placement": {"volume_dims": list(PIPELINE_DIMS)},
-                "tilt": {"shift_range": 1.0, "seed": 11},
+                "tilt": {"shift_range": 1.0},
             }
         )
 
@@ -331,13 +332,76 @@ def test_pipeline_subtomograms_match_the_composed_sample(pipeline_runs):
     "than no correction (0.973 px against 0.600 px); projection matching, ROADMAP item 2b, mends it",
 )
 def test_pipeline_alignment_is_no_worse_than_no_correction(pipeline_runs):
-    # a stage that makes its output worse than doing nothing is a bug
     first, _ = pipeline_runs
-    rows = {r["stage"]: r for r in cio.read_ndjson(first.output_dir / "provenance.ndjson")}
+    _assert_alignment_is_no_worse_than_no_correction(first.output_dir)
+
+
+def _assert_alignment_is_no_worse_than_no_correction(out):
+    # a stage that makes its output worse than doing nothing is a bug
+    rows = {r["stage"]: r for r in cio.read_ndjson(out / "provenance.ndjson")}
     align_row = rows["align"]
     print(f"alignment x RMS {align_row['align_rms_x_px']:.3f} px, "
           f"uncorrected {align_row['uncorrected_rms_x_px']:.3f} px")
     assert align_row["align_rms_x_px"] <= align_row["uncorrected_rms_x_px"]
+
+
+@pytest.fixture(scope="module")
+def wide_run(tmp_path_factory):
+    """A wide slab (the benchmark's slab_j2 scene): 64x192x128 voxels, 13
+    tilts, 8 particles per class, seed 1. Unlike the thin column of
+    ``pipeline_runs``, it fails alignment as the default config does."""
+    root = tmp_path_factory.mktemp("wide")
+    rng = np.random.default_rng(1)
+    structures = {}
+    for label, recipe in (("blob", make_blob_pdb), ("shell", make_shell_pdb)):
+        (root / f"{label}.pdb").write_text(recipe(rng))
+        structures[label] = str(root / f"{label}.pdb")
+    return run_pipeline(
+        PipelineConfig.from_dict(
+            {
+                "structures": structures,
+                "output_dir": str(root / "run"),
+                "seed": 1,
+                "jobs": 2,
+                "particles_per_class": 8,
+                "snr_targets": [100.0],
+                "placement": {"volume_dims": [64, 192, 128]},
+                "tilt": {"angles": default_angles(-60, 60, 10), "shift_range": 1.0},
+            }
+        )
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the mean-reference aligner reads parallax as drift; on a wide slab it leaves the "
+    "views far worse than no correction (7.661 px against 0.458 px); projection matching, "
+    "ROADMAP item 2b, mends it",
+)
+def test_wide_scene_alignment_is_no_worse_than_no_correction(wide_run):
+    _assert_alignment_is_no_worse_than_no_correction(wide_run.output_dir)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="SeedSequence drops trailing zero words, so placement's stream (seed) is view 0's "
+    "drift stream (seed, 0): the drift repeats the uniforms that placed instance 0 (ROADMAP "
+    "item 18)",
+)
+def test_view_drift_is_not_drawn_from_the_placement_stream(pipeline_runs):
+    # instance 0 is placed at r + u (dims - 2r) by placement's first three
+    # uniforms u, and view 0 drifts by shift_range (2v - 1) for the first two
+    # uniforms v of its own stream; distinct streams make v unrelated to u
+    first, _ = pipeline_runs
+    instance = cio.read_ndjson(first.output_dir / "instances.ndjson", ParticleInstance)[0]
+    view = cio.read_ndjson(first.output_dir / "tilt_series" / "angles.ndjson", cio.TiltRow)[0]
+    r = PlacementConfig().exclusion_radius
+    u = (instance.center - r) / (np.array(PIPELINE_DIMS) - 2 * r)
+    shared = 1.0 * (2 * u - 1)[:2]  # the fixture's shift_range is 1.0
+    print(f"view 0 drift {view.applied_shift}, placement's uniforms as a drift {shared}")
+    assert not np.allclose(view.applied_shift, shared, rtol=0, atol=1e-9)
 
 
 def test_pipeline_sample_projects_alike_through_both_projectors(pipeline_runs):

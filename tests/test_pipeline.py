@@ -70,10 +70,11 @@ def test_config_hash_is_pinned(tmp_path):
     # changed when jobs left the hash, and again when the nested sections
     # began to hold the seeds, target_count and output_dims the run uses, and
     # again when densify.element_sigma, densify.element_amplitude and
-    # recon.filter were removed
+    # recon.filter were removed, and again when tilt.seed and extraction.seed
+    # were removed
     raw = _raw_config(tmp_path, structures={"a": "a.pdb"}, output_dir="out")
     cfg = PipelineConfig.from_dict(raw)
-    assert cfg.config_hash() == "983c35afdf2cf1d1307668d53bd948cb444c00abcfee1d6f995195d1a8c283b9"
+    assert cfg.config_hash() == "6bd3b50cf12067f3ddc0970b99a2ff97a83806d67cb5643badb2b916ba5a6192"
 
 
 def test_config_spelling_out_derived_fields_hashes_alike(tmp_path):
@@ -81,8 +82,6 @@ def test_config_spelling_out_derived_fields_hashes_alike(tmp_path):
     spelled = _raw_config(
         tmp_path,
         placement={"volume_dims": [40, 40, 40], "seed": 3, "target_count": 5},
-        tilt={"seed": 3},
-        extraction={"seed": 3},
         recon={"output_dims": [40, 40, 40]},
     )
     omitted = PipelineConfig.from_dict(_raw_config(tmp_path))
@@ -90,7 +89,7 @@ def test_config_spelling_out_derived_fields_hashes_alike(tmp_path):
 
 
 def _assert_holds_derived_values(cfg):
-    assert cfg.placement.seed == cfg.tilt.seed == cfg.extraction.seed == cfg.seed
+    assert cfg.placement.seed == cfg.seed
     assert cfg.placement.target_count == cfg.particles_per_class * len(cfg.structures)
     assert cfg.recon.output_dims == cfg.placement.volume_dims
 
@@ -112,12 +111,14 @@ def test_config_holds_the_values_the_stages_run_with(tmp_path):
     _assert_holds_derived_values(cfg)
     assert cfg.recon.output_dims == (40, 60, 50) and cfg.tilt.angles == [-10.0, 0.0, 10.0]
     for name, section in sections.items():  # the caller's objects are left as they were
-        assert section == before[name] and getattr(cfg, name) is not section
+        assert section == before[name]
+    for name in ("placement", "recon"):  # the sections that hold derived copies are new
+        assert getattr(cfg, name) is not sections[name]
 
 
 def test_config_from_dict_leaves_its_argument_unchanged(tmp_path):
     raw = _raw_config(
-        tmp_path, snr_targets=[0.1], recon={"output_dims": [40, 40, 40]}, tilt={"seed": 3}
+        tmp_path, snr_targets=[0.1], recon={"output_dims": [40, 40, 40]}, tilt={"oversample": 1}
     )
     before = copy.deepcopy(raw)
     PipelineConfig.from_dict(raw)
@@ -191,8 +192,11 @@ def test_config_naming_removed_tilt_noise_exits_1(tmp_path, capsys):
         ("densify", "element_sigma", {"C": 0.35}),
         ("densify", "element_amplitude", {"C": 6}),
         ("recon", "filter", "hann_ramp"),
+        ("tilt", "seed", 3),
+        ("extraction", "seed", 3),
     ],
-    ids=["densify.element_sigma", "densify.element_amplitude", "recon.filter"],
+    ids=["densify.element_sigma", "densify.element_amplitude", "recon.filter", "tilt.seed",
+         "extraction.seed"],
 )
 def test_config_naming_removed_key_exits_1(tmp_path, capsys, section, name, value):
     raw = _raw_config(tmp_path, **{section: {name: value}})
@@ -223,10 +227,9 @@ def test_config_with_too_few_tilt_angles_exits_1(tmp_path, capsys, angles):
     [
         ("placement", "seed", 4),
         ("placement", "target_count", 2),
-        ("tilt", "seed", 4),
-        ("extraction", "seed", 4),
         ("recon", "output_dims", [10, 10, 10]),
     ],
+    ids=["placement-seed-4", "placement-target_count-2", "recon-output_dims-value4"],
 )
 def test_config_rejects_fields_the_pipeline_overwrites(tmp_path, section, name, value):
     raw = _raw_config(tmp_path)
@@ -240,8 +243,6 @@ def test_config_accepts_overwritten_fields_at_their_derived_values(tmp_path):
     raw = _raw_config(
         tmp_path,
         placement={"volume_dims": [40, 40, 40], "seed": 3, "target_count": 5},
-        tilt={"seed": 3},
-        extraction={"seed": 3},
         recon={"output_dims": [40, 40, 40]},
     )
     cfg = PipelineConfig.from_dict(raw)
@@ -259,8 +260,11 @@ def test_config_with_ignored_output_dims_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, pinned, named",
     [
+        # tilt.seed is no longer a field; --seed does not hide it from the checks
         (["--seed", "5"], {"seed": 11, "tilt": {"seed": 11}}, "tilt.seed"),
         (["--jobs", "0"], {}, "jobs"),
+        (["--seed", "5"], {"seed": 11, "placement": {"volume_dims": [40, 40, 40], "seed": 11}},
+         "placement.seed"),
     ],
 )
 def test_cli_overrides_pass_the_config_checks(tmp_path, capsys, flags, pinned, named):
@@ -670,7 +674,8 @@ def test_provenance_reports_alignment_and_tomogram_quality(tmp_path):
 
     # each accepted clean box of the written tomogram against the same box
     # of the sample
-    accepted, _ = extract(tomogram, place_particles(["blob"], cfg.placement), cfg.extraction)
+    instances = place_particles(["blob"], cfg.placement)
+    accepted, _ = extract(tomogram, instances, cfg.extraction, seed=cfg.seed)
     assert len(accepted) == result.accepted > 0
     corrs = [
         np.corrcoef(

@@ -90,8 +90,8 @@ def test_wbp_linearity_in_projections():
 def test_wbp_applies_shift_correction():
     n = 24
     vol, clean = _blob_series(default_angles(-60, 60, 10), n)
-    geom = TiltGeometry(angles=default_angles(-60, 60, 10), shift_range=1.0, seed=4)
-    drifted = simulate_tilt_series(vol, geom)
+    geom = TiltGeometry(angles=default_angles(-60, 60, 10), shift_range=1.0)
+    drifted = simulate_tilt_series(vol, geom, seed=4)
     cfg = ReconConfig(output_dims=(n, n, n))
     corrected = wbp_reconstruct(drifted, align_series(drifted).shifts, cfg)
     reference = wbp_reconstruct(clean, [(0.0, 0.0)] * len(clean.projections), cfg)
@@ -189,7 +189,9 @@ def _reference_wbp(series, shifts, cfg):
 
 def _random_series(rng, angles, det_shape):
     geom = TiltGeometry(angles=[0.0])
-    geom.angles = list(angles)  # any order and spacing; WBP reads only the angles
+    # any order and spacing, past the uniform-step rule of a frozen geometry:
+    # WBP reads only the angles
+    object.__setattr__(geom, "angles", list(angles))
     projections = [rng.normal(size=det_shape).astype(np.float32) for _ in angles]
     series = TiltSeries(geom, projections, [(0.0, 0.0)] * len(angles), voxel_size=4.0)
     return series, [tuple(rng.uniform(-1.5, 1.5, size=2)) for _ in angles]

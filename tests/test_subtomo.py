@@ -7,7 +7,6 @@ from cryoforge.scene import ParticleInstance
 from cryoforge.subtomo import (
     DegenerateSignalError,
     ExtractionConfig,
-    NoiseSpec,
     add_noise,
     extract,
     make_mask,
@@ -32,8 +31,8 @@ def test_config_validation():
     for threshold in (0.0, -0.5, 1.5, float("nan")):
         with pytest.raises(ValueError, match="mask_threshold must be in"):
             ExtractionConfig(mask_threshold=threshold)
-    with pytest.raises(ValueError):
-        NoiseSpec(snr_target=0.0)
+    with pytest.raises(ValueError, match="snr_target must be finite and positive"):
+        add_noise(_tomo((8, 8, 8)), [0.0])
 
 
 # NaN and fractional boxes, and a NaN jitter, used to build and then fail
@@ -90,8 +89,7 @@ def test_neighbor_rejection_is_mutual():
 def test_jitter_recorded_and_crop_consistent():
     tomo = _tomo((64, 64, 64))
     inst = ParticleInstance("a", (32.0, 32.0, 32.0), IDENTITY_Q)
-    cfg = ExtractionConfig(jitter_range=2, seed=5)
-    accepted, _ = extract(tomo, [inst], cfg)
+    accepted, _ = extract(tomo, [inst], ExtractionConfig(jitter_range=2), seed=5)
     sub = accepted[0]
     assert all(-2 <= j <= 2 for j in sub.center_offset)
     corner = np.array(sub.crop_corner)
@@ -106,9 +104,9 @@ def test_extraction_deterministic():
         ParticleInstance("a", (24.0, 24.0, 24.0), IDENTITY_Q),
         ParticleInstance("b", (42.0, 42.0, 42.0), IDENTITY_Q),
     ]
-    cfg = ExtractionConfig(jitter_range=2, seed=11)
-    first, _ = extract(tomo, insts, cfg)
-    second, _ = extract(tomo, insts, cfg)
+    cfg = ExtractionConfig(jitter_range=2)
+    first, _ = extract(tomo, insts, cfg, seed=11)
+    second, _ = extract(tomo, insts, cfg, seed=11)
     assert [s.center_offset for s in first] == [s.center_offset for s in second]
 
 
@@ -136,7 +134,8 @@ def test_noise_sigma_arithmetic():
     unit = noise_field(vol.shape, 1.0, 0).ravel()
     low, high = (
         unit @ (noisy.data.astype(np.float64) - vol.data).ravel() / (unit @ unit)
-        for noisy in add_noise(vol, [NoiseSpec(0.01), NoiseSpec(100.0)])
+        for target in (0.01, 100.0)
+        for noisy in add_noise(vol, [target])
     )
     assert low == pytest.approx(np.sqrt(v * 100.0), rel=1e-6)
     assert high == pytest.approx(np.sqrt(v / 100.0), rel=1e-6)
@@ -144,38 +143,42 @@ def test_noise_sigma_arithmetic():
 
 def test_noise_field_regenerates_the_added_noise(monkeypatch):
     clean = _tomo((16, 16, 16), seed=3)
-    specs = [NoiseSpec(snr_target=t, seed=(7, 1, j)) for j, t in enumerate((0.05, 100.0, 0.01))]
-    specs.append(NoiseSpec(snr_target=0.05, seed=(7, 1)))
+    targets = (0.05, 100.0, 0.01, 0.05)
     casts = []
     monkeypatch.setattr(
         subtomo, "signal_variance", lambda vol: casts.append(vol) or signal_variance(vol)
     )
-    together = add_noise(clean, specs)
+    together = add_noise(clean, targets, seed=7, index=1)
     monkeypatch.undo()
     assert len(casts) == 1  # one float64 copy and one variance for all the copies
-    assert len(together) == len(specs)
-    for spec, noisy in zip(specs, together):
-        sigma = np.sqrt(signal_variance(clean) / spec.snr_target)
-        recovered = noisy.data.astype(np.float64) - noise_field(clean.shape, sigma, spec.seed)
+    assert len(together) == len(targets)
+    for j, (target, noisy) in enumerate(zip(targets, together)):
+        sigma = np.sqrt(signal_variance(clean) / target)
+        recovered = noisy.data.astype(np.float64) - noise_field(clean.shape, sigma, (7, 1, j))
         # float32 storage rounds once; recovery is exact to storage precision
         assert np.abs(recovered - clean.data).max() < 1e-4 * sigma
-        # one call for several specs makes the bytes of one call per spec,
-        # so the CLI's one-spec path equals the pipeline's
-        (again,) = add_noise(clean, [spec])
+        # copy j does not depend on the targets after it
+        again = add_noise(clean, targets[: j + 1], seed=7, index=1)[-1]
         assert again.data.tobytes() == noisy.data.tobytes()
+    assert together[0].data.tobytes() != together[3].data.tobytes()  # one stream per copy
     assert add_noise(clean, []) == []
+    # SeedSequence drops trailing zero words, so copy 0 of box 0, the CLI's
+    # one-target call, draws from the stream of the seed alone
+    for seed in (0, 1, 5, 11, 2**40):
+        assert np.array_equal(noise_field((4, 4, 4), 1.0, (seed, 0, 0)),
+                              noise_field((4, 4, 4), 1.0, seed))
 
 
 def test_measured_snr_close_to_target():
     clean = _tomo((32, 32, 32), seed=5)
     v_sig = signal_variance(clean)
     target = 0.05
-    specs = [NoiseSpec(snr_target=target, seed=seed) for seed in range(20)]
-    pooled = [(noisy.data.astype(np.float64) - clean.data) ** 2 for noisy in add_noise(clean, specs)]
+    noisy = [add_noise(clean, [target], seed=seed)[0] for seed in range(20)]
+    pooled = [(copy.data.astype(np.float64) - clean.data) ** 2 for copy in noisy]
     noise_var = np.mean(pooled)
     assert (v_sig / noise_var) / target == pytest.approx(1.0, abs=0.05)
 
 
 def test_zero_variance_rejected():
     with pytest.raises(DegenerateSignalError):
-        add_noise(DensityVolume(np.full((8, 8, 8), 2.0)), [NoiseSpec(0.05)])
+        add_noise(DensityVolume(np.full((8, 8, 8), 2.0)), [0.05])

@@ -68,8 +68,8 @@ def test_alignment_result_is_frozen_with_tuple_shifts():
 
 
 def _series(shift_range, seed=13):
-    geom = TiltGeometry(angles=[-20.0, -10.0, 0.0, 10.0, 20.0], shift_range=shift_range, seed=seed)
-    return simulate_tilt_series(shell_phantom(40), geom)
+    geom = TiltGeometry(angles=[-20.0, -10.0, 0.0, 10.0, 20.0], shift_range=shift_range)
+    return simulate_tilt_series(shell_phantom(40), geom, seed=seed)
 
 
 def test_align_series_null_case():

@@ -92,6 +92,15 @@ def test_series_fields_cannot_be_reassigned():
     assert series.projections.shape == (3, 4, 5)
 
 
+def test_geometry_fields_cannot_be_reassigned():
+    # a reassigned angle list used to skip the series' count check
+    geom = TiltGeometry(angles=[-2.0, 0.0, 2.0])
+    series = TiltSeries(geom, projections=np.zeros((3, 4, 5)), applied_shifts=[(0.0, 0.0)] * 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        series.geometry.angles = [-2.0, 0.0]
+    assert series.geometry.angles == [-2.0, 0.0, 2.0]
+
+
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 5, 2)])
 def test_series_rejects_a_stack_that_is_not_3d(shape):
     geom = TiltGeometry(angles=[-2.0, 0.0, 2.0])
@@ -219,10 +228,10 @@ def test_beam_operator_matches_16_tap_reference(shape, oversample):
 def test_series_matches_16_tap_reference(monkeypatch):
     vol = multi_blob_volume(46, blobs=4)
     vol = DensityVolume(np.repeat(vol.data, 8, axis=1)[:, :360])  # 46 x 360 x 46
-    geom = TiltGeometry(seed=4)
-    series = simulate_tilt_series(vol, geom)
+    geom = TiltGeometry()
+    series = simulate_tilt_series(vol, geom, seed=4)
     monkeypatch.setattr(tiltsim, "_beam_operator", _reference_beam_operator)
-    ref = simulate_tilt_series(vol, geom)
+    ref = simulate_tilt_series(vol, geom, seed=4)
     assert series.applied_shifts == ref.applied_shifts
     for proj, expected in zip(series.projections, ref.projections):
         assert np.abs(proj - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -284,11 +293,11 @@ def _rows_sample(kind):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_projection_identical_to_all_rows_reference(kind, rows, jobs, monkeypatch):
     vol = _rows_sample(kind)
-    geom = TiltGeometry(angles=[-90.0, -56.0, -22.0, 12.0, 46.0, 80.0], seed=3)
-    series = simulate_tilt_series(vol, geom, jobs=jobs)
+    geom = TiltGeometry(angles=[-90.0, -56.0, -22.0, 12.0, 46.0, 80.0])
+    series = simulate_tilt_series(vol, geom, seed=3, jobs=jobs)
     single = [project_tilt(vol, angle, geom) for angle in geom.angles]
     monkeypatch.setattr(tiltsim, "_spline_coefficients", reference_all_rows_coefficients)
-    ref = simulate_tilt_series(vol, geom, jobs=jobs)
+    ref = simulate_tilt_series(vol, geom, seed=3, jobs=jobs)
     assert series.rows_projected == rows
     assert series.applied_shifts == ref.applied_shifts
     for angle, proj, expected, one in zip(geom.angles, series.projections, ref.projections, single):
@@ -410,8 +419,8 @@ def test_zero_shift_range():
 
 def test_series_deterministic_and_parallel_invariant():
     vol = multi_blob_volume(16, blobs=2)
-    geom = TiltGeometry(angles=[-10.0, 0.0, 10.0], seed=9)
-    runs = [simulate_tilt_series(vol, geom, jobs=jobs) for jobs in (1, 1, 2, 3)]
+    geom = TiltGeometry(angles=[-10.0, 0.0, 10.0])
+    runs = [simulate_tilt_series(vol, geom, seed=9, jobs=jobs) for jobs in (1, 1, 2, 3)]
     for series in runs:
         # one C-contiguous float32 stack, the payload of tilts.mrc
         assert series.projections.dtype == np.float32 and series.projections.shape == (3, 16, 16)
@@ -465,8 +474,8 @@ def test_unshifted_views_match_project_tilt(angles, jobs):
     # a negative angle's view comes from the mirrored +|angle| operator,
     # project_tilt builds the operator of the angle itself
     vol = multi_blob_volume(16, blobs=3)
-    geom = TiltGeometry(angles=angles, shift_range=0.0, seed=2)
-    series = simulate_tilt_series(vol, geom, jobs=jobs)
+    geom = TiltGeometry(angles=angles, shift_range=0.0)
+    series = simulate_tilt_series(vol, geom, seed=2, jobs=jobs)
     for angle, view in zip(angles, series.projections):
         expected = project_tilt(vol, angle, geom).astype(np.float32)
         assert np.abs(view - expected).max() <= 1e-12 * np.abs(expected).max(), angle
@@ -525,8 +534,8 @@ def test_build_then_run_rejects_jobs_that_is_not_an_integer(jobs):
 
 def test_applied_shift_recoverable_by_phase_correlation():
     vol = multi_blob_volume(32, blobs=4)
-    geom = TiltGeometry(angles=[-2.0, 0.0, 2.0], seed=21)
-    series = simulate_tilt_series(vol, geom)
+    geom = TiltGeometry(angles=[-2.0, 0.0, 2.0])
+    series = simulate_tilt_series(vol, geom, seed=21)
     i = series.zero_angle_index()
     reference = project_tilt(vol, 0.0, geom)
     dx, dy = phase_correlate(reference, series.projections[i])

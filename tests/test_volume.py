@@ -12,8 +12,8 @@ from cryoforge.pipeline import PipelineConfig
 from cryoforge.recon import ReconConfig
 from cryoforge.scene import PlacementConfig
 from cryoforge.structure import DensifyConfig
-from cryoforge.subtomo import ExtractionConfig, NoiseSpec
-from cryoforge.tiltsim import TiltGeometry
+from cryoforge.subtomo import ExtractionConfig, add_noise, extract
+from cryoforge.tiltsim import TiltGeometry, simulate_tilt_series
 from cryoforge.volume import DensityVolume, centred_sums, float_in, int_at_least, three_ints
 
 
@@ -76,13 +76,10 @@ RANGE_EDGES = [
     (PlacementConfig, "seed", [-1]),
     (TiltGeometry, "oversample", [0]),
     (TiltGeometry, "shift_range", [-TINY]),
-    (TiltGeometry, "seed", [-1]),
     (ExtractionConfig, "box", [7]),
     (ExtractionConfig, "jitter_range", [-1]),
     (ExtractionConfig, "neighbor_exclusion", [0.0]),
-    (ExtractionConfig, "seed", [-1]),
     (ExtractionConfig, "mask_threshold", [0.0, math.nextafter(1.0, 2.0)]),
-    (NoiseSpec, "snr_target", [0.0]),
     (LossConfig, "temperature", [0.0]),
     (LossConfig, "rince_c", [0.0, math.nextafter(1.0, 2.0)]),
     (LossConfig, "lambda_w", [-TINY]),
@@ -98,12 +95,9 @@ RANGE_EDGES = [
     (DensityVolume, "voxel_size", [0.0]),
 ]
 REQUIRED = {
-    NoiseSpec: {"snr_target": 0.1},
     PipelineConfig: {"structures": {"a": "a.pdb"}, "output_dir": "out"},
     DensityVolume: {"data": np.zeros((2, 2, 2))},
 }
-# NoiseSpec.seed also takes a tuple key, which the pipeline passes
-UNRANGED = {(NoiseSpec, "seed")}
 
 
 def _numeric_fields(ctor) -> dict[str, str]:
@@ -120,10 +114,36 @@ def test_config_fields_reject_values_outside_their_range_by_name(ctor, name, out
             ctor(**{**REQUIRED.get(ctor, {}), name: value})
 
 
+# The run seed and the box index reach the stages that draw from them as
+# arguments, not config fields; each is checked by name where it is used.
+_VOL = DensityVolume(np.arange(8.0).reshape(2, 2, 2))
+STAGE_ARGUMENTS = [
+    ("seed", [-1, "x"], lambda v: simulate_tilt_series(_VOL, TiltGeometry(angles=[0.0]), seed=v)),
+    ("seed", [-1, "x"], lambda v: extract(_VOL, [], ExtractionConfig(), seed=v)),
+    ("seed", [-1, "x"], lambda v: add_noise(_VOL, [0.1], seed=v)),
+    ("index", [-1, "x"], lambda v: add_noise(_VOL, [0.1], index=v)),
+    ("snr_target", [0.0, "x"], lambda v: add_noise(_VOL, [v])),
+]
+
+
+@pytest.mark.parametrize(
+    "name, outside, call",
+    STAGE_ARGUMENTS,
+    ids=["simulate_tilt_series.seed", "extract.seed", "add_noise.seed", "add_noise.index",
+         "add_noise.snr_target"],
+)
+def test_stage_arguments_reject_values_by_name(name, outside, call):
+    extra = [2.5] if name != "snr_target" else []
+    for value in [math.nan, math.inf, -math.inf, True, *extra, *outside]:
+        named = rf"^{name} must be .*, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=named):
+            call(value)
+
+
 def test_every_numeric_config_field_has_a_row():
     ctors = {ctor for ctor, _, _ in RANGE_EDGES} | {ReconConfig}
     fields = {(ctor, name) for ctor in ctors for name in _numeric_fields(ctor)}
-    assert fields - UNRANGED == {(ctor, name) for ctor, name, _ in RANGE_EDGES}
+    assert fields == {(ctor, name) for ctor, name, _ in RANGE_EDGES}
 
 
 def test_float_in_keeps_each_end_of_its_interval():
