@@ -71,16 +71,15 @@ def _real_sph_harm(J: int, m: int, x: np.ndarray, y: np.ndarray, z: np.ndarray) 
     raise ValueError(f"degree {J} not supported")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatchSize:
     s_d: int = 4
     s_h: int = 4
     s_w: int = 4
 
     def __post_init__(self):
-        self.s_d = int_at_least(self.s_d, "s_d", 1)
-        self.s_h = int_at_least(self.s_h, "s_h", 1)
-        self.s_w = int_at_least(self.s_w, "s_w", 1)
+        for name in ("s_d", "s_h", "s_w"):
+            object.__setattr__(self, name, int_at_least(getattr(self, name), name, 1))
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.s_d, self.s_h, self.s_w)

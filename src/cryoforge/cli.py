@@ -99,6 +99,9 @@ def cmd_reconstruct(args) -> int:
     shifts, views = len(align.shifts), len(series.projections)
     if shifts != views:
         raise ValueError(f"{args.alignment}: {shifts} shifts, {args.tilts}: {views} views")
+    if dims[1:] != series.projections.shape[1:]:
+        shape = series.projections.shape
+        raise ValueError(f"--dims {dims}: H and W must be those of {args.tilts}, a {shape} stack")
     tomo = wbp_reconstruct(series, align.shifts, ReconConfig(output_dims=dims), jobs=_jobs(args))
     cio.write_mrc(tomo, args.out)
     print(f"reconstruct: {dims} tomogram -> {args.out}")
@@ -263,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tilts", required=True)
     p.add_argument("--angles", required=True)
     p.add_argument("--alignment", required=True)
-    p.add_argument("--dims", required=True, help="output D,H,W")
+    p.add_argument("--dims", required=True, help="output D,H,W; H,W as the stack's")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("extract", help="crop subtomograms")

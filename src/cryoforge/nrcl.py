@@ -40,7 +40,7 @@ class EmbeddingBatch:
             raise ValueError("embedding rows must be finite and of unit norm within 1e-6")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     temperature: float = 0.1
     rince_c: float = 0.5
@@ -54,7 +54,8 @@ class LossConfig:
         float_in(self.rince_c, "rince_c", "(0, 1]")
         float_in(self.lambda_w, "lambda_w", "[0, inf)")
         float_in(self.sinkhorn_epsilon, "sinkhorn_epsilon", "(0, inf)")
-        self.sinkhorn_max_iter = int_at_least(self.sinkhorn_max_iter, "sinkhorn_max_iter", 1)
+        max_iter = int_at_least(self.sinkhorn_max_iter, "sinkhorn_max_iter", 1)
+        object.__setattr__(self, "sinkhorn_max_iter", max_iter)
         float_in(self.sinkhorn_tol, "sinkhorn_tol", "(0, inf)")  # at 0 no plan ever converges
 
 

@@ -6,20 +6,20 @@ real-to-complex FFT round trip per tilt: the shift's phase ramp and the
 row filter are both diagonal on the ``rfft2`` grid, so they commute and
 multiply into one spectrum. Each tilt is rescaled by |cos theta| and
 smeared back along its beam directions with linear interpolation of the
-projection pixels.
+projection pixels, onto the views' own (h, w) grid, the one ``tiltsim`` uses.
 
 Back-projection is the adjoint of a sparse line-integral operator, as in
 the ASTRA toolbox (van Aarle et al., Ultramicroscopy, 2015). The tilt axis
 h is an identity axis, so the interpolation taps of a voxel column (d, w)
 are the same for every h: each slab of d rows is one ``slab_operator``, two
 taps per tilt per voxel column, applied to all filtered detector rows with
-one sparse-dense product. ``reproject`` applies the same operators, with
-unit taps, transposed to the volume's slabs and adds each product into one
-float64 stack of views: however many slabs there are, it holds that stack,
-one float32 product of its size and about ``SLAB_BYTES``, and at the end
-the returned copy. The filtered rows, the volume and the taps are float32,
-as in ASTRA's single-precision projectors, so the memory-bound products
-move half the bytes of float64 ones.
+one sparse-dense product. ``reproject``, on that grid the exact transpose
+of the unweighted back-projector, applies the same operators, with unit
+taps, transposed to the volume's slabs and adds each product into one float64 stack of views: however many
+slabs there are, it holds that stack, one float32 product of its size and
+about ``SLAB_BYTES``, and at the end the returned copy. The filtered rows,
+the volume and the taps are float32, as in ASTRA's single-precision
+projectors, so the memory-bound products move half the bytes of float64 ones.
 
 With ``jobs > 1`` the back-projector's sparse products run on a thread
 pool, each writing its own disjoint d rows of the tomogram, so it is
@@ -44,13 +44,13 @@ MIN_TILTS = 3  # the fewest views a reconstruction takes
 SLAB_BYTES = 4_000_000  # float32 product and operator taps (value + int32 index) of one d slab
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconConfig:
     output_dims: tuple[int, int, int] = (200, 500, 500)  # (D, H, W)
     weighting: str = "abs_cos"
 
     def __post_init__(self):
-        self.output_dims = three_ints(self.output_dims, "output_dims")
+        object.__setattr__(self, "output_dims", three_ints(self.output_dims, "output_dims"))
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}")
 
@@ -78,31 +78,30 @@ def filter_projection(img: np.ndarray, dx: float = 0.0, dy: float = 0.0) -> np.n
 
 
 def slab_operator(
-    d_rows: range, D: int, W: int, theta: np.ndarray, detector_width: int, tap_weights: np.ndarray
+    d_rows: range, D: int, W: int, theta: np.ndarray, tap_weights: np.ndarray
 ) -> sparse.csr_array:
     """Float32 CSR back-projection operator of the d rows ``d_rows`` of a
-    (D, *, W) volume: row j * W + w, voxel column (d_rows[j], w), holds two
-    linear taps per tilt, by tilt then tap, on the len(theta) * detector_width
-    detector columns, at x' = sin(theta) (d - (D - 1) / 2) + cos(theta)
-    (w - (W - 1) / 2) + (detector_width - 1) / 2 for tilt theta (radians), each
+    (D, *, W) volume on a detector W columns wide: row j * W + w, voxel
+    column (d_rows[j], w), holds two linear taps per tilt, by tilt then tap,
+    on the len(theta) * W detector columns, at x' = sin(theta) (d - (D - 1) / 2)
+    + cos(theta) (w - (W - 1) / 2) + (W - 1) / 2 for tilt theta (radians), each
     times its tilt's tap weight; none where x' is off the detector."""
     z, x = np.asarray(d_rows) - (D - 1) / 2.0, np.arange(W) - (W - 1) / 2.0
     sin_t, cos_t, n_tilts = np.sin(theta), np.cos(theta), len(theta)
     # (n_d, W, n_tilts) detector x of every voxel column per tilt
-    xprime = sin_t * z[:, None, None] + cos_t * x[None, :, None] + (detector_width - 1) / 2.0
-    inside = (xprime >= 0.0) & (xprime <= detector_width - 1)
-    xcl = np.clip(xprime, 0.0, detector_width - 1)
+    xprime = sin_t * z[:, None, None] + cos_t * x[None, :, None] + (W - 1) / 2.0
+    inside = (xprime >= 0.0) & (xprime <= W - 1)
+    xcl = np.clip(xprime, 0.0, W - 1)
     i0 = np.floor(xcl).astype(np.int32)
     tx = xcl - i0
     data = np.stack(
         [tap_weights * (1.0 - tx) * inside, tap_weights * tx * inside], axis=-1, dtype=np.float32
     )
-    col0 = (np.arange(n_tilts) * detector_width).astype(np.int32)
-    indices = np.stack([col0 + i0, col0 + np.minimum(i0 + 1, detector_width - 1)], axis=-1)
+    col0 = (np.arange(n_tilts) * W).astype(np.int32)
+    indices = np.stack([col0 + i0, col0 + np.minimum(i0 + 1, W - 1)], axis=-1)
     rows = len(z) * W
     indptr = np.arange(0, rows * 2 * n_tilts + 1, 2 * n_tilts, dtype=np.int32)
-    shape = (rows, n_tilts * detector_width)
-    return sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=shape)
+    return sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=(rows, n_tilts * W))
 
 
 def slabs(D: int, W: int, H: int, n_tilts: int, jobs: int = 1) -> list[range]:
@@ -116,23 +115,24 @@ def slabs(D: int, W: int, H: int, n_tilts: int, jobs: int = 1) -> list[range]:
 
 def wbp_reconstruct(series: TiltSeries, shifts, cfg: ReconConfig, jobs: int = 1) -> DensityVolume:
     """Back-project a filtered, angle-weighted tilt series, each view moved
-    by minus its (dx, dy) in ``shifts``, one pair per view.
+    by minus its (dx, dy) in ``shifts``, one pair per view, onto the views'
+    (h, w) grid: ``cfg.output_dims`` sets D, and its H and W must be the views'.
 
-    Each output voxel samples every projection at its projected detector
-    coordinate (beam geometry: x' = sin(theta) z + cos(theta) x about the
-    volume center) with bilinear interpolation, and a sample off the
-    detector in x or y contributes 0; the sum over tilts is scaled by
-    pi / (2 N_tilts). The tomogram keeps the series' voxel size.
+    Each output voxel (d, h, w) samples row h of every projection at its
+    detector x' = sin(theta) z + cos(theta) x about the volume center, with
+    linear interpolation, and a sample off the detector contributes 0; the
+    sum over tilts is scaled by pi / (2 N_tilts). The tomogram keeps the
+    series' voxel size.
 
     The x interpolation weights depend on (tilt, d, w) only, never on h.
     Every tilt's float32 view is shifted and filtered in float64 in one FFT
-    round trip (``filter_projection``, called once per tilt) and resampled
-    onto the output y grid once, and its transposed rows are stored, cast
-    once to float32, in one (n_tilts * Wdet, Hout) matrix R. The output is
-    filled one slab of d rows at a time: the slab's ``slab_operator``, with
-    the tilt weights as its tap weights, times R in one float32 sparse-dense
-    product gives the slab laid out (d, w, h). No (H, D, W) array is formed.
-    The tomogram agrees with a float64 product to float32 round-off.
+    round trip (``filter_projection``, called once per tilt), and its
+    transposed rows are stored, cast once to float32, in one (n_tilts * W, H)
+    matrix R. The output is filled one slab of d rows at a time: the slab's
+    ``slab_operator``, with the tilt weights as its tap weights, times R in
+    one float32 sparse-dense product gives the slab laid out (d, w, h). No
+    (H, D, W) array is formed. The tomogram agrees with a float64 product to
+    float32 round-off.
 
     The calling thread builds each slab's operator, and ``build_then_run``
     forms its product, with at most ``jobs`` slabs in flight on a thread
@@ -142,60 +142,51 @@ def wbp_reconstruct(series: TiltSeries, shifts, cfg: ReconConfig, jobs: int = 1)
     runs it, so the output is bit-identical for every ``jobs``. A worker's
     exception is raised here.
     """
-    n_tilts, Hdet, Wdet = series.projections.shape
+    n_tilts, H, W = series.projections.shape
     if n_tilts < MIN_TILTS:
         raise ValueError(f"reconstruction needs at least {MIN_TILTS} tilts")
     if len(shifts) != n_tilts:
         raise ValueError(f"{len(shifts)} shifts for {n_tilts} views")
-    D, Hout, Wout = cfg.output_dims
+    D = cfg.output_dims[0]
+    if cfg.output_dims[1:] != (H, W):
+        shape = series.projections.shape
+        raise ValueError(f"output_dims {cfg.output_dims}: H and W must match the {shape} views")
 
-    ch_out, ch_det = (Hout - 1) / 2.0, (Hdet - 1) / 2.0
-
-    # detector y per output row: integer-aligned when Hout == Hdet; rows off
-    # the detector get weight 0, as voxel columns off it in x do
-    y_coords = (np.arange(Hout) - ch_out) + ch_det
-    inside_y = (y_coords >= 0.0) & (y_coords <= Hdet - 1)
-    y0 = np.clip(np.floor(y_coords).astype(int), 0, Hdet - 1)
-    y1 = np.clip(y0 + 1, 0, Hdet - 1)
-    ty = np.clip(y_coords - y0, 0.0, 1.0)
-    wy0, wy1 = ((1.0 - ty) * inside_y)[:, None], (ty * inside_y)[:, None]
-
-    # R[i * Wdet + x, h]: filtered row h of tilt i, resampled in y
-    R = np.empty((n_tilts, Wdet, Hout), dtype=np.float32)
+    # R[i * W + x, h]: filtered row h of tilt i
+    R = np.empty((n_tilts, W, H), dtype=np.float32)
     for i, proj in enumerate(series.projections):
         dx, dy = shifts[i]
-        proj = filter_projection(proj, -dx, -dy)
-        R[i] = (proj[y0, :] * wy0 + proj[y1, :] * wy1).T
-    R = R.reshape(n_tilts * Wdet, Hout)
+        R[i] = filter_projection(proj, -dx, -dy).T
+    R = R.reshape(n_tilts * W, H)
 
     theta = np.radians(np.asarray(series.geometry.angles, dtype=np.float64))
     w_t = np.abs(np.cos(theta)) if cfg.weighting == "abs_cos" else np.ones(n_tilts)
     scale = np.pi / (2.0 * n_tilts)
     jobs = int_at_least(jobs, "jobs", 1)
-    out = np.empty((D, Hout, Wout), dtype=np.float32)
+    out = np.empty((D, H, W), dtype=np.float32)
 
     def operator(rows: range) -> sparse.csr_array:
-        return slab_operator(rows, D, Wout, theta, Wdet, w_t)
+        return slab_operator(rows, D, W, theta, w_t)
 
     def fill(rows: range, op: sparse.csr_array) -> None:
         part = op @ R
         part *= scale
-        out[rows.start : rows.stop] = part.reshape(len(rows), Wout, Hout).transpose(0, 2, 1)
+        out[rows.start : rows.stop] = part.reshape(len(rows), W, H).transpose(0, 2, 1)
 
-    build_then_run(slabs(D, Wout, Hout, n_tilts, jobs), operator, fill, jobs)
+    build_then_run(slabs(D, W, H, n_tilts, jobs), operator, fill, jobs)
     return DensityVolume(out, series.voxel_size)
 
 
-def reproject(volume: DensityVolume, angles, detector_width: int) -> np.ndarray:
-    """The float64 (n_tilts, H, detector_width) line integrals of ``volume``
-    at each tilt angle (degrees), on its h grid: every slab of d rows, laid
-    out (d, w, h), times its ``slab_operator`` transposed, with unit tap
-    weights and no filter or pi / (2 N_tilts) scale, added into one stack."""
+def reproject(volume: DensityVolume, angles) -> np.ndarray:
+    """The float64 (n_tilts, H, W) line integrals of a (D, H, W) ``volume``
+    at each tilt angle (degrees): every slab of d rows, laid out (d, w, h),
+    times its ``slab_operator`` transposed, with unit tap weights and no
+    filter or pi / (2 N_tilts) scale, added into one stack."""
     D, H, W = volume.shape
     theta = np.radians(np.asarray(angles, dtype=np.float64))
     taps = np.ones(len(theta))
-    out = np.zeros((len(theta) * detector_width, H))
+    out = np.zeros((len(theta) * W, H))
     for rows in slabs(D, W, H, len(theta)):
-        op = slab_operator(rows, D, W, theta, detector_width, taps)
+        op = slab_operator(rows, D, W, theta, taps)
         out += op.T @ volume.data[rows.start : rows.stop].transpose(0, 2, 1).reshape(-1, H)
-    return np.ascontiguousarray(out.reshape(len(theta), detector_width, H).transpose(0, 2, 1))
+    return np.ascontiguousarray(out.reshape(len(theta), W, H).transpose(0, 2, 1))

@@ -21,7 +21,7 @@ class PlacementError(ValueError):
     """A particle footprint does not fit inside the volume."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlacementConfig:
     volume_dims: tuple[int, int, int] = (200, 500, 500)  # (D, H, W) voxels
     box_size: int = 32
@@ -31,12 +31,10 @@ class PlacementConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.volume_dims = three_ints(self.volume_dims, "volume_dims")
-        self.box_size = int_at_least(self.box_size, "box_size", 1)
-        self.safety_margin = int_at_least(self.safety_margin, "safety_margin", 0)
-        self.target_count = int_at_least(self.target_count, "target_count", 1)
-        self.max_attempts = int_at_least(self.max_attempts, "max_attempts", 1)
-        self.seed = int_at_least(self.seed, "seed", 0)
+        object.__setattr__(self, "volume_dims", three_ints(self.volume_dims, "volume_dims"))
+        lows = {"box_size": 1, "safety_margin": 0, "target_count": 1, "max_attempts": 1, "seed": 0}
+        for name, low in lows.items():
+            object.__setattr__(self, name, int_at_least(getattr(self, name), name, low))
 
     @property
     def exclusion_radius(self) -> float:

@@ -82,7 +82,7 @@ class AtomicModel:
                                    f"occupancy {self.occupancy[i]:g} must be finite and >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensifyConfig:
     voxel_size: float = 10.0
     target_resolution: float = 30.0

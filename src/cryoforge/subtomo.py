@@ -27,7 +27,7 @@ class DegenerateSignalError(ValueError):
     """Zero-variance input cannot be SNR-calibrated."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtractionConfig:
     box: int = 32
     jitter_range: int = 2  # +/- voxels, integer, per axis
@@ -35,9 +35,9 @@ class ExtractionConfig:
     mask_threshold: float = 0.05  # fraction of the particle peak
 
     def __post_init__(self):
-        self.box = int_at_least(self.box, "box", 8)
+        object.__setattr__(self, "box", int_at_least(self.box, "box", 8))
         float_in(self.neighbor_exclusion, "neighbor_exclusion", "(0, inf)")
-        self.jitter_range = int_at_least(self.jitter_range, "jitter_range", 0)
+        object.__setattr__(self, "jitter_range", int_at_least(self.jitter_range, "jitter_range", 0))
         float_in(self.mask_threshold, "mask_threshold", "(0, 1]")
 
 

@@ -13,13 +13,18 @@ shifted spectra. Each correlation is then one normalised cross-power
 product and one ``irfft2``, as in registration against spectra computed
 once (Guizar-Sicairos, Thurman & Fienup, Opt. Lett., 2008).
 
-The shifts depend on numpy's temporary elision: from 256 KiB up numpy
-reuses the ``np.conj(Fb)`` temporary, so at 256×256 (a 516 KiB half
-spectrum) ``Fa * np.conj(Fb)`` is not bit-equal to
-``np.multiply(Fa, np.conj(Fb))`` (it is at 360×46 and 128×128), and on
-whitened, noiseless stacks such last-bit changes can move the shifts by
-many pixels, so a rewrite of the correlation loop (preallocated buffers,
-say) is not free of output changes.
+The shifts depend on the operand order of each complex product, which
+numpy's temporary elision swaps: when the right operand of a commutative
+product is a temporary of 256 KiB or more, numpy writes the result into
+that temporary, multiplying it as the left operand, and the FMA complex
+multiply is not bitwise commutative. At 256×256 (a 516 KiB half spectrum)
+``spectra[i] * shift_ramp(…)`` equals ``np.multiply(ramp, spectra[i])``,
+not ``np.multiply(spectra[i], ramp)``, and ``Fa * np.conj(Fb)`` equals
+``np.multiply(np.conj(Fb), Fa)``; at 360×46 (135 KiB) and 128×128 both
+keep the written order (numpy 2.4.6). On whitened, noiseless stacks such
+last-bit changes can move the shifts by many pixels, so a rewrite of the
+correlation loop (preallocated buffers, ``out=`` arguments) changes its
+output unless it fixes each product's operand order explicitly.
 """
 
 from __future__ import annotations

@@ -416,7 +416,7 @@ def test_pipeline_sample_projects_alike_through_both_projectors(pipeline_runs):
     sample = compose_sample(densities, instances, PlacementConfig(volume_dims=PIPELINE_DIMS))
     angles = default_angles()
     spline = simulate_tilt_series(sample, TiltGeometry(angles=angles, shift_range=0.0)).projections
-    linear = reproject(sample, angles, sample.shape[2])
+    linear = reproject(sample, angles)
     h, x = np.arange(sample.shape[1]), np.arange(sample.shape[2])
     for a, b in zip(spline.astype(np.float64), linear):
         assert abs(b.sum() / a.sum() - 1.0) <= 1e-5

@@ -313,6 +313,17 @@ def test_reconstruct_names_an_alignment_file_short_of_shifts(tmp_path, rng, caps
     assert not (tmp_path / "tomo.mrc").exists()
 
 
+def test_reconstruct_names_dims_off_the_stack_grid(tmp_path, rng, capsys):
+    # the tomogram is on the stack's own (h, w) grid; only D is free
+    argv = _reconstruct_args(tmp_path, rng)
+    argv[argv.index("--dims") + 1] = "8,13,16"
+    tilts = argv[argv.index("--tilts") + 1]
+    assert main(argv) == 1
+    named = f"error: --dims (8, 13, 16): H and W must be those of {tilts}, a (3, 12, 16) stack"
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "tomo.mrc").exists()
+
+
 def test_reconstruct_keeps_stack_voxel_size(tmp_path, rng):
     assert main(_reconstruct_args(tmp_path, rng)) == 0
     assert cio.read_mrc(tmp_path / "tomo.mrc").voxel_size == pytest.approx(7.5)

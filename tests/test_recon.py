@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -106,19 +107,31 @@ def test_wbp_requires_three_tilts():
         wbp_reconstruct(series, [(0.0, 0.0)] * 2, ReconConfig(output_dims=(16, 16, 16)))
 
 
-def test_wbp_rows_off_the_detector_are_zero(rng):
-    # a detector 8 rows high under a 16-row tomogram: output row h sits at
-    # detector y = h - 4, so rows 0-3 and 12-15 lie off the detector
-    series, _ = _random_series(rng, [-20.0, -10.0, 0.0, 10.0, 20.0], (8, 16))
-    shifts = [(0.0, 0.0)] * 5
-    tall = wbp_reconstruct(series, shifts, ReconConfig(output_dims=(6, 16, 16))).data
-    assert not tall[:, :4].any() and not tall[:, 12:].any()
-    # the rows on the detector are those of the tomogram as high as the detector
-    fitted = wbp_reconstruct(series, shifts, ReconConfig(output_dims=(6, 8, 16))).data
-    assert np.array_equal(tall[:, 4:12], fitted)
-    # x already zeroes what lies off the detector: the outer columns of a wider grid
-    wide = wbp_reconstruct(series, shifts, ReconConfig(output_dims=(6, 8, 40))).data
-    assert not wide[..., :4].any() and not wide[..., -4:].any()
+@pytest.mark.parametrize("dims", [(6, 9, 13), (6, 10, 14)], ids=["H", "W"])
+def test_wbp_refuses_a_grid_other_than_the_views(rng, dims):
+    # the tomogram is on the views' own (h, w) grid; only its depth is free
+    series, shifts = _random_series(rng, [-20.0, 0.0, 20.0], (10, 13))
+    named = rf"^output_dims {re.escape(str(dims))}: H and W must match the \(3, 10, 13\) views$"
+    with pytest.raises(ValueError, match=named):
+        wbp_reconstruct(series, shifts, ReconConfig(output_dims=dims))
+
+
+def test_wbp_corner_column_off_the_detector_gets_nothing_from_that_view(rng):
+    # voxel column (d, w) = (0, 0) projects left of the detector at +60
+    # degrees and (0, W - 1) right of it at -60; the other corner lands on it
+    D, H, W = 9, 5, 9
+    angles = [-60.0, 0.0, 60.0]
+    for view, off, on in [(2, 0, W - 1), (0, W - 1, 0)]:
+        theta = np.radians(angles[view])
+        x_det = np.sin(theta) * -(D - 1) / 2 + np.cos(theta) * (np.array([off, on]) - (W - 1) / 2)
+        x_det += (W - 1) / 2
+        assert not 0.0 <= x_det[0] <= W - 1 and 0.0 <= x_det[1] <= W - 1
+        projections = np.zeros((3, H, W), dtype=np.float32)
+        projections[view] = rng.normal(size=(H, W))  # only this view carries data
+        series = TiltSeries(TiltGeometry(angles=angles), projections, [(0.0, 0.0)] * 3)
+        shifts = series.applied_shifts
+        tomo = wbp_reconstruct(series, shifts, ReconConfig(output_dims=(D, H, W))).data
+        assert not tomo[0, :, off].any() and tomo[0, :, on].all()
 
 
 def test_wbp_shift_count_mismatch():
@@ -152,33 +165,24 @@ def _reference_wbp(series, shifts, cfg):
     """The per-tilt gather back-projector the slab operator replaced: every
     tilt gathers an (H, D, W) float64 contribution and adds it to a float64
     volume. Each tilt is shifted and filtered in two FFT round trips."""
-    n_tilts = len(series.projections)
-    Hdet, Wdet = series.projections[0].shape
-    D, Hout, Wout = cfg.output_dims
-    cd, cw = (D - 1) / 2.0, (Wout - 1) / 2.0
-    ch_out, ch_det, cw_det = (Hout - 1) / 2.0, (Hdet - 1) / 2.0, (Wdet - 1) / 2.0
-    zc = np.arange(D) - cd
-    xc = np.arange(Wout) - cw
-    y_coords = (np.arange(Hout) - ch_out) + ch_det
-    y0 = np.clip(np.floor(y_coords).astype(int), 0, Hdet - 1)
-    y1 = np.clip(y0 + 1, 0, Hdet - 1)
-    ty = np.clip(y_coords - y0, 0.0, 1.0)
-    inside_y = (y_coords >= 0.0) & (y_coords <= Hdet - 1)
-    out = np.zeros((D, Hout, Wout), dtype=np.float64)
+    n_tilts, H, W = series.projections.shape
+    D = cfg.output_dims[0]
+    c = (W - 1) / 2.0
+    zc = np.arange(D) - (D - 1) / 2.0
+    xc = np.arange(W) - c
+    out = np.zeros((D, H, W), dtype=np.float64)
     for i in range(n_tilts):
         theta = np.radians(series.geometry.angles[i])
         weight = abs(np.cos(theta)) if cfg.weighting == "abs_cos" else 1.0
         if weight == 0.0:
             continue
         dx, dy = shifts[i]
-        proj = _reference_shift_filter(series.projections[i], -dx, -dy)
-        rows = proj[y0, :] * (1.0 - ty)[:, None] + proj[y1, :] * ty[:, None]
-        rows *= inside_y[:, None]
-        xprime = np.sin(theta) * zc[:, None] + np.cos(theta) * xc[None, :] + cw_det
-        inside = (xprime >= 0.0) & (xprime <= Wdet - 1)
-        xcl = np.clip(xprime, 0.0, Wdet - 1)
+        rows = _reference_shift_filter(series.projections[i], -dx, -dy)
+        xprime = np.sin(theta) * zc[:, None] + np.cos(theta) * xc[None, :] + c
+        inside = (xprime >= 0.0) & (xprime <= W - 1)
+        xcl = np.clip(xprime, 0.0, W - 1)
         i0 = np.floor(xcl).astype(int)
-        i1 = np.minimum(i0 + 1, Wdet - 1)
+        i1 = np.minimum(i0 + 1, W - 1)
         tx = xcl - i0
         contrib = rows[:, i0] * (1.0 - tx)[None, :, :] + rows[:, i1] * tx[None, :, :]
         contrib *= inside[None, :, :]
@@ -205,17 +209,17 @@ def _assert_within_one_ulp(got, ref):
 
 
 @pytest.mark.parametrize("weighting", recon.WEIGHTINGS)
-@pytest.mark.parametrize("Hout,Wout", [(7, 9), (8, 17), (15, 9), (16, 17)])
-def test_wbp_matches_per_tilt_gather_reference(monkeypatch, rng, weighting, Hout, Wout):
-    # detector 10 x 13: Hout is smaller and larger, odd and even, so the y
-    # resampling is not the identity, and Wout differs from Wdet
-    series, shifts = _random_series(rng, [-90.0, -60.0, 0.0, 1e-7, 34.0, 90.0], (10, 13))
+@pytest.mark.parametrize("H,W", [(7, 9), (8, 17), (15, 9), (16, 17)])
+def test_wbp_matches_per_tilt_gather_reference(monkeypatch, rng, weighting, H, W):
+    # detectors with odd and even H and W, so the volume centre falls on a
+    # pixel and between two
+    series, shifts = _random_series(rng, [-90.0, -60.0, 0.0, 1e-7, 34.0, 90.0], (H, W))
     # D = 11 is prime and 8000 bytes make slabs of 2 to 7 rows: the last slab is partial
     monkeypatch.setattr(recon, "SLAB_BYTES", 8000)
-    cfg = ReconConfig(output_dims=(11, Hout, Wout), weighting=weighting)
+    cfg = ReconConfig(output_dims=(11, H, W), weighting=weighting)
     got = wbp_reconstruct(series, shifts, cfg)
     ref = _reference_wbp(series, shifts, cfg)
-    assert got.data.dtype == np.float32 and got.shape == (11, Hout, Wout)
+    assert got.data.dtype == np.float32 and got.shape == (11, H, W)
     assert got.voxel_size == 4.0
     _assert_within_one_ulp(got.data, ref.data)
 
@@ -226,7 +230,7 @@ LONG_SERIES = default_angles(-60, 60, 2)
 
 @pytest.mark.parametrize("weighting", recon.WEIGHTINGS)
 def test_wbp_matches_per_tilt_gather_reference_at_61_tilts(monkeypatch, rng, weighting):
-    series, shifts = _random_series(rng, LONG_SERIES, (16, 21))
+    series, shifts = _random_series(rng, LONG_SERIES, (14, 19))
     monkeypatch.setattr(recon, "SLAB_BYTES", 40_000)  # slabs of 2 rows, the last partial
     cfg = ReconConfig(output_dims=(11, 14, 19), weighting=weighting)
     got = wbp_reconstruct(series, shifts, cfg)
@@ -234,7 +238,7 @@ def test_wbp_matches_per_tilt_gather_reference_at_61_tilts(monkeypatch, rng, wei
 
 
 def test_wbp_threads_match_serial_at_61_tilts(monkeypatch, rng):
-    series, shifts = _random_series(rng, LONG_SERIES, (16, 21))
+    series, shifts = _random_series(rng, LONG_SERIES, (14, 19))
     monkeypatch.setattr(recon, "SLAB_BYTES", 40_000)
     cfg = ReconConfig(output_dims=(11, 14, 19))
     serial = wbp_reconstruct(series, shifts, cfg, jobs=1)
@@ -242,7 +246,7 @@ def test_wbp_threads_match_serial_at_61_tilts(monkeypatch, rng):
 
 
 def test_wbp_slab_height_does_not_change_output(monkeypatch, rng):
-    series, shifts = _random_series(rng, default_angles(-60, 60, 6), (24, 20))
+    series, shifts = _random_series(rng, default_angles(-60, 60, 6), (22, 18))
     cfg = ReconConfig(output_dims=(13, 22, 18))
     whole = wbp_reconstruct(series, shifts, cfg)  # one slab at the default SLAB_BYTES
     monkeypatch.setattr(recon, "SLAB_BYTES", 1)  # one d row per slab
@@ -250,10 +254,10 @@ def test_wbp_slab_height_does_not_change_output(monkeypatch, rng):
     assert np.array_equal(by_row.data, whole.data)
 
 
-@pytest.mark.parametrize("Hout,Wout", [(7, 9), (8, 17), (15, 9), (16, 17)])
-def test_wbp_threads_match_serial(monkeypatch, rng, Hout, Wout):
-    series, shifts = _random_series(rng, [-90.0, -60.0, 0.0, 1e-7, 34.0, 90.0], (10, 13))
-    cfg = ReconConfig(output_dims=(11, Hout, Wout))
+@pytest.mark.parametrize("H,W", [(7, 9), (8, 17), (15, 9), (16, 17)])
+def test_wbp_threads_match_serial(monkeypatch, rng, H, W):
+    series, shifts = _random_series(rng, [-90.0, -60.0, 0.0, 1e-7, 34.0, 90.0], (H, W))
+    cfg = ReconConfig(output_dims=(11, H, W))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so slabs interleave
     try:
@@ -303,18 +307,18 @@ def test_wbp_rejects_jobs_that_is_not_an_integer(rng):
 
 
 @pytest.mark.parametrize(
-    "angles,dims,det_width",
-    [([-45.0, -15.0, 15.0, 45.0], (7, 5, 9), 11), (LONG_SERIES, (11, 6, 14), 17)],
+    "angles,dims", [([-45.0, -15.0, 15.0, 45.0], (7, 5, 11)), (LONG_SERIES, (11, 6, 17))]
 )
-def test_reproject_is_the_adjoint_of_back_projection(monkeypatch, rng, angles, dims, det_width):
+def test_reproject_is_the_adjoint_of_back_projection_on_one_grid(monkeypatch, rng, angles, dims):
     # with the filter the identity and zero shifts, wbp_reconstruct(y) is
-    # (pi / 2N) sum_t |cos theta_t| A_t^T y_t, and reproject(x) is (A_t x)_t
+    # (pi / 2N) sum_t |cos theta_t| A_t^T y_t, and reproject(x) is (A_t x)_t,
+    # the views y and the volume x sharing one (h, w) grid
     monkeypatch.setattr(recon, "filter_projection", lambda img, dx, dy: img.astype(np.float64))
     x = rng.random(dims).astype(np.float32)  # positive: the inner products cannot cancel
-    y = rng.random((len(angles), dims[1], det_width)).astype(np.float32)
+    y = rng.random((len(angles), *dims[1:])).astype(np.float32)
     series = TiltSeries(TiltGeometry(angles=angles), y, [(0.0, 0.0)] * len(angles))
     back = wbp_reconstruct(series, series.applied_shifts, ReconConfig(output_dims=dims)).data
-    views = reproject(DensityVolume(x), angles, det_width)
+    views = reproject(DensityVolume(x), angles)
     weights = np.abs(np.cos(np.radians(angles)))[:, None, None]
     forward = np.pi / (2 * len(angles)) * np.sum(views * weights * y)
     adjoint = np.sum(x.astype(np.float64) * back)
@@ -322,27 +326,27 @@ def test_reproject_is_the_adjoint_of_back_projection(monkeypatch, rng, angles, d
 
 
 def test_reproject_puts_a_point_source_at_its_detector_coordinate():
-    D, H, W, det_width = 9, 5, 12, 8
+    D, H, W = 9, 5, 12
     d, h, w = 8, 3, 11
     data = np.zeros((D, H, W), dtype=np.float32)
     data[d, h, w] = 1.0
-    views = reproject(DensityVolume(data), LONG_SERIES, det_width)
+    views = reproject(DensityVolume(data), LONG_SERIES)
     theta = np.radians(LONG_SERIES)
     x_det = np.sin(theta) * (d - (D - 1) / 2) + np.cos(theta) * (w - (W - 1) / 2)
-    x_det += (det_width - 1) / 2
-    on = (x_det >= 0.0) & (x_det <= det_width - 1)
+    x_det += (W - 1) / 2
+    on = (x_det >= 0.0) & (x_det <= W - 1)
     assert 0 < on.sum() < len(on)  # the source leaves the detector at some tilts
     assert not views[~on].any()
     for i in np.flatnonzero(on):
         row = views[i, h]
         assert abs(row.sum() - 1.0) <= 1e-6
-        assert abs(np.arange(det_width) @ row / row.sum() - x_det[i]) <= 1e-4
+        assert abs(np.arange(W) @ row / row.sum() - x_det[i]) <= 1e-4
         assert not np.delete(views[i], h, axis=0).any()
 
 
 def test_reproject_zero_degree_view_is_the_z_sum(rng):
     data = rng.normal(size=(12, 7, 10)).astype(np.float32)
-    view = reproject(DensityVolume(data), [-30.0, 0.0, 30.0], 10)[1]
+    view = reproject(DensityVolume(data), [-30.0, 0.0, 30.0])[1]
     z_sum = data.astype(np.float64).sum(axis=0)
     # one float32 slab of 12 rows: each addition rounds by at most eps/2 of a
     # partial sum no larger than the column's sum of |values|
@@ -352,22 +356,22 @@ def test_reproject_zero_degree_view_is_the_z_sum(rng):
 def test_reproject_slab_heights_agree(monkeypatch, rng):
     vol = DensityVolume(rng.random((13, 22, 18)).astype(np.float32))
     angles = default_angles(-60, 60, 6)
-    whole = reproject(vol, angles, 20)  # one slab at the default SLAB_BYTES
+    whole = reproject(vol, angles)  # one slab at the default SLAB_BYTES
     monkeypatch.setattr(recon, "SLAB_BYTES", 20_000)  # slabs of 2 rows, the last partial
-    slabs = reproject(vol, angles, 20)
+    slabs = reproject(vol, angles)
     # a slab's float32 product rounds its own partial sums, so slab heights agree to round-off
     largest = np.abs(whole).max(axis=(1, 2))
     assert np.all(np.abs(slabs - whole).max(axis=(1, 2)) <= 1e-6 * largest)
 
 
 def test_reproject_memory_does_not_grow_with_the_slab_count(monkeypatch, rng):
-    angles, (D, H, W), det_width = default_angles(-60, 60, 6), (40, 64, 16), 40
+    angles, (D, H, W) = default_angles(-60, 60, 6), (40, 64, 16)
     vol = DensityVolume(rng.random((D, H, W)).astype(np.float32))
     monkeypatch.setattr(recon, "SLAB_BYTES", 1)  # 40 slabs of one d row
-    stack = len(angles) * H * det_width * 8  # bytes of the float64 views
+    stack = len(angles) * H * W * 8  # bytes of the float64 views
     tracemalloc.start()
     try:
-        reproject(vol, angles, det_width)
+        reproject(vol, angles)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -114,6 +114,21 @@ def test_config_fields_reject_values_outside_their_range_by_name(ctor, name, out
             ctor(**{**REQUIRED.get(ctor, {}), name: value})
 
 
+@pytest.mark.parametrize(
+    "ctor",
+    [DensifyConfig, PlacementConfig, ExtractionConfig, ReconConfig, LossConfig, PatchSize],
+    ids=lambda ctor: ctor.__name__,
+)
+def test_config_section_fields_cannot_be_reassigned(ctor):
+    # a reassigned field skipped __post_init__'s checks: ExtractionConfig().box = 3
+    # cropped 3 x 3 x 3 boxes, though ExtractionConfig(box=3) is refused
+    cfg = ctor()
+    for f in dataclasses.fields(ctor):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    assert cfg == ctor()
+
+
 # The run seed and the box index reach the stages that draw from them as
 # arguments, not config fields; each is checked by name where it is used.
 _VOL = DensityVolume(np.arange(8.0).reshape(2, 2, 2))
