@@ -11,7 +11,9 @@ record per line, so it stays human-inspectable and streamable. One codec
 writes and reads them all: a row is a dict (provenance) or a dataclass
 whose fields are the row's keys (``SubtomogramRecord``, ``TiltRow``,
 ``AlignmentResult``, ``scene.ParticleInstance``, ``subtomo.Rejection``);
-a row read into a dataclass must carry every required field and no other.
+``from_row`` reads a row into a dataclass, and ``pipeline`` reads its
+config the same way: the row must be an object that carries every required
+field and no other.
 The tilt series (``tilts.mrc`` + ``angles.ndjson``) and the subtomograms
 have their own writer and reader. The CLI subcommands and
 ``run_pipeline`` both go through them, so a pipeline run's files feed the
@@ -206,9 +208,13 @@ def write_ndjson(rows, path) -> None:
             fh.write("\n")
 
 
-def _from_row(cls, row):
-    """``cls(**row)``, once ``row`` holds every required field of the
-    dataclass ``cls`` and no key that is not one of its fields."""
+def from_row(cls, row):
+    """``cls(**row)``, once ``row`` is a JSON object that holds every
+    required field of the dataclass ``cls`` and no key that is not one of
+    its fields. Every NDJSON row and every section of a pipeline config is
+    read through it."""
+    if not isinstance(row, dict):
+        raise ValueError(f"must be a JSON object, got {row!r}")
     names = {f.name for f in fields(cls)}
     for f in fields(cls):
         if f.name not in row and f.default is MISSING and f.default_factory is MISSING:
@@ -221,9 +227,8 @@ def _from_row(cls, row):
 
 def read_ndjson(path, cls=None) -> list:
     """NDJSON rows of ``path``: dicts, or ``cls(**row)`` per line for a
-    dataclass ``cls``. A line that is not JSON, lacks a required field,
-    carries an unknown one, or that ``cls`` rejects raises
-    MetadataParseError."""
+    dataclass ``cls``. A line that is not JSON, or that ``from_row``
+    refuses, raises MetadataParseError."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -235,7 +240,7 @@ def read_ndjson(path, cls=None) -> list:
             except json.JSONDecodeError as exc:
                 raise MetadataParseError(path, lineno, f"invalid JSON: {exc}") from exc
             try:
-                rows.append(row if cls is None else _from_row(cls, row))
+                rows.append(row if cls is None else from_row(cls, row))
             except (TypeError, ValueError) as exc:
                 raise MetadataParseError(path, lineno, str(exc)) from exc
     return rows

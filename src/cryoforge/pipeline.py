@@ -6,7 +6,7 @@ writing MRC volumes, NDJSON ground-truth metadata, and NDJSON provenance
 (config hash, seed, timings; one row per stage) into a per-run output
 directory. The config hash covers every field but ``jobs``, so it covers
 what ran: the seed, which project, extract and noise take as an argument,
-and the copies the placement and recon sections derive. Metadata is
+and the seed and target count the placement section derives. Metadata is
 deterministic for a fixed seed; provenance
 carries wall-clock timings, peak memory, the worker count of the threaded
 stages (project, reconstruct), the python, numpy and scipy versions and
@@ -67,6 +67,20 @@ class PipelineConfigError(ValueError):
     pass
 
 
+# the config's nested sections, each read by ``io.from_row``
+_SECTIONS = {"densify": DensifyConfig, "placement": PlacementConfig, "tilt": TiltGeometry,
+             "extraction": ExtractionConfig}
+
+
+def _read(cls, row, prefix=""):
+    """``io.from_row(cls, row)``, raising its error as a PipelineConfigError
+    that starts with ``prefix``."""
+    try:
+        return cio.from_row(cls, row)
+    except (TypeError, ValueError) as exc:
+        raise PipelineConfigError(f"{prefix}{exc}") from exc
+
+
 class StageError(RuntimeError):
     """Wraps a stage failure with the stage name for fail-fast reporting."""
 
@@ -87,13 +101,22 @@ class PipelineConfig:
     densify: DensifyConfig = field(default_factory=DensifyConfig)
     placement: PlacementConfig = field(default_factory=PlacementConfig)
     tilt: TiltGeometry = field(default_factory=lambda: TiltGeometry())
-    recon: ReconConfig = field(default_factory=ReconConfig)
     extraction: ExtractionConfig = field(default_factory=ExtractionConfig)
 
     def __post_init__(self):
-        self.snr_targets = tuple(self.snr_targets)
+        if not isinstance(self.structures, dict) or not all(
+            isinstance(v, str) for v in self.structures.values()
+        ):
+            raise PipelineConfigError(
+                f"structures must map each label to a PDB path string, got {self.structures!r}"
+            )
         if not self.structures:
             raise PipelineConfigError("at least one structure is required")
+        if not isinstance(self.output_dir, str):
+            raise PipelineConfigError(f"output_dir must be a string, got {self.output_dir!r}")
+        if not isinstance(self.snr_targets, (list, tuple)):
+            raise PipelineConfigError(f"snr_targets must be a list, got {self.snr_targets!r}")
+        self.snr_targets = tuple(self.snr_targets)
         try:
             for name, low in (("seed", 0), ("particles_per_class", 1), ("jobs", 1)):
                 setattr(self, name, int_at_least(getattr(self, name), name, low))
@@ -119,56 +142,24 @@ class PipelineConfig:
                 raise PipelineConfigError(
                     f"structure label {label!r} must be one plain path component"
                 )
-        # the nested fields placement and reconstruct take from the top-level ones
+        # the nested fields placement takes from the top-level ones
         self.placement = dataclasses.replace(
             self.placement,
             seed=self.seed,
             target_count=self.particles_per_class * len(self.structures),
         )
-        self.recon = dataclasses.replace(self.recon, output_dims=self.placement.volume_dims)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        """Build a config from parsed JSON; ``raw`` is left unchanged. A
-        section may name a field ``__post_init__`` derives only at the
-        derived value."""
-        nested = {
-            "densify": DensifyConfig,
-            "placement": PlacementConfig,
-            "tilt": TiltGeometry,
-            "recon": ReconConfig,
-            "extraction": ExtractionConfig,
-        }
-        top, kwargs = dict(raw), {}
-        for key, ctor in nested.items():
-            if key in top:
-                section = top.pop(key)
-                if not isinstance(section, dict):
-                    raise PipelineConfigError(f"{key} must be a JSON object, got {section!r}")
-                known = {f.name for f in dataclasses.fields(ctor)}
-                for name in section:
-                    if name not in known:
-                        raise PipelineConfigError(
-                            f"{key}: unknown field {name!r}; {key}.{name} is not a "
-                            f"{ctor.__name__} field"
-                        )
-                try:
-                    kwargs[key] = ctor(**section)
-                except (TypeError, ValueError) as exc:
-                    raise PipelineConfigError(f"{key}: {exc}") from exc
-        try:
-            cfg = cls(**top, **kwargs)
-        except TypeError as exc:
-            raise PipelineConfigError(str(exc)) from exc
-        for section, given in kwargs.items():
-            for name in raw[section]:
-                value, kept = getattr(given, name), getattr(getattr(cfg, section), name)
-                if kept != value:
-                    raise PipelineConfigError(
-                        f"{section}.{name} is {value!r}, but the pipeline "
-                        f"derives it as {kept!r}; leave it out"
-                    )
-        return cfg
+        """Build a config from parsed JSON; ``raw`` is left unchanged. Each
+        section, then the top level, is read by ``io.from_row``. The
+        placement fields ``__post_init__`` sets are refused at any value."""
+        placement = raw.get("placement")
+        for name in ("seed", "target_count"):
+            if isinstance(placement, dict) and name in placement:
+                raise PipelineConfigError(f"placement.{name} is set by the pipeline; leave it out")
+        sections = {k: _read(ctor, raw[k], f"{k}: ") for k, ctor in _SECTIONS.items() if k in raw}
+        return _read(cls, {**raw, **sections})
 
     @classmethod
     def from_json(cls, path, **overrides) -> "PipelineConfig":
@@ -185,7 +176,8 @@ class PipelineConfig:
     def config_hash(self) -> str:
         """sha256 of the config as sorted-key JSON (tuples written as lists),
         without ``jobs``, which outputs do not depend on. The seed and the
-        derived copies are in it, so configs that run alike hash alike."""
+        placement fields derived from it are in it, so configs that run
+        alike hash alike."""
         fields = {k: v for k, v in dataclasses.asdict(self).items() if k != "jobs"}
         return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
 
@@ -351,7 +343,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     # reconstruct
     with _stage("reconstruct", jobs=cfg.jobs) as row:
-        tomo = wbp_reconstruct(series, align.shifts, cfg.recon, jobs=cfg.jobs)
+        recon = ReconConfig(output_dims=cfg.placement.volume_dims)
+        tomo = wbp_reconstruct(series, align.shifts, recon, jobs=cfg.jobs)
         cio.write_mrc(tomo, out / "tomogram.mrc")
     row.update(
         output_dims=list(tomo.shape),

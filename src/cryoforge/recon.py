@@ -39,7 +39,7 @@ from .tiltsim import TiltSeries, build_then_run, shift_ramp
 from .tiltsim import fourier_shift_2d  # noqa: F401  perfbench traces recon.fourier_shift_2d
 from .volume import DensityVolume, int_at_least, three_ints
 
-WEIGHTINGS = ("abs_cos", "uniform")
+WEIGHTINGS = ("abs_cos",)
 MIN_TILTS = 3  # the fewest views a reconstruction takes
 SLAB_BYTES = 4_000_000  # float32 product and operator taps (value + int32 index) of one d slab
 
@@ -47,7 +47,7 @@ SLAB_BYTES = 4_000_000  # float32 product and operator taps (value + int32 index
 @dataclass(frozen=True)
 class ReconConfig:
     output_dims: tuple[int, int, int] = (200, 500, 500)  # (D, H, W)
-    weighting: str = "abs_cos"
+    weighting: str = "abs_cos"  # the one weighting, read by perfbench's tracer
 
     def __post_init__(self):
         object.__setattr__(self, "output_dims", three_ints(self.output_dims, "output_dims"))
@@ -160,7 +160,7 @@ def wbp_reconstruct(series: TiltSeries, shifts, cfg: ReconConfig, jobs: int = 1)
     R = R.reshape(n_tilts * W, H)
 
     theta = np.radians(np.asarray(series.geometry.angles, dtype=np.float64))
-    w_t = np.abs(np.cos(theta)) if cfg.weighting == "abs_cos" else np.ones(n_tilts)
+    w_t = np.abs(np.cos(theta))
     scale = np.pi / (2.0 * n_tilts)
     jobs = int_at_least(jobs, "jobs", 1)
     out = np.empty((D, H, W), dtype=np.float32)

@@ -43,10 +43,6 @@ class EmptyModelError(PdbParseError):
     pass
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class InvalidAtomError(ValueError):
     """Row ``index`` holds a non-finite coordinate or a non-finite or negative occupancy."""
 
@@ -90,13 +86,10 @@ class DensifyConfig:
     peak_threshold_fraction: float = 0.005
 
     def __post_init__(self):
-        try:
-            float_in(self.voxel_size, "voxel_size", "(0, inf)")
-            float_in(self.target_resolution, "target_resolution", "[0, inf)")
-            float_in(self.solvent_margin_factor, "solvent_margin_factor", "[0, inf)")
-            float_in(self.peak_threshold_fraction, "peak_threshold_fraction", "[0, 1)")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        float_in(self.voxel_size, "voxel_size", "(0, inf)")
+        float_in(self.target_resolution, "target_resolution", "[0, inf)")
+        float_in(self.solvent_margin_factor, "solvent_margin_factor", "[0, inf)")
+        float_in(self.peak_threshold_fraction, "peak_threshold_fraction", "[0, 1)")
 
     @staticmethod
     def sigma_for(element: str) -> float:

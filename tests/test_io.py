@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import re
 import struct
@@ -295,6 +296,17 @@ def test_read_into_a_dataclass_names_a_missing_or_unknown_field(tmp_path, read, 
     write_ndjson([row], path)
     with pytest.raises(MetadataParseError, match=f"^{re.escape(str(path))}: line 1: {message}$"):
         read(path)
+
+
+@pytest.mark.parametrize("line", ["5", "[1, 2]", '"index"'])
+def test_read_into_a_dataclass_names_a_row_that_is_not_an_object(tmp_path, line):
+    # a 5 used to read as "argument of type 'int' is not iterable", and
+    # [1, 2] as "missing field 'index'"
+    path = tmp_path / "angles.ndjson"
+    path.write_text(line + "\n")
+    message = f"{path}: line 1: must be a JSON object, got {json.loads(line)!r}"
+    with pytest.raises(MetadataParseError, match=f"^{re.escape(message)}$"):
+        read_ndjson(path, cio.TiltRow)
 
 
 def test_write_ndjson_writes_a_dataclass_as_its_fields_and_arrays_as_lists(tmp_path):

@@ -3,6 +3,7 @@ import json
 import platform
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import scipy
 from conftest import make_blob_pdb
 from cryoforge import io as cio, pipeline, tiltsim
 from cryoforge.cli import main
-from cryoforge.recon import MIN_TILTS, ReconConfig
+from cryoforge.recon import MIN_TILTS
 from cryoforge.scene import PlacementConfig, compose_sample, place_particles
 from cryoforge.subtomo import ExtractionConfig, extract
 from cryoforge.tiltsim import TiltGeometry
@@ -71,58 +72,52 @@ def test_config_hash_is_pinned(tmp_path):
     # began to hold the seeds, target_count and output_dims the run uses, and
     # again when densify.element_sigma, densify.element_amplitude and
     # recon.filter were removed, and again when tilt.seed and extraction.seed
-    # were removed
+    # were removed, and again when the recon section was removed
     raw = _raw_config(tmp_path, structures={"a": "a.pdb"}, output_dir="out")
     cfg = PipelineConfig.from_dict(raw)
-    assert cfg.config_hash() == "6bd3b50cf12067f3ddc0970b99a2ff97a83806d67cb5643badb2b916ba5a6192"
-
-
-def test_config_spelling_out_derived_fields_hashes_alike(tmp_path):
-    # seed 3, five particles of one structure, a 40^3 sample
-    spelled = _raw_config(
-        tmp_path,
-        placement={"volume_dims": [40, 40, 40], "seed": 3, "target_count": 5},
-        recon={"output_dims": [40, 40, 40]},
-    )
-    omitted = PipelineConfig.from_dict(_raw_config(tmp_path))
-    assert PipelineConfig.from_dict(spelled).config_hash() == omitted.config_hash()
+    assert cfg.config_hash() == "9dc5905c8e660e5e33238c5b82916fb4afdc95a7c6e58f3b027860cadb15721d"
 
 
 def _assert_holds_derived_values(cfg):
     assert cfg.placement.seed == cfg.seed
     assert cfg.placement.target_count == cfg.particles_per_class * len(cfg.structures)
-    assert cfg.recon.output_dims == cfg.placement.volume_dims
 
 
 def test_config_holds_the_values_the_stages_run_with(tmp_path):
     raw = _raw_config(tmp_path, particles_per_class=2, structures={"a": "a.pdb", "b": "b.pdb"})
     cfg = PipelineConfig.from_dict(raw)
     _assert_holds_derived_values(cfg)
-    assert (cfg.placement.target_count, cfg.recon.output_dims) == (4, (40, 40, 40))
+    assert cfg.placement.target_count == 4
 
     sections = {
         "placement": PlacementConfig(volume_dims=(40, 60, 50)),
         "tilt": TiltGeometry(angles=[-10.0, 0.0, 10.0]),
-        "recon": ReconConfig(),
         "extraction": ExtractionConfig(),
     }
     before = copy.deepcopy(sections)
     cfg = PipelineConfig(structures={"a": "a.pdb"}, output_dir="out", seed=7, **sections)
     _assert_holds_derived_values(cfg)
-    assert cfg.recon.output_dims == (40, 60, 50) and cfg.tilt.angles == [-10.0, 0.0, 10.0]
+    assert cfg.placement.volume_dims == (40, 60, 50) and cfg.tilt.angles == [-10.0, 0.0, 10.0]
     for name, section in sections.items():  # the caller's objects are left as they were
         assert section == before[name]
-    for name in ("placement", "recon"):  # the sections that hold derived copies are new
-        assert getattr(cfg, name) is not sections[name]
+    assert cfg.placement is not sections["placement"]  # it holds the derived copies
 
 
 def test_config_from_dict_leaves_its_argument_unchanged(tmp_path):
-    raw = _raw_config(
-        tmp_path, snr_targets=[0.1], recon={"output_dims": [40, 40, 40]}, tilt={"oversample": 1}
-    )
+    raw = _raw_config(tmp_path, snr_targets=[0.1], extraction={"box": 16}, tilt={"oversample": 1})
     before = copy.deepcopy(raw)
     PipelineConfig.from_dict(raw)
     assert raw == before
+
+
+def test_readme_example_config_builds():
+    # the JSON block under "A pipeline config is plain JSON", so a removed
+    # key cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A pipeline config is plain JSON:", 1)[1]
+    raw = json.loads(block.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = PipelineConfig.from_dict(raw)
+    assert cfg.placement.target_count == cfg.particles_per_class * len(raw["structures"])
 
 
 def test_config_jobs_defaults_to_the_cli_rule(tmp_path, monkeypatch):
@@ -141,7 +136,7 @@ def test_config_jobs_defaults_to_the_cli_rule(tmp_path, monkeypatch):
     [
         ("[1, 2]", "cfg.json: the top level must be a JSON object"),
         ('{"structures": {"a": "a.pdb"}, "output_dir": "out", "placement": [1]}',
-         "placement must be a JSON object"),
+         "placement: must be a JSON object, got [1]"),
         ('{"structures": {"a": "a.pdb"}, "output_dir": "out", "placement": {"volume_dims": 5}}',
          "placement: volume_dims must be three integers D,H,W, got 5"),
         ('{"structures": {"a": "a.pdb"}, "output_dir": "out", '
@@ -160,10 +155,21 @@ def test_config_jobs_defaults_to_the_cli_rule(tmp_path, monkeypatch):
          "extraction: neighbor_exclusion must be finite and positive, got inf"),
         ('{"structures": {"a": "a.pdb"}, "output_dir": "out", "tilt": {"oversample": 1.5}}',
          "tilt: oversample must be an integer >= 1, got 1.5"),
+        ('{"structures": ["a.pdb"], "output_dir": "out"}',
+         "structures must map each label to a PDB path string, got ['a.pdb']"),
+        ('{"structures": {"a": 5}, "output_dir": "out"}',
+         "structures must map each label to a PDB path string, got {'a': 5}"),
+        ('{"structures": {"a": "a.pdb"}, "output_dir": 5}', "output_dir must be a string, got 5"),
+        ('{"structures": {"a": "a.pdb"}, "output_dir": "out", "snr_targets": 0.1}',
+         "snr_targets must be a list, got 0.1"),
+        ('{"structures": {"a": "a.pdb"}, "output_dir": "out", "bogus": 1}',
+         "unknown field 'bogus'"),
+        ('{"output_dir": "out"}', "missing field 'structures'"),
     ],
     ids=["top_level_list", "section_list", "dims_int", "dims_zero", "shift_range_negative",
          "mask_threshold_above_one", "neighbor_exclusion_nan", "neighbor_exclusion_inf",
-         "oversample_fractional"],
+         "oversample_fractional", "structures_list", "structure_path_int", "output_dir_int",
+         "snr_targets_float", "top_level_unknown", "structures_missing"],
 )
 def test_malformed_config_shape_exits_1(tmp_path, capsys, monkeypatch, text, named):
     monkeypatch.chdir(tmp_path)
@@ -187,25 +193,26 @@ def test_config_naming_removed_tilt_noise_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "section, name, value",
+    "section, name, value, refused",
     [
-        ("densify", "element_sigma", {"C": 0.35}),
-        ("densify", "element_amplitude", {"C": 6}),
-        ("recon", "filter", "hann_ramp"),
-        ("tilt", "seed", 3),
-        ("extraction", "seed", 3),
+        ("densify", "element_sigma", {"C": 0.35}, "densify: .*'element_sigma'"),
+        ("densify", "element_amplitude", {"C": 6}, "densify: .*'element_amplitude'"),
+        # the whole recon section went, so it is refused as an unknown field
+        ("recon", "filter", "hann_ramp", "unknown field 'recon'"),
+        ("tilt", "seed", 3, "tilt: .*'seed'"),
+        ("extraction", "seed", 3, "extraction: .*'seed'"),
     ],
     ids=["densify.element_sigma", "densify.element_amplitude", "recon.filter", "tilt.seed",
          "extraction.seed"],
 )
-def test_config_naming_removed_key_exits_1(tmp_path, capsys, section, name, value):
+def test_config_naming_removed_key_exits_1(tmp_path, capsys, section, name, value, refused):
     raw = _raw_config(tmp_path, **{section: {name: value}})
-    with pytest.raises(PipelineConfigError, match=rf"{section}: .*'{name}'"):
+    with pytest.raises(PipelineConfigError, match=refused):
         PipelineConfig.from_dict(raw)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     assert main(["--config", str(path), "pipeline"]) == 1
-    assert name in capsys.readouterr().err
+    assert re.search(refused, capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -223,37 +230,36 @@ def test_config_with_too_few_tilt_angles_exits_1(tmp_path, capsys, angles):
 
 
 @pytest.mark.parametrize(
-    "section, name, value",
+    "section, name, value, named",
     [
-        ("placement", "seed", 4),
-        ("placement", "target_count", 2),
-        ("recon", "output_dims", [10, 10, 10]),
+        ("placement", "seed", 4, None),
+        ("placement", "target_count", 2, None),
+        # the recon section, which held output_dims, is gone as a whole
+        ("recon", "output_dims", [10, 10, 10], "unknown field 'recon'"),
+        # the values the pipeline derives (seed 3, five particles of one structure)
+        ("placement", "seed", 3, None),
+        ("placement", "target_count", 5, None),
     ],
-    ids=["placement-seed-4", "placement-target_count-2", "recon-output_dims-value4"],
+    ids=["placement-seed-4", "placement-target_count-2", "recon-output_dims-value4",
+         "placement-seed-3", "placement-target_count-5"],
 )
-def test_config_rejects_fields_the_pipeline_overwrites(tmp_path, section, name, value):
+def test_config_rejects_fields_the_pipeline_overwrites(tmp_path, section, name, value, named):
     raw = _raw_config(tmp_path)
     raw.setdefault(section, {})[name] = value
-    with pytest.raises(PipelineConfigError, match=rf"{section}\.{name}"):
+    named = named or f"{section}.{name} is set by the pipeline; leave it out"
+    with pytest.raises(PipelineConfigError, match=re.escape(named)):
         PipelineConfig.from_dict(raw)
 
 
-def test_config_accepts_overwritten_fields_at_their_derived_values(tmp_path):
-    # seed 3, five particles of one structure, a 40^3 sample
-    raw = _raw_config(
-        tmp_path,
-        placement={"volume_dims": [40, 40, 40], "seed": 3, "target_count": 5},
-        recon={"output_dims": [40, 40, 40]},
-    )
-    cfg = PipelineConfig.from_dict(raw)
-    assert cfg.placement.target_count == 5 and cfg.recon.output_dims == (40, 40, 40)
-
-
 def test_config_with_ignored_output_dims_exits_1(tmp_path, capsys):
+    # the tomogram's dims are placement.volume_dims; the recon section is gone
+    raw = _raw_config(tmp_path, recon={"output_dims": [40, 40, 40]})
+    with pytest.raises(PipelineConfigError, match="^unknown field 'recon'$"):
+        PipelineConfig.from_dict(raw)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_raw_config(tmp_path, recon={"output_dims": [10, 10, 10]})))
+    path.write_text(json.dumps(raw))
     assert main(["--config", str(path), "pipeline"]) == 1
-    assert "recon.output_dims" in capsys.readouterr().err
+    assert "unknown field 'recon'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -261,11 +267,12 @@ def test_config_with_ignored_output_dims_exits_1(tmp_path, capsys):
     "flags, pinned, named",
     [
         # tilt.seed is no longer a field; --seed does not hide it from the checks
-        (["--seed", "5"], {"seed": 11, "tilt": {"seed": 11}}, "tilt.seed"),
+        (["--seed", "5"], {"seed": 11, "tilt": {"seed": 11}}, "tilt: unknown field 'seed'"),
         (["--jobs", "0"], {}, "jobs"),
         (["--seed", "5"], {"seed": 11, "placement": {"volume_dims": [40, 40, 40], "seed": 11}},
          "placement.seed"),
     ],
+    ids=["flags0-pinned0-tilt.seed", "flags1-pinned1-jobs", "flags2-pinned2-placement.seed"],
 )
 def test_cli_overrides_pass_the_config_checks(tmp_path, capsys, flags, pinned, named):
     path = tmp_path / "cfg.json"

@@ -173,7 +173,7 @@ def _reference_wbp(series, shifts, cfg):
     out = np.zeros((D, H, W), dtype=np.float64)
     for i in range(n_tilts):
         theta = np.radians(series.geometry.angles[i])
-        weight = abs(np.cos(theta)) if cfg.weighting == "abs_cos" else 1.0
+        weight = abs(np.cos(theta))
         if weight == 0.0:
             continue
         dx, dy = shifts[i]

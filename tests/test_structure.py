@@ -10,7 +10,6 @@ from cryoforge.structure import (
     DEFAULT_VDW,
     VDW_RADIUS,
     AtomicModel,
-    ConfigError,
     DensifyConfig,
     EmptyModelError,
     PdbParseError,
@@ -216,9 +215,9 @@ def test_coincident_atoms_succeed():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="voxel_size"):
         DensifyConfig(voxel_size=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="peak_threshold_fraction"):
         DensifyConfig(peak_threshold_fraction=1.0)
 
 
@@ -236,7 +235,7 @@ def test_config_rejects_bad_values():
     ],
 )
 def test_config_rejects_non_finite_values(field, value):
-    with pytest.raises(ConfigError, match=field):
+    with pytest.raises(ValueError, match=field):
         DensifyConfig(**{field: value})
 
 
