@@ -83,12 +83,9 @@ def cmd_project(args) -> int:
 def cmd_align(args) -> int:
     series = cio.read_tilt_series(args.tilts, args.angles)
     align = align_series(series)
-    align = AlignmentResult(align.shifts, *refine_axis(series, align.shifts))
+    align = AlignmentResult(align.shifts, refine_axis(series, align.shifts))
     cio.write_ndjson([align], args.out)
-    print(
-        f"align: axis {align.axis_angle_deg:+.2f} deg "
-        f"offset {align.axis_offset:+.2f} px -> {args.out}"
-    )
+    print(f"align: axis {align.axis_angle_deg:+.2f} deg -> {args.out}")
     return EXIT_OK
 
 

@@ -39,7 +39,7 @@ from .geometry import unit_quaternion
 from .subtomo import SNR_TARGETS, ExtractedSubtomogram, snr_tag
 from .tiltalign import AlignmentResult
 from .tiltsim import TiltGeometry, TiltSeries
-from .volume import DensityVolume, centred_sums, float_in, int_at_least, three_ints
+from .volume import DensityVolume, centred_sums, float_in, int_at_least, shift_pair, three_ints
 
 HEADER_SIZE = 1024
 MODE_FLOAT32 = 2
@@ -94,6 +94,10 @@ class TiltRow:
     index: int
     angle_deg: float
     applied_shift: tuple[float, float]
+
+    def __post_init__(self):
+        int_at_least(self.index, "index", 0)
+        object.__setattr__(self, "applied_shift", shift_pair(self.applied_shift, "applied_shift"))
 
 
 @contextmanager
@@ -225,10 +229,11 @@ def from_row(cls, row):
     return cls(**row)
 
 
-def read_ndjson(path, cls=None) -> list:
+def read_ndjson(path, cls=None, ignore=()) -> list:
     """NDJSON rows of ``path``: dicts, or ``cls(**row)`` per line for a
-    dataclass ``cls``. A line that is not JSON, or that ``from_row``
-    refuses, raises MetadataParseError."""
+    dataclass ``cls``, once the keys named in ``ignore`` are dropped. A
+    line that is not JSON, or that ``from_row`` refuses, raises
+    MetadataParseError."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -239,6 +244,9 @@ def read_ndjson(path, cls=None) -> list:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MetadataParseError(path, lineno, f"invalid JSON: {exc}") from exc
+            if isinstance(row, dict):
+                for key in ignore:
+                    row.pop(key, None)
             try:
                 rows.append(row if cls is None else from_row(cls, row))
             except (TypeError, ValueError) as exc:
@@ -296,15 +304,17 @@ def read_tilt_series(tilts_path, angles_path) -> TiltSeries:
     return TiltSeries(
         geometry=geometry,
         projections=stack.data,
-        applied_shifts=[tuple(row.applied_shift) for row in rows],
+        applied_shifts=[row.applied_shift for row in rows],
         voxel_size=stack.voxel_size,
     )
 
 
 def read_alignment(path) -> AlignmentResult:
     """Read the one alignment row. Only ``shifts`` is required (it is all
-    that reconstruction uses); absent axis fields read as 0."""
-    rows = read_ndjson(path, AlignmentResult)
+    that reconstruction uses); an absent axis angle reads as 0. The keys
+    ``axis_offset`` and ``residual_mse``, which older files carry and
+    nothing reads, are dropped."""
+    rows = read_ndjson(path, AlignmentResult, ignore=("axis_offset", "residual_mse"))
     if len(rows) != 1:
         raise ValueError(f"{path}: expected one alignment row, found {len(rows)}")
     return rows[0]

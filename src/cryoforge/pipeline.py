@@ -338,7 +338,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         align = align_series(series)
     row.update(_drift_rms_x(series.applied_shifts, align.shifts))
     with _stage("refine_axis"):
-        align = AlignmentResult(align.shifts, *refine_axis(series, align.shifts))
+        align = AlignmentResult(align.shifts, refine_axis(series, align.shifts))
         cio.write_ndjson([align], out / "alignment.ndjson")
 
     # reconstruct

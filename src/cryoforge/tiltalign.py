@@ -2,8 +2,8 @@
 
 Iterative phase correlation against an evolving reference with quadratic
 sub-pixel peak refinement, followed by a grid search for a single
-in-plane tilt-axis rotation and vertical offset whose scores all follow
-from four sums over the views (see ``refine_axis``).
+in-plane tilt-axis rotation, scored jointly with a vertical offset, whose
+scores all follow from four sums over the views (see ``refine_axis``).
 
 Every shift and every correlation works on half spectra (``rfft2``).
 ``align_series`` transforms each view once per series; a view shifted by
@@ -34,15 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tiltsim import TiltSeries, shift_ramp
-from .volume import float_in, int_at_least
+from .volume import float_in, shift_pair
 
-
-class DegenerateImageError(ValueError):
-    """Constant image: phase correlation has no defined peak."""
-
-
-class UnderdeterminedError(ValueError):
-    """Too few views to constrain the axis refinement."""
+ITERATIONS = 3  # align_series' reference rounds
+TOL_PX = 0.01  # align_series stops once every view's update is below this
+# refine_axis' grid: in-plane axis angles (degrees) and offsets (voxels)
+AXIS_ANGLES_DEG = np.arange(-50, 51) * 0.1
+AXIS_OFFSETS = np.arange(-50, 51) * 0.1
 
 
 @dataclass(frozen=True)
@@ -51,19 +49,10 @@ class AlignmentResult:
 
     shifts: list[tuple[float, float]]  # estimated applied (dx, dy) per tilt
     axis_angle_deg: float = 0.0  # in-plane rotation from detector y
-    axis_offset: float = 0.0  # voxels
-    residual_mse: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "shifts", [tuple(s) for s in self.shifts])
-        for shift in self.shifts:
-            if len(shift) != 2:
-                raise ValueError(f"shifts must be (dx, dy) pairs, got {list(shift)!r}")
-            for v in shift:
-                float_in(v, "shifts", "(-inf, inf)")
+        object.__setattr__(self, "shifts", [shift_pair(s, "shifts") for s in self.shifts])
         float_in(self.axis_angle_deg, "axis_angle_deg", "(-inf, inf)")
-        float_in(self.axis_offset, "axis_offset", "(-inf, inf)")
-        float_in(self.residual_mse, "residual_mse", "[0, inf)")
 
 
 def _parabolic_offset(ym: float, y0: float, yp: float) -> float:
@@ -117,19 +106,17 @@ def phase_correlate(img_a: np.ndarray, img_b: np.ndarray) -> tuple[float, float]
     if a.shape != b.shape:
         raise ValueError("images must have equal dimensions")
     if np.ptp(a) == 0 or np.ptp(b) == 0:
-        raise DegenerateImageError("constant image has no correlation peak")
+        raise ValueError("constant image has no correlation peak")
     return _spectral_shift(np.fft.rfft2(a), np.fft.rfft2(b), a.shape)
 
 
-def align_series(
-    series: TiltSeries, iterations: int = 3, tol: float = 0.01
-) -> AlignmentResult:
+def align_series(series: TiltSeries) -> AlignmentResult:
     """Recover per-view drifts by iterative correlation to a reference.
 
     Iteration 1 aligns every view to the nearest-to-0-degree view; later
     iterations align to the mean of the currently aligned views. Per-view
-    estimates accumulate; stops at the iteration budget or when the
-    largest shift update drops below ``tol`` pixels.
+    estimates accumulate; stops after ``ITERATIONS`` rounds or when the
+    largest shift update drops below ``TOL_PX`` pixels.
 
     Each float32 view of the stack is cast to float64 on its own and
     transformed once, into one (n, H, W // 2 + 1) complex128 stack of
@@ -139,21 +126,18 @@ def align_series(
     sum; that sum over n is the next reference's spectrum, so the last
     iteration forms none. No aligned image is ever formed.
     """
-    iterations = int_at_least(iterations, "iterations", 1)
     n, H, W = series.projections.shape
     shape = (H, W)
     spectra = np.empty((n, H, W // 2 + 1), dtype=np.complex128)
     for i, proj in enumerate(series.projections):
         proj = np.asarray(proj, dtype=np.float64)
         if np.ptp(proj) == 0:
-            raise DegenerateImageError(
-                f"tilt index {i}: constant image has no correlation peak"
-            )
+            raise ValueError(f"tilt index {i}: constant image has no correlation peak")
         spectra[i] = np.fft.rfft2(proj)
     estimates = np.zeros((n, 2))  # (dx, dy) estimated applied drift
     reference = spectra[series.zero_angle_index()]
-    for iteration in range(iterations):
-        last = iteration == iterations - 1  # no later reference is read
+    for iteration in range(ITERATIONS):
+        last = iteration == ITERATIONS - 1  # no later reference is read
         max_update = 0.0
         total = np.zeros_like(reference)
         for i in range(n):
@@ -163,7 +147,7 @@ def align_series(
             if not last:
                 total += spectra[i] * shift_ramp(shape, -estimates[i, 0], -estimates[i, 1])
             max_update = max(max_update, abs(dx), abs(dy))
-        if last or max_update < tol:
+        if last or max_update < TOL_PX:
             break
         reference = total / n
     # the common translation of all views is unobservable: anchor the
@@ -172,20 +156,13 @@ def align_series(
     return AlignmentResult(shifts=[(float(dx), float(dy)) for dx, dy in estimates])
 
 
-def refine_axis(
-    series: TiltSeries,
-    shifts: list[tuple[float, float]],
-    angle_range: float = 5.0,
-    angle_step: float = 0.1,
-    offset_range: float = 5.0,
-    offset_step: float = 0.1,
-) -> tuple[float, float, float]:
-    """Grid-search the tilt-axis in-plane angle and vertical offset.
+def refine_axis(series: TiltSeries, shifts: list[tuple[float, float]]) -> float:
+    """Grid-search the tilt-axis in-plane angle, in degrees.
 
-    Scores mean-squared error between the measured shift trajectory m and
-    the rigid-axis drift model over the full grid; ties break toward the
-    smallest |angle| then smallest |offset|. Returns
-    (axis_angle_deg, axis_offset, residual_mse).
+    Every (angle, offset) of ``AXIS_ANGLES_DEG`` × ``AXIS_OFFSETS`` is
+    scored by the mean-squared error between the measured shift trajectory
+    m and the rigid-axis drift model; ties break toward the smallest
+    |angle| then smallest |offset|. Returns the winner's angle.
 
     A center offset by o voxels perpendicular to an axis rotated in-plane
     by φ from detector y drifts o·r·(cos φ, −sin φ), r = cos θ − 1. Expanding
@@ -193,32 +170,23 @@ def refine_axis(
 
         mse(φ, o) = (Σ|m|² − 2o·(cos φ·Σ m_x r − sin φ·Σ m_y r) + o²·Σ r²) / 2n
 
-    so only an (angles, offsets) array is formed. The winner's
-    ``residual_mse`` is then evaluated directly from its model, so it is
-    never negative by cancellation.
+    so only an (angles, offsets) array is formed.
     """
     if len(shifts) < 3:
-        raise UnderdeterminedError("axis refinement needs at least 3 views")
+        raise ValueError("axis refinement needs at least 3 views")
     angles = np.asarray(series.geometry.angles)
     measured = np.asarray(shifts, dtype=float)
-    n_a = int(round(2 * angle_range / angle_step)) + 1
-    n_o = int(round(2 * offset_range / offset_step)) + 1
-    cand_angles = (np.arange(n_a) - n_a // 2) * angle_step
-    cand_offsets = (np.arange(n_o) - n_o // 2) * offset_step
     r = np.cos(np.radians(angles)) - 1.0
-    phi = np.radians(cand_angles)
+    phi = np.radians(AXIS_ANGLES_DEG)
     cross = np.cos(phi) * (measured[:, 0] @ r) - np.sin(phi) * (measured[:, 1] @ r)
     mse = (
         np.sum(measured**2)
-        - 2.0 * np.outer(cross, cand_offsets)
-        + (r @ r) * cand_offsets**2
+        - 2.0 * np.outer(cross, AXIS_OFFSETS)
+        + (r @ r) * AXIS_OFFSETS**2
     ) / (2 * len(measured))
     # lexicographic (mse, |angle|, |offset|); a stable sort keeps the first
     # grid point of a full tie
-    abs_phi = np.broadcast_to(np.abs(cand_angles)[:, None], mse.shape)
-    abs_off = np.broadcast_to(np.abs(cand_offsets)[None, :], mse.shape)
+    abs_phi = np.broadcast_to(np.abs(AXIS_ANGLES_DEG)[:, None], mse.shape)
+    abs_off = np.broadcast_to(np.abs(AXIS_OFFSETS)[None, :], mse.shape)
     best = np.lexsort((abs_off.ravel(), abs_phi.ravel(), mse.ravel()))[0]
-    ia, io = np.unravel_index(best, mse.shape)
-    radial = cand_offsets[io] * r
-    model = np.stack([radial * np.cos(phi[ia]), -radial * np.sin(phi[ia])], axis=-1)
-    return float(cand_angles[ia]), float(cand_offsets[io]), float(np.mean((measured - model) ** 2))
+    return float(AXIS_ANGLES_DEG[best // len(AXIS_OFFSETS)])

@@ -58,6 +58,20 @@ def float_in(value, name: str, interval: str):
     raise ValueError(f"{name} must be {_WORDS.get(interval, 'in ' + interval)}, got {value!r}")
 
 
+def shift_pair(value, name: str) -> tuple:
+    """``value`` as a (dx, dy) tuple; a ValueError naming ``name`` if it is
+    not two items, or either is not a finite number."""
+    try:
+        pair = tuple(value)
+    except TypeError:
+        pair = ()
+    if len(pair) != 2:
+        raise ValueError(f"{name} must be a (dx, dy) pair, got {value!r}")
+    for v in pair:
+        float_in(v, name, "(-inf, inf)")
+    return pair
+
+
 _CHUNK = 1 << 16  # values per float64 buffer (512 KB)
 
 

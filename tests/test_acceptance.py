@@ -108,7 +108,7 @@ def test_criterion_05_phase_correlation_and_alignment():
 
     geom = TiltGeometry(angles=default_angles(-60, 60, 3), shift_range=1.0)
     series = simulate_tilt_series(shell_phantom(48), geom, seed=5)
-    result = align_series(series, iterations=3)
+    result = align_series(series)
     applied = np.asarray(series.applied_shifts)
     applied -= applied.mean(axis=0)  # common drift of all views is unobservable
     residual = np.abs(np.asarray(result.shifts) - applied).max()

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +166,7 @@ def test_main_runs_the_current_command_function(tmp_path, monkeypatch):
     assert called == [2]
 
 
-def test_stage_chain_project_align_reconstruct_extract(tmp_path, rng):
+def test_stage_chain_project_align_reconstruct_extract(tmp_path, rng, capsys):
     # densify a blob structure at 7.5 A, then drive the remaining stage
     # commands on it; every volume the chain writes keeps that voxel size
     pdb = tmp_path / "blob.pdb"
@@ -185,6 +186,8 @@ def test_stage_chain_project_align_reconstruct_extract(tmp_path, rng):
     assert main(["align", "--tilts", str(proj_dir / "tilts.mrc"),
                  "--angles", str(proj_dir / "angles.ndjson"),
                  "--out", str(align_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(rf"align: axis [+-]\d+\.\d\d deg -> {re.escape(str(align_path))}", printed)
 
     vol = cio.read_mrc(vol_path)
     dims = ",".join(str(d) for d in vol.shape)
@@ -302,6 +305,33 @@ def test_align_names_an_angles_file_with_a_non_uniform_step(tmp_path, rng, capsy
                  "--out", str(tmp_path / "alignment.ndjson")]) == 1
     assert f"error: {angles}: tilt angle step must be uniform" in capsys.readouterr().err
     assert not (tmp_path / "alignment.ndjson").exists()
+
+
+def test_align_names_a_malformed_angles_row(tmp_path, rng, capsys):
+    # an applied_shift of 5 used to end the command in a TypeError traceback
+    tilts, angles = _write_tilts(tmp_path, rng, 3, [-20.0, 0.0, 20.0])
+    rows = cio.read_ndjson(angles)
+    rows[1]["applied_shift"] = 5
+    cio.write_ndjson(rows, angles)
+    assert main(["align", "--tilts", str(tilts), "--angles", str(angles),
+                 "--out", str(tmp_path / "alignment.ndjson")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {angles}: line 2: applied_shift must be a (dx, dy) pair, got 5" in err
+    assert not (tmp_path / "alignment.ndjson").exists()
+
+
+def test_reconstruct_reads_an_alignment_file_with_the_older_keys(tmp_path, rng):
+    # a row that still carries axis_offset and residual_mse reconstructs the
+    # same tomogram as the row without them
+    argv = _reconstruct_args(tmp_path, rng)
+    alignment, tomo = tmp_path / "alignment.ndjson", tmp_path / "tomo.mrc"
+    row = {"axis_angle_deg": 0.3, "shifts": [[0.25, -0.5], [0.0, 0.0], [-0.25, 0.5]]}
+    tomograms = []
+    for extra in ({}, {"axis_offset": 1.2, "residual_mse": 0.01}):
+        cio.write_ndjson([{**row, **extra}], alignment)
+        assert main(argv) == 0
+        tomograms.append(tomo.read_bytes())
+    assert tomograms[0] == tomograms[1]
 
 
 def test_reconstruct_names_an_alignment_file_short_of_shifts(tmp_path, rng, capsys):

@@ -24,6 +24,7 @@ from cryoforge.io import (
 )
 from cryoforge.scene import ParticleInstance
 from cryoforge.subtomo import ExtractedSubtomogram
+from cryoforge.tiltalign import AlignmentResult
 from cryoforge.volume import DensityVolume
 
 
@@ -271,7 +272,9 @@ def test_record_validates_quaternion_and_tag():
     [
         ({"shifts": [[0.0, 0.0], [float("nan"), 0.0]]}, "shifts must be finite, got nan"),
         ({"shifts": [[0.0, 0.0]], "axis_angle_deg": float("inf")}, "axis_angle_deg must be finite"),
-        ({"shifts": [[0.0, 0.0], [1.0, 2.0, 3.0]]}, r"shifts must be \(dx, dy\) pairs"),
+        ({"shifts": [[0.0, 0.0], [1.0, 2.0, 3.0]]}, r"shifts must be a \(dx, dy\) pair, got \[1\.0, 2\.0, 3\.0\]"),
+        # a shift that is no list used to read as "'int' object is not iterable"
+        ({"shifts": [5, [0.0, 0.0]]}, r"shifts must be a \(dx, dy\) pair, got 5$"),
     ],
 )
 def test_read_alignment_rejects_bad_values_naming_the_line(tmp_path, row, message):
@@ -306,6 +309,38 @@ def test_read_into_a_dataclass_names_a_row_that_is_not_an_object(tmp_path, line)
     path.write_text(line + "\n")
     message = f"{path}: line 1: must be a JSON object, got {json.loads(line)!r}"
     with pytest.raises(MetadataParseError, match=f"^{re.escape(message)}$"):
+        read_ndjson(path, cio.TiltRow)
+
+
+def test_read_alignment_drops_only_the_keys_older_files_carry(tmp_path):
+    # files written before axis_offset and residual_mse were dropped from
+    # the row still read, as the row they hold today
+    old = {"axis_angle_deg": -0.4, "axis_offset": 1.3, "residual_mse": 0.02,
+           "shifts": [[0.5, -0.25], [0.0, 0.0]]}
+    write_ndjson([old], tmp_path / "old.ndjson")
+    assert read_alignment(tmp_path / "old.ndjson") == AlignmentResult(
+        shifts=[(0.5, -0.25), (0.0, 0.0)], axis_angle_deg=-0.4
+    )
+    path = tmp_path / "bogus.ndjson"
+    write_ndjson([{**old, "residual": 0.02}], path)
+    with pytest.raises(MetadataParseError, match=f"^{re.escape(str(path))}: line 1: unknown field 'residual'$"):
+        read_alignment(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        # the first used to fail in read_tilt_series as "'int' object is not
+        # iterable", and the other two passed
+        ({"index": 0, "angle_deg": -10.0, "applied_shift": 5}, "applied_shift must be a (dx, dy) pair, got 5"),
+        ({"index": "x", "angle_deg": -10.0, "applied_shift": [0.0, 0.0]}, "index must be an integer >= 0, got 'x'"),
+        ({"index": 0, "angle_deg": -10.0, "applied_shift": [float("nan"), 0.0]}, "applied_shift must be finite, got nan"),
+    ],
+)
+def test_tilt_row_names_a_bad_index_or_shift(tmp_path, row, message):
+    path = tmp_path / "angles.ndjson"
+    write_ndjson([row], path)
+    with pytest.raises(MetadataParseError, match=f"^{re.escape(f'{path}: line 1: {message}')}$"):
         read_ndjson(path, cio.TiltRow)
 
 

@@ -7,8 +7,6 @@ import pytest
 from conftest import SHIFT_SHAPES, band_limited_image, reference_fourier_shift_2d, shell_phantom
 from cryoforge.tiltalign import (
     AlignmentResult,
-    DegenerateImageError,
-    UnderdeterminedError,
     _parabolic_offset,
     align_series,
     phase_correlate,
@@ -46,7 +44,7 @@ def test_phase_correlate_antisymmetry(rng):
 
 
 def test_constant_image_rejected():
-    with pytest.raises(DegenerateImageError):
+    with pytest.raises(ValueError, match="^constant image has no correlation peak$"):
         phase_correlate(np.ones((8, 8)), np.ones((8, 8)))
 
 
@@ -56,13 +54,14 @@ def test_shape_mismatch_rejected(rng):
 
 
 def test_alignment_result_validates():
-    with pytest.raises(ValueError):
-        AlignmentResult(shifts=[(0.0, 0.0)], residual_mse=-1.0)
+    with pytest.raises(ValueError, match="axis_angle_deg must be finite"):
+        AlignmentResult(shifts=[(0.0, 0.0)], axis_angle_deg=float("nan"))
 
 
 def test_alignment_result_is_frozen_with_tuple_shifts():
-    result = AlignmentResult(shifts=[[1.0, 2.0]], axis_angle_deg=3.0)
-    assert result.shifts == [(1.0, 2.0)]
+    result = AlignmentResult(shifts=[[1.0, 2.0], np.array([3.0, 4.0])], axis_angle_deg=3.0)
+    assert result.shifts == [(1.0, 2.0), (3.0, 4.0)]
+    assert all(type(s) is tuple for s in result.shifts)
     with pytest.raises(dataclasses.FrozenInstanceError):
         result.axis_angle_deg = float("nan")  # would skip the finite check
 
@@ -79,17 +78,12 @@ def test_align_series_null_case():
 
 def test_align_series_recovers_applied_shifts():
     series = _series(shift_range=1.0)
-    result = align_series(series, iterations=3)
+    result = align_series(series)
     applied = np.asarray(series.applied_shifts)
     recovered = np.asarray(result.shifts)
     # the common offset of all views is unobservable: compare demeaned
     applied -= applied.mean(axis=0)
     assert np.abs(recovered - applied).max() <= 0.1
-
-
-def test_align_series_iteration_guard():
-    with pytest.raises(ValueError):
-        align_series(_series(0.0), iterations=0)
 
 
 def _model_shifts(angles_deg, axis_angle_deg, offset):
@@ -103,35 +97,35 @@ def _model_shifts(angles_deg, axis_angle_deg, offset):
 
 def test_refine_axis_null_case():
     series = _series(0.0)
-    phi, off, mse = refine_axis(series, [(0.0, 0.0)] * 5)
-    assert phi == 0.0 and off == 0.0
-    assert mse < 1e-4
+    assert refine_axis(series, [(0.0, 0.0)] * 5) == 0.0
 
 
 def test_refine_axis_recovers_injected_axis():
     series = _series(0.0)
     shifts = _model_shifts(series.geometry.angles, 1.5, 3.0)
-    phi, off, mse = refine_axis(series, shifts)
-    assert abs(phi - 1.5) <= 0.1
-    assert abs(off - 3.0) <= 0.1
-    assert mse < 1e-6
+    assert refine_axis(series, shifts) == pytest.approx(1.5, abs=1e-9)
 
 
 def test_refine_axis_is_exact_grid_argmin():
+    # the returned angle is that of the grid point with the least error
+    # over every (angle, offset), each scored from its model directly
     series = _series(0.0)
     shifts = _model_shifts(series.geometry.angles, -2.3, 1.1)
-    phi, off, mse = refine_axis(series, shifts)
+    phi = refine_axis(series, shifts)
+    assert phi == pytest.approx(-2.3, abs=1e-9)
     angles = np.asarray(series.geometry.angles)
     measured = np.asarray(shifts)
-    for cand_phi in np.arange(-50, 51) * 0.1:
-        for cand_off in np.arange(-50, 51) * 0.1:
-            model = np.asarray(_model_shifts(angles, cand_phi, cand_off))
-            assert mse <= np.mean((measured - model) ** 2) + 1e-12
+    mse = {
+        (cand_phi, cand_off): np.mean((measured - _model_shifts(angles, cand_phi, cand_off)) ** 2)
+        for cand_phi in np.arange(-50, 51) * 0.1
+        for cand_off in np.arange(-50, 51) * 0.1
+    }
+    assert min(mse, key=mse.get)[0] == phi
 
 
 def test_refine_axis_underdetermined():
     series = _series(0.0)
-    with pytest.raises(UnderdeterminedError):
+    with pytest.raises(ValueError, match="^axis refinement needs at least 3 views$"):
         refine_axis(series, [(0.0, 0.0), (0.0, 0.0)])
 
 
@@ -180,8 +174,7 @@ def test_refine_axis_closed_form_matches_grid_reference(kind):
             shifts = np.zeros((n, 2))
         got = refine_axis(_geometry_series(angles), [tuple(s) for s in shifts])
         want = _reference_refine_axis(angles, shifts)
-        assert got[:2] == want[:2], (n, got, want)
-        assert got[2] == pytest.approx(want[2], rel=1e-12, abs=0.0), (n, got, want)
+        assert got == want[0], (n, got, want)
 
 
 def test_refine_axis_allocates_no_views_by_grid_array(rng):
@@ -272,5 +265,5 @@ def test_align_series_matches_image_domain_reference(rng, shape):
 def test_align_series_names_constant_view():
     series = _series(shift_range=1.0)
     series.projections[3] = np.full_like(series.projections[3], 2.0)
-    with pytest.raises(DegenerateImageError, match="tilt index 3"):
+    with pytest.raises(ValueError, match="^tilt index 3: constant image has no correlation peak$"):
         align_series(series)
