@@ -17,10 +17,6 @@ import numpy as np
 from .volume import float_in
 
 
-class DegenerateRepresentationError(ValueError):
-    """Raised when a rotation representation cannot be decoded uniquely."""
-
-
 def _check_rotation(R: np.ndarray, name: str, tol: float = 1e-6) -> None:
     if R.shape != (3, 3):
         raise ValueError(f"{name} must be a 3x3 matrix, got shape {R.shape}")
@@ -58,12 +54,12 @@ def gso_to_matrix(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     v2 = np.asarray(v2, dtype=float)
     n1 = np.linalg.norm(v1, axis=-1, keepdims=True)
     if np.any(n1 <= 1e-9):
-        raise DegenerateRepresentationError("first vector is (near-)zero")
+        raise ValueError("first vector is (near-)zero")
     e1 = v1 / n1
     u2 = v2 - np.sum(v2 * e1, axis=-1, keepdims=True) * e1
     n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
     if np.any(n2 <= 1e-9 * np.maximum(1.0, np.linalg.norm(v2, axis=-1, keepdims=True))):
-        raise DegenerateRepresentationError("second vector is (near-)parallel to the first")
+        raise ValueError("second vector is (near-)parallel to the first")
     e2 = u2 / n2
     e3 = np.cross(e1, e2)
     return np.stack([e1, e2, e3], axis=-1)
@@ -79,7 +75,7 @@ def svd_to_matrix(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     U, S, Vt = np.linalg.svd(M)
     if np.any(S[..., -1] <= 1e-9):
-        raise DegenerateRepresentationError("rank-deficient matrix: projection not unique")
+        raise ValueError("rank-deficient matrix: projection not unique")
     d = np.sign(np.linalg.det(U @ Vt))
     scale = np.ones(M.shape[:-2] + (3,))
     scale[..., 2] = d

@@ -13,7 +13,9 @@ whose fields are the row's keys (``SubtomogramRecord``, ``TiltRow``,
 ``AlignmentResult``, ``scene.ParticleInstance``, ``subtomo.Rejection``);
 ``from_row`` reads a row into a dataclass, and ``pipeline`` reads its
 config the same way: the row must be an object that carries every required
-field and no other.
+field and no other. A malformed MRC file fails as a ValueError naming the
+file, and a malformed NDJSON row as a ValueError naming the file and the
+line (``<path>: line N: ...``).
 The tilt series (``tilts.mrc`` + ``angles.ndjson``) and the subtomograms
 have their own writer and reader. The CLI subcommands and
 ``run_pipeline`` both go through them, so a pipeline run's files feed the
@@ -46,24 +48,6 @@ MODE_FLOAT32 = 2
 _MACHINE_STAMP_LE = b"\x44\x44\x00\x00"
 
 SNR_TAGS = ("clean",) + tuple(snr_tag(t) for t in SNR_TARGETS)
-
-
-class MrcFormatError(ValueError):
-    """Malformed MRC header or truncated payload."""
-
-
-class UnsupportedModeError(MrcFormatError):
-    """MRC mode other than 2 (32-bit float)."""
-
-
-class MetadataParseError(ValueError):
-    """Malformed NDJSON line; carries the file's path and the 1-based line
-    number, and its message reads ``<path>: line N: ...``."""
-
-    def __init__(self, path, line_number: int, message: str):
-        super().__init__(f"{path}: line {line_number}: {message}")
-        self.path = path
-        self.line_number = line_number
 
 
 @dataclass
@@ -158,13 +142,13 @@ def read_mrc(path) -> DensityVolume:
         header = fh.read(HEADER_SIZE)
         size = os.fstat(fh.fileno()).st_size
         if len(header) < HEADER_SIZE:
-            raise MrcFormatError(f"{path}: file shorter than the 1024-byte MRC header")
+            raise ValueError(f"{path}: file shorter than the 1024-byte MRC header")
         nx, ny, nz = struct.unpack_from("<3i", header, 0)
         (mode,) = struct.unpack_from("<i", header, 12)
         if header[208:212] != b"MAP ":
-            raise MrcFormatError(f"{path}: missing 'MAP ' magic at byte 208")
+            raise ValueError(f"{path}: missing 'MAP ' magic at byte 208")
         if mode != MODE_FLOAT32:
-            raise UnsupportedModeError(f"{path}: mode {mode} unsupported, only mode 2 is handled")
+            raise ValueError(f"{path}: mode {mode} unsupported, only mode 2 is handled")
         mx, my, mz = struct.unpack_from("<3i", header, 28)
         cella = struct.unpack_from("<3f", header, 40)
         (nsymbt,) = struct.unpack_from("<i", header, 92)
@@ -178,14 +162,14 @@ def read_mrc(path) -> DensityVolume:
             for v in origin.tolist():
                 float_in(v, "origin", "(-inf, inf)")
         except ValueError as exc:
-            raise MrcFormatError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
         voxel_sizes = np.array(cella, dtype=np.float64) / np.array([mx, my, mz], dtype=np.float64)
         if np.ptp(voxel_sizes) > 1e-4 * voxel_sizes.mean():
-            raise MrcFormatError(f"{path}: anisotropic voxels {tuple(voxel_sizes)} unsupported")
+            raise ValueError(f"{path}: anisotropic voxels {tuple(voxel_sizes)} unsupported")
         n_values = nx * ny * nz
         expected = HEADER_SIZE + nsymbt + 4 * n_values
         if size < expected:
-            raise MrcFormatError(
+            raise ValueError(
                 f"{path}: truncated data section, expected {expected} bytes, found {size}"
             )
         # offset counts from the handle's position, the end of the header
@@ -232,8 +216,8 @@ def from_row(cls, row):
 def read_ndjson(path, cls=None, ignore=()) -> list:
     """NDJSON rows of ``path``: dicts, or ``cls(**row)`` per line for a
     dataclass ``cls``, once the keys named in ``ignore`` are dropped. A
-    line that is not JSON, or that ``from_row`` refuses, raises
-    MetadataParseError."""
+    line that is not JSON, or that ``from_row`` refuses, raises a
+    ValueError that reads ``<path>: line N: ...``."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -243,14 +227,14 @@ def read_ndjson(path, cls=None, ignore=()) -> list:
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MetadataParseError(path, lineno, f"invalid JSON: {exc}") from exc
+                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
             if isinstance(row, dict):
                 for key in ignore:
                     row.pop(key, None)
             try:
                 rows.append(row if cls is None else from_row(cls, row))
             except (TypeError, ValueError) as exc:
-                raise MetadataParseError(path, lineno, str(exc)) from exc
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return rows
 
 
@@ -291,13 +275,17 @@ def write_tilt_series(series: TiltSeries, directory) -> None:
 
 def read_tilt_series(tilts_path, angles_path) -> TiltSeries:
     """Read a stack and its angle rows back as a TiltSeries whose
-    ``projections`` is the stack's float32 payload itself."""
+    ``projections`` is the stack's float32 payload itself. Row i of the
+    angles file must carry index i."""
     stack = read_mrc(tilts_path)
     rows = read_ndjson(angles_path, TiltRow)
     views = len(stack.data)
     if len(rows) != views:
         raise ValueError(f"{tilts_path}: {views} views, {angles_path}: {len(rows)} angles")
     try:
+        for i, row in enumerate(rows):
+            if row.index != i:
+                raise ValueError(f"row {i} has index {row.index}, expected {i}")
         geometry = TiltGeometry(angles=[row.angle_deg for row in rows])
     except ValueError as exc:
         raise ValueError(f"{angles_path}: {exc}") from exc

@@ -23,10 +23,6 @@ EPS_SCALING = 0.5  # ratio of consecutive epsilons in sinkhorn_wasserstein
 STAGE_TOL = 1e-3  # marginal tolerance of its intermediate epsilon stages
 
 
-class InsufficientNegativesError(ValueError):
-    """Instance losses need at least two samples per batch."""
-
-
 @dataclass
 class EmbeddingBatch:
     vectors: np.ndarray  # (B, d), finite rows of unit norm
@@ -95,7 +91,7 @@ def sym_loss(z: EmbeddingBatch, z_pos: EmbeddingBatch, cfg: LossConfig) -> float
     _check_pair(z, z_pos)
     B = len(z.vectors)
     if B < 2:
-        raise InsufficientNegativesError("sym_loss needs B >= 2 for in-batch negatives")
+        raise ValueError("sym_loss needs B >= 2 for in-batch negatives")
     c = cfg.rince_c
     sims = z.vectors @ z_pos.vectors.T / cfg.temperature  # (B, B)
     s_pos = np.diag(sims)

@@ -63,22 +63,18 @@ from .volume import DensityVolume, centred_sums, float_in, int_at_least
 _THREAD_CAPS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-class PipelineConfigError(ValueError):
-    pass
-
-
 # the config's nested sections, each read by ``io.from_row``
 _SECTIONS = {"densify": DensifyConfig, "placement": PlacementConfig, "tilt": TiltGeometry,
              "extraction": ExtractionConfig}
 
 
 def _read(cls, row, prefix=""):
-    """``io.from_row(cls, row)``, raising its error as a PipelineConfigError
-    that starts with ``prefix``."""
+    """``io.from_row(cls, row)``, raising its error as a ValueError that
+    starts with ``prefix``."""
     try:
         return cio.from_row(cls, row)
     except (TypeError, ValueError) as exc:
-        raise PipelineConfigError(f"{prefix}{exc}") from exc
+        raise ValueError(f"{prefix}{exc}") from exc
 
 
 class StageError(RuntimeError):
@@ -107,39 +103,36 @@ class PipelineConfig:
         if not isinstance(self.structures, dict) or not all(
             isinstance(v, str) for v in self.structures.values()
         ):
-            raise PipelineConfigError(
+            raise ValueError(
                 f"structures must map each label to a PDB path string, got {self.structures!r}"
             )
         if not self.structures:
-            raise PipelineConfigError("at least one structure is required")
+            raise ValueError("at least one structure is required")
         if not isinstance(self.output_dir, str):
-            raise PipelineConfigError(f"output_dir must be a string, got {self.output_dir!r}")
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         if not isinstance(self.snr_targets, (list, tuple)):
-            raise PipelineConfigError(f"snr_targets must be a list, got {self.snr_targets!r}")
+            raise ValueError(f"snr_targets must be a list, got {self.snr_targets!r}")
         self.snr_targets = tuple(self.snr_targets)
-        try:
-            for name, low in (("seed", 0), ("particles_per_class", 1), ("jobs", 1)):
-                setattr(self, name, int_at_least(getattr(self, name), name, low))
-            tags = [snr_tag(float_in(t, "snr_targets", "(0, inf)")) for t in self.snr_targets]
-        except ValueError as exc:
-            raise PipelineConfigError(str(exc)) from None
+        for name, low in (("seed", 0), ("particles_per_class", 1), ("jobs", 1)):
+            setattr(self, name, int_at_least(getattr(self, name), name, low))
+        tags = [snr_tag(float_in(t, "snr_targets", "(0, inf)")) for t in self.snr_targets]
         if len(self.tilt.angles) < MIN_TILTS:
-            raise PipelineConfigError(
+            raise ValueError(
                 f"tilt.angles must hold at least {MIN_TILTS} angles, got {self.tilt.angles}"
             )
         for t, tag in zip(self.snr_targets, tags):
             if tag not in cio.SNR_TAGS:
-                raise PipelineConfigError(
+                raise ValueError(
                     f"SNR target {t} is not in the supported set {cio.SNR_TAGS[1:]}"
                 )
             if tags.count(tag) > 1:  # both copies would be written to one file
-                raise PipelineConfigError(f"SNR target {t} repeats the tag {tag!r}")
+                raise ValueError(f"SNR target {t} repeats the tag {tag!r}")
         for label in self.structures:
             # labels name files and directories under output_dir
             if label in ("", ".", "..") or any(
                 sep in label for sep in ("/", os.sep, os.altsep, "\0") if sep
             ):
-                raise PipelineConfigError(
+                raise ValueError(
                     f"structure label {label!r} must be one plain path component"
                 )
         # the nested fields placement takes from the top-level ones
@@ -157,7 +150,7 @@ class PipelineConfig:
         placement = raw.get("placement")
         for name in ("seed", "target_count"):
             if isinstance(placement, dict) and name in placement:
-                raise PipelineConfigError(f"placement.{name} is set by the pipeline; leave it out")
+                raise ValueError(f"placement.{name} is set by the pipeline; leave it out")
         sections = {k: _read(ctor, raw[k], f"{k}: ") for k, ctor in _SECTIONS.items() if k in raw}
         return _read(cls, {**raw, **sections})
 
@@ -168,9 +161,9 @@ class PipelineConfig:
         try:
             raw = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
-            raise PipelineConfigError(f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {exc}") from exc
         if not isinstance(raw, dict):
-            raise PipelineConfigError(f"{path}: the top level must be a JSON object")
+            raise ValueError(f"{path}: the top level must be a JSON object")
         return cls.from_dict({**raw, **overrides})
 
     def config_hash(self) -> str:

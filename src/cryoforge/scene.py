@@ -13,14 +13,6 @@ from .geometry import quat_to_matrix, rigid_operator, unit_quaternion
 from .volume import DensityVolume, float_in, int_at_least, three_ints
 
 
-class PlacementInfeasibleError(ValueError):
-    """Volume interior cannot host even a single center."""
-
-
-class PlacementError(ValueError):
-    """A particle footprint does not fit inside the volume."""
-
-
 @dataclass(frozen=True)
 class PlacementConfig:
     volume_dims: tuple[int, int, int] = (200, 500, 500)  # (D, H, W) voxels
@@ -86,7 +78,7 @@ def poisson_disk_sample(cfg: PlacementConfig) -> list[np.ndarray]:
     lo = np.full(3, r_ex)
     hi = dims - r_ex
     if np.any(hi < lo):
-        raise PlacementInfeasibleError(
+        raise ValueError(
             f"volume {cfg.volume_dims} too small for exclusion radius {r_ex}"
         )
     rng = np.random.default_rng(cfg.seed)
@@ -150,7 +142,7 @@ def compose_sample(
         c_src = (box // 2).astype(float)
         corner = np.round(inst.center).astype(int) - box // 2
         if np.any(corner < 0) or np.any(corner + box > dims):
-            raise PlacementError(
+            raise ValueError(
                 f"instance {idx} ({inst.class_label}) footprint exceeds the volume"
             )
         R_inv = quat_to_matrix(inst.orientation).T

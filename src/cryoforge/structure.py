@@ -35,14 +35,6 @@ VDW_RADIUS = {"H": 1.2, "C": 1.7, "N": 1.55, "O": 1.52, "P": 1.8, "S": 1.8}
 DEFAULT_VDW = 1.7
 
 
-class PdbParseError(ValueError):
-    pass
-
-
-class EmptyModelError(PdbParseError):
-    pass
-
-
 class InvalidAtomError(ValueError):
     """Row ``index`` holds a non-finite coordinate or a non-finite or negative occupancy."""
 
@@ -66,7 +58,7 @@ class AtomicModel:
         self.occupancy = np.asarray(self.occupancy, dtype=np.float64)
         n = len(self.elements)
         if n == 0:
-            raise EmptyModelError("no atoms: the model holds no ATOM/HETATM records")
+            raise ValueError("no atoms: the model holds no ATOM/HETATM records")
         if self.positions.shape != (n, 3) or self.occupancy.shape != (n,):
             raise ValueError("positions, elements and occupancy must be (n, 3), (n,) and (n,)")
         finite = np.isfinite(self.positions).all(axis=1)
@@ -116,7 +108,7 @@ def parse_pdb(text: str) -> AtomicModel:
     skipped. Coordinates come from columns 31-54, occupancy from 55-60
     (defaulting to 1.0 when blank), element from columns 77-78 with an
     atom-name fallback. An unparseable field, a non-finite coordinate and a
-    non-finite or negative occupancy raise PdbParseError naming the line.
+    non-finite or negative occupancy raise a ValueError naming the line.
     """
     rows: list[tuple[float, ...]] = []  # x, y, z, occupancy, line number
     elements: list[str] = []
@@ -133,18 +125,18 @@ def parse_pdb(text: str) -> AtomicModel:
         try:
             x, y, z = float(line[30:38]), float(line[38:46]), float(line[46:54])
         except (ValueError, IndexError) as exc:
-            raise PdbParseError(f"line {lineno}: unparseable coordinate field") from exc
+            raise ValueError(f"line {lineno}: unparseable coordinate field") from exc
         occ_field = line[54:60].strip()
         try:
             rows.append((x, y, z, float(occ_field) if occ_field else 1.0, lineno))
         except ValueError as exc:
-            raise PdbParseError(f"line {lineno}: unparseable occupancy field") from exc
+            raise ValueError(f"line {lineno}: unparseable occupancy field") from exc
         elements.append(_element_from_line(line))
     table = np.array(rows).reshape(-1, 5)
     try:
         return AtomicModel(table[:, :3], elements, table[:, 3])
     except InvalidAtomError as exc:
-        raise PdbParseError(f"line {table[exc.index, 4]:.0f}: {exc.reason}") from exc
+        raise ValueError(f"line {table[exc.index, 4]:.0f}: {exc.reason}") from exc
 
 
 def splat_atoms(model: AtomicModel, cfg: DensifyConfig) -> DensityVolume:

@@ -23,10 +23,6 @@ def snr_tag(target: float) -> str:
     return f"{target:g}"
 
 
-class DegenerateSignalError(ValueError):
-    """Zero-variance input cannot be SNR-calibrated."""
-
-
 @dataclass(frozen=True)
 class ExtractionConfig:
     box: int = 32
@@ -120,7 +116,7 @@ def signal_variance(clean: DensityVolume) -> float:
     background included."""
     v = float(np.var(clean.data.astype(np.float64)))
     if v <= 0:
-        raise DegenerateSignalError("clean volume has zero variance")
+        raise ValueError("clean volume has zero variance")
     return v
 
 

@@ -95,15 +95,56 @@ def test_extract_names_a_non_finite_centre_and_exits_1(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_place_infeasible_volume_exits_1(tmp_path, capsys):
-    out = tmp_path / "instances.ndjson"
-    code = main(["place", "--labels", "a", "--count", "1", "--dims", "10,10,10",
-                 "--out", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.startswith("error: volume (10, 10, 10)") and err.count("\n") == 1
-    assert not out.exists()
+def _error_argv(tmp_path, case):
+    """``case``'s arguments; every input it reads is under ``tmp_path``, and
+    ``tmp_path / "out"`` is its output."""
+    out = str(tmp_path / "out")
+    pdb, mrc = tmp_path / "in.pdb", tmp_path / "in.mrc"
+    if case.startswith("densify"):
+        pdb.write_text("REMARK no atoms\n" if case == "densify-empty"
+                       else SINGLE_CARBON.replace("0.000   0.000", "x.000   0.000", 1))
+        return ["densify", "--pdb", str(pdb), "--out", out]
+    if case == "place-infeasible":
+        return ["place", "--labels", "a", "--count", "1", "--dims", "10,10,10", "--out", out]
+    if case.startswith("noise"):  # an 8^3 volume: 3072 bytes with its header
+        cio.write_mrc(DensityVolume(np.zeros((8, 8, 8), np.float32)), mrc)
+        with open(mrc, "r+b") as fh:
+            if case == "noise-mode-1":
+                fh.seek(12)
+                fh.write((1).to_bytes(4, "little"))
+            elif case == "noise-truncated":
+                fh.truncate(1500)
+        return ["noise", "--volume", str(mrc), "--snr", "0.1", "--out", out]
+    if case == "pipeline-unknown-key":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"structures": {"a": str(pdb)}, "output_dir": out,
+                                      "bogus": 1}))
+        return ["--config", str(config), "pipeline"]
+    z = tmp_path / "z.ndjson"
+    _write_embeddings(z, np.eye(4)[:1])
+    return ["nrcl-eval", "--z", str(z), "--z-pos", str(z)]
+
+
+# each CLI error path and the message of its one "error:" line
+ERRORS = [
+    ("densify-empty", "no atoms: the model holds no ATOM/HETATM records"),
+    ("densify-coordinate", "line 1: unparseable coordinate field"),
+    ("place-infeasible", "volume (10, 10, 10) too small for exclusion radius 19.0"),
+    ("noise-constant", "clean volume has zero variance"),
+    ("noise-mode-1", "{mrc}: mode 1 unsupported, only mode 2 is handled"),
+    ("noise-truncated", "{mrc}: truncated data section, expected 3072 bytes, found 1500"),
+    ("pipeline-unknown-key", "unknown field 'bogus'"),
+    ("nrcl-eval-one-row", "sym_loss needs B >= 2 for in-batch negatives"),
+]
+
+
+@pytest.mark.parametrize("case, message", ERRORS, ids=[case for case, _ in ERRORS])
+def test_error_exits_1_with_its_one_line(tmp_path, capsys, case, message):
+    # no traceback, nothing on stdout and no output file
+    assert main(_error_argv(tmp_path, case)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(mrc=tmp_path / 'in.mrc')}\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 def test_noise_command(tmp_path):
@@ -317,6 +358,16 @@ def test_align_names_a_malformed_angles_row(tmp_path, rng, capsys):
                  "--out", str(tmp_path / "alignment.ndjson")]) == 1
     err = capsys.readouterr().err
     assert f"error: {angles}: line 2: applied_shift must be a (dx, dy) pair, got 5" in err
+    assert not (tmp_path / "alignment.ndjson").exists()
+
+
+def test_align_names_an_angles_row_out_of_its_index(tmp_path, rng, capsys):
+    # three rows that all said index 0 used to align and exit 0
+    tilts, angles = _write_tilts(tmp_path, rng, 3, [-20.0, 0.0, 20.0])
+    cio.write_ndjson([{**row, "index": 0} for row in cio.read_ndjson(angles)], angles)
+    assert main(["align", "--tilts", str(tilts), "--angles", str(angles),
+                 "--out", str(tmp_path / "alignment.ndjson")]) == 1
+    assert capsys.readouterr().err == f"error: {angles}: row 1 has index 0, expected 1\n"
     assert not (tmp_path / "alignment.ndjson").exists()
 
 

@@ -1,6 +1,7 @@
 """The package's own import graph, read from the source without importing it."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import cryoforge
@@ -123,3 +124,45 @@ def test_package_has_no_unused_import():
     unused = {path.name: _unused_imports(path) for path in paths}
     unused = {name: found for name, found in unused.items() if found}
     assert not unused, f"unused imports: {unused}"
+
+
+def _uncaught_exceptions(paths) -> list[str]:
+    """Exception classes that ``paths`` define and that no ``except`` clause
+    in them names, as ``module.Class``. A class is an exception class when a
+    base is a built-in exception or another such class of ``paths``."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    classes = {(module, node.name): [ast.unparse(base).split(".")[-1] for base in node.bases]
+               for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    size = 0
+    while size < len(exceptions):  # until no class joins
+        size = len(exceptions)
+        exceptions |= {name for (_, name), bases in classes.items() if exceptions & set(bases)}
+    caught = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in trees.values() for handler in ast.walk(tree)
+              if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+              for node in ast.walk(handler.type) if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted(f"{module}.{name}" for module, name in classes
+                  if name in exceptions and name not in caught)
+
+
+def test_uncaught_exception_finder(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Base(ValueError):\n    pass\n"
+        "class Leaf(Base):\n    pass\n"
+        "class Caught(RuntimeError):\n    pass\n"
+        "class Plain:\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "try:\n    pass\nexcept (a.Caught, OSError):\n    pass\n"
+    )
+    assert _uncaught_exceptions(sorted(tmp_path.glob("*.py"))) == ["a.Base", "a.Leaf"]
+
+
+def test_every_exception_class_is_caught_by_type():
+    # a class that no except clause names only renames its base
+    uncaught = _uncaught_exceptions(sorted(PACKAGE.glob("*.py")))
+    assert not uncaught, f"exception classes no except clause names: {uncaught}"

@@ -9,7 +9,6 @@ from cryoforge import nrcl
 from cryoforge.geometry import RigidTransform, gso_to_matrix
 from cryoforge.nrcl import (
     EmbeddingBatch,
-    InsufficientNegativesError,
     LinearProjectionEncoder,
     LossConfig,
     PrecomputedEncoder,
@@ -106,7 +105,7 @@ def test_sym_loss_c_to_zero_matches_infonce(rng):
 
 def test_sym_loss_requires_two_samples():
     z = EmbeddingBatch(np.eye(3)[:1])
-    with pytest.raises(InsufficientNegativesError):
+    with pytest.raises(ValueError, match="^sym_loss needs B >= 2 for in-batch negatives$"):
         sym_loss(z, z, LossConfig())
 
 

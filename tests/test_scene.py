@@ -6,8 +6,6 @@ from cryoforge.geometry import quat_to_matrix
 from cryoforge.scene import (
     ParticleInstance,
     PlacementConfig,
-    PlacementError,
-    PlacementInfeasibleError,
     compose_sample,
     place_particles,
     poisson_disk_sample,
@@ -68,7 +66,8 @@ def test_tiny_volume_admits_single_center():
 
 
 def test_infeasible_volume_raises():
-    with pytest.raises(PlacementInfeasibleError):
+    message = r"^volume \(30, 30, 30\) too small for exclusion radius 19\.0$"
+    with pytest.raises(ValueError, match=message):
         poisson_disk_sample(PlacementConfig(volume_dims=(30, 30, 30)))
 
 
@@ -292,5 +291,5 @@ def test_compose_missing_class_raises():
 
 def test_compose_footprint_outside_volume_raises():
     inst = ParticleInstance("a", (2.0, 12.0, 12.0), (1.0, 0, 0, 0))
-    with pytest.raises(PlacementError, match="instance 0"):
+    with pytest.raises(ValueError, match=r"^instance 0 \(a\) footprint exceeds the volume$"):
         compose_sample({"a": _blob_density()}, [inst], PlacementConfig(volume_dims=(24, 24, 24)))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,8 +12,6 @@ from cryoforge.structure import (
     VDW_RADIUS,
     AtomicModel,
     DensifyConfig,
-    EmptyModelError,
-    PdbParseError,
     densify,
     parse_pdb,
     splat_atoms,
@@ -51,7 +50,7 @@ def test_parse_skips_water():
 
 
 def test_parse_empty_raises():
-    with pytest.raises(EmptyModelError):
+    with pytest.raises(ValueError, match="^no atoms: the model holds no ATOM/HETATM records$"):
         parse_pdb("REMARK nothing here\n")
 
 
@@ -59,16 +58,16 @@ def test_parse_bad_coordinate_reports_line():
     # a NaN occupancy used to parse and fail later in densify, and a negative
     # one subtracted mass; both, and non-finite coordinates, name their line
     for bad, reason in [
-        ("ATOM      2  CA  ALA A   2      bad bad bad", "unparseable coordinate"),
+        ("ATOM      2  CA  ALA A   2      bad bad bad", "unparseable coordinate field"),
         (_atom_line(2, float("nan"), 0, 0), "coordinates must be finite"),
         (_atom_line(2, 0, float("inf"), 0), "coordinates must be finite"),
         (_atom_line(2, 0, 0, float("-inf")), "coordinates must be finite"),
-        (_atom_line(2, 0, 0, 0, occupancy=float("nan")), "occupancy nan must be finite"),
-        (_atom_line(2, 0, 0, 0, occupancy=float("inf")), "occupancy inf must be finite"),
+        (_atom_line(2, 0, 0, 0, occupancy=float("nan")), "occupancy nan must be finite and >= 0"),
+        (_atom_line(2, 0, 0, 0, occupancy=float("inf")), "occupancy inf must be finite and >= 0"),
         (_atom_line(2, 0, 0, 0, occupancy=-0.5), "occupancy -0.5 must be finite and >= 0"),
     ]:
         text = _atom_line(1, 0, 0, 0) + "\n" + bad + "\n" + _atom_line(3, 1, 0, 0)
-        with pytest.raises(PdbParseError, match=f"line 2: {reason}"):
+        with pytest.raises(ValueError, match=f"^line 2: {re.escape(reason)}$"):
             parse_pdb(text)
 
 

@@ -5,7 +5,6 @@ from conftest import gaussian_blob
 from cryoforge import subtomo
 from cryoforge.scene import ParticleInstance
 from cryoforge.subtomo import (
-    DegenerateSignalError,
     ExtractionConfig,
     add_noise,
     extract,
@@ -180,5 +179,5 @@ def test_measured_snr_close_to_target():
 
 
 def test_zero_variance_rejected():
-    with pytest.raises(DegenerateSignalError):
+    with pytest.raises(ValueError, match="^clean volume has zero variance$"):
         add_noise(DensityVolume(np.full((8, 8, 8), 2.0)), [0.05])
