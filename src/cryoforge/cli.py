@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -186,11 +187,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_VALIDATION
 
 
+@dataclass(frozen=True)
+class _EmbeddingRow:
+    """One row of an ``nrcl-eval`` embedding file."""
+
+    vector: list
+
+
 def _read_embeddings(path) -> EmbeddingBatch:
-    rows = cio.read_ndjson(path)
+    rows = cio.read_ndjson(path, _EmbeddingRow)
     try:
-        return EmbeddingBatch(np.array([r["vector"] for r in rows], dtype=float))
-    except ValueError as exc:
+        return EmbeddingBatch(np.array([row.vector for row in rows], dtype=float))
+    except (TypeError, ValueError) as exc:  # TypeError: a vector entry that is no number
         raise ValueError(f"{path}: {exc}") from exc
 
 

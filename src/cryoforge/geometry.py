@@ -1,5 +1,5 @@
 """SO(3)/SE(3) utilities: rotation parameterizations, conversions, rigid
-volume transforms, and alignment error metrics.
+volume transforms, and the geodesic rotation error.
 
 Conventions used throughout the package:
 
@@ -17,28 +17,21 @@ import numpy as np
 from .volume import float_in
 
 
-def _check_rotation(R: np.ndarray, name: str, tol: float = 1e-6) -> None:
+def _check_rotation(R: np.ndarray, name: str) -> None:
     if R.shape != (3, 3):
         raise ValueError(f"{name} must be a 3x3 matrix, got shape {R.shape}")
-    # "not (err <= tol)": a NaN entry makes both errors NaN and fails it
-    if not (
-        np.abs(R.T @ R - np.eye(3)).max() <= tol and abs(np.linalg.det(R) - 1.0) <= tol
-    ):
+    # "not (err <= 1e-6)": a NaN entry makes both errors NaN and fails it
+    if not (np.abs(R.T @ R - np.eye(3)).max() <= 1e-6 and abs(np.linalg.det(R) - 1.0) <= 1e-6):
         raise ValueError(f"{name} is not a rotation (orthogonality/det check failed)")
 
 
-def unit_quaternion(q, name: str = "orientation") -> np.ndarray:
-    """``q`` as a float (4,) array; a ValueError naming ``name`` unless it
+def unit_quaternion(q) -> np.ndarray:
+    """The orientation ``q`` as a float (4,) array; a ValueError unless it
     is a (w, x, y, z) quaternion of unit norm within 1e-9 (NaN and inf fail)."""
     q = np.asarray(q, dtype=float)
     if q.shape != (4,) or not abs(np.linalg.norm(q) - 1.0) <= 1e-9:
-        raise ValueError(f"{name} must be a unit quaternion (w, x, y, z), got {q.tolist()}")
+        raise ValueError(f"orientation must be a unit quaternion (w, x, y, z), got {q.tolist()}")
     return q
-
-
-def rot_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def gso_to_matrix(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -107,11 +100,6 @@ def rotation_error(R_est: np.ndarray, R_gt: np.ndarray) -> float:
     _check_rotation(R_gt, "R_gt")
     arg = (np.trace(R_est.T @ R_gt) - 1.0) / 2.0
     return float(np.degrees(np.arccos(np.clip(arg, -1.0, 1.0))))
-
-
-def translation_error(t_est: np.ndarray, t_gt: np.ndarray) -> float:
-    """Euclidean distance between estimated and ground-truth translations."""
-    return float(np.linalg.norm(np.asarray(t_est, dtype=float) - np.asarray(t_gt, dtype=float)))
 
 
 @dataclass

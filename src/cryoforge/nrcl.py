@@ -209,16 +209,6 @@ class LinearProjectionEncoder:
         return EmbeddingBatch(out / norms)
 
 
-@dataclass
-class PrecomputedEncoder:
-    """Test fixture returning fixed embeddings regardless of input."""
-
-    batch: EmbeddingBatch
-
-    def encode(self, views: np.ndarray, originals: np.ndarray) -> EmbeddingBatch:
-        return self.batch
-
-
 def _transform_batch(volumes: np.ndarray, transforms: list[RigidTransform]) -> np.ndarray:
     """Entry b of ``volumes`` (one volume, or a stack of them) under ``transforms[b]``."""
     return np.stack([apply_rigid(v, t) for v, t in zip(volumes, transforms)])

@@ -13,13 +13,15 @@ the ASTRA toolbox (van Aarle et al., Ultramicroscopy, 2015). The tilt axis
 h is an identity axis, so the interpolation taps of a voxel column (d, w)
 are the same for every h: each slab of d rows is one ``slab_operator``, two
 taps per tilt per voxel column, applied to all filtered detector rows with
-one sparse-dense product. ``reproject``, on that grid the exact transpose
-of the unweighted back-projector, applies the same operators, with unit
-taps, transposed to the volume's slabs and adds each product into one float64 stack of views: however many
-slabs there are, it holds that stack, one float32 product of its size and
-about ``SLAB_BYTES``, and at the end the returned copy. The filtered rows,
-the volume and the taps are float32, as in ASTRA's single-precision
-projectors, so the memory-bound products move half the bytes of float64 ones.
+one sparse-dense product. ``reproject`` is the exact transpose of the
+unweighted back-projector on that grid. It builds the same operators with
+unit taps, multiplies each slab of the volume by its operator's transpose
+and adds each product into one float64 stack of views. However many slabs
+there are, it holds that stack, one float32 product of its size, about
+``SLAB_BYTES`` of operator taps and, at the end, the returned copy. The
+filtered rows, the volume and the taps are float32, as in ASTRA's
+single-precision projectors, so the memory-bound products move half the
+bytes of float64 ones.
 
 With ``jobs > 1`` the back-projector's sparse products run on a thread
 pool, each writing its own disjoint d rows of the tomogram, so it is

@@ -1,6 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from cryoforge.nrcl import EmbeddingBatch
 from cryoforge.volume import DensityVolume
 
 
@@ -72,6 +75,27 @@ def reference_fourier_shift_2d(img, dx, dy) -> np.ndarray:
     fx = np.fft.fftfreq(W)[None, :]
     phase = np.exp(-2j * np.pi * (fy * dy + fx * dx))
     return np.fft.ifft2(np.fft.fft2(img) * phase).real
+
+
+def rot_z(angle: float) -> np.ndarray:
+    """Rotation by ``angle`` radians about z."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def translation_error(t_est, t_gt) -> float:
+    """Euclidean distance between estimated and ground-truth translations."""
+    return float(np.linalg.norm(np.asarray(t_est, dtype=float) - np.asarray(t_gt, dtype=float)))
+
+
+@dataclass
+class PrecomputedEncoder:
+    """An ``nrcl_step`` encoder that returns fixed embeddings whatever its input."""
+
+    batch: EmbeddingBatch
+
+    def encode(self, views: np.ndarray, originals: np.ndarray) -> EmbeddingBatch:
+        return self.batch
 
 
 SHIFT_SHAPES = [(64, 64), (63, 65), (64, 65), (40, 31)]  # even/odd on each axis

@@ -16,17 +16,20 @@ import numpy as np
 import pytest
 import scipy
 
-from conftest import band_limited_image, gaussian_blob, make_blob_pdb, make_shell_pdb, shell_phantom
+from conftest import (
+    PrecomputedEncoder,
+    band_limited_image,
+    gaussian_blob,
+    make_blob_pdb,
+    make_shell_pdb,
+    rot_z,
+    shell_phantom,
+    translation_error,
+)
 from cryoforge import io as cio
 from cryoforge.apt import SteerableSelectionNet, verify_equivariance
 from cryoforge.cli import main
-from cryoforge.geometry import (
-    gso_to_matrix,
-    rot_z,
-    rotation_error,
-    svd_to_matrix,
-    translation_error,
-)
+from cryoforge.geometry import gso_to_matrix, rotation_error, svd_to_matrix
 from cryoforge.nrcl import EmbeddingBatch, LossConfig, infonce_loss, nrcl_step, sinkhorn_wasserstein, sym_loss
 from cryoforge.pipeline import PipelineConfig, run_pipeline
 from cryoforge.recon import ReconConfig, reproject, wbp_reconstruct
@@ -200,7 +203,6 @@ def test_criterion_08_contrastive_losses():
     assert abs(sym_loss(z, z_pos, cfg_small_c) - infonce_ref) < 1e-3
 
     from cryoforge.geometry import RigidTransform
-    from cryoforge.nrcl import PrecomputedEncoder
 
     X = rng.normal(size=(B, 4, 4, 4))
     identity = [RigidTransform() for _ in range(B)]

@@ -121,7 +121,12 @@ def _error_argv(tmp_path, case):
                                       "bogus": 1}))
         return ["--config", str(config), "pipeline"]
     z = tmp_path / "z.ndjson"
-    _write_embeddings(z, np.eye(4)[:1])
+    rows = {"nrcl-eval-not-object": "5\n", "nrcl-eval-no-vector": '{"vec": [1, 0]}\n',
+            "nrcl-eval-vector-of-objects": '{"vector": [{}, 0]}\n'}
+    if case in rows:
+        z.write_text(rows[case])
+    else:
+        _write_embeddings(z, np.eye(4)[:1])
     return ["nrcl-eval", "--z", str(z), "--z-pos", str(z)]
 
 
@@ -135,6 +140,9 @@ ERRORS = [
     ("noise-truncated", "{mrc}: truncated data section, expected 3072 bytes, found 1500"),
     ("pipeline-unknown-key", "unknown field 'bogus'"),
     ("nrcl-eval-one-row", "sym_loss needs B >= 2 for in-batch negatives"),
+    ("nrcl-eval-not-object", "{z}: line 1: must be a JSON object, got 5"),
+    ("nrcl-eval-no-vector", "{z}: line 1: missing field 'vector'"),
+    ("nrcl-eval-vector-of-objects", "{z}: float() argument must be a string or a real number, not 'dict'"),
 ]
 
 
@@ -143,7 +151,8 @@ def test_error_exits_1_with_its_one_line(tmp_path, capsys, case, message):
     # no traceback, nothing on stdout and no output file
     assert main(_error_argv(tmp_path, case)) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message.format(mrc=tmp_path / 'in.mrc')}\n"
+    paths = {"mrc": tmp_path / "in.mrc", "z": tmp_path / "z.ndjson"}
+    assert captured.err == f"error: {message.format(**paths)}\n"
     assert captured.out == "" and not (tmp_path / "out").exists()
 
 

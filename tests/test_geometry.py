@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from conftest import gaussian_blob
+from conftest import gaussian_blob, rot_z, translation_error
 from cryoforge.geometry import (
     RigidTransform,
     apply_rigid,
     gso_to_matrix,
     quat_to_matrix,
     rigid_operator,
-    rot_z,
     rotation_error,
     svd_to_matrix,
-    translation_error,
 )
 
 

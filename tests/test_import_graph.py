@@ -166,3 +166,72 @@ def test_every_exception_class_is_caught_by_type():
     # a class that no except clause names only renames its base
     uncaught = _uncaught_exceptions(sorted(PACKAGE.glob("*.py")))
     assert not uncaught, f"exception classes no except clause names: {uncaught}"
+
+
+def _unread_names(paths) -> list[str]:
+    """Top-level names that ``paths`` define (a ``def``, a ``class`` or an
+    assignment in a module's own body) and that no module of ``paths`` reads
+    outside that definition, as ``module.name``. A read is a load of the
+    name or of an attribute of that name (``cio.read_mrc``), matched by
+    name alone; dunder names (``__version__``) are exempt."""
+    defined, read_in = {}, {}  # read_in: name -> {(module, top-level statement)}
+    for path in paths:
+        for index, node in enumerate(ast.parse(path.read_text()).body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:  # imports, loops, the __main__ guard
+                names = set()
+            for name in names:
+                if not name.startswith("__"):
+                    defined[path.stem, name] = index
+            for sub in ast.walk(node):
+                if isinstance(getattr(sub, "ctx", None), ast.Load):
+                    name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                    read_in.setdefault(name, set()).add((path.stem, index))
+    return sorted(f"{module}.{name}" for (module, name), index in defined.items()
+                  if not read_in.get(name, set()) - {(module, index)})
+
+
+def test_unread_name_finder(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "LIMIT = 3\n"
+        "UNUSED: int = 4\n"
+        "def used():\n    return LIMIT\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+        "class Selfish:\n    @classmethod\n    def make(cls):\n        return Selfish()\n"
+        "__version__ = '1'\n"
+        "for unread in range(2):\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "def caller():\n    return a.used()\n"
+        "caller()\n"
+    )
+    assert _unread_names(sorted(tmp_path.glob("*.py"))) == [
+        "a.Selfish", "a.UNUSED", "a.recursive"
+    ]
+
+
+# read by no module of the package, and kept for the reason given
+UNREAD_BY_DESIGN = {
+    "apt.apt_forward": "the paper's API: the tokenizer's forward pass",
+    "nrcl.nrcl_step": "the paper's API: one evaluation of the contrastive objective",
+    "nrcl.LinearProjectionEncoder": "the paper's API: the deterministic encoder nrcl_step runs with",
+    "tiltalign.phase_correlate": "the paper's API: drift recovery, checked by criterion 5",
+    "io.read_metadata": "perfbench pins it (ROADMAP item 20 releases it)",
+    "tiltsim.project_tilt": "perfbench pins it (ROADMAP item 20 releases it)",
+    "recon.reproject": "the groundwork of the projection matcher (ROADMAP item 2b-i)",
+}
+
+
+def test_every_top_level_name_is_read_by_the_package():
+    # a name only tests reach belongs in tests/; the CLI reaches cmd_* by name
+    unread = {name for name in _unread_names(sorted(PACKAGE.glob("*.py")))
+              if not name.startswith("cli.cmd_")}
+    assert not unread - UNREAD_BY_DESIGN.keys(), (
+        f"top-level names the package never reads: {sorted(unread - UNREAD_BY_DESIGN.keys())}"
+    )
+    assert unread >= UNREAD_BY_DESIGN.keys(), "an allowed name is now read: drop it from the list"

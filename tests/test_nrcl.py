@@ -5,13 +5,13 @@ import pytest
 from scipy import ndimage
 from scipy.special import logsumexp
 
+from conftest import PrecomputedEncoder
 from cryoforge import nrcl
 from cryoforge.geometry import RigidTransform, gso_to_matrix
 from cryoforge.nrcl import (
     EmbeddingBatch,
     LinearProjectionEncoder,
     LossConfig,
-    PrecomputedEncoder,
     infonce_loss,
     nrcl_step,
     sinkhorn_wasserstein,

@@ -389,6 +389,26 @@ def test_mass_conserved_for_interior_blob():
         assert proj.sum() == pytest.approx(total, rel=0.02)
 
 
+def test_translated_sample_moves_each_view_by_the_detector_rule(rng):
+    # x' = cos(theta) (w - c_w) + sin(theta) (d - c_d) + c_w, so a sample
+    # moved by whole voxels (dw, dd) moves view theta by dw cos + dd sin
+    angles = [-60.0, -30.0, 0.0, 30.0, 60.0]
+    data = np.zeros((24, 8, 40), np.float32)
+    data[6:-6, :, 6:-6] = rng.random((12, 8, 28))  # the margin is wider than the roll
+    moved = np.roll(data, (-2, 3), axis=(0, 2))  # (dd, dw) = (-2, 3)
+    geom = TiltGeometry(angles=angles, shift_range=0.0)
+
+    def x_centroids(volume):
+        views = simulate_tilt_series(DensityVolume(volume), geom).projections.astype(np.float64)
+        return views.sum(axis=1) @ np.arange(views.shape[2]) / views.sum(axis=(1, 2))
+
+    shift = x_centroids(moved) - x_centroids(data)
+    theta = np.radians(angles)
+    # off by 9.6e-5 px at most: the beam quadrature at oversample 2, not round-off
+    assert np.abs(shift - (3 * np.cos(theta) - 2 * np.sin(theta))).max() < 1e-3
+    assert np.abs(shift - (3 * np.cos(theta) + 2 * np.sin(theta))).max() > 1.0
+
+
 def test_projection_linearity(rng):
     geom = TiltGeometry()
     v1 = multi_blob_volume(24, blobs=2, seed=1)
