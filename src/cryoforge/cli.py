@@ -135,10 +135,9 @@ def cmd_noise(args) -> int:
 def cmd_pipeline(args) -> int:
     if not args.config:
         raise ValueError("pipeline requires --config FILE")
-    overrides = {"seed": args.seed, "jobs": args.jobs}
-    cfg = PipelineConfig.from_json(
-        args.config, **{k: v for k, v in overrides.items() if v is not None}
-    )
+    flags = {"seed": _seed, "jobs": _jobs}  # checked by name; an absent flag keeps the config's
+    overrides = {k: check(args) for k, check in flags.items() if getattr(args, k) is not None}
+    cfg = PipelineConfig.from_json(args.config, **overrides)
     result = run_pipeline(cfg)
     print(
         f"pipeline: placed={result.placed} accepted={result.accepted} "
@@ -240,9 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker threads for project, reconstruct and pipeline (default: the "
-        "pipeline config's jobs, else CRYOFORGE_JOBS, else the usable CPU count, at "
-        f"most {DEFAULT_JOBS_CAP}; 1 runs serially)",
+        help="worker threads for project, reconstruct and pipeline (default: the pipeline "
+        f"config's jobs, else the usable CPUs, at most {DEFAULT_JOBS_CAP}; 1 runs serially)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -93,13 +93,16 @@ def sym_loss(z: EmbeddingBatch, z_pos: EmbeddingBatch, cfg: LossConfig) -> float
     if B < 2:
         raise ValueError("sym_loss needs B >= 2 for in-batch negatives")
     c = cfg.rince_c
-    sims = z.vectors @ z_pos.vectors.T / cfg.temperature  # (B, B)
-    s_pos = np.diag(sims)
-    # log-domain evaluation of (sum_j e^{s_ij})^c / c
-    m = sims.max(axis=1)
-    log_mass = m + np.log(np.exp(sims - m[:, None]).sum(axis=1))
-    loss = -np.exp(c * s_pos) / c + np.exp(c * log_mass) / c
-    return float(loss.mean())
+    with np.errstate(all="ignore"):  # an overflow (c / tau past ~709) is refused below
+        sims = z.vectors @ z_pos.vectors.T / cfg.temperature  # (B, B)
+        s_pos = np.diag(sims)
+        # log-domain evaluation of (sum_j e^{s_ij})^c / c
+        m = sims.max(axis=1)
+        log_mass = m + np.log(np.exp(sims - m[:, None]).sum(axis=1))
+        loss = float((-np.exp(c * s_pos) / c + np.exp(c * log_mass) / c).mean())
+    if not np.isfinite(loss):
+        raise ValueError(f"sym_loss is {loss} at temperature {cfg.temperature:g} and rince_c {c:g}")
+    return loss
 
 
 def sinkhorn_wasserstein(

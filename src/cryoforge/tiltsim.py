@@ -297,12 +297,9 @@ DEFAULT_JOBS_CAP = 2  # run time and peak RSS are measured at 1 and 2 workers on
 
 
 def default_jobs() -> int:
-    """``CRYOFORGE_JOBS``, else the usable CPU count, at most ``DEFAULT_JOBS_CAP``."""
-    env = os.environ.get("CRYOFORGE_JOBS")
-    if not env:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        return min(DEFAULT_JOBS_CAP, cpus or 1)
-    return int_at_least(int(env) if env.strip().isdecimal() else env, "CRYOFORGE_JOBS", 1)
+    """The usable CPU count, at most ``DEFAULT_JOBS_CAP``, for an unset ``jobs``."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(DEFAULT_JOBS_CAP, cpus or 1)
 
 
 def build_then_run(items, build, run, jobs: int) -> list:

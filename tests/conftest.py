@@ -101,12 +101,6 @@ class PrecomputedEncoder:
 SHIFT_SHAPES = [(64, 64), (63, 65), (64, 65), (40, 31)]  # even/odd on each axis
 
 
-@pytest.fixture(autouse=True)
-def _no_jobs_variable(monkeypatch):
-    """The CLI and PipelineConfig read CRYOFORGE_JOBS; a test that needs it sets it."""
-    monkeypatch.delenv("CRYOFORGE_JOBS", raising=False)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

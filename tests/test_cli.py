@@ -9,6 +9,7 @@ from conftest import make_blob_pdb
 from cryoforge import cli, io as cio, tiltsim
 from cryoforge.cli import main
 from cryoforge.nrcl import LossConfig
+from cryoforge.pipeline import PipelineConfig
 from cryoforge.volume import DensityVolume
 
 SINGLE_CARBON = "ATOM      1  CA  ALA A   1       0.000   0.000   0.000  1.00  0.00           C\n"
@@ -115,19 +116,24 @@ def _error_argv(tmp_path, case):
             elif case == "noise-truncated":
                 fh.truncate(1500)
         return ["noise", "--volume", str(mrc), "--snr", "0.1", "--out", out]
-    if case == "pipeline-unknown-key":
+    if case.startswith("pipeline"):
+        pdb.write_text(SINGLE_CARBON)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"structures": {"a": str(pdb)}, "output_dir": out,
-                                      "bogus": 1}))
-        return ["--config", str(config), "pipeline"]
+        raw = {"structures": {"a": str(pdb)}, "output_dir": out}
+        if case == "pipeline-unknown-key":
+            raw["bogus"] = 1
+        config.write_text(json.dumps(raw))
+        flags = {"pipeline-jobs-0": ["--jobs", "0"], "pipeline-seed-negative": ["--seed", "-1"]}
+        return [*flags.get(case, []), "--config", str(config), "pipeline"]
     z = tmp_path / "z.ndjson"
     rows = {"nrcl-eval-not-object": "5\n", "nrcl-eval-no-vector": '{"vec": [1, 0]}\n',
             "nrcl-eval-vector-of-objects": '{"vector": [{}, 0]}\n'}
     if case in rows:
         z.write_text(rows[case])
     else:
-        _write_embeddings(z, np.eye(4)[:1])
-    return ["nrcl-eval", "--z", str(z), "--z-pos", str(z)]
+        _write_embeddings(z, np.eye(4)[: 2 if case == "nrcl-eval-overflow" else 1])
+    argv = ["nrcl-eval", "--z", str(z), "--z-pos", str(z)]
+    return [*argv, "--temperature", "1e-6"] if case == "nrcl-eval-overflow" else argv
 
 
 # each CLI error path and the message of its one "error:" line
@@ -139,10 +145,13 @@ ERRORS = [
     ("noise-mode-1", "{mrc}: mode 1 unsupported, only mode 2 is handled"),
     ("noise-truncated", "{mrc}: truncated data section, expected 3072 bytes, found 1500"),
     ("pipeline-unknown-key", "unknown field 'bogus'"),
+    ("pipeline-jobs-0", "--jobs must be an integer >= 1, got 0"),
+    ("pipeline-seed-negative", "--seed must be an integer >= 0, got -1"),
     ("nrcl-eval-one-row", "sym_loss needs B >= 2 for in-batch negatives"),
     ("nrcl-eval-not-object", "{z}: line 1: must be a JSON object, got 5"),
     ("nrcl-eval-no-vector", "{z}: line 1: missing field 'vector'"),
     ("nrcl-eval-vector-of-objects", "{z}: float() argument must be a string or a real number, not 'dict'"),
+    ("nrcl-eval-overflow", "sym_loss is nan at temperature 1e-06 and rince_c 0.5"),
 ]
 
 
@@ -421,33 +430,35 @@ def test_reconstruct_keeps_stack_voxel_size(tmp_path, rng):
 
 def test_jobs_resolution_order(monkeypatch):
     parser = cli.build_parser()
-    monkeypatch.delenv("CRYOFORGE_JOBS", raising=False)
     monkeypatch.setattr(tiltsim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert cli._jobs(parser.parse_args(["verify"])) == 1  # usable CPUs
     monkeypatch.setattr(tiltsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert cli._jobs(parser.parse_args(["verify"])) == tiltsim.DEFAULT_JOBS_CAP == 2  # capped
-    monkeypatch.setenv("CRYOFORGE_JOBS", "2")
-    assert cli._jobs(parser.parse_args(["verify"])) == 2  # the variable beats affinity
-    assert cli._jobs(parser.parse_args(["--jobs", "5", "verify"])) == 5  # the flag beats both
+    assert cli._jobs(parser.parse_args(["--jobs", "5", "verify"])) == 5  # the flag beats the CPUs
     assert cli._jobs(parser.parse_args(["--jobs", "1", "verify"])) == 1
 
 
-@pytest.mark.parametrize(
-    "flag,env,named",
-    [("0", None, "--jobs"), ("-3", None, "--jobs"), (None, "0", "CRYOFORGE_JOBS"),
-     (None, "-2", "CRYOFORGE_JOBS"), (None, "two", "CRYOFORGE_JOBS"),
-     (None, "²", "CRYOFORGE_JOBS")],
-)
-def test_jobs_below_one_exits_1(tmp_path, rng, capsys, monkeypatch, flag, env, named):
-    monkeypatch.delenv("CRYOFORGE_JOBS", raising=False)
-    if env is not None:
-        monkeypatch.setenv("CRYOFORGE_JOBS", env)
-    argv = _reconstruct_args(tmp_path, rng)
-    if flag is not None:
-        argv = ["--jobs", flag, *argv]
-    assert main(argv) == 1
-    assert named in capsys.readouterr().err
+# stable ids: the flag, no other source of the count (None) and the option named
+@pytest.mark.parametrize("flag", ["0", "-3"], ids=["0-None---jobs", "-3-None---jobs"])
+def test_jobs_below_one_exits_1(tmp_path, rng, capsys, flag):
+    assert main(["--jobs", flag, *_reconstruct_args(tmp_path, rng)]) == 1
+    assert "--jobs" in capsys.readouterr().err
     assert not (tmp_path / "tomo.mrc").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "two", "5"])
+def test_the_environment_does_not_set_jobs(tmp_path, rng, monkeypatch, value):
+    # the worker count comes from --jobs, the config or the CPUs; no
+    # environment variable is read, so CRYOFORGE_JOBS changes nothing
+    argv = _reconstruct_args(tmp_path, rng)
+    assert main(argv) == 0
+    unset = (tmp_path / "tomo.mrc").read_bytes()
+    monkeypatch.setenv("CRYOFORGE_JOBS", value)
+    monkeypatch.setattr(tiltsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert cli._jobs(cli.build_parser().parse_args(["verify"])) == 2
+    assert PipelineConfig(structures={"a": "a.pdb"}, output_dir="out").jobs == 2
+    assert main(argv) == 0
+    assert (tmp_path / "tomo.mrc").read_bytes() == unset
 
 
 def test_pipeline_requires_config(capsys):

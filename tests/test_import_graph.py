@@ -235,3 +235,52 @@ def test_every_top_level_name_is_read_by_the_package():
         f"top-level names the package never reads: {sorted(unread - UNREAD_BY_DESIGN.keys())}"
     )
     assert unread >= UNREAD_BY_DESIGN.keys(), "an allowed name is now read: drop it from the list"
+
+
+def _environment_reads(path: Path) -> list[str]:
+    """Where ``path`` reads the process environment, as ``line: expression``:
+    each use of ``os.environ``, ``os.environb`` or ``os.getenv``, and each
+    import of one of them from ``os``."""
+    names = {"environ", "environb", "getenv"}
+    found = []  # (line, expression)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"from os import {alias.name}")
+                      for alias in node.names if alias.name in names]
+    return [f"{line}: {expression}" for line, expression in sorted(found)]
+
+
+def test_environment_read_finder(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "import os\n"
+        "from os import getenv, path\n"
+        "a = os.environ.get('A')\n"
+        "b = os.getenv('B', '1')\n"
+        "c = os.cpu_count(), path.sep, getenv\n"
+        "d = 'os.environ'\n"
+    )
+    assert _environment_reads(source) == [
+        "2: from os import getenv", "3: os.environ", "4: os.getenv"
+    ]
+
+
+# modules that read the environment, and why; a run's inputs are its
+# arguments and its config, so nothing else may
+READS_THE_ENVIRONMENT = {
+    "pipeline": "the densify provenance row reports the BLAS and OpenMP thread caps (_THREAD_CAPS)",
+}
+
+
+def test_package_reads_no_environment_variable():
+    reads = {path.stem: _environment_reads(path) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = {module: found for module, found in reads.items() if found}
+    hidden = {module: found for module, found in reads.items()
+              if module not in READS_THE_ENVIRONMENT}
+    assert not hidden, f"modules that read the environment: {hidden}"
+    assert reads.keys() >= READS_THE_ENVIRONMENT.keys(), (
+        "an allowed module no longer reads the environment: drop it from the list"
+    )

@@ -109,6 +109,16 @@ def test_sym_loss_requires_two_samples():
         sym_loss(z, z, LossConfig())
 
 
+def test_sym_loss_refuses_an_overflow_by_name(rng):
+    # c / tau = 5e5: both exponentials overflow and inf - inf would be NaN;
+    # no RuntimeWarning escapes (the suite turns warnings into errors)
+    v = rng.normal(size=(4, 3))
+    z = EmbeddingBatch(v / np.linalg.norm(v, axis=1, keepdims=True))
+    with pytest.raises(ValueError, match="^sym_loss is nan at temperature 1e-06 and rince_c 0.5$"):
+        sym_loss(z, z, LossConfig(temperature=1e-6))
+    assert np.isfinite(sym_loss(z, z, LossConfig(temperature=1e-3)))
+
+
 def test_sym_loss_orthogonal_transform_invariance(rng):
     from cryoforge.geometry import svd_to_matrix
 

@@ -125,8 +125,6 @@ def test_config_jobs_defaults_to_the_cli_rule(tmp_path, monkeypatch):
     assert PipelineConfig.from_dict(raw).jobs == 1  # usable CPUs
     monkeypatch.setattr(tiltsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert PipelineConfig.from_dict(raw).jobs == 2  # capped
-    monkeypatch.setenv("CRYOFORGE_JOBS", "3")
-    assert PipelineConfig.from_dict(raw).jobs == 3  # the variable beats affinity
     assert PipelineConfig.from_dict({**raw, "jobs": 1}).jobs == 1  # the file beats both
 
 
@@ -536,7 +534,7 @@ def test_ground_truth_scores_stay_outside_the_stage_time(tmp_path, monkeypatch):
     assert rows["reconstruct"]["elapsed_s"] < 0.5
 
 
-def test_cli_pipeline_takes_jobs_from_the_variable(tmp_path, monkeypatch):
+def test_cli_pipeline_takes_jobs_from_the_flag(tmp_path, monkeypatch):
     pdb = tmp_path / "blob.pdb"
     pdb.write_text(make_blob_pdb(np.random.default_rng(0), radius=60.0, n=400))
     raw = _raw_config(
@@ -549,9 +547,8 @@ def test_cli_pipeline_takes_jobs_from_the_variable(tmp_path, monkeypatch):
     )
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
-    monkeypatch.setattr(tiltsim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setenv("CRYOFORGE_JOBS", "2")
-    assert main(["--config", str(path), "pipeline"]) == 0
+    monkeypatch.setattr(tiltsim.os, "sched_getaffinity", lambda pid: {0}, raising=False)  # 1 job
+    assert main(["--jobs", "2", "--config", str(path), "pipeline"]) == 0
     rows = cio.read_ndjson(tmp_path / "out" / "provenance.ndjson")
     assert [(r["stage"], r["jobs"]) for r in rows if "jobs" in r] == [
         ("project", 2), ("reconstruct", 2)
