@@ -79,6 +79,7 @@ def _check_pair(z: EmbeddingBatch, z_pos: EmbeddingBatch) -> None:
         raise ValueError("embedding batches must have matching shapes")
 
 
+@np.errstate(all="ignore")  # an overflow (c / tau past ~709) is refused below
 def sym_loss(z: EmbeddingBatch, z_pos: EmbeddingBatch, cfg: LossConfig) -> float:
     """Symmetric exponential instance loss over cross-view similarities.
 
@@ -93,18 +94,18 @@ def sym_loss(z: EmbeddingBatch, z_pos: EmbeddingBatch, cfg: LossConfig) -> float
     if B < 2:
         raise ValueError("sym_loss needs B >= 2 for in-batch negatives")
     c = cfg.rince_c
-    with np.errstate(all="ignore"):  # an overflow (c / tau past ~709) is refused below
-        sims = z.vectors @ z_pos.vectors.T / cfg.temperature  # (B, B)
-        s_pos = np.diag(sims)
-        # log-domain evaluation of (sum_j e^{s_ij})^c / c
-        m = sims.max(axis=1)
-        log_mass = m + np.log(np.exp(sims - m[:, None]).sum(axis=1))
-        loss = float((-np.exp(c * s_pos) / c + np.exp(c * log_mass) / c).mean())
+    sims = z.vectors @ z_pos.vectors.T / cfg.temperature  # (B, B)
+    s_pos = np.diag(sims)
+    # log-domain evaluation of (sum_j e^{s_ij})^c / c
+    m = sims.max(axis=1)
+    log_mass = m + np.log(np.exp(sims - m[:, None]).sum(axis=1))
+    loss = float((-np.exp(c * s_pos) / c + np.exp(c * log_mass) / c).mean())
     if not np.isfinite(loss):
         raise ValueError(f"sym_loss is {loss} at temperature {cfg.temperature:g} and rince_c {c:g}")
     return loss
 
 
+@np.errstate(all="ignore")  # an underflowed kernel (epsilon << max C) gives NaN, refused below
 def sinkhorn_wasserstein(
     z: EmbeddingBatch, z_pos: EmbeddingBatch, cfg: LossConfig
 ) -> tuple[float, TransportPlan]:
@@ -127,7 +128,7 @@ def sinkhorn_wasserstein(
     still returned with converged=False, at the epsilon of the stage the
     budget ran out in, which may be far larger than sinkhorn_epsilon (up
     to twice max C); TransportPlan.epsilon records it, and the cost
-    belongs to that blurrier problem.
+    belongs to that blurrier problem. A cost that is not finite is refused.
     """
     _check_pair(z, z_pos)
     a, b = z.vectors, z_pos.vectors
@@ -161,11 +162,14 @@ def sinkhorn_wasserstein(
             break
     P = np.exp((f[:, None] + g[None, :] - C) / eps)
     cost = float(np.sum(C * P))
+    if not np.isfinite(cost):
+        raise ValueError(f"sinkhorn_wasserstein cost is {cost} at sinkhorn_epsilon {target:g}")
     return cost, TransportPlan(
         P=P, converged=converged, iterations_used=iterations, epsilon=eps
     )
 
 
+@np.errstate(all="ignore")  # an overflow (1 / tau past ~1.8e308) is refused below
 def infonce_loss(
     z: EmbeddingBatch,
     z_clean: EmbeddingBatch,
@@ -175,7 +179,8 @@ def infonce_loss(
     """Noise-aware contrast: clean embedding positive, noisy one negative.
 
     Per anchor: -log( e^{s+} / (e^{s+} + e^{s-}) ) with temperature-scaled
-    similarities; batch mean. Equals log 2 when clean and noisy coincide.
+    similarities; batch mean. Equals log 2 when clean and noisy coincide,
+    and a loss that is not finite is refused.
     """
     _check_pair(z, z_clean)
     _check_pair(z, z_noisy)
@@ -183,8 +188,10 @@ def infonce_loss(
     s_neg = np.sum(z.vectors * z_noisy.vectors, axis=1) / cfg.temperature
     # -log sigmoid(s_pos - s_neg), stably
     x = s_pos - s_neg
-    loss = np.logaddexp(0.0, -x)
-    return float(loss.mean())
+    loss = float(np.logaddexp(0.0, -x).mean())
+    if not np.isfinite(loss):
+        raise ValueError(f"infonce_loss is {loss} at temperature {cfg.temperature:g}")
+    return loss
 
 
 class LinearProjectionEncoder:

@@ -22,12 +22,6 @@ there are, it holds that stack, one float32 product of its size, about
 filtered rows, the volume and the taps are float32, as in ASTRA's
 single-precision projectors, so the memory-bound products move half the
 bytes of float64 ones.
-
-With ``jobs > 1`` the back-projector's sparse products run on a thread
-pool, each writing its own disjoint d rows of the tomogram, so it is
-bit-identical for every ``jobs``; the operators are built on the calling
-thread (see ``tiltsim.build_then_run``). ``reproject`` runs on the calling
-thread alone.
 """
 
 from __future__ import annotations
@@ -106,12 +100,11 @@ def slab_operator(
     return sparse.csr_array((data.ravel(), indices.ravel(), indptr), shape=(rows, n_tilts * W))
 
 
-def slabs(D: int, W: int, H: int, n_tilts: int, jobs: int = 1) -> list[range]:
-    """The d rows of each slab of a (D, H, W) volume over n_tilts views. A d row
-    costs its float32 product (W * H) and its taps (W * 2 * n_tilts), each a
-    float32 value and an int32 index; ``jobs`` slabs are in flight at once, so
-    each gets a jobs-th of ``SLAB_BYTES``."""
-    n = max(1, SLAB_BYTES // jobs // (4 * W * (H + 4 * n_tilts)))
+def slabs(D: int, W: int, H: int, n_tilts: int) -> list[range]:
+    """The d rows of each slab of a (D, H, W) volume over n_tilts views, each
+    slab about ``SLAB_BYTES``. A d row costs its float32 product (W * H) and its
+    taps (W * 2 * n_tilts), each a float32 value and an int32 index."""
+    n = max(1, SLAB_BYTES // (4 * W * (H + 4 * n_tilts)))
     return [range(d0, min(d0 + n, D)) for d0 in range(0, D, n)]
 
 
@@ -138,12 +131,13 @@ def wbp_reconstruct(series: TiltSeries, shifts, cfg: ReconConfig, jobs: int = 1)
 
     The calling thread builds each slab's operator, and ``build_then_run``
     forms its product, with at most ``jobs`` slabs in flight on a thread
-    pool when ``jobs > 1``. Slabs are a ``jobs``-th of the serial slab, so
-    besides R and the float32 output the temporaries stay about
-    ``SLAB_BYTES``. Every slab's arithmetic is the same whichever thread
-    runs it, so the output is bit-identical for every ``jobs``. A worker's
-    exception is raised here.
+    pool when ``jobs > 1``, so besides R and the float32 output the
+    temporaries stay about ``jobs`` times ``SLAB_BYTES``. The slabs and
+    their arithmetic are the same for every ``jobs``, so the output is
+    bit-identical for every ``jobs``. A worker's exception is raised here,
+    and ``jobs`` is checked before any work.
     """
+    jobs = int_at_least(jobs, "jobs", 1)
     n_tilts, H, W = series.projections.shape
     if n_tilts < MIN_TILTS:
         raise ValueError(f"reconstruction needs at least {MIN_TILTS} tilts")
@@ -164,7 +158,6 @@ def wbp_reconstruct(series: TiltSeries, shifts, cfg: ReconConfig, jobs: int = 1)
     theta = np.radians(np.asarray(series.geometry.angles, dtype=np.float64))
     w_t = np.abs(np.cos(theta))
     scale = np.pi / (2.0 * n_tilts)
-    jobs = int_at_least(jobs, "jobs", 1)
     out = np.empty((D, H, W), dtype=np.float32)
 
     def operator(rows: range) -> sparse.csr_array:
@@ -175,7 +168,7 @@ def wbp_reconstruct(series: TiltSeries, shifts, cfg: ReconConfig, jobs: int = 1)
         part *= scale
         out[rows.start : rows.stop] = part.reshape(len(rows), W, H).transpose(0, 2, 1)
 
-    build_then_run(slabs(D, W, H, n_tilts, jobs), operator, fill, jobs)
+    build_then_run(slabs(D, W, H, n_tilts), operator, fill, jobs)
     return DensityVolume(out, series.voxel_size)
 
 
@@ -183,7 +176,7 @@ def reproject(volume: DensityVolume, angles) -> np.ndarray:
     """The float64 (n_tilts, H, W) line integrals of a (D, H, W) ``volume``
     at each tilt angle (degrees): every slab of d rows, laid out (d, w, h),
     times its ``slab_operator`` transposed, with unit tap weights and no
-    filter or pi / (2 N_tilts) scale, added into one stack."""
+    filter or pi / (2 N_tilts) scale, added into one stack on the calling thread."""
     D, H, W = volume.shape
     theta = np.radians(np.asarray(angles, dtype=np.float64))
     taps = np.ones(len(theta))

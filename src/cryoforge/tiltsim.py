@@ -19,9 +19,6 @@ resampled grid is ever formed. For the same reason a row along h whose
 rows that hold density are prefiltered and projected; the
 others stay zero in the (H, W) image the drift shift is applied to.
 
-With ``jobs > 1`` the operators are applied on a thread pool: see
-``build_then_run``, which the back-projector in ``recon`` shares.
-
 A beam sample's 16 (d, w) tap products are the outer product of its 4
 d-taps and its 4 w-taps, so the operator is built as a sparse product
 of two 1-D tap matrices, U (detector column and d node by sample) and V
@@ -302,8 +299,8 @@ def default_jobs() -> int:
     return min(DEFAULT_JOBS_CAP, cpus or 1)
 
 
-def build_then_run(items, build, run, jobs: int) -> list:
-    """``[run(item, build(item)) for item in items]``, with every ``build``
+def build_then_run(items, build, run, jobs: int) -> None:
+    """``run(item, build(item))`` for each item in order, with every ``build``
     on the calling thread and, with ``jobs > 1``, the runs on a pool of
     ``jobs`` threads (scipy's sparse kernels release the GIL).
 
@@ -314,22 +311,23 @@ def build_then_run(items, build, run, jobs: int) -> list:
     there left tens of MB per worker, while a worker that only applies
     operators keeps about one result. Once ``jobs`` runs are in flight the
     oldest is waited on before the next build, so at most ``jobs``
-    operators are alive at a time. Results come in item order; a worker's
+    operators are alive at a time. Every run is waited on, so a worker's
     exception is raised here. ``jobs == 1`` runs inline: a one-thread pool
     would add a worker arena.
     """
     jobs = int_at_least(jobs, "jobs", 1)
     if jobs == 1:
-        return [run(item, build(item)) for item in items]
-    results = []
+        for item in items:
+            run(item, build(item))
+        return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         in_flight: deque = deque()
         for item in items:
             if len(in_flight) == jobs:
-                results.append(in_flight.popleft().result())
+                in_flight.popleft().result()
             in_flight.append(pool.submit(run, item, build(item)))
-        results.extend(future.result() for future in in_flight)
-    return results
+        for future in in_flight:
+            future.result()
 
 
 def simulate_tilt_series(
@@ -348,9 +346,10 @@ def simulate_tilt_series(
     its own row of the series' float32 stack. With ``jobs > 1`` at most
     ``jobs`` runs are in flight on a thread pool (see ``build_then_run``);
     the rows are disjoint, so the stack is byte-identical for every
-    ``jobs``.
+    ``jobs``, and ``jobs`` is checked before any work.
     """
     seed = int_at_least(seed, "seed", 0)
+    jobs = int_at_least(jobs, "jobs", 1)
     coeffs, rows = _spline_coefficients(vol)
     stack = np.empty((len(geom.angles), vol.shape[1], vol.shape[2]), dtype=np.float32)
     shifts = [None] * len(geom.angles)

@@ -238,6 +238,17 @@ def test_sinkhorn_rejects_non_finite_embeddings():
         sinkhorn_wasserstein(z, EmbeddingBatch(np.eye(2)), LossConfig())
 
 
+def test_sinkhorn_refuses_a_non_finite_cost_by_name(rng):
+    # LossConfig accepts epsilon 1e-300; on these batches the iteration budget
+    # reaches stages whose kernel rows underflow to 0, so u = mu / 0 is inf and
+    # the cost would be NaN. No RuntimeWarning escapes (warnings are errors here)
+    z, z_pos = _random_batch(rng, 4, d=3), _random_batch(rng, 4, d=3)
+    message = "^sinkhorn_wasserstein cost is nan at sinkhorn_epsilon 1e-300$"
+    with pytest.raises(ValueError, match=message):
+        sinkhorn_wasserstein(z, z_pos, LossConfig(sinkhorn_epsilon=1e-300))
+    assert np.isfinite(sinkhorn_wasserstein(z, z_pos, LossConfig())[0])
+
+
 def test_sinkhorn_reports_non_convergence(rng):
     z = _random_batch(rng, 4)
     z_pos = _random_batch(rng, 4)
@@ -268,6 +279,16 @@ def test_infonce_clean_equals_noisy_gives_log2(rng):
     z = _random_batch(rng, 3)
     other = _random_batch(rng, 3)
     assert infonce_loss(z, other, other, LossConfig()) == pytest.approx(np.log(2.0), abs=1e-15)
+
+
+def test_infonce_refuses_an_overflow_by_name(rng):
+    # 1 / tau overflows at a subnormal temperature, which LossConfig accepts:
+    # with clean = noisy = z both similarities are inf, and inf - inf is NaN
+    z = _random_batch(rng, 4, d=3)
+    cfg = LossConfig(temperature=1e-320)
+    message = f"^infonce_loss is nan at temperature {cfg.temperature:g}$"
+    with pytest.raises(ValueError, match=message):
+        infonce_loss(z, z, z, cfg)
 
 
 def test_infonce_monotonicity():

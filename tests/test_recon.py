@@ -14,6 +14,7 @@ from cryoforge.recon import (
     filter_projection,
     filter_response,
     reproject,
+    slab_operator,
     wbp_reconstruct,
 )
 from cryoforge.tiltalign import align_series
@@ -261,9 +262,9 @@ def test_wbp_threads_match_serial(monkeypatch, rng, H, W):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so slabs interleave
     try:
-        # 8000 bytes make serial slabs of 2 to 7 rows and threaded ones a
-        # jobs-th of that, so D = 11 ends on a partial slab; 1 byte makes one
-        # d row per slab, many more slabs than workers
+        # 8000 bytes make slabs of 2 to 7 rows at every jobs, so D = 11 ends
+        # on a partial slab; 1 byte makes one d row per slab, many more slabs
+        # than workers
         for slab_bytes in (8000, 1):
             monkeypatch.setattr(recon, "SLAB_BYTES", slab_bytes)
             serial = wbp_reconstruct(series, shifts, cfg, jobs=1)
@@ -272,6 +273,30 @@ def test_wbp_threads_match_serial(monkeypatch, rng, H, W):
                 assert np.array_equal(threaded.data, serial.data)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_wbp_cuts_the_same_slabs_at_every_jobs(monkeypatch, rng):
+    # a 7 x 9 detector and 6 tilts cost 1116 bytes a d row, so D = 4000 is cut
+    # at the default SLAB_BYTES into a 3584-row slab and a partial one, and at
+    # 8000 bytes into 572 slabs of 7 rows, the last partial
+    series, shifts = _random_series(rng, [-90.0, -60.0, 0.0, 1e-7, 34.0, 90.0], (7, 9))
+    cfg = ReconConfig(output_dims=(4000, 7, 9))
+    cut = []
+
+    def recording_operator(d_rows, *args):
+        cut.append(d_rows)
+        return slab_operator(d_rows, *args)
+
+    monkeypatch.setattr(recon, "slab_operator", recording_operator)
+    for slab_bytes in (recon.SLAB_BYTES, 8000):
+        monkeypatch.setattr(recon, "SLAB_BYTES", slab_bytes)
+        by_jobs = []
+        for jobs in (1, 2, 3):
+            cut.clear()
+            wbp_reconstruct(series, shifts, cfg, jobs=jobs)
+            by_jobs.append(list(cut))
+        assert len(by_jobs[0]) > 1 and by_jobs[0] == recon.slabs(4000, 9, 7, 6)
+        assert by_jobs[1] == by_jobs[0] and by_jobs[2] == by_jobs[0], slab_bytes
 
 
 def test_wbp_worker_exception_propagates(monkeypatch, rng):
@@ -293,15 +318,21 @@ def test_wbp_worker_exception_propagates(monkeypatch, rng):
     assert failed_in and threading.main_thread() not in failed_in
 
 
+def _never_called(*args):
+    raise AssertionError("jobs is checked before the per-view filter")
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
-def test_wbp_rejects_jobs_below_one(rng, jobs):
+def test_wbp_rejects_jobs_below_one(monkeypatch, rng, jobs):
     series, shifts = _random_series(rng, [-10.0, 0.0, 10.0], (8, 8))
+    monkeypatch.setattr(recon, "filter_projection", _never_called)
     with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs}$"):
         wbp_reconstruct(series, shifts, ReconConfig(output_dims=(8, 8, 8)), jobs=jobs)
 
 
-def test_wbp_rejects_jobs_that_is_not_an_integer(rng):
+def test_wbp_rejects_jobs_that_is_not_an_integer(monkeypatch, rng):
     series, shifts = _random_series(rng, [-10.0, 0.0, 10.0], (8, 8))
+    monkeypatch.setattr(recon, "filter_projection", _never_called)
     with pytest.raises(ValueError, match="jobs must be an integer >= 1, got 2.5"):
         wbp_reconstruct(series, shifts, ReconConfig(output_dims=(8, 8, 8)), jobs=2.5)
 

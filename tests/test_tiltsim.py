@@ -527,8 +527,13 @@ def test_series_worker_exception_propagates(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
-def test_series_rejects_jobs_below_one(jobs):
+def test_series_rejects_jobs_below_one(monkeypatch, jobs):
     geom = TiltGeometry(angles=[-10.0, 0.0, 10.0])
+
+    def never_called(vol):
+        raise AssertionError("jobs is checked before the spline prefilter")
+
+    monkeypatch.setattr(tiltsim, "_spline_coefficients", never_called)
     with pytest.raises(ValueError, match=f"jobs must be an integer >= 1, got {jobs}$"):
         simulate_tilt_series(multi_blob_volume(8, blobs=1), geom, jobs=jobs)
 
